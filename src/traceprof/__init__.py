@@ -15,6 +15,7 @@ from .errors import (
     NoCompleteSteps,
     NoSamplesInWindow,
     NoSteps,
+    OverlappingSteps,
     SignalTooShort,
     TraceProfError,
     TraceValidationError,

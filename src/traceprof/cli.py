@@ -42,14 +42,14 @@ def _print_issues(issues) -> None:
 
 def _load(path: str, warmup: int | None) -> Run:
     run = load_run(Path(path))
+    _print_issues(run.warnings)
     if warmup is not None:
         run = with_warmup_steps(run, warmup)
     return run
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    run = load_run(Path(args.manifest))
-    _print_issues(run.warnings)
+    run = _load(args.manifest, None)
     print(
         f"OK run_id={run.meta.run_id} ops={len(run.ops)} samples={len(run.samples)} "
         f"warnings={len(run.warnings)}"

@@ -30,6 +30,10 @@ class NoCompleteSteps(TraceProfError):
     """Fewer complete non-warmup step windows than the metric requires."""
 
 
+class OverlappingSteps(TraceProfError, ValueError):
+    """Labelled ops put two step windows over the same time."""
+
+
 class NoSteps(TraceProfError):
     """No explicit step labels and no periodic structure confident enough to tile."""
 

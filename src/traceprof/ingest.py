@@ -142,14 +142,16 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[list[TelemetrySample]
     """Parse the telemetry CSV; utilization percent columns become fractions."""
     samples: list[TelemetrySample] = []
     issues: list[Issue] = []
-    text = data.decode("utf-8", errors="replace")
-    lines = text.splitlines()
-    numbered = [(i, line.strip()) for i, line in enumerate(lines, start=1) if line.strip()]
-    if not numbered:
+    # Lazy over the decoded lines: no stripped copy of the whole file is kept.
+    lines = enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1)
+    stripped = ((i, line.strip()) for i, line in lines)
+    numbered = ((i, line) for i, line in stripped if line)
+    first = next(numbered, None)
+    if first is None:
         issues.append(Issue("EmptyTrace", "telemetry file is empty", line_no=0))
         return samples, issues
 
-    header_no, header_line = numbered[0]
+    header_no, header_line = first
     header = [cell.strip() for cell in header_line.split(",")]
     expected = _telemetry_columns(core_count)
     col_index: dict[str, int] = {}
@@ -175,7 +177,7 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[list[TelemetrySample]
         )
         return samples, issues
 
-    for line_no, line in numbered[1:]:
+    for line_no, line in numbered:
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) < len(header):
             issues.append(
@@ -415,6 +417,11 @@ def load_sweep_manifest(path: Path | str) -> tuple[str, list[Path]]:
 # ---------------------------------------------------------------------------
 
 
+def _fields(obj: Any) -> dict[str, Any] | None:
+    """A flat dataclass whose field names are its wire names, as a dict."""
+    return None if obj is None else dict(vars(obj))
+
+
 def _step_window_to_dict(w: StepWindow) -> dict[str, Any]:
     return {"step_id": w.step_id, "start_us": w.start, "end_us": w.end, "is_warmup": w.is_warmup}
 
@@ -453,39 +460,12 @@ def report_to_dict(report: MetricReport) -> dict[str, Any]:
         "energy_by_rail_joules": dict(report.energy_by_rail_joules),
         "peak_mem_bytes": report.peak_mem_bytes,
         "throughput_samples_per_sec": report.throughput_samples_per_sec,
-        "power_rail_ranking": [
-            {"rail": r.rail, "mean_mw": r.mean_mw, "share_of_sys": r.share_of_sys}
-            for r in report.power_rail_ranking
-        ],
+        "power_rail_ranking": [_fields(r) for r in report.power_rail_ranking],
         "steps": [_step_window_to_dict(w) for w in report.steps],
         "per_step": [_step_metrics_to_dict(m) for m in report.per_step],
-        "per_op": {
-            name: {
-                "count": agg.count,
-                "busy_time_us": agg.busy_time_us,
-                "attributed_samples": agg.attributed_samples,
-                "below_sampling_resolution": agg.below_sampling_resolution,
-            }
-            for name, agg in report.per_op.items()
-        },
-        "period": (
-            None
-            if report.period is None
-            else {
-                "period_us": report.period.period_us,
-                "confidence": report.period.confidence,
-                "method": report.period.method,
-            }
-        ),
-        "predictability": (
-            None
-            if report.predictability is None
-            else {
-                "signal": report.predictability.signal,
-                "mean_pairwise_correlation": report.predictability.mean_pairwise_correlation,
-                "per_step_pairs": report.predictability.per_step_pairs,
-            }
-        ),
+        "per_op": {name: _fields(agg) for name, agg in report.per_op.items()},
+        "period": _fields(report.period),
+        "predictability": _fields(report.predictability),
         "memory_breakdown": _breakdown_to_dict(report.memory_breakdown),
     }
 
@@ -525,33 +505,10 @@ def report_from_dict(doc: dict[str, Any]) -> MetricReport:
             )
             for m in doc["per_step"]
         ),
-        per_op={
-            name: OpAggregate(
-                count=agg["count"],
-                busy_time_us=agg["busy_time_us"],
-                attributed_samples=agg["attributed_samples"],
-                below_sampling_resolution=agg["below_sampling_resolution"],
-            )
-            for name, agg in doc["per_op"].items()
-        },
-        power_rail_ranking=tuple(
-            RailShare(r["rail"], r["mean_mw"], r["share_of_sys"])
-            for r in doc["power_rail_ranking"]
-        ),
-        period=(
-            None
-            if period is None
-            else PeriodEstimate(period["period_us"], period["confidence"], period["method"])
-        ),
-        predictability=(
-            None
-            if predictability is None
-            else PredictabilityScore(
-                predictability["signal"],
-                predictability["mean_pairwise_correlation"],
-                predictability["per_step_pairs"],
-            )
-        ),
+        per_op={name: OpAggregate(**agg) for name, agg in doc["per_op"].items()},
+        power_rail_ranking=tuple(RailShare(**r) for r in doc["power_rail_ranking"]),
+        period=None if period is None else PeriodEstimate(**period),
+        predictability=None if predictability is None else PredictabilityScore(**predictability),
         memory_breakdown=_breakdown_from_dict(doc.get("memory_breakdown")),
         concurrent_ops_double_counting=doc["concurrent_ops_double_counting"],
         idle_threshold=doc["idle_threshold"],

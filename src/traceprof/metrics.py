@@ -10,17 +10,26 @@ file: each sample's weight is the gap to the next sample, the run's last
 sample falls back to the nominal interval. The same weights drive the
 time-weighted utilization means, so binary utilization streams reduce
 exactly to active-sample-count / total-count.
+
+Every metric reads one column view of the samples, built once per report:
+int64 timestamps and weights and a float64 matrix of core utilizations,
+GPU utilization and the four power rails. A window is bounded with
+``np.searchsorted`` (half-open, like ``bisect_left``), and each weighted sum
+is ``math.fsum`` over the elementwise products of the window's rows. fsum
+is correctly rounded, so a result never depends on summation order or
+blocking, and integer weight sums are exact.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
 
+import numpy as np
+
 from . import steps as steps_mod
-from .correlate import attribute_samples, concurrent_ops_exist
+from .correlate import concurrent_ops_exist
 from .errors import NoCompleteSteps, NoSamplesInWindow, SignalTooShort
 from .model import MemoryBreakdown, Run, StepWindow
 from .steps import PeriodEstimate, PredictabilityScore
@@ -85,12 +94,65 @@ class MetricReport:
     notes: tuple[str, ...]
 
 
+class _Columns:
+    """A run's samples as columns, built once and shared by every window.
+
+    ``t`` and the rectangle weights ``dt`` are int64. ``values`` is float64
+    with one row per sample: the core utilizations, then the GPU
+    utilization, then the power rails in ``RAILS`` order.
+    """
+
+    def __init__(self, run: Run) -> None:
+        samples = run.samples
+        n, width = len(samples), run.meta.core_count + 5
+        self.core_count = run.meta.core_count
+        self.t = np.fromiter((s.t for s in samples), np.int64, n)
+        self.dt = np.append(np.diff(self.t), np.int64(run.meta.sample_interval_us))
+        rows = ((*s.cpu_core_util, s.gpu_util, s.power_cpu_mw, s.power_gpu_mw,
+                 s.power_mem_mw, s.power_sys_mw) for s in samples)
+        self.values = np.fromiter(rows, np.dtype((np.float64, width)), n)
+
+
+@dataclass(frozen=True)
+class _WindowSums:
+    """Every time-weighted quantity of one window, each from an exact sum."""
+
+    per_core: tuple[float, ...]
+    cpu_avg: float
+    gpu: float
+    idle: tuple[float, ...]
+    energy_j: dict[str, float]
+    rail_mean_mw: dict[str, float]
+
+
+def _window(cols: _Columns, window: Window | None, idle_threshold: float = 0.0) -> _WindowSums:
+    """Metrics of the samples with t in [lo, hi), or of all samples."""
+    a, b = 0, len(cols.t)
+    if window is not None:
+        a, b = np.searchsorted(cols.t, window).tolist()
+        if a >= b:
+            raise NoSamplesInWindow(f"no samples with t in [{window[0]}, {window[1]}) us")
+    dt = cols.dt[a:b, None]
+    total = int(dt.sum())
+    # One column's Python floats at a time keeps the transient memory small.
+    sums = [fsum(col.tolist()) for col in (cols.values[a:b] * dt).T]
+    c = cols.core_count
+    idle_us = ((cols.values[a:b, :c] <= idle_threshold) * dt).sum(axis=0).tolist()
+    per_core = tuple(s / total for s in sums[:c])
+    rail_nj = dict(zip(RAILS, sums[c + 1:]))  # mW * us, i.e. nanojoules
+    return _WindowSums(
+        per_core=per_core,
+        cpu_avg=fsum(per_core) / c,
+        gpu=sums[c] / total,
+        idle=tuple(u / total for u in idle_us),
+        energy_j={rail: nj / 1e9 for rail, nj in rail_nj.items()},
+        rail_mean_mw={rail: nj / total for rail, nj in rail_nj.items()},
+    )
+
+
 def sample_weights_us(run: Run) -> list[int]:
     """Rectangle width per sample: gap to the next sample; last uses nominal."""
-    ts = [s.t for s in run.samples]
-    gaps = [b - a for a, b in zip(ts, ts[1:])]
-    gaps.append(run.meta.sample_interval_us)
-    return gaps
+    return _Columns(run).dt.tolist()
 
 
 def nonwarmup_window(step_windows: Sequence[StepWindow]) -> Window:
@@ -101,43 +163,24 @@ def nonwarmup_window(step_windows: Sequence[StepWindow]) -> Window:
     return (non_warmup[0].start, step_windows[-1].end)
 
 
-def _window_indices(run: Run, window: Window | None) -> range:
-    if window is None:
-        return range(len(run.samples))
-    lo, hi = window
-    ts = [s.t for s in run.samples]
-    start = bisect_left(ts, lo)
-    end = bisect_left(ts, hi)
-    if start >= end:
-        raise NoSamplesInWindow(f"no samples with t in [{lo}, {hi}) us")
-    return range(start, end)
-
-
-def _weighted_mean(run: Run, values: Sequence[float], window: Window | None) -> float:
-    idx = _window_indices(run, window)
-    dts = sample_weights_us(run)
-    num = fsum(values[i] * dts[i] for i in idx)
-    den = fsum(dts[i] for i in idx)
-    return num / den
+def _check_core(run: Run, core_index: int) -> None:
+    if not 0 <= core_index < run.meta.core_count:
+        raise ValueError(f"core_index {core_index} outside 0..{run.meta.core_count - 1}")
 
 
 def cpu_core_utilization(run: Run, core_index: int, window: Window | None = None) -> float:
     """Time-weighted mean utilization of one core over the window."""
-    if not 0 <= core_index < run.meta.core_count:
-        raise ValueError(f"core_index {core_index} outside 0..{run.meta.core_count - 1}")
-    values = [s.cpu_core_util[core_index] for s in run.samples]
-    return _weighted_mean(run, values, window)
+    _check_core(run, core_index)
+    return _window(_Columns(run), window).per_core[core_index]
 
 
 def cpu_avg_utilization(run: Run, window: Window | None = None) -> float:
     """Arithmetic mean of per-core utilizations over all cores."""
-    per_core = [cpu_core_utilization(run, c, window) for c in range(run.meta.core_count)]
-    return fsum(per_core) / len(per_core)
+    return _window(_Columns(run), window).cpu_avg
 
 
 def gpu_utilization(run: Run, window: Window | None = None) -> float:
-    values = [s.gpu_util for s in run.samples]
-    return _weighted_mean(run, values, window)
+    return _window(_Columns(run), window).gpu
 
 
 def idle_ratio(
@@ -148,34 +191,15 @@ def idle_ratio(
     Idle means exactly zero by default; ``threshold`` loosens that to
     utilization <= threshold for noisy samplers.
     """
-    if not 0 <= core_index < run.meta.core_count:
-        raise ValueError(f"core_index {core_index} outside 0..{run.meta.core_count - 1}")
-    idx = _window_indices(run, window)
-    dts = sample_weights_us(run)
-    idle_us = fsum(
-        dts[i] for i in idx if run.samples[i].cpu_core_util[core_index] <= threshold
-    )
-    total_us = fsum(dts[i] for i in idx)
-    return idle_us / total_us
-
-
-_RAIL_ATTR = {
-    "cpu": "power_cpu_mw",
-    "gpu": "power_gpu_mw",
-    "mem": "power_mem_mw",
-    "sys": "power_sys_mw",
-}
+    _check_core(run, core_index)
+    return _window(_Columns(run), window, threshold).idle[core_index]
 
 
 def energy(run: Run, rail: str, window: Window | None = None) -> float:
     """Rectangle-rule energy of a power rail over the window, in joules."""
-    if rail not in _RAIL_ATTR:
+    if rail not in RAILS:
         raise ValueError(f"unknown rail {rail!r}, expected one of {RAILS}")
-    attr = _RAIL_ATTR[rail]
-    idx = _window_indices(run, window)
-    dts = sample_weights_us(run)
-    # mW * us sums to nanojoules; divide by the exact constant 1e9 once.
-    return fsum(getattr(run.samples[i], attr) * dts[i] for i in idx) / 1e9
+    return _window(_Columns(run), window).energy_j[rail]
 
 
 def peak_memory(run: Run) -> tuple[int, MemoryBreakdown | None]:
@@ -192,16 +216,8 @@ def throughput(run: Run, step_windows: Sequence[StepWindow]) -> float:
     return (run.meta.batch_size * len(non_warmup) * 1_000_000) / total_us
 
 
-def power_dominance(run: Run, window: Window | None = None) -> tuple[RailShare, ...]:
-    """Component rails (cpu, gpu, mem) ordered by time-weighted mean power.
-
-    Each entry carries its share of the system rail's mean; the system rail
-    itself is the denominator, not a contestant.
-    """
-    means = {
-        rail: _weighted_mean(run, [getattr(s, attr) for s in run.samples], window)
-        for rail, attr in _RAIL_ATTR.items()
-    }
+def _rail_ranking(sums: _WindowSums) -> tuple[RailShare, ...]:
+    means = dict(sums.rail_mean_mw)
     sys_mean = means.pop("sys")
     ranked = sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(
@@ -210,35 +226,38 @@ def power_dominance(run: Run, window: Window | None = None) -> tuple[RailShare, 
     )
 
 
-def _per_op_aggregates(run: Run, attributions) -> dict[str, OpAggregate]:
-    counts: dict[str, int] = {}
-    busy: dict[str, int] = {}
-    attributed: dict[str, int] = {}
-    for op in run.ops:
-        counts[op.op_name] = counts.get(op.op_name, 0) + 1
-        busy[op.op_name] = busy.get(op.op_name, 0) + op.duration_us
-        attributed.setdefault(op.op_name, 0)
-    for a in attributions:
-        for oi in a.op_indices:
-            name = run.ops[oi].op_name
-            attributed[name] += 1
+def power_dominance(run: Run, window: Window | None = None) -> tuple[RailShare, ...]:
+    """Component rails (cpu, gpu, mem) ordered by time-weighted mean power.
+
+    Each entry carries its share of the system rail's mean; the system rail
+    itself is the denominator, not a contestant.
+    """
+    return _rail_ranking(_window(_Columns(run), window))
+
+
+def _per_op_aggregates(run: Run, t: np.ndarray) -> dict[str, OpAggregate]:
+    # An op's attributed samples are those with t in its half-open
+    # [start, end), counted by bisection: the same multi-attribution that
+    # attribute_samples makes sample by sample.
+    ops = run.ops
+    starts = np.fromiter((op.start for op in ops), np.int64, len(ops))
+    ends = np.fromiter((op.end for op in ops), np.int64, len(ops))
+    inside = (np.searchsorted(t, ends) - np.searchsorted(t, starts)).tolist()
+    totals: dict[str, list[int]] = {}  # name -> [count, busy us, attributed samples]
+    for op, k in zip(ops, inside):
+        agg = totals.setdefault(op.op_name, [0, 0, 0])
+        agg[0] += 1
+        agg[1] += op.end - op.start
+        agg[2] += k
     return {
-        name: OpAggregate(
-            count=counts[name],
-            busy_time_us=busy[name],
-            attributed_samples=attributed[name],
-            below_sampling_resolution=attributed[name] == 0,
-        )
-        for name in sorted(counts)
+        name: OpAggregate(count, busy, k, below_sampling_resolution=k == 0)
+        for name, (count, busy, k) in sorted(totals.items())
     }
 
 
-def _step_metrics(run: Run, w: StepWindow, idle_threshold: float) -> StepMetrics | None:
-    window = (w.start, w.end)
+def _step_metrics(cols: _Columns, w: StepWindow, batch: int, idle: float) -> StepMetrics | None:
     try:
-        per_core = tuple(
-            cpu_core_utilization(run, c, window) for c in range(run.meta.core_count)
-        )
+        sums = _window(cols, (w.start, w.end), idle)
     except NoSamplesInWindow:
         return None  # step shorter than the sampling resolution
     return StepMetrics(
@@ -246,14 +265,12 @@ def _step_metrics(run: Run, w: StepWindow, idle_threshold: float) -> StepMetrics
         is_warmup=w.is_warmup,
         start=w.start,
         end=w.end,
-        per_core_util=per_core,
-        cpu_avg_util=fsum(per_core) / len(per_core),
-        gpu_util=gpu_utilization(run, window),
-        idle_ratio_per_core=tuple(
-            idle_ratio(run, c, window, idle_threshold) for c in range(run.meta.core_count)
-        ),
-        energy_by_rail_joules={rail: energy(run, rail, window) for rail in RAILS},
-        throughput_samples_per_sec=(run.meta.batch_size * 1_000_000) / w.duration_us,
+        per_core_util=sums.per_core,
+        cpu_avg_util=sums.cpu_avg,
+        gpu_util=sums.gpu,
+        idle_ratio_per_core=sums.idle,
+        energy_by_rail_joules=sums.energy_j,
+        throughput_samples_per_sec=(batch * 1_000_000) / w.duration_us,
     )
 
 
@@ -274,10 +291,8 @@ def build_report(
     if step_windows is None:
         step_windows = steps_mod.resolve_steps(run, signal)
     step_windows = tuple(step_windows)
-    window = nonwarmup_window(step_windows)
-
-    per_core = tuple(cpu_core_utilization(run, c, window) for c in range(run.meta.core_count))
-    attributions = attribute_samples(run, step_windows)
+    cols = _Columns(run)
+    whole = _window(cols, nonwarmup_window(step_windows), idle_threshold)
 
     has_labels = any(op.step_id is not None for op in run.ops)
     if has_labels:
@@ -305,26 +320,24 @@ def build_report(
             "concurrent ops exist: per-op attributed-sample counts may double-count samples"
         )
 
-    per_step = [_step_metrics(run, w, idle_threshold) for w in step_windows]
+    per_step = [_step_metrics(cols, w, run.meta.batch_size, idle_threshold) for w in step_windows]
     return MetricReport(
         run_id=run.meta.run_id,
         batch_size=run.meta.batch_size,
         core_count=run.meta.core_count,
         sample_interval_us=run.meta.sample_interval_us,
         warmup_steps=warmup,
-        per_core_util=per_core,
-        cpu_avg_util=fsum(per_core) / len(per_core),
-        gpu_util=gpu_utilization(run, window),
-        idle_ratio_per_core=tuple(
-            idle_ratio(run, c, window, idle_threshold) for c in range(run.meta.core_count)
-        ),
-        energy_by_rail_joules={rail: energy(run, rail, window) for rail in RAILS},
+        per_core_util=whole.per_core,
+        cpu_avg_util=whole.cpu_avg,
+        gpu_util=whole.gpu,
+        idle_ratio_per_core=whole.idle,
+        energy_by_rail_joules=whole.energy_j,
         peak_mem_bytes=peak,
         throughput_samples_per_sec=throughput(run, step_windows),
         steps=step_windows,
         per_step=tuple(m for m in per_step if m is not None),
-        per_op=_per_op_aggregates(run, attributions),
-        power_rail_ranking=power_dominance(run, window),
+        per_op=_per_op_aggregates(run, cols.t),
+        power_rail_ranking=_rail_ranking(whole),
         period=period,
         predictability=predictability,
         memory_breakdown=breakdown,

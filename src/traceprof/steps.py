@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoCompleteSteps, NoSteps, SignalTooShort
+from .errors import NoCompleteSteps, NoSteps, OverlappingSteps, SignalTooShort
 from .model import Run, StepWindow
 
 SIGNALS = ("gpu_util", "cpu_avg_util", "power_sys")
@@ -53,18 +53,29 @@ def signal_values(run: Run, signal: str) -> np.ndarray:
     raise ValueError(f"unknown signal {signal!r}, expected one of {SIGNALS}")
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    # Equal arrays correlate perfectly by definition; this also covers the
-    # identical-constant case where the usual formula is 0/0.
-    if np.array_equal(a, b):
-        return 1.0
-    ca = a - a.mean()
-    cb = b - b.mean()
-    denom = np.sqrt((ca * ca).sum() * (cb * cb).sum())
-    if denom == 0.0:
-        return 0.0
-    r = float((ca * cb).sum() / denom)
-    return max(-1.0, min(1.0, r))
+def _pair_scores(rows: np.ndarray) -> np.ndarray:
+    """Pearson r of every row pair i < j, in (i, j) order.
+
+    Each pair scores exactly as the scalar definition does on its two rows:
+    equal rows correlate perfectly (this also covers two identical constant
+    rows, where the usual formula is 0/0), a zero denominator scores 0.0, and
+    r is clamped to [-1, 1] with NaN mapped to 1.0 as Python's min/max do.
+    Row i is scored against the block of rows after it, so memory stays one
+    block and every reduction runs along a contiguous row.
+    """
+    centred = rows - rows.mean(axis=1, keepdims=True)
+    sq_sums = (centred * centred).sum(axis=1)
+    blocks = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(rows) - 1):
+            denom = np.sqrt(sq_sums[i] * sq_sums[i + 1:])
+            r = (centred[i] * centred[i + 1:]).sum(axis=1) / denom
+            r = np.where(r < 1.0, r, 1.0)
+            r = np.where(r > -1.0, r, -1.0)
+            r[denom == 0.0] = 0.0
+            r[(rows[i] == rows[i + 1:]).all(axis=1)] = 1.0
+            blocks.append(r)
+    return np.concatenate(blocks)
 
 
 def estimate_period_from_series(values: np.ndarray, interval_us: int) -> PeriodEstimate:
@@ -173,7 +184,7 @@ def resolve_steps(run: Run, signal: str = "gpu_util") -> tuple[StepWindow, ...]:
         ]
         for prev, cur in zip(windows, windows[1:]):
             if cur.start < prev.end:
-                raise ValueError(
+                raise OverlappingSteps(
                     f"step windows {prev.step_id} and {cur.step_id} overlap; "
                     "labeled op intervals are inconsistent"
                 )
@@ -218,24 +229,18 @@ def predictability(
         )
     ts = np.array([s.t for s in run.samples])
     vals = signal_values(run, signal)
-    segments = []
-    for w in windows:
-        seg = vals[(ts >= w.start) & (ts < w.end)]
-        segments.append(seg)
+    bounds = np.searchsorted(ts, [(w.start, w.end) for w in windows]).tolist()
+    segments = [vals[a:b] for a, b in bounds]
     target = min(len(seg) for seg in segments)
     if target < 2:
         raise SignalTooShort("shortest step contains fewer than 2 samples")
-    resampled = [
+    rows = np.stack([
         np.interp(np.linspace(0.0, len(seg) - 1.0, target), np.arange(len(seg)), seg)
         for seg in segments
-    ]
-    scores = [
-        _pearson(resampled[i], resampled[j])
-        for i in range(len(resampled))
-        for j in range(i + 1, len(resampled))
-    ]
+    ])
+    scores = _pair_scores(rows)
     return PredictabilityScore(
         signal=signal,
-        mean_pairwise_correlation=fsum(scores) / len(scores),
-        per_step_pairs=len(scores),
+        mean_pairwise_correlation=fsum(scores) / scores.size,
+        per_step_pairs=scores.size,
     )

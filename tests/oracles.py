@@ -59,3 +59,52 @@ def pairwise_pearson_oracle(series):
             a, b = np.asarray(series[i]), np.asarray(series[j])
             rs.append(float(np.corrcoef(a, b)[0, 1]))
     return sum(rs) / len(rs)
+
+
+def pearson_pair_oracle(a, b):
+    """Pearson r of two equal-length rows with the report's conventions.
+
+    Equal rows score 1.0 (this covers two identical constant rows), a zero
+    denominator scores 0.0, and r is clamped to [-1, 1] by Python's min/max.
+    """
+    if np.array_equal(a, b):
+        return 1.0
+    ca = a - a.mean()
+    cb = b - b.mean()
+    denom = np.sqrt((ca * ca).sum() * (cb * cb).sum())
+    if denom == 0.0:
+        return 0.0
+    r = float((ca * cb).sum() / denom)
+    return max(-1.0, min(1.0, r))
+
+
+def window_metrics_loop_oracle(run, window, threshold=0.0):
+    """Every time-weighted window metric by a per-sample loop, each sum by fsum.
+
+    The report promises these exact floats: fsum is correctly rounded, so any
+    implementation that sums the same products must match bit for bit.
+    """
+    from bisect import bisect_left
+    from math import fsum
+
+    ts = [s.t for s in run.samples]
+    dts = [b - a for a, b in zip(ts, ts[1:])] + [run.meta.sample_interval_us]
+    idx = range(bisect_left(ts, window[0]), bisect_left(ts, window[1]))
+    total = fsum(dts[i] for i in idx)
+
+    def weighted(value):
+        return fsum(value(run.samples[i]) * dts[i] for i in idx)
+
+    cores = range(run.meta.core_count)
+    rails = {"cpu": "power_cpu_mw", "gpu": "power_gpu_mw", "mem": "power_mem_mw",
+             "sys": "power_sys_mw"}
+    return {
+        "per_core": [weighted(lambda s, c=c: s.cpu_core_util[c]) / total for c in cores],
+        "gpu": weighted(lambda s: s.gpu_util) / total,
+        "idle": [
+            fsum(dts[i] for i in idx if run.samples[i].cpu_core_util[c] <= threshold) / total
+            for c in cores
+        ],
+        "energy": {r: weighted(lambda s, a=a: getattr(s, a)) / 1e9 for r, a in rails.items()},
+        "mean_mw": {r: weighted(lambda s, a=a: getattr(s, a)) / total for r, a in rails.items()},
+    }

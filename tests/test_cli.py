@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from traceprof.ingest import (
     write_op_trace,
     write_telemetry,
 )
+from traceprof.model import OpEvent
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
 
 GB = 1_000_000_000
@@ -104,8 +106,6 @@ def test_analyze_table_output(run_dir, capsys):
 
 def test_analyze_propagates_failures(tmp_path, capsys):
     spec = random_spec(3)
-    from dataclasses import replace
-
     spec = replace(spec, warmup_steps=spec.steps)  # every step is warmup
     manifest = write_run(spec, tmp_path / "run")
     assert main(["analyze", str(manifest), "--format", "json"]) == 1
@@ -228,3 +228,53 @@ def test_unlabeled_run_analysis_via_inference(tmp_path, capsysbinary):
     assert doc["period"]["method"] == "autocorrelation"
     assert doc["period"]["period_us"] == 400_000
     assert len(doc["steps"]) == 6
+
+
+def test_analyze_overlapping_labelled_steps_is_a_diagnostic(tmp_path):
+    meta, ops, samples, _ = generate(replace(_throughput_spec(4, 100_000, 10_000), steps=7))
+    step4_end = max(op.end for op in ops if op.step_id == 4)
+    first5 = min((op for op in ops if op.step_id == 5), key=lambda op: op.start)
+    ops = [
+        OpEvent(op.op_name, op.device, step4_end - 10, op.end, op.layer, op.step_id)
+        if op is first5 else op
+        for op in ops
+    ]
+    (tmp_path / "ops.jsonl").write_bytes(write_op_trace(ops))
+    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(samples, meta.core_count))
+    manifest = tmp_path / "run.json"
+    manifest.write_bytes(write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
+    result = subprocess.run(
+        [sys.executable, "-m", "traceprof", "analyze", str(manifest), "--format", "json"],
+        capture_output=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert result.stderr.startswith(b"error: step windows 4 and 5 overlap; ")
+
+
+def _add_extra_column(telemetry_csv):
+    lines = telemetry_csv.read_text().splitlines()
+    rows = [lines[0] + ",extra"] + [line + ",1" for line in lines[1:]]
+    telemetry_csv.write_text("\n".join(rows) + "\n")
+
+
+def test_analyze_and_sweep_print_load_warnings(tmp_path, capsysbinary):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    assert main(["analyze", str(manifest), "--format", "json"]) == 0
+    clean = capsysbinary.readouterr()
+    assert clean.err == b""
+
+    _add_extra_column(tmp_path / "run" / "telemetry.csv")
+    assert main(["analyze", str(manifest), "--format", "json"]) == 0
+    warned = capsysbinary.readouterr()
+    assert warned.out == clean.out
+    assert warned.err == b"warning[UnknownColumn] line 1: ignoring unknown column 'extra'\n"
+
+    path = _write_sweep(tmp_path / "sweep", [
+        (_throughput_spec(4, 100_000, 10_000), None),
+        (_throughput_spec(8, 200_000, 10_000), None),
+    ])
+    _add_extra_column(tmp_path / "sweep" / "b1" / "telemetry.csv")
+    assert main(["sweep", str(path), "--format", "json"]) == 0
+    assert b"warning[UnknownColumn]" in capsysbinary.readouterr().err

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample
 from oracles import brute_force_attribution, discretized_busy_oracle
 from traceprof.correlate import attribute_samples, busy_time, concurrent_ops_exist
+from traceprof.metrics import build_report
 from traceprof.model import Device, OpEvent, StepWindow
 
 
@@ -130,3 +132,41 @@ def test_concurrent_ops_detection():
     disjoint = [OpEvent("A", Device.GPU, 0, 100), OpEvent("B", Device.CPU, 100, 150)]
     assert concurrent_ops_exist(_run_with(overlapping, [0]))
     assert not concurrent_ops_exist(_run_with(disjoint, [0]))
+
+
+def test_report_attribution_counts_match_attribute_samples():
+    # Concurrent ops on both devices, and samples exactly on op starts and
+    # ends, where half-open intervals decide the attribution.
+    ops = [
+        OpEvent("A", Device.GPU, 0, 100, step_id=0),
+        OpEvent("B", Device.GPU, 50, 150, step_id=0),
+        OpEvent("A", Device.CPU, 100, 200, step_id=0),
+        OpEvent("C", Device.CPU, 120, 125, step_id=0),
+        OpEvent("D", Device.GPU, 150, 300, step_id=1),
+        OpEvent("D", Device.GPU, 150, 300, step_id=1),
+        OpEvent("E", Device.CPU, 310, 320, step_id=1),
+    ]
+    run = _run_with(ops, [0, 25, 50, 100, 120, 125, 150, 200, 250, 300], interval=50)
+    windows = [StepWindow(0, 0, 150), StepWindow(1, 150, 300)]
+    expected = {op.op_name: 0 for op in run.ops}
+    for attribution in attribute_samples(run, windows):
+        for i in attribution.op_indices:
+            expected[run.ops[i].op_name] += 1
+    per_op = build_report(run, windows).per_op
+    assert {name: agg.attributed_samples for name, agg in per_op.items()} == expected
+    assert expected["C"] == 1 and expected["E"] == 0
+    assert [name for name, agg in per_op.items() if agg.below_sampling_resolution] == ["E"]
+
+
+def test_report_attribution_counts_match_attribute_samples_on_random_runs():
+    for seed in range(20):
+        labelled = _random_case(seed, n_ops=40, n_samples=60, span=1_000)
+        run = mk_run(list(labelled.samples), [replace(op, step_id=0) for op in labelled.ops],
+                     interval=1)
+        expected = {op.op_name: 0 for op in run.ops}
+        for attribution in attribute_samples(run):
+            for i in attribution.op_indices:
+                expected[run.ops[i].op_name] += 1
+        window = [StepWindow(0, run.start_us, run.end_us)]
+        per_op = build_report(run, window).per_op
+        assert {name: agg.attributed_samples for name, agg in per_op.items()} == expected

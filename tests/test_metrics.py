@@ -4,7 +4,7 @@ from math import fsum
 import pytest
 
 from conftest import mk_run, mk_sample
-from oracles import rectangle_energy_oracle, weighted_mean_oracle
+from oracles import rectangle_energy_oracle, weighted_mean_oracle, window_metrics_loop_oracle
 from traceprof.errors import NoCompleteSteps, NoSamplesInWindow, TraceProfError
 from traceprof.metrics import (
     build_report,
@@ -354,3 +354,26 @@ def test_report_marks_sub_resolution_ops():
     assert report.per_op["tiny"].below_sampling_resolution
     assert not report.per_op["big"].below_sampling_resolution
     assert report.concurrent_ops_double_counting
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_metrics_equal_loop_reference_bit_for_bit(seed):
+    run = _jittered_run(seed=100 + seed, n=300)
+    rng = random.Random(seed)
+    ts = [s.t for s in run.samples]
+    threshold = rng.choice([0.0, 0.25])
+    for lo, hi in [(ts[0], ts[-1] + 1)] + [
+        tuple(sorted(rng.sample(range(ts[0] - 5_000, ts[-1] + 5_000), 2))) for _ in range(20)
+    ]:
+        if not any(lo <= t < hi for t in ts):
+            continue
+        window = (lo, hi)
+        ref = window_metrics_loop_oracle(run, window, threshold)
+        assert [cpu_core_utilization(run, c, window) for c in (0, 1)] == ref["per_core"]
+        assert gpu_utilization(run, window) == ref["gpu"]
+        assert [idle_ratio(run, c, window, threshold) for c in (0, 1)] == ref["idle"]
+        assert {r: energy(run, r, window) for r in ref["energy"]} == ref["energy"]
+        ranking = power_dominance(run, window)
+        assert {r.rail: r.mean_mw for r in ranking} == {
+            r: m for r, m in ref["mean_mw"].items() if r != "sys"
+        }

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import mk_run, mk_sample
-from oracles import pairwise_pearson_oracle
+from oracles import pairwise_pearson_oracle, pearson_pair_oracle
 from traceprof.errors import NoCompleteSteps, NoSteps, SignalTooShort
 from traceprof.model import Device, OpEvent
 from traceprof.steps import (
+    _pair_scores,
     detect_period,
     estimate_period_from_series,
     predictability,
@@ -183,3 +184,23 @@ def test_alternate_signals_carry_the_same_period():
     score = predictability(run, windows, "power_sys")
     assert score.signal == "power_sys"
     assert score.mean_pairwise_correlation == 1.0
+
+
+@pytest.mark.parametrize("length", [2, 7, 8, 9, 20, 128, 129, 1000])
+def test_batched_pair_scores_equal_scalar_pearson(length):
+    # Lengths straddle numpy's pairwise-summation blocks (8-way unrolling,
+    # 128-element blocks), where a different reduction order would show up.
+    rng = np.random.default_rng(length)
+    rows = rng.normal(size=(9, length)) * 1e3 + 1e4
+    rows[1] = rows[0]  # equal rows
+    rows[2] = 5.0  # constant rows: equal to each other, zero variance otherwise
+    rows[3] = 5.0
+    rows[4] = 7.0
+    rows[5] = -rows[6]  # anti-correlated
+    rows[7] = np.round(rng.uniform(0, 1, length) * 1024) / 1024  # utilization grid
+    expected = [
+        pearson_pair_oracle(rows[i], rows[j])
+        for i in range(len(rows))
+        for j in range(i + 1, len(rows))
+    ]
+    assert _pair_scores(rows).tolist() == expected
