@@ -8,6 +8,7 @@ analyses.
 
 from .correlate import Attribution, attribute_samples, busy_time
 from .errors import (
+    DuplicateBatchSize,
     InvalidSpec,
     ManifestError,
     MissingEnergy,

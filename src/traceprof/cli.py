@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import TraceProfError, TraceValidationError
+from .errors import DuplicateBatchSize, TraceProfError, TraceValidationError
 from .ingest import load_run, load_sweep_manifest, write_report
 from .metrics import build_report
 from .model import Run, with_warmup_steps
@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except TraceProfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return USAGE_ERROR if isinstance(exc, DuplicateBatchSize) else 1
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,9 +49,9 @@ def attribute_samples(run: Run, steps: Sequence[StepWindow] = ()) -> tuple[Attri
             _, idx = heapq.heappop(ends)
             active.discard(idx)
         step_id = None
-        while win_i < len(steps) and steps[win_i].end <= t:
+        while win_i < len(steps) and steps[win_i].end_us <= t:
             win_i += 1
-        if win_i < len(steps) and steps[win_i].start <= t < steps[win_i].end:
+        if win_i < len(steps) and steps[win_i].start_us <= t < steps[win_i].end_us:
             step_id = steps[win_i].step_id
         out.append(Attribution(si, tuple(sorted(active)), step_id))
     return tuple(out)

@@ -46,6 +46,10 @@ class InvalidSpec(TraceProfError):
     """Synthetic-trace spec violates its validity rules."""
 
 
+class DuplicateBatchSize(TraceProfError, ValueError):
+    """Two runs of a sweep declare the same batch size."""
+
+
 class MissingThroughput(TraceProfError):
     """A sweep point lacks a throughput value."""
 

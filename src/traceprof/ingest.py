@@ -6,32 +6,37 @@ Formats:
     during live recording, trivially streamable.
   * telemetry: comma-separated with header
     ``t_us,c0..c{n-1},gpu,p_cpu_mw,p_gpu_mw,p_mem_mw,p_sys_mw,mem_bytes``;
-    utilization columns are percent.
+    utilization columns are percent; ``nan``/``inf`` cells are errors.
   * run manifest: a single JSON document binding metadata, trace paths and an
     optional memory breakdown. Paths resolve relative to the manifest's
     directory.
 
 Parsers never lose records: every non-blank record line becomes either a
 parsed item or a line-numbered diagnostic. Unknown extra columns/keys are
-ignored with a warning for forward compatibility. JSON report output is
-stable-key-ordered so identical inputs produce byte-identical files.
+ignored with a warning for forward compatibility.
+
+Manifests, reports, sweep results and synth specs go through one codec
+(``to_doc``/``from_doc``) whose JSON keys are the dataclass field names.
+Decoding type-checks every field, so a malformed manifest is one error
+naming the field. JSON output is strict (no NaN/Infinity) and
+stable-key-ordered, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+import reprlib
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from enum import Enum
+from functools import cache
+from math import isfinite
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
-from .errors import ManifestError, TraceValidationError
-from .metrics import (
-    MetricReport,
-    OpAggregate,
-    RailShare,
-    StepMetrics,
-)
+from .errors import ManifestError, TraceProfError, TraceValidationError
+from .metrics import MetricReport
 from .model import (
     Device,
     Issue,
@@ -39,12 +44,10 @@ from .model import (
     OpEvent,
     Run,
     RunMeta,
-    StepWindow,
     TelemetrySample,
     validate_run,
 )
-from .steps import PeriodEstimate, PredictabilityScore
-from .sweep import FeasibilityVerdict, SweepPoint, SweepResult
+from .sweep import SweepResult
 
 SCHEMA_VERSION = 1
 
@@ -196,6 +199,11 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[list[TelemetrySample]
         except ValueError as exc:
             issues.append(Issue("MalformedLine", f"bad numeric cell: {exc}", line_no=line_no))
             continue
+        floats = (*utils_pct, gpu_pct, *powers.values())  # the columns expected[1:-1]
+        if not all(map(isfinite, floats)):
+            cols = [name for name, x in zip(expected[1:-1], floats) if not isfinite(x)]
+            issues.append(Issue("NonFinite", f"nan or inf in column(s) {cols}", line_no=line_no))
+            continue
         bad = False
         for pct in (*utils_pct, gpu_pct):
             if not 0.0 <= pct <= 100.0:
@@ -274,86 +282,152 @@ def write_telemetry(samples, core_count: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# JSON codec: dataclass field names are the wire names
+# ---------------------------------------------------------------------------
+
+
+class SchemaError(ValueError):
+    """A JSON document does not match the dataclass it is decoded into."""
+
+
+# Written into every encoded document of these types, nested ones included.
+_HEADERS: dict[type, dict[str, Any]] = {
+    MetricReport: {"schema_version": SCHEMA_VERSION, "kind": "metric_report"},
+    SweepResult: {"schema_version": SCHEMA_VERSION, "kind": "sweep_result"},
+    RunManifest: {"schema_version": SCHEMA_VERSION},
+}
+_KINDS = {h["kind"]: cls for cls, h in _HEADERS.items() if "kind" in h}
+
+_SCALARS = frozenset({str, int, float, bool})
+_PLAIN = _SCALARS | {type(None)}
+
+
+def to_doc(obj: Any) -> Any:
+    """JSON-ready values: a dataclass becomes its fields, an Enum its value."""
+    cls = type(obj)
+    if cls in _PLAIN:
+        return obj
+    # Containers of plain values, most of a report, are copied without recursion.
+    if cls is tuple or cls is list:
+        return list(obj) if _PLAIN.issuperset(map(type, obj)) else [to_doc(x) for x in obj]
+    if cls is dict:
+        return {k: to_doc(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    doc = dict(vars(obj))  # a dataclass
+    for k, v in doc.items():
+        if type(v) not in _PLAIN:
+            doc[k] = to_doc(v)
+    doc.update(_HEADERS.get(cls, ()))
+    return doc
+
+
+def _dump(obj: Any) -> bytes:
+    try:
+        text = json.dumps(to_doc(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # a metric overflowed to inf or nan
+        raise TraceProfError(f"cannot write strict JSON: {exc}") from None
+    return (text + "\n").encode("utf-8")
+
+
+@cache
+def _field_types(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, resolved type, has a default) per field, resolved once per class."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is not MISSING or f.default_factory is not MISSING)
+        for f in fields(cls)
+    )
+
+
+def _mismatch(path: str, expected: str, value: Any) -> SchemaError:
+    return SchemaError(f"{path} must be {expected}, got {reprlib.repr(value)}")
+
+
+def from_doc(tp: Any, value: Any, path: str) -> Any:
+    """Decode a JSON value into type ``tp``, checking every field's type.
+
+    Handles dataclasses, ``X | None``, ``tuple[T, ...]``, fixed tuples,
+    ``dict[str, T]``, Enums and int/float/str/bool. A bool is never a number
+    and an int is accepted as a float. Unknown keys are ignored; a key may
+    be absent only where the dataclass gives a default. Raises SchemaError
+    naming the path of the first mismatch.
+    """
+    if tp in _SCALARS:
+        # Exact types: json.loads makes no subclasses, and bool is not an int here.
+        if type(value) is tp:
+            return value
+        if tp is float and type(value) is int:
+            return float(value)
+        raise _mismatch(path, tp.__name__, value)
+    origin = get_origin(tp)
+    if origin is Union or origin is UnionType:
+        (inner,) = (a for a in get_args(tp) if a is not type(None))  # only X | None
+        return None if value is None else from_doc(inner, value, path)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise _mismatch(path, "a list", value)
+        args = get_args(tp)
+        if len(args) == 2 and args[1] is Ellipsis:
+            if {args[0]}.issuperset(map(type, value)):
+                return tuple(value)  # scalars already of the item type
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise _mismatch(path, f"a list of {len(args)} items", value)
+        return tuple(from_doc(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise _mismatch(path, "an object", value)
+        item_tp = get_args(tp)[1]
+        return {k: from_doc(item_tp, v, f"{path}[{k!r}]") for k, v in value.items()}
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise _mismatch(path, "an object", value)
+        kwargs = {}
+        for name, field_tp, has_default in _field_types(tp):
+            if name in value:
+                kwargs[name] = from_doc(field_tp, value[name], f"{path}.{name}")
+            elif not has_default:
+                raise SchemaError(f"{path}.{name} is missing")
+        return tp(**kwargs)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise _mismatch(path, f"one of {[m.value for m in tp]}", value) from None
+    raise TypeError(f"no JSON decoding for {tp!r} at {path}")
+
+
+# ---------------------------------------------------------------------------
 # Manifests
 # ---------------------------------------------------------------------------
 
 
-def _breakdown_to_dict(bd: MemoryBreakdown | None) -> dict[str, Any] | None:
-    if bd is None:
-        return None
-    return {
-        "parameters_bytes": bd.parameters_bytes,
-        "gradients_bytes": bd.gradients_bytes,
-        "input_bytes": bd.input_bytes,
-        "intermediate_bytes": bd.intermediate_bytes,
-    }
-
-
-def _breakdown_from_dict(d: dict[str, Any] | None) -> MemoryBreakdown | None:
-    if d is None:
-        return None
-    return MemoryBreakdown(
-        parameters_bytes=d.get("parameters_bytes"),
-        gradients_bytes=d.get("gradients_bytes"),
-        input_bytes=d.get("input_bytes"),
-        intermediate_bytes=d.get("intermediate_bytes"),
-    )
-
-
 def write_manifest(manifest: RunManifest) -> bytes:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {
-            "run_id": manifest.meta.run_id,
-            "batch_size": manifest.meta.batch_size,
-            "core_count": manifest.meta.core_count,
-            "device_mem_capacity_bytes": manifest.meta.device_mem_capacity_bytes,
-            "sample_interval_us": manifest.meta.sample_interval_us,
-            "warmup_steps": manifest.meta.warmup_steps,
-        },
-        "op_trace_path": manifest.op_trace_path,
-        "telemetry_path": manifest.telemetry_path,
-        "memory_breakdown": _breakdown_to_dict(manifest.memory_breakdown),
-    }
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return _dump(manifest)
+
+
+def _read_json(path: Path, what: str) -> Any:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ManifestError(f"{what} not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{what} {path} is not valid JSON: {exc.msg}")
 
 
 def load_manifest(path: Path | str) -> RunManifest:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ManifestError(f"manifest not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest {path} is not valid JSON: {exc.msg}")
+    doc = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest {path} must be a JSON object")
-    meta_doc = doc.get("meta")
-    if not isinstance(meta_doc, dict):
-        raise ManifestError(f"manifest {path} missing 'meta' object")
     try:
-        meta = RunMeta(
-            run_id=meta_doc["run_id"],
-            batch_size=meta_doc["batch_size"],
-            core_count=meta_doc["core_count"],
-            device_mem_capacity_bytes=meta_doc.get(
-                "device_mem_capacity_bytes", RunMeta.device_mem_capacity_bytes
-            ),
-            sample_interval_us=meta_doc.get("sample_interval_us", RunMeta.sample_interval_us),
-            warmup_steps=meta_doc.get("warmup_steps", RunMeta.warmup_steps),
-        )
-    except KeyError as exc:
-        raise ManifestError(f"manifest {path} meta missing key {exc}")
-    op_path = doc.get("op_trace_path")
-    telemetry_path = doc.get("telemetry_path")
-    if not op_path or not telemetry_path:
+        manifest = from_doc(RunManifest, doc, "manifest")
+    except SchemaError as exc:
+        raise ManifestError(f"{exc} in {path}")
+    if not manifest.op_trace_path or not manifest.telemetry_path:
         raise ManifestError(f"manifest {path} needs op_trace_path and telemetry_path")
-    return RunManifest(
-        meta=meta,
-        op_trace_path=op_path,
-        telemetry_path=telemetry_path,
-        memory_breakdown=_breakdown_from_dict(doc.get("memory_breakdown")),
-    )
+    return manifest
 
 
 def load_run(manifest_path: Path | str) -> Run:
@@ -379,33 +453,21 @@ def load_run(manifest_path: Path | str) -> Run:
     ops, op_issues = parse_op_trace(op_bytes)
     samples, telemetry_issues = parse_telemetry(telemetry_bytes, manifest.meta.core_count)
     issues = op_issues + telemetry_issues
-    errors = [i for i in issues if i.severity == "error"]
-    if errors:
+    if any(i.severity == "error" for i in issues):
         raise TraceValidationError(issues)
     warnings = tuple(i for i in issues if i.severity == "warning")
     run = validate_run(manifest.meta, ops, samples, manifest.memory_breakdown)
     if warnings:
-        run = Run(
-            meta=run.meta,
-            ops=run.ops,
-            samples=run.samples,
-            memory_breakdown=run.memory_breakdown,
-            warnings=warnings + run.warnings,
-        )
+        run = replace(run, warnings=warnings + run.warnings)
     return run
 
 
 def load_sweep_manifest(path: Path | str) -> tuple[str, list[Path]]:
     """Read a sweep manifest: {"model": name, "runs": [run-manifest paths]}."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ManifestError(f"sweep manifest not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"sweep manifest {path} is not valid JSON: {exc.msg}")
-    if not isinstance(doc, dict) or "model" not in doc or "runs" not in doc:
-        raise ManifestError(f"sweep manifest {path} needs 'model' and 'runs'")
+    doc = _read_json(path, "sweep manifest")
+    if not isinstance(doc, dict) or not isinstance(doc.get("model"), str) or "runs" not in doc:
+        raise ManifestError(f"sweep manifest {path} needs a string 'model' and 'runs'")
     runs = doc["runs"]
     if not isinstance(runs, list) or not all(isinstance(r, str) for r in runs):
         raise ManifestError(f"sweep manifest {path} 'runs' must be a list of paths")
@@ -415,165 +477,6 @@ def load_sweep_manifest(path: Path | str) -> tuple[str, list[Path]]:
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-
-
-def _fields(obj: Any) -> dict[str, Any] | None:
-    """A flat dataclass whose field names are its wire names, as a dict."""
-    return None if obj is None else dict(vars(obj))
-
-
-def _step_window_to_dict(w: StepWindow) -> dict[str, Any]:
-    return {"step_id": w.step_id, "start_us": w.start, "end_us": w.end, "is_warmup": w.is_warmup}
-
-
-def _step_metrics_to_dict(m: StepMetrics) -> dict[str, Any]:
-    return {
-        "step_id": m.step_id,
-        "is_warmup": m.is_warmup,
-        "start_us": m.start,
-        "end_us": m.end,
-        "per_core_util": list(m.per_core_util),
-        "cpu_avg_util": m.cpu_avg_util,
-        "gpu_util": m.gpu_util,
-        "idle_ratio_per_core": list(m.idle_ratio_per_core),
-        "energy_by_rail_joules": dict(m.energy_by_rail_joules),
-        "throughput_samples_per_sec": m.throughput_samples_per_sec,
-    }
-
-
-def report_to_dict(report: MetricReport) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "metric_report",
-        "run_id": report.run_id,
-        "batch_size": report.batch_size,
-        "core_count": report.core_count,
-        "sample_interval_us": report.sample_interval_us,
-        "warmup_steps": report.warmup_steps,
-        "notes": list(report.notes),
-        "idle_threshold": report.idle_threshold,
-        "concurrent_ops_double_counting": report.concurrent_ops_double_counting,
-        "per_core_util": list(report.per_core_util),
-        "cpu_avg_util": report.cpu_avg_util,
-        "gpu_util": report.gpu_util,
-        "idle_ratio_per_core": list(report.idle_ratio_per_core),
-        "energy_by_rail_joules": dict(report.energy_by_rail_joules),
-        "peak_mem_bytes": report.peak_mem_bytes,
-        "throughput_samples_per_sec": report.throughput_samples_per_sec,
-        "power_rail_ranking": [_fields(r) for r in report.power_rail_ranking],
-        "steps": [_step_window_to_dict(w) for w in report.steps],
-        "per_step": [_step_metrics_to_dict(m) for m in report.per_step],
-        "per_op": {name: _fields(agg) for name, agg in report.per_op.items()},
-        "period": _fields(report.period),
-        "predictability": _fields(report.predictability),
-        "memory_breakdown": _breakdown_to_dict(report.memory_breakdown),
-    }
-
-
-def report_from_dict(doc: dict[str, Any]) -> MetricReport:
-    period = doc.get("period")
-    predictability = doc.get("predictability")
-    return MetricReport(
-        run_id=doc["run_id"],
-        batch_size=doc["batch_size"],
-        core_count=doc["core_count"],
-        sample_interval_us=doc["sample_interval_us"],
-        warmup_steps=doc["warmup_steps"],
-        per_core_util=tuple(doc["per_core_util"]),
-        cpu_avg_util=doc["cpu_avg_util"],
-        gpu_util=doc["gpu_util"],
-        idle_ratio_per_core=tuple(doc["idle_ratio_per_core"]),
-        energy_by_rail_joules=dict(doc["energy_by_rail_joules"]),
-        peak_mem_bytes=doc["peak_mem_bytes"],
-        throughput_samples_per_sec=doc["throughput_samples_per_sec"],
-        steps=tuple(
-            StepWindow(w["step_id"], w["start_us"], w["end_us"], w["is_warmup"])
-            for w in doc["steps"]
-        ),
-        per_step=tuple(
-            StepMetrics(
-                step_id=m["step_id"],
-                is_warmup=m["is_warmup"],
-                start=m["start_us"],
-                end=m["end_us"],
-                per_core_util=tuple(m["per_core_util"]),
-                cpu_avg_util=m["cpu_avg_util"],
-                gpu_util=m["gpu_util"],
-                idle_ratio_per_core=tuple(m["idle_ratio_per_core"]),
-                energy_by_rail_joules=dict(m["energy_by_rail_joules"]),
-                throughput_samples_per_sec=m["throughput_samples_per_sec"],
-            )
-            for m in doc["per_step"]
-        ),
-        per_op={name: OpAggregate(**agg) for name, agg in doc["per_op"].items()},
-        power_rail_ranking=tuple(RailShare(**r) for r in doc["power_rail_ranking"]),
-        period=None if period is None else PeriodEstimate(**period),
-        predictability=None if predictability is None else PredictabilityScore(**predictability),
-        memory_breakdown=_breakdown_from_dict(doc.get("memory_breakdown")),
-        concurrent_ops_double_counting=doc["concurrent_ops_double_counting"],
-        idle_threshold=doc["idle_threshold"],
-        notes=tuple(doc["notes"]),
-    )
-
-
-def sweep_result_to_dict(result: SweepResult) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sweep_result",
-        "model": result.model,
-        "batch_ratio": result.batch_ratio,
-        "throughput_speedup": result.throughput_speedup,
-        "energy_scaling": result.energy_scaling,
-        "energy_scaling_class": result.energy_scaling_class,
-        "gpu_util_delta": result.gpu_util_delta,
-        "cpu_util_delta": result.cpu_util_delta,
-        "mem_intermediate_growth": (
-            None
-            if result.mem_intermediate_growth is None
-            else list(result.mem_intermediate_growth)
-        ),
-        "feasibility": [
-            {
-                "batch_size": v.batch_size,
-                "verdict": v.verdict,
-                "peak_mem_bytes": v.peak_mem_bytes,
-                "capacity_bytes": v.capacity_bytes,
-                "memory_breakdown": _breakdown_to_dict(v.memory_breakdown),
-            }
-            for v in result.feasibility
-        ],
-        "points": [
-            {"batch_size": p.batch_size, "report": report_to_dict(p.report)}
-            for p in result.points
-        ],
-    }
-
-
-def sweep_result_from_dict(doc: dict[str, Any]) -> SweepResult:
-    growth = doc.get("mem_intermediate_growth")
-    return SweepResult(
-        model=doc["model"],
-        points=tuple(
-            SweepPoint(p["batch_size"], report_from_dict(p["report"])) for p in doc["points"]
-        ),
-        batch_ratio=doc["batch_ratio"],
-        throughput_speedup=doc["throughput_speedup"],
-        energy_scaling=doc["energy_scaling"],
-        energy_scaling_class=doc["energy_scaling_class"],
-        gpu_util_delta=doc["gpu_util_delta"],
-        cpu_util_delta=doc["cpu_util_delta"],
-        mem_intermediate_growth=None if growth is None else (growth[0], growth[1]),
-        feasibility=tuple(
-            FeasibilityVerdict(
-                batch_size=v["batch_size"],
-                verdict=v["verdict"],
-                peak_mem_bytes=v["peak_mem_bytes"],
-                capacity_bytes=v["capacity_bytes"],
-                memory_breakdown=_breakdown_from_dict(v.get("memory_breakdown")),
-            )
-            for v in doc["feasibility"]
-        ),
-    )
 
 
 def _pct(x: float) -> str:
@@ -624,7 +527,7 @@ def _render_report_table(report: MetricReport) -> str:
     lines.append(f"{'step':<6}{'warmup':<8}{'duration (us)':>14}{'gpu util':>12}{'sys J':>12}")
     for m in report.per_step:
         lines.append(
-            f"{m.step_id:<6}{str(m.is_warmup).lower():<8}{m.end - m.start:>14}"
+            f"{m.step_id:<6}{str(m.is_warmup).lower():<8}{m.end_us - m.start_us:>14}"
             f"{_pct(m.gpu_util):>12}{m.energy_by_rail_joules['sys']:>12.6f}"
         )
     lines.append("")
@@ -673,11 +576,7 @@ def _render_sweep_table(result: SweepResult) -> str:
 def write_report(report: MetricReport | SweepResult, fmt: str = "json") -> bytes:
     """Serialize a metric report or sweep result; json output is stable."""
     if fmt == "json":
-        if isinstance(report, MetricReport):
-            doc = report_to_dict(report)
-        else:
-            doc = sweep_result_to_dict(report)
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return _dump(report)
     if fmt == "table":
         if isinstance(report, MetricReport):
             return _render_report_table(report).encode("utf-8")
@@ -688,9 +587,7 @@ def write_report(report: MetricReport | SweepResult, fmt: str = "json") -> bytes
 def parse_report(data: bytes) -> MetricReport | SweepResult:
     """Parse a JSON report produced by :func:`write_report`."""
     doc = json.loads(data.decode("utf-8"))
-    kind = doc.get("kind")
-    if kind == "metric_report":
-        return report_from_dict(doc)
-    if kind == "sweep_result":
-        return sweep_result_from_dict(doc)
-    raise ValueError(f"unknown report kind {kind!r}")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _KINDS:
+        raise ValueError(f"unknown report kind {kind!r}")
+    return from_doc(_KINDS[kind], doc, "report")

@@ -58,8 +58,8 @@ class OpAggregate:
 class StepMetrics:
     step_id: int
     is_warmup: bool
-    start: int
-    end: int
+    start_us: int
+    end_us: int
     per_core_util: tuple[float, ...]
     cpu_avg_util: float
     gpu_util: float
@@ -160,7 +160,7 @@ def nonwarmup_window(step_windows: Sequence[StepWindow]) -> Window:
     non_warmup = [w for w in step_windows if not w.is_warmup]
     if not non_warmup:
         raise NoSamplesInWindow("all step windows are warmup; nothing to analyze")
-    return (non_warmup[0].start, step_windows[-1].end)
+    return (non_warmup[0].start_us, step_windows[-1].end_us)
 
 
 def _check_core(run: Run, core_index: int) -> None:
@@ -257,14 +257,14 @@ def _per_op_aggregates(run: Run, t: np.ndarray) -> dict[str, OpAggregate]:
 
 def _step_metrics(cols: _Columns, w: StepWindow, batch: int, idle: float) -> StepMetrics | None:
     try:
-        sums = _window(cols, (w.start, w.end), idle)
+        sums = _window(cols, (w.start_us, w.end_us), idle)
     except NoSamplesInWindow:
         return None  # step shorter than the sampling resolution
     return StepMetrics(
         step_id=w.step_id,
         is_warmup=w.is_warmup,
-        start=w.start,
-        end=w.end,
+        start_us=w.start_us,
+        end_us=w.end_us,
         per_core_util=sums.per_core,
         cpu_avg_util=sums.cpu_avg,
         gpu_util=sums.gpu,

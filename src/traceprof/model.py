@@ -64,16 +64,16 @@ class RunMeta:
 
 @dataclass(frozen=True)
 class StepWindow:
-    """A training-step interval; treated half-open [start, end)."""
+    """A training-step interval; treated half-open [start_us, end_us)."""
 
     step_id: int
-    start: Micros
-    end: Micros
+    start_us: Micros
+    end_us: Micros
     is_warmup: bool = False
 
     @property
     def duration_us(self) -> int:
-        return self.end - self.start
+        return self.end_us - self.start_us
 
 
 @dataclass(frozen=True)

@@ -179,11 +179,9 @@ def resolve_steps(run: Run, signal: str = "gpu_util") -> tuple[StepWindow, ...]:
             b = bounds.setdefault(op.step_id, [op.start, op.end])
             b[0] = min(b[0], op.start)
             b[1] = max(b[1], op.end)
-        windows = [
-            StepWindow(step_id=sid, start=lo, end=hi) for sid, (lo, hi) in sorted(bounds.items())
-        ]
+        windows = [StepWindow(sid, lo, hi) for sid, (lo, hi) in sorted(bounds.items())]
         for prev, cur in zip(windows, windows[1:]):
-            if cur.start < prev.end:
+            if cur.start_us < prev.end_us:
                 raise OverlappingSteps(
                     f"step windows {prev.step_id} and {cur.step_id} overlap; "
                     "labeled op intervals are inconsistent"
@@ -202,13 +200,13 @@ def resolve_steps(run: Run, signal: str = "gpu_util") -> tuple[StepWindow, ...]:
         if count < 1:
             raise NoSteps("inferred period does not fit a single complete window")
         windows = [
-            StepWindow(step_id=i, start=start + i * period, end=start + (i + 1) * period)
+            StepWindow(step_id=i, start_us=start + i * period, end_us=start + (i + 1) * period)
             for i in range(count)
         ]
 
     warmup = run.meta.warmup_steps
     return tuple(
-        StepWindow(w.step_id, w.start, w.end, is_warmup=i < warmup)
+        StepWindow(w.step_id, w.start_us, w.end_us, is_warmup=i < warmup)
         for i, w in enumerate(windows)
     )
 
@@ -229,7 +227,7 @@ def predictability(
         )
     ts = np.array([s.t for s in run.samples])
     vals = signal_values(run, signal)
-    bounds = np.searchsorted(ts, [(w.start, w.end) for w in windows]).tolist()
+    bounds = np.searchsorted(ts, [(w.start_us, w.end_us) for w in windows]).tolist()
     segments = [vals[a:b] for a, b in bounds]
     target = min(len(seg) for seg in segments)
     if target < 2:

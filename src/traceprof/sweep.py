@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
 
-from .errors import MissingEnergy, MissingThroughput
+from .errors import DuplicateBatchSize, MissingEnergy, MissingThroughput
 from .metrics import MetricReport
 from .model import MemoryBreakdown
 
@@ -59,7 +59,7 @@ def _sorted_points(points: Sequence[SweepPoint]) -> list[SweepPoint]:
     out = sorted(points, key=lambda p: p.batch_size)
     for a, b in zip(out, out[1:]):
         if a.batch_size == b.batch_size:
-            raise ValueError(f"duplicate batch size {a.batch_size} in sweep")
+            raise DuplicateBatchSize(f"duplicate batch size {a.batch_size} in sweep")
     return out
 
 

@@ -22,7 +22,15 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidSpec
-from .ingest import RunManifest, write_manifest, write_op_trace, write_telemetry
+from .ingest import (
+    RunManifest,
+    SchemaError,
+    from_doc,
+    to_doc,
+    write_manifest,
+    write_op_trace,
+    write_telemetry,
+)
 from .model import Device, MemoryBreakdown, OpEvent, RunMeta, TelemetrySample
 
 _UTIL_GRID = 1024.0
@@ -331,68 +339,11 @@ def random_spec(seed: int, *, noise_amplitude: float = 0.0) -> SynthSpec:
 
 
 def spec_to_dict(spec: SynthSpec) -> dict[str, Any]:
-    return {
-        "steps": spec.steps,
-        "step_duration_us": spec.step_duration_us,
-        "batch_size": spec.batch_size,
-        "core_count": spec.core_count,
-        "sample_interval_us": spec.sample_interval_us,
-        "noise_amplitude": spec.noise_amplitude,
-        "seed": spec.seed,
-        "warmup_steps": spec.warmup_steps,
-        "device_mem_capacity_bytes": spec.device_mem_capacity_bytes,
-        "warmup_mem_extra_bytes": spec.warmup_mem_extra_bytes,
-        "strip_step_ids": spec.strip_step_ids,
-        "run_id": spec.run_id,
-        "phases": [
-            {
-                "duration_fraction": p.duration_fraction,
-                "cpu_core_util": list(p.cpu_core_util),
-                "gpu_util": p.gpu_util,
-                "power_cpu_mw": p.power_cpu_mw,
-                "power_gpu_mw": p.power_gpu_mw,
-                "power_mem_mw": p.power_mem_mw,
-                "power_sys_mw": p.power_sys_mw,
-                "mem_bytes": p.mem_bytes,
-                "op_name": p.op_name,
-                "op_device": p.op_device.value,
-            }
-            for p in spec.phases
-        ],
-    }
+    return to_doc(spec)
 
 
 def spec_from_dict(doc: dict[str, Any]) -> SynthSpec:
     try:
-        phases = tuple(
-            PhaseSpec(
-                duration_fraction=p["duration_fraction"],
-                cpu_core_util=tuple(p["cpu_core_util"]),
-                gpu_util=p["gpu_util"],
-                power_cpu_mw=p["power_cpu_mw"],
-                power_gpu_mw=p["power_gpu_mw"],
-                power_mem_mw=p["power_mem_mw"],
-                power_sys_mw=p["power_sys_mw"],
-                mem_bytes=p["mem_bytes"],
-                op_name=p.get("op_name", ""),
-                op_device=Device(p.get("op_device", "GPU")),
-            )
-            for p in doc["phases"]
-        )
-        return SynthSpec(
-            steps=doc["steps"],
-            step_duration_us=doc["step_duration_us"],
-            batch_size=doc["batch_size"],
-            core_count=doc["core_count"],
-            sample_interval_us=doc["sample_interval_us"],
-            phases=phases,
-            noise_amplitude=doc.get("noise_amplitude", 0.0),
-            seed=doc.get("seed", 0),
-            warmup_steps=doc.get("warmup_steps", 3),
-            device_mem_capacity_bytes=doc.get("device_mem_capacity_bytes", 8 * 1024**3),
-            warmup_mem_extra_bytes=doc.get("warmup_mem_extra_bytes", 0),
-            strip_step_ids=doc.get("strip_step_ids", False),
-            run_id=doc.get("run_id", "synth"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return from_doc(SynthSpec, doc, "spec")
+    except SchemaError as exc:
         raise InvalidSpec(f"bad synth spec document: {exc}")

@@ -278,3 +278,63 @@ def test_analyze_and_sweep_print_load_warnings(tmp_path, capsysbinary):
     _add_extra_column(tmp_path / "sweep" / "b1" / "telemetry.csv")
     assert main(["sweep", str(path), "--format", "json"]) == 0
     assert b"warning[UnknownColumn]" in capsysbinary.readouterr().err
+
+
+def _run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "traceprof", *map(str, args)],
+                          capture_output=True)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["meta"].update(batch_size="8"), "manifest.meta.batch_size must be int, got '8'"),
+    (lambda d: d["meta"].update(core_count=2.5), "manifest.meta.core_count must be int, got 2.5"),
+    (lambda d: d["meta"].update(batch_size=True), "manifest.meta.batch_size must be int, got True"),
+    (lambda d: d.update(memory_breakdown={"parameters_bytes": "1"}),
+     "manifest.memory_breakdown.parameters_bytes must be int, got '1'"),
+    (lambda d: d.update(telemetry_path=""), "needs op_trace_path and telemetry_path"),
+], ids=["str_batch", "float_cores", "bool_batch", "str_breakdown", "empty_telemetry_path"])
+def test_malformed_manifest_is_a_diagnostic(tmp_path, edit, message):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    result = _run_cli("analyze", manifest, "--format", "json")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert result.stderr.startswith(b"error: manifest")
+    assert message.encode() in result.stderr
+
+
+def test_non_finite_telemetry_is_a_diagnostic(tmp_path):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    telemetry = tmp_path / "run" / "telemetry.csv"
+    rows = [line.split(",") for line in telemetry.read_text().splitlines()]
+
+    def analyze_with_sys_power(values):
+        for row, value in values.items():
+            rows[row][-2] = value  # p_sys_mw
+        telemetry.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        result = _run_cli("analyze", manifest, "--format", "json")
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert b"Traceback" not in result.stderr
+        return result.stderr.splitlines()
+
+    assert analyze_with_sys_power({3: "inf", 5: "nan"}) == [
+        b"error[NonFinite] line 4: nan or inf in column(s) ['p_sys_mw']",
+        b"error[NonFinite] line 6: nan or inf in column(s) ['p_sys_mw']",
+    ]
+    # Finite cells whose energy overflows to inf: no report rather than invalid JSON.
+    last = analyze_with_sys_power(dict.fromkeys(range(1, len(rows)), "1e308"))[-1]
+    assert last.startswith(b"error: cannot write strict JSON: ")
+
+
+def test_sweep_duplicate_batch_size_is_usage_error(tmp_path):
+    write_run(_throughput_spec(4, 100_000, 10_000), tmp_path / "b4")
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"model": "m", "runs": ["b4/run.json", "b4/run.json"]}))
+    result = _run_cli("sweep", path, "--format", "json")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == b"error: duplicate batch size 4 in sweep\n"

@@ -1,14 +1,16 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample
-from traceprof.errors import ManifestError, TraceValidationError
+from traceprof.errors import InvalidSpec, ManifestError, TraceValidationError
 from traceprof.ingest import (
     RunManifest,
     load_manifest,
     load_run,
+    load_sweep_manifest,
     parse_op_trace,
     parse_report,
     parse_telemetry,
@@ -18,7 +20,11 @@ from traceprof.ingest import (
     write_telemetry,
 )
 from traceprof.metrics import build_report
-from traceprof.model import Device, MemoryBreakdown, OpEvent, RunMeta
+from traceprof.model import Device, MemoryBreakdown, OpEvent, RunMeta, validate_run
+from traceprof.sweep import SweepPoint, build_sweep_result
+from traceprof.synth import generate, random_spec, spec_from_dict, spec_to_dict
+
+_PHASE = spec_to_dict(random_spec(3))["phases"][0]
 
 
 def test_parse_op_trace_direct_mapping():
@@ -149,17 +155,41 @@ def test_write_report_deterministic():
     assert write_report(report, "table") == write_report(report, "table")
 
 
+def _synth_report(noise: float, batch: int = 4, breakdown=None):
+    spec = replace(random_spec(7, noise_amplitude=noise), batch_size=batch, steps=8,
+                   warmup_steps=2, run_id=f"synth-b{batch}")
+    meta, ops, samples, _ = generate(spec)
+    return build_report(validate_run(meta, ops, samples, breakdown))
+
+
+def _sweep_result():
+    points = [
+        SweepPoint(batch, _synth_report(0.05, batch, MemoryBreakdown(1, 2, 3, batch * 10)))
+        for batch in (4, 16, 64)
+    ]
+    return build_sweep_result("m", points, capacity_bytes=6 * 10**9)
+
+
+REPORTS = {
+    "sample": lambda: build_report(_sample_run()),
+    "analyze_noiseless": lambda: _synth_report(0.0),
+    "analyze_noisy": lambda: _synth_report(0.05),
+    "sweep": _sweep_result,
+}
+
+
 def test_report_json_round_trip_equality():
-    report = build_report(_sample_run())
-    data = write_report(report, "json")
-    assert parse_report(data) == report
+    for case, build in REPORTS.items():
+        report = build()
+        data = write_report(report, "json")
+        assert parse_report(data) == report, case
 
 
 def test_write_parse_write_fixed_point():
-    report = build_report(_sample_run())
-    first = write_report(report, "json")
-    second = write_report(parse_report(first), "json")
-    assert first == second
+    for case, build in REPORTS.items():
+        first = write_report(build(), "json")
+        second = write_report(parse_report(first), "json")
+        assert first == second, case
 
 
 def test_report_with_empty_per_op_map_valid_json():
@@ -184,15 +214,71 @@ def test_manifest_warmup_defaults_to_three_steps(tmp_path):
 
 def test_manifest_round_trip(tmp_path):
     meta = RunMeta("r1", batch_size=8, core_count=2, sample_interval_us=5_000)
-    manifest = RunManifest(
-        meta=meta,
-        op_trace_path="ops.jsonl",
-        telemetry_path="telemetry.csv",
-        memory_breakdown=MemoryBreakdown(intermediate_bytes=2_200_000_000),
-    )
+    for breakdown in (
+        None,
+        MemoryBreakdown(intermediate_bytes=2_200_000_000),
+        MemoryBreakdown(1_000, 2_000, 3_000, 2_200_000_000),
+    ):
+        manifest = RunManifest(
+            meta=meta,
+            op_trace_path="ops.jsonl",
+            telemetry_path="telemetry.csv",
+            memory_breakdown=breakdown,
+        )
+        path = tmp_path / "run.json"
+        path.write_bytes(write_manifest(manifest))
+        assert load_manifest(path) == manifest
+
+
+_MANIFEST = {
+    "meta": {"run_id": "r", "batch_size": 4, "core_count": 2},
+    "op_trace_path": "ops.jsonl",
+    "telemetry_path": "telemetry.csv",
+}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"meta": {"run_id": "r", "core_count": 2}}, "manifest.meta.batch_size is missing"),
+    ({"meta": None}, "manifest.meta must be an object, got None"),
+    ({"op_trace_path": 3}, "manifest.op_trace_path must be str, got 3"),
+])
+def test_manifest_type_errors_name_the_field(tmp_path, edit, message):
     path = tmp_path / "run.json"
-    path.write_bytes(write_manifest(manifest))
-    assert load_manifest(path) == manifest
+    path.write_text(json.dumps({**_MANIFEST, **edit}))
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(path)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"steps": "5"}, "spec.steps must be int, got '5'"),
+    ({"noise_amplitude": False}, "spec.noise_amplitude must be float, got False"),
+    ({"phases": None}, "spec.phases must be a list, got None"),
+    ({"phases": [{"duration_fraction": 1.0}]}, "spec.phases[0].cpu_core_util is missing"),
+    ({"phases": [{**_PHASE, "op_device": "TPU"}]},
+     "spec.phases[0].op_device must be one of ['CPU', 'GPU'], got 'TPU'"),
+    ({"phases": [{**_PHASE, "cpu_core_util": [0.5, "x"]}]},
+     "spec.phases[0].cpu_core_util[1] must be float, got 'x'"),
+])
+def test_spec_document_type_errors_name_the_field(edit, message):
+    doc = {**spec_to_dict(random_spec(3)), **edit}
+    with pytest.raises(InvalidSpec) as exc:
+        spec_from_dict(doc)
+    assert message in str(exc.value)
+
+
+def test_sweep_manifest_model_must_be_a_string(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"model": 5, "runs": ["a/run.json", "b/run.json"]}))
+    with pytest.raises(ManifestError, match="needs a string 'model' and 'runs'"):
+        load_sweep_manifest(path)
+
+
+def test_report_fixed_tuple_length_is_checked():
+    doc = json.loads(write_report(_sweep_result(), "json"))
+    doc["mem_intermediate_growth"] = [1, 2, 3]
+    with pytest.raises(ValueError, match=r"report.mem_intermediate_growth must be a list of 2 "):
+        parse_report(json.dumps(doc).encode())
 
 
 def test_load_run_resolves_paths_relative_to_manifest(tmp_path):

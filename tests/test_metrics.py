@@ -290,7 +290,7 @@ def test_throughput_invariant_under_time_translation():
         batch=8,
     )
     w = [StepWindow(s, s * 150_000, (s + 1) * 150_000) for s in range(4)]
-    w_shift = [StepWindow(x.step_id, x.start + shift, x.end + shift) for x in w]
+    w_shift = [StepWindow(x.step_id, x.start_us + shift, x.end_us + shift) for x in w]
     assert throughput(run, w) == throughput(shifted, w_shift)
 
 

@@ -57,7 +57,7 @@ def test_resolve_steps_windows_disjoint_and_ordered():
     run, _ = _square_run()
     windows = resolve_steps(run)
     for a, b in zip(windows, windows[1:]):
-        assert a.end <= b.start
+        assert a.end_us <= b.start_us
         assert a.step_id < b.step_id
 
 
@@ -154,7 +154,7 @@ def test_predictability_matches_pairwise_oracle():
     score = predictability(run, windows)
     ts = np.array([s.t for s in run.samples])
     vals = np.array([s.gpu_util for s in run.samples])
-    segments = [vals[(ts >= w.start) & (ts < w.end)] for w in windows]
+    segments = [vals[(ts >= w.start_us) & (ts < w.end_us)] for w in windows]
     assert score.mean_pairwise_correlation == pytest.approx(
         pairwise_pearson_oracle(segments), rel=1e-9
     )

@@ -22,8 +22,8 @@ def mk_report(batch, *, tput=None, gpu=0.5, cpu=0.2, step_sys_j=1.0, peak=4 * GB
         StepMetrics(
             step_id=i,
             is_warmup=i < warmup,
-            start=i * 100_000,
-            end=(i + 1) * 100_000,
+            start_us=i * 100_000,
+            end_us=(i + 1) * 100_000,
             per_core_util=(cpu,),
             cpu_avg_util=cpu,
             gpu_util=gpu,

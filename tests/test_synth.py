@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -173,6 +174,9 @@ def _kw(spec):
 def test_spec_dict_round_trip():
     spec = _two_phase_spec()
     assert spec_from_dict(spec_to_dict(spec)) == spec
+    for seed in range(6):
+        spec = random_spec(seed, noise_amplitude=0.05 * (seed % 2))
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
 def test_strip_step_ids_removes_labels():
