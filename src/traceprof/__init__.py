@@ -52,6 +52,7 @@ from .model import (
     Issue,
     MemoryBreakdown,
     OpEvent,
+    OpTable,
     Run,
     RunMeta,
     StepWindow,

@@ -5,15 +5,19 @@ boundary belongs to the later op only, which prevents double counting at
 exact boundaries. A sample covered by several concurrent ops is attributed
 to every one of them (full multi-attribution); no proportional splitting
 and no watt apportionment is attempted.
+
+Every function reads the run's op columns (``run.ops.start``, ``end`` and
+``device``, sorted by start), never one object per op.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Device, Run, StepWindow
+import numpy as np
+
+from .model import DEVICES, Device, Run, StepWindow
 
 
 @dataclass(frozen=True)
@@ -32,28 +36,28 @@ def attribute_samples(run: Run, steps: Sequence[StepWindow] = ()) -> tuple[Attri
     covered by no op get an empty index tuple; ``step_id`` is set when the
     sample falls inside one of ``steps``.
     """
-    ops = run.ops
-    n = len(ops)
-    active: set[int] = set()
-    ends: list[tuple[int, int]] = []  # (end, op index) min-heap
-    next_op = 0
+    times = np.fromiter((s.t for s in run.samples), np.int64, len(run.samples))
+    # Op i covers the counts[i] samples from first[i] on (samples are sorted by t).
+    first = np.searchsorted(times, run.ops.start)
+    counts = np.searchsorted(times, run.ops.end) - first
+    # One (sample, op) pair per attribution; a stable sort by sample keeps
+    # each sample's ops in index order.
+    op_of_pair = np.repeat(np.arange(len(counts)), counts)
+    offset = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    sample_of_pair = np.arange(counts.sum()) + offset
+    order = np.argsort(sample_of_pair, kind="stable")
+    op_ids = op_of_pair[order].tolist()
+    bounds = np.searchsorted(sample_of_pair[order], np.arange(len(times) + 1)).tolist()
     win_i = 0
     out: list[Attribution] = []
     for si, sample in enumerate(run.samples):
         t = sample.t
-        while next_op < n and ops[next_op].start <= t:
-            heapq.heappush(ends, (ops[next_op].end, next_op))
-            active.add(next_op)
-            next_op += 1
-        while ends and ends[0][0] <= t:
-            _, idx = heapq.heappop(ends)
-            active.discard(idx)
         step_id = None
         while win_i < len(steps) and steps[win_i].end_us <= t:
             win_i += 1
         if win_i < len(steps) and steps[win_i].start_us <= t < steps[win_i].end_us:
             step_id = steps[win_i].step_id
-        out.append(Attribution(si, tuple(sorted(active)), step_id))
+        out.append(Attribution(si, tuple(op_ids[bounds[si]:bounds[si + 1]]), step_id))
     return tuple(out)
 
 
@@ -62,29 +66,18 @@ def busy_time(run: Run, device: Device) -> int:
 
     Overlapping intervals are counted once.
     """
-    total = 0
-    cur_start: int | None = None
-    cur_end = 0
-    for op in run.ops:  # sorted by start
-        if op.device is not device:
-            continue
-        if cur_start is None:
-            cur_start, cur_end = op.start, op.end
-        elif op.start <= cur_end:
-            cur_end = max(cur_end, op.end)
-        else:
-            total += cur_end - cur_start
-            cur_start, cur_end = op.start, op.end
-    if cur_start is not None:
-        total += cur_end - cur_start
-    return total
+    on_device = run.ops.device == DEVICES.index(device)
+    starts, ends = run.ops.start[on_device], run.ops.end[on_device]  # sorted by start
+    if not starts.size:
+        return 0
+    reach = np.maximum.accumulate(ends)
+    # An interval that starts after everything before it has ended opens a new run.
+    heads = np.flatnonzero(np.r_[True, starts[1:] > reach[:-1]])
+    tails = np.r_[heads[1:] - 1, starts.size - 1]
+    return int((reach[tails] - starts[heads]).sum())
 
 
 def concurrent_ops_exist(run: Run) -> bool:
     """True when any two op intervals overlap (on any device)."""
-    max_end = None
-    for op in run.ops:
-        if max_end is not None and op.start < max_end:
-            return True
-        max_end = op.end if max_end is None else max(max_end, op.end)
-    return False
+    ops = run.ops  # sorted by start
+    return bool((ops.start[1:] < np.maximum.accumulate(ops.end)[:-1]).any())

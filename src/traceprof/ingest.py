@@ -13,7 +13,10 @@ Formats:
 
 Parsers never lose records: every non-blank record line becomes either a
 parsed item or a line-numbered diagnostic. Unknown extra columns/keys are
-ignored with a warning for forward compatibility.
+ignored with a warning for forward compatibility. The op trace is parsed
+straight into the columns of a ``model.OpTable`` (one row per valid line,
+in file order), without an object per op. A timestamp or step outside the
+int64 range is a diagnostic on its line.
 
 Manifests, reports, sweep results and synth specs go through one codec
 (``to_doc``/``from_doc``) whose JSON keys are the dataclass field names.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import io
 import json
 import reprlib
+from array import array
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache
@@ -35,13 +39,15 @@ from pathlib import Path
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .errors import ManifestError, TraceProfError, TraceValidationError
 from .metrics import MetricReport
 from .model import (
-    Device,
+    DEVICES,
     Issue,
     MemoryBreakdown,
-    OpEvent,
+    OpTable,
     Run,
     RunMeta,
     TelemetrySample,
@@ -52,6 +58,12 @@ from .sweep import SweepResult
 SCHEMA_VERSION = 1
 
 _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
+_DEVICE_CODES = {d.value: code for code, d in enumerate(DEVICES)}
+_INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
+# json.loads's own decoder without its per-call wrapper, which costs about as
+# much as decoding a short op record. On a stripped line it returns what
+# json.loads returns whenever it consumes the whole line.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -72,68 +84,120 @@ def _as_int(value: Any) -> int | None:
     return None
 
 
-def parse_op_trace(data: bytes) -> tuple[list[OpEvent], list[Issue]]:
-    """Parse a line-delimited op trace; returns (events, diagnostics)."""
-    events: list[OpEvent] = []
+class _Codes(dict):
+    """Interns keys: a key not seen before gets the next code."""
+
+    def __missing__(self, key: Any) -> int:
+        self[key] = code = len(self)
+        return code
+
+
+def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
+    """Parse a line-delimited op trace; returns (ops in file order, diagnostics).
+
+    Each valid line becomes one row of the op columns; no per-op object is
+    built.
+    """
+    start, end, step = array("q"), array("q"), array("q")
+    device, has_step = array("b"), array("b")
+    name_code, layer_code = array("i"), array("i")
+    names: dict[str, int] = _Codes()
+    layers: dict[str | None, int] = _Codes()
     issues: list[Issue] = []
     warned_keys: set[str] = set()
     non_blank = 0
+    lo, hi = -_INT64, _INT64
     for line_no, raw in enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         non_blank += 1
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            issues.append(Issue("MalformedLine", f"invalid JSON: {exc.msg}", line_no=line_no))
-            continue
-        if not isinstance(record, dict):
+            record, stop = _raw_decode(line)
+        except json.JSONDecodeError:
+            stop = -1
+        if stop != len(line):  # not one JSON value: json.loads gives the result or message
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                issues.append(Issue("MalformedLine", f"invalid JSON: {exc.msg}", line_no=line_no))
+                continue
+        # json.loads makes exact types only, so the type tests below are
+        # isinstance tests that skip the subclass walk.
+        if type(record) is not dict:
             issues.append(Issue("MalformedLine", "record is not a JSON object", line_no=line_no))
             continue
-        for key in record.keys() - _OP_KEYS:
-            if key not in warned_keys:
-                warned_keys.add(key)
-                issues.append(
-                    Issue("UnknownKey", f"ignoring unknown key {key!r}", "warning", line_no)
-                )
+        if not _OP_KEYS.issuperset(record):
+            for key in record.keys() - _OP_KEYS:
+                if key not in warned_keys:
+                    warned_keys.add(key)
+                    issues.append(
+                        Issue("UnknownKey", f"ignoring unknown key {key!r}", "warning", line_no)
+                    )
         name = record.get("op")
-        if not isinstance(name, str) or not name:
+        if type(name) is not str or not name:
             issues.append(Issue("MalformedLine", "missing or empty 'op'", line_no=line_no))
             continue
         device_raw = record.get("device")
-        try:
-            device = Device(device_raw)
-        except ValueError:
+        code = _DEVICE_CODES.get(device_raw) if type(device_raw) is str else None
+        if code is None:
             issues.append(
                 Issue("UnknownDevice", f"unknown device {device_raw!r}", line_no=line_no)
             )
             continue
-        start = _as_int(record.get("start_us"))
-        end = _as_int(record.get("end_us"))
-        if start is None or end is None:
+        t0 = record.get("start_us")
+        t1 = record.get("end_us")
+        if type(t0) is not int:
+            t0 = _as_int(t0)
+        if type(t1) is not int:
+            t1 = _as_int(t1)
+        if t0 is None or t1 is None:
             issues.append(
                 Issue("MalformedLine", "start_us and end_us must be integers", line_no=line_no)
             )
             continue
-        step = record.get("step")
-        if step is not None:
-            step = _as_int(step)
-            if step is None:
+        if not (lo <= t0 < hi and lo <= t1 < hi):
+            issues.append(
+                Issue("MalformedLine", "start_us and end_us must fit in int64", line_no=line_no)
+            )
+            continue
+        op_step = record.get("step")
+        if op_step is not None:
+            if type(op_step) is not int:
+                op_step = _as_int(op_step)
+            if op_step is None:
                 issues.append(
                     Issue("MalformedLine", "step must be an integer", line_no=line_no)
                 )
                 continue
+            if not lo <= op_step < hi:
+                issues.append(Issue("MalformedLine", "step must fit in int64", line_no=line_no))
+                continue
         layer = record.get("layer")
-        if layer is not None and not isinstance(layer, str):
+        if layer is not None and type(layer) is not str:
             issues.append(Issue("MalformedLine", "layer must be a string", line_no=line_no))
             continue
-        events.append(
-            OpEvent(op_name=name, device=device, start=start, end=end, layer=layer, step_id=step)
-        )
+        start.append(t0)
+        end.append(t1)
+        device.append(code)
+        step.append(op_step or 0)
+        has_step.append(op_step is not None)
+        name_code.append(names[name])
+        layer_code.append(layers[layer])
     if non_blank == 0:
         issues.append(Issue("EmptyTrace", "op trace has no records", line_no=0))
-    return events, issues
+    ops = OpTable(
+        start=np.frombuffer(start, np.int64),
+        end=np.frombuffer(end, np.int64),
+        device=np.frombuffer(device, np.int8),
+        step=np.frombuffer(step, np.int64),
+        has_step=np.frombuffer(has_step, np.bool_),
+        name=np.frombuffer(name_code, np.int32),
+        layer=np.frombuffer(layer_code, np.int32),
+        names=tuple(names),
+        layers=tuple(layers),
+    )
+    return ops, issues
 
 
 def _telemetry_columns(core_count: int) -> list[str]:
@@ -198,6 +262,9 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[list[TelemetrySample]
             }
         except ValueError as exc:
             issues.append(Issue("MalformedLine", f"bad numeric cell: {exc}", line_no=line_no))
+            continue
+        if not -_INT64 <= t < _INT64:
+            issues.append(Issue("MalformedLine", "t_us must fit in int64", line_no=line_no))
             continue
         floats = (*utils_pct, gpu_pct, *powers.values())  # the columns expected[1:-1]
         if not all(map(isfinite, floats)):

@@ -134,8 +134,11 @@ def _window(cols: _Columns, window: Window | None, idle_threshold: float = 0.0) 
             raise NoSamplesInWindow(f"no samples with t in [{window[0]}, {window[1]}) us")
     dt = cols.dt[a:b, None]
     total = int(dt.sum())
+    # Products that overflow to inf surface as a strict-JSON error, not a warning.
+    with np.errstate(over="ignore"):
+        weighted = cols.values[a:b] * dt
     # One column's Python floats at a time keeps the transient memory small.
-    sums = [fsum(col.tolist()) for col in (cols.values[a:b] * dt).T]
+    sums = [fsum(col.tolist()) for col in weighted.T]
     c = cols.core_count
     idle_us = ((cols.values[a:b, :c] <= idle_threshold) * dt).sum(axis=0).tolist()
     per_core = tuple(s / total for s in sums[:c])
@@ -238,20 +241,24 @@ def power_dominance(run: Run, window: Window | None = None) -> tuple[RailShare, 
 def _per_op_aggregates(run: Run, t: np.ndarray) -> dict[str, OpAggregate]:
     # An op's attributed samples are those with t in its half-open
     # [start, end), counted by bisection: the same multi-attribution that
-    # attribute_samples makes sample by sample.
+    # attribute_samples makes sample by sample. Sums per name are exact
+    # int64 (object ints if busy time could pass 2**63).
     ops = run.ops
-    starts = np.fromiter((op.start for op in ops), np.int64, len(ops))
-    ends = np.fromiter((op.end for op in ops), np.int64, len(ops))
-    inside = (np.searchsorted(t, ends) - np.searchsorted(t, starts)).tolist()
-    totals: dict[str, list[int]] = {}  # name -> [count, busy us, attributed samples]
-    for op, k in zip(ops, inside):
-        agg = totals.setdefault(op.op_name, [0, 0, 0])
-        agg[0] += 1
-        agg[1] += op.end - op.start
-        agg[2] += k
+    n = len(ops.names)
+    inside = np.searchsorted(t, ops.end) - np.searchsorted(t, ops.start)
+    busy_us = ops.end - ops.start
+    if busy_us.sum(dtype=np.float64) >= 2.0**62:
+        busy_us = busy_us.astype(object)
+    busy = np.zeros(n, busy_us.dtype)
+    np.add.at(busy, ops.name, busy_us)
+    attributed = np.zeros(n, np.int64)
+    np.add.at(attributed, ops.name, inside)
+    count = np.bincount(ops.name, minlength=n)
     return {
-        name: OpAggregate(count, busy, k, below_sampling_resolution=k == 0)
-        for name, (count, busy, k) in sorted(totals.items())
+        name: OpAggregate(c, b, k, below_sampling_resolution=k == 0)
+        for name, c, b, k in sorted(zip(ops.names, count.tolist(), busy.tolist(),
+                                        attributed.tolist()))
+        if c
     }
 
 
@@ -294,8 +301,7 @@ def build_report(
     cols = _Columns(run)
     whole = _window(cols, nonwarmup_window(step_windows), idle_threshold)
 
-    has_labels = any(op.step_id is not None for op in run.ops)
-    if has_labels:
+    if run.ops.has_step.any():
         period = steps_mod.explicit_period(step_windows)
     else:
         period = steps_mod.detect_period(run, signal)

@@ -172,20 +172,24 @@ def resolve_steps(run: Run, signal: str = "gpu_util") -> tuple[StepWindow, ...]:
     op's start; detection below the confidence threshold raises NoSteps. The
     first ``meta.warmup_steps`` windows are flagged as warmup.
     """
-    labeled = [op for op in run.ops if op.step_id is not None]
-    if labeled:
-        bounds: dict[int, list[int]] = {}
-        for op in labeled:
-            b = bounds.setdefault(op.step_id, [op.start, op.end])
-            b[0] = min(b[0], op.start)
-            b[1] = max(b[1], op.end)
-        windows = [StepWindow(sid, lo, hi) for sid, (lo, hi) in sorted(bounds.items())]
-        for prev, cur in zip(windows, windows[1:]):
-            if cur.start_us < prev.end_us:
-                raise OverlappingSteps(
-                    f"step windows {prev.step_id} and {cur.step_id} overlap; "
-                    "labeled op intervals are inconsistent"
-                )
+    ops = run.ops
+    warmup = run.meta.warmup_steps
+    if ops.has_step.any():
+        labelled = np.flatnonzero(ops.has_step)
+        labelled = labelled[np.argsort(ops.step[labelled], kind="stable")]
+        step_ids = ops.step[labelled]
+        heads = np.flatnonzero(np.r_[True, step_ids[1:] != step_ids[:-1]])
+        ids = step_ids[heads].tolist()
+        lo = np.minimum.reduceat(ops.start[labelled], heads)
+        hi = np.maximum.reduceat(ops.end[labelled], heads)
+        overlaps = np.flatnonzero(lo[1:] < hi[:-1]).tolist()
+        if overlaps:
+            k = overlaps[0]
+            raise OverlappingSteps(
+                f"step windows {ids[k]} and {ids[k + 1]} overlap; "
+                "labeled op intervals are inconsistent"
+            )
+        windows = zip(ids, lo.tolist(), hi.tolist())
     else:
         estimate = detect_period(run, signal)
         if estimate.confidence < PERIOD_CONFIDENCE_THRESHOLD:
@@ -194,20 +198,14 @@ def resolve_steps(run: Run, signal: str = "gpu_util") -> tuple[StepWindow, ...]:
                 f"below threshold {PERIOD_CONFIDENCE_THRESHOLD}"
             )
         period = estimate.period_us
-        start = run.ops[0].start
-        end = run.end_us
-        count = (end - start) // period
+        start = int(ops.start[0])
+        count = (run.end_us - start) // period
         if count < 1:
             raise NoSteps("inferred period does not fit a single complete window")
-        windows = [
-            StepWindow(step_id=i, start_us=start + i * period, end_us=start + (i + 1) * period)
-            for i in range(count)
-        ]
-
-    warmup = run.meta.warmup_steps
+        windows = ((i, start + i * period, start + (i + 1) * period) for i in range(count))
     return tuple(
-        StepWindow(w.step_id, w.start_us, w.end_us, is_warmup=i < warmup)
-        for i, w in enumerate(windows)
+        StepWindow(step_id, lo, hi, is_warmup=i < warmup)
+        for i, (step_id, lo, hi) in enumerate(windows)
     )
 
 

@@ -87,11 +87,18 @@ def energy_scaling(points: Sequence[SweepPoint], rail: str = "sys") -> tuple[flo
     """Per-step energy ratio (max batch / min batch) and its classification.
 
     Proportional means the ratio matches the batch ratio within the 5% band;
-    below is sub_proportional, above is super_proportional.
+    below is sub_proportional, above is super_proportional. A zero per-step
+    energy at the smallest batch leaves the ratio undefined: MissingEnergy.
     """
     pts = _sorted_points(points)
     lo, hi = pts[0], pts[-1]
-    ratio = per_step_energy(hi.report, rail) / per_step_energy(lo.report, rail)
+    lo_energy = per_step_energy(lo.report, rail)
+    if lo_energy == 0.0:
+        raise MissingEnergy(
+            f"run {lo.report.run_id} has zero mean per-step {rail} energy; "
+            "energy scaling is undefined"
+        )
+    ratio = per_step_energy(hi.report, rail) / lo_energy
     batch_ratio = hi.batch_size / lo.batch_size
     if abs(ratio - batch_ratio) <= PROPORTIONALITY_BAND * batch_ratio:
         cls = PROPORTIONAL

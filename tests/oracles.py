@@ -5,7 +5,11 @@ enumeration and a discretized timeline. None of it shares code with the
 implementations under test.
 """
 
+import json
+
 import numpy as np
+
+from traceprof.model import Device, Issue, OpEvent
 
 
 def weighted_mean_oracle(values, weights):
@@ -108,3 +112,120 @@ def window_metrics_loop_oracle(run, window, threshold=0.0):
         "energy": {r: weighted(lambda s, a=a: getattr(s, a)) / 1e9 for r, a in rails.items()},
         "mean_mw": {r: weighted(lambda s, a=a: getattr(s, a)) / total for r, a in rails.items()},
     }
+
+
+_OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
+
+
+def _as_int(value):
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
+
+
+def parse_op_trace_oracle(data: bytes):
+    """The op-trace parser as one OpEvent per line: (events, diagnostics)."""
+    events: list[OpEvent] = []
+    issues: list[Issue] = []
+    warned_keys: set[str] = set()
+    non_blank = 0
+    for line_no, raw in enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        non_blank += 1
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            issues.append(Issue("MalformedLine", f"invalid JSON: {exc.msg}", line_no=line_no))
+            continue
+        if not isinstance(record, dict):
+            issues.append(Issue("MalformedLine", "record is not a JSON object", line_no=line_no))
+            continue
+        for key in record.keys() - _OP_KEYS:
+            if key not in warned_keys:
+                warned_keys.add(key)
+                issues.append(
+                    Issue("UnknownKey", f"ignoring unknown key {key!r}", "warning", line_no)
+                )
+        name = record.get("op")
+        if not isinstance(name, str) or not name:
+            issues.append(Issue("MalformedLine", "missing or empty 'op'", line_no=line_no))
+            continue
+        device_raw = record.get("device")
+        try:
+            device = Device(device_raw)
+        except ValueError:
+            issues.append(
+                Issue("UnknownDevice", f"unknown device {device_raw!r}", line_no=line_no)
+            )
+            continue
+        start = _as_int(record.get("start_us"))
+        end = _as_int(record.get("end_us"))
+        if start is None or end is None:
+            issues.append(
+                Issue("MalformedLine", "start_us and end_us must be integers", line_no=line_no)
+            )
+            continue
+        step = record.get("step")
+        if step is not None:
+            step = _as_int(step)
+            if step is None:
+                issues.append(
+                    Issue("MalformedLine", "step must be an integer", line_no=line_no)
+                )
+                continue
+        layer = record.get("layer")
+        if layer is not None and not isinstance(layer, str):
+            issues.append(Issue("MalformedLine", "layer must be a string", line_no=line_no))
+            continue
+        events.append(
+            OpEvent(op_name=name, device=device, start=start, end=end, layer=layer, step_id=step)
+        )
+    if non_blank == 0:
+        issues.append(Issue("EmptyTrace", "op trace has no records", line_no=0))
+    return events, issues
+
+
+def _op_sort_key(op):
+    return (
+        op.start,
+        op.end,
+        op.op_name,
+        op.device.value,
+        -1 if op.step_id is None else op.step_id,
+        op.layer or "",
+    )
+
+
+def sort_ops_oracle(ops):
+    """Ops in validated order by a stable sort on the tuple key."""
+    return sorted(ops, key=_op_sort_key)
+
+
+def validate_ops_oracle(ops):
+    """(sorted ops, op errors, duplicate-op warnings) as validation reports them, by loops."""
+    ordered = sort_ops_oracle(ops)
+    errors = []
+    for i, op in enumerate(ordered):
+        if not op.op_name:
+            errors.append(Issue("InvariantViolation", f"op #{i} has empty op_name"))
+        if op.start < 0:
+            errors.append(Issue("InvariantViolation",
+                                f"op #{i} '{op.op_name}' has negative start {op.start}"))
+        if op.end <= op.start:
+            errors.append(Issue("InvariantViolation",
+                                f"op #{i} '{op.op_name}' has end {op.end} <= start {op.start}"))
+        if op.step_id is not None and op.step_id < 0:
+            errors.append(Issue("InvariantViolation",
+                                f"op #{i} '{op.op_name}' has negative step_id"))
+    warnings = [
+        Issue("ClockSkew", f"duplicate op record '{a.op_name}' at {a.start} us", severity="warning")
+        for a, b in zip(ordered, ordered[1:])
+        if a == b
+    ]
+    return ordered, errors, warnings

@@ -319,6 +319,7 @@ def test_non_finite_telemetry_is_a_diagnostic(tmp_path):
         assert result.returncode == 1
         assert result.stdout == b""
         assert b"Traceback" not in result.stderr
+        assert b"RuntimeWarning" not in result.stderr
         return result.stderr.splitlines()
 
     assert analyze_with_sys_power({3: "inf", 5: "nan"}) == [
@@ -338,3 +339,51 @@ def test_sweep_duplicate_batch_size_is_usage_error(tmp_path):
     assert result.returncode == 2
     assert result.stdout == b""
     assert result.stderr == b"error: duplicate batch size 4 in sweep\n"
+
+
+def _edit_first_op(manifest, **fields):
+    ops = manifest.parent / "ops.jsonl"
+    first, rest = ops.read_text().split("\n", 1)
+    ops.write_text(json.dumps({**json.loads(first), **fields}) + "\n" + rest)
+
+
+def _edit_first_sample_time(manifest, value):
+    telemetry = manifest.parent / "telemetry.csv"
+    header, first, rest = telemetry.read_text().split("\n", 2)
+    cells = first.split(",")
+    telemetry.write_text("\n".join([header, ",".join([value, *cells[1:]]), rest]))
+
+
+@pytest.mark.parametrize("edit, diagnostic", [
+    (lambda m: _edit_first_op(m, end_us=2**70),
+     b"error[MalformedLine] line 1: start_us and end_us must fit in int64"),
+    (lambda m: _edit_first_op(m, end_us=2e300),
+     b"error[MalformedLine] line 1: start_us and end_us must fit in int64"),
+    (lambda m: _edit_first_op(m, start_us=-2**63 - 1),
+     b"error[MalformedLine] line 1: start_us and end_us must fit in int64"),
+    (lambda m: _edit_first_op(m, step=2**63),
+     b"error[MalformedLine] line 1: step must fit in int64"),
+    (lambda m: _edit_first_sample_time(m, str(2**70)),
+     b"error[MalformedLine] line 2: t_us must fit in int64"),
+], ids=["end_2pow70", "end_2e300", "start_below_int64", "step_2pow63", "t_us_2pow70"])
+def test_out_of_range_integers_are_diagnostics(tmp_path, edit, diagnostic):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    edit(manifest)
+    result = _run_cli("analyze", manifest, "--format", "json")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [diagnostic]
+
+
+def test_sweep_zero_energy_is_a_diagnostic(tmp_path):
+    path = _write_sweep(tmp_path, [
+        (_throughput_spec(4, 100_000, 10_000, p_sys=0.0), None),
+        (_throughput_spec(8, 200_000, 10_000, p_sys=0.0), None),
+    ])
+    result = _run_cli("sweep", path, "--format", "json")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == (
+        b"error: run b4 has zero mean per-step sys energy; energy scaling is undefined\n"
+    )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample
+from oracles import parse_op_trace_oracle
 from traceprof.errors import InvalidSpec, ManifestError, TraceValidationError
 from traceprof.ingest import (
     RunManifest,
@@ -31,12 +32,12 @@ def test_parse_op_trace_direct_mapping():
     line = b'{"op":"MatMul","device":"GPU","step":0,"start_us":100,"end_us":350}\n'
     events, issues = parse_op_trace(line)
     assert issues == []
-    assert events == [OpEvent("MatMul", Device.GPU, 100, 350, layer=None, step_id=0)]
+    assert list(events) == [OpEvent("MatMul", Device.GPU, 100, 350, layer=None, step_id=0)]
 
 
 def test_parse_op_trace_empty_file():
     events, issues = parse_op_trace(b"")
-    assert events == []
+    assert list(events) == []
     assert any(i.code == "EmptyTrace" for i in issues)
 
 
@@ -114,8 +115,38 @@ def test_parse_telemetry_extra_core_column_is_mismatch():
     assert any(i.code == "CoreCountMismatch" for i in issues)
 
 
-@given(
-    st.lists(
+_ABSENT = object()
+_OP_FIELD_VALUES = {
+    "op": ["a", "b", "", 1, None],
+    "device": ["GPU", "CPU", "TPU", None, 1, ["GPU"]],
+    "start_us": [0, 3, -2, 3.0, 2.5, True, "1", None, -2**63],
+    "end_us": [5, 9, 0, 5.0, None, 2**63 - 1],
+    "step": [None, 0, 2, -1, 1.0, 1.5, "2", False, 2**63 - 1],
+    "layer": [None, "", "l1", 5],
+    "pid": [7],
+    "tid": [[1]],
+}
+# Integers outside int64: lines the parser rejects, unlike the OpEvent oracle.
+_OUT_OF_RANGE = {"start_us": [-2**63 - 1], "end_us": [2**70, 2e300], "step": [2**63]}
+
+
+@st.composite
+def op_records(draw, out_of_range=False):
+    """One op-trace line: a valid record with some fields changed or removed."""
+    record = {"op": "a", "device": "GPU", "start_us": 0, "end_us": 5}
+    for key, values in _OP_FIELD_VALUES.items():
+        if draw(st.booleans()):
+            extra = _OUT_OF_RANGE.get(key, []) if out_of_range else []
+            value = draw(st.sampled_from([*values, *extra, _ABSENT]))
+            if value is _ABSENT:
+                record.pop(key, None)
+            else:
+                record[key] = value
+    return json.dumps(record)
+
+
+def op_lines(out_of_range=False):
+    return st.lists(
         st.one_of(
             st.just('{"op":"a","device":"GPU","start_us":0,"end_us":5}'),
             st.just('{"op":"b","device":"CPU","start_us":3,"end_us":9}'),
@@ -124,16 +155,32 @@ def test_parse_telemetry_extra_core_column_is_mismatch():
             st.just('{"op":"c","device":"TPU","start_us":0,"end_us":1}'),
             st.just(""),
             st.just("   "),
+            st.just("[1, 2]"),
+            st.just('{"op":"a","device":"GPU","start_us":0,"end_us":5} x'),
+            st.just('\ufeff{"op":"a","device":"GPU","start_us":0,"end_us":5}'),
+            st.just(' {"op":"a","device":"GPU","start_us":0,"end_us":5}\t'),
+            op_records(out_of_range),
         ),
         max_size=30,
     )
-)
+
+
+@given(op_lines(out_of_range=True))
 def test_parsing_never_loses_records(lines):
     data = ("\n".join(lines) + "\n").encode()
     events, issues = parse_op_trace(data)
     non_blank = sum(1 for line in lines if line.strip())
     line_errors = [i for i in issues if i.severity == "error" and i.code != "EmptyTrace"]
     assert len(events) + len(line_errors) == non_blank
+
+
+@given(op_lines())
+def test_parse_op_trace_matches_oracle(lines):
+    data = ("\n".join(lines) + "\n").encode()
+    events, issues = parse_op_trace(data)
+    want_events, want_issues = parse_op_trace_oracle(data)
+    assert list(events) == want_events
+    assert issues == want_issues
 
 
 def _sample_run():

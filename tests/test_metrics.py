@@ -377,3 +377,13 @@ def test_window_metrics_equal_loop_reference_bit_for_bit(seed):
         assert {r.rail: r.mean_mw for r in ranking} == {
             r: m for r, m in ref["mean_mw"].items() if r != "sys"
         }
+
+
+def test_report_per_op_busy_time_stays_exact_past_int64():
+    big = 2**62 + 5
+    ops = [OpEvent("a", Device.GPU, 0, big, step_id=0), OpEvent("a", Device.CPU, 0, big, step_id=0),
+           OpEvent("b", Device.CPU, 0, 3, step_id=0)]
+    report = build_report(_uniform_run([(0.0,)] * 3, ops=ops, warmup=0))
+    assert report.per_op["a"].busy_time_us == 2 * big
+    assert (report.per_op["a"].count, report.per_op["a"].attributed_samples) == (2, 6)
+    assert report.per_op["b"].busy_time_us == 3

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample, util_fractions
+from oracles import validate_ops_oracle
 from traceprof.errors import TraceValidationError
 from traceprof.ingest import (
     parse_op_trace,
@@ -9,7 +10,7 @@ from traceprof.ingest import (
     write_op_trace,
     write_telemetry,
 )
-from traceprof.model import Device, OpEvent, RunMeta, validate_run
+from traceprof.model import Device, Issue, OpEvent, OpTable, RunMeta, validate_run
 
 
 def test_well_formed_run_is_sorted():
@@ -51,6 +52,23 @@ def test_validation_collects_every_violation():
     codes = [i.code for i in exc.value.issues]
     # batch_size, empty name, end<=start, negative start, util range, power
     assert len([c for c in codes if c in ("InvalidMeta", "InvariantViolation")]) >= 5
+
+
+@pytest.mark.parametrize("power", [float("nan"), float("inf")])
+def test_non_finite_power_is_an_invariant_violation(power):
+    samples = [mk_sample(t * 10_000, p_sys=power if t == 1 else 0.0) for t in range(3)]
+    with pytest.raises(TraceValidationError) as exc:
+        mk_run(samples)
+    assert exc.value.issues == (
+        Issue("InvariantViolation", f"sample #1 non-finite sys power {power} mW"),
+    )
+
+
+@pytest.mark.parametrize("field", [{"start": 0.5}, {"end": "100"}, {"step_id": 1.5}])
+def test_non_integer_op_fields_are_rejected(field):
+    op = OpEvent(**{"op_name": "a", "device": Device.GPU, "start": 0, "end": 100, **field})
+    with pytest.raises(TypeError, match="must be integers"):
+        mk_run([mk_sample(0)], [op])
 
 
 def test_empty_trace_reported():
@@ -133,3 +151,51 @@ def test_serialize_parse_round_trip(run):
 @given(runs())
 def test_validate_idempotent_property(run):
     assert validate_run(run.meta, run.ops, run.samples) == run
+
+
+@st.composite
+def op_lists(draw):
+    """Ops with tied sort keys, None and "" layers, None steps and exact duplicates.
+
+    Half of the lists may also hold invalid ops (empty name, negative start or
+    step, end <= start).
+    """
+    invalid = draw(st.booleans())
+    op = st.builds(
+        lambda name, device, start, length, layer, step: OpEvent(
+            name, device, start, start + length, layer, step),
+        st.sampled_from(["a", "B", "ab"] + [""] * invalid),
+        st.sampled_from(list(Device)),
+        st.integers(-1 if invalid else 0, 1),
+        st.integers(0 if invalid else 1, 2),
+        st.sampled_from([None, "", "l1"]),
+        st.sampled_from([None, 0, 1] + [-1] * invalid),
+    )
+    ops = draw(st.lists(op, max_size=20))
+    duplicates = draw(st.lists(st.sampled_from(ops), max_size=5)) if ops else []
+    return draw(st.permutations(ops + duplicates))
+
+
+@given(op_lists())
+def test_validate_run_ops_match_oracle(ops):
+    meta = RunMeta("r", batch_size=1, core_count=1)
+    ordered, errors, warnings = validate_ops_oracle(ops)
+    if not ops:
+        errors.insert(0, Issue("EmptyTrace", "run needs at least one op and one sample"))
+    try:
+        run = validate_run(meta, ops, [mk_sample(0, cores=(0.0,))])
+    except TraceValidationError as exc:
+        assert list(exc.issues) == errors + warnings
+        assert errors
+    else:
+        assert errors == []
+        assert list(run.ops) == ordered
+        assert list(run.warnings) == warnings
+
+
+@given(op_lists())
+def test_op_table_from_events_round_trip(ops):
+    table = OpTable.from_events(ops)
+    assert list(table) == ops
+    assert [table[i] for i in range(-len(ops), len(ops))] == ops + ops
+    assert OpTable.from_events(list(table)) == table
