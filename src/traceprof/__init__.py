@@ -55,6 +55,7 @@ from .model import (
     OpTable,
     Run,
     RunMeta,
+    SampleTable,
     StepWindow,
     TelemetrySample,
     validate_run,

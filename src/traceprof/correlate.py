@@ -6,8 +6,9 @@ exact boundaries. A sample covered by several concurrent ops is attributed
 to every one of them (full multi-attribution); no proportional splitting
 and no watt apportionment is attempted.
 
-Every function reads the run's op columns (``run.ops.start``, ``end`` and
-``device``, sorted by start), never one object per op.
+Every function reads the run's columns (``run.ops.start``, ``end`` and
+``device``, sorted by start, and ``run.samples.t``), never one object per
+op or sample.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def attribute_samples(run: Run, steps: Sequence[StepWindow] = ()) -> tuple[Attri
     covered by no op get an empty index tuple; ``step_id`` is set when the
     sample falls inside one of ``steps``.
     """
-    times = np.fromiter((s.t for s in run.samples), np.int64, len(run.samples))
+    times = run.samples.t
     # Op i covers the counts[i] samples from first[i] on (samples are sorted by t).
     first = np.searchsorted(times, run.ops.start)
     counts = np.searchsorted(times, run.ops.end) - first
@@ -50,8 +51,7 @@ def attribute_samples(run: Run, steps: Sequence[StepWindow] = ()) -> tuple[Attri
     bounds = np.searchsorted(sample_of_pair[order], np.arange(len(times) + 1)).tolist()
     win_i = 0
     out: list[Attribution] = []
-    for si, sample in enumerate(run.samples):
-        t = sample.t
+    for si, t in enumerate(times.tolist()):
         step_id = None
         while win_i < len(steps) and steps[win_i].end_us <= t:
             win_i += 1

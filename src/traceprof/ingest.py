@@ -13,10 +13,11 @@ Formats:
 
 Parsers never lose records: every non-blank record line becomes either a
 parsed item or a line-numbered diagnostic. Unknown extra columns/keys are
-ignored with a warning for forward compatibility. The op trace is parsed
-straight into the columns of a ``model.OpTable`` (one row per valid line,
-in file order), without an object per op. A timestamp or step outside the
-int64 range is a diagnostic on its line.
+ignored with a warning for forward compatibility. The op trace and the
+telemetry are parsed straight into the columns of a ``model.OpTable`` and a
+``model.SampleTable`` (one row per valid line, in file order), without an
+object per op or sample. A timestamp, step or ``mem_bytes`` value outside
+the int64 range is a diagnostic on its line.
 
 Manifests, reports, sweep results and synth specs go through one codec
 (``to_doc``/``from_doc``) whose JSON keys are the dataclass field names.
@@ -45,12 +46,13 @@ from .errors import ManifestError, TraceProfError, TraceValidationError
 from .metrics import MetricReport
 from .model import (
     DEVICES,
+    RAILS,
     Issue,
     MemoryBreakdown,
     OpTable,
     Run,
     RunMeta,
-    TelemetrySample,
+    SampleTable,
     validate_run,
 )
 from .sweep import SweepResult
@@ -128,8 +130,8 @@ def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
             issues.append(Issue("MalformedLine", "record is not a JSON object", line_no=line_no))
             continue
         if not _OP_KEYS.issuperset(record):
-            for key in record.keys() - _OP_KEYS:
-                if key not in warned_keys:
+            for key in record:  # in the line's order, not set order
+                if key not in _OP_KEYS and key not in warned_keys:
                     warned_keys.add(key)
                     issues.append(
                         Issue("UnknownKey", f"ignoring unknown key {key!r}", "warning", line_no)
@@ -202,12 +204,16 @@ def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
 
 def _telemetry_columns(core_count: int) -> list[str]:
     cores = [f"c{i}" for i in range(core_count)]
-    return ["t_us", *cores, "gpu", "p_cpu_mw", "p_gpu_mw", "p_mem_mw", "p_sys_mw", "mem_bytes"]
+    return ["t_us", *cores, "gpu", *(f"p_{rail}_mw" for rail in RAILS), "mem_bytes"]
 
 
-def parse_telemetry(data: bytes, core_count: int) -> tuple[list[TelemetrySample], list[Issue]]:
-    """Parse the telemetry CSV; utilization percent columns become fractions."""
-    samples: list[TelemetrySample] = []
+def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Issue]]:
+    """Parse the telemetry CSV; utilization percent columns become fractions.
+
+    Each valid line becomes one row of the sample columns, in file order; no
+    per-sample object is built.
+    """
+    t_col, values, mem_col = array("q"), array("d"), array("q")
     issues: list[Issue] = []
     # Lazy over the decoded lines: no stripped copy of the whole file is kept.
     lines = enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1)
@@ -216,7 +222,7 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[list[TelemetrySample]
     first = next(numbered, None)
     if first is None:
         issues.append(Issue("EmptyTrace", "telemetry file is empty", line_no=0))
-        return samples, issues
+        return SampleTable.from_samples(()), issues
 
     header_no, header_line = first
     header = [cell.strip() for cell in header_line.split(",")]
@@ -242,8 +248,12 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[list[TelemetrySample]
         issues.append(
             Issue("MalformedLine", f"header missing columns {missing}", line_no=header_no)
         )
-        return samples, issues
+        return SampleTable.from_samples(()), issues
 
+    value_names = expected[1:-1]  # the cores, gpu and rails: one row of SampleTable.values
+    value_at = [col_index[name] for name in value_names]
+    t_at, mem_at = col_index["t_us"], col_index["mem_bytes"]
+    n_util = len(value_names) - len(RAILS)  # the cores and gpu, in percent
     for line_no, line in numbered:
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) < len(header):
@@ -252,64 +262,44 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[list[TelemetrySample]
             )
             continue
         try:
-            t = int(cells[col_index["t_us"]])
-            mem = int(cells[col_index["mem_bytes"]])
-            utils_pct = [float(cells[col_index[f"c{i}"]]) for i in range(core_count)]
-            gpu_pct = float(cells[col_index["gpu"]])
-            powers = {
-                rail: float(cells[col_index[f"p_{rail}_mw"]])
-                for rail in ("cpu", "gpu", "mem", "sys")
-            }
+            t = int(cells[t_at])
+            mem = int(cells[mem_at])
+            row = [float(cells[k]) for k in value_at]
         except ValueError as exc:
             issues.append(Issue("MalformedLine", f"bad numeric cell: {exc}", line_no=line_no))
             continue
         if not -_INT64 <= t < _INT64:
             issues.append(Issue("MalformedLine", "t_us must fit in int64", line_no=line_no))
             continue
-        floats = (*utils_pct, gpu_pct, *powers.values())  # the columns expected[1:-1]
-        if not all(map(isfinite, floats)):
-            cols = [name for name, x in zip(expected[1:-1], floats) if not isfinite(x)]
+        if not all(map(isfinite, row)):
+            cols = [name for name, x in zip(value_names, row) if not isfinite(x)]
             issues.append(Issue("NonFinite", f"nan or inf in column(s) {cols}", line_no=line_no))
             continue
-        bad = False
-        for pct in (*utils_pct, gpu_pct):
-            if not 0.0 <= pct <= 100.0:
-                issues.append(
-                    Issue(
-                        "UtilizationOutOfRange",
-                        f"utilization {pct}% outside [0, 100]",
-                        line_no=line_no,
-                    )
-                )
-                bad = True
-                break
-        if bad:
+        pct = next((x for x in row[:n_util] if not 0.0 <= x <= 100.0), None)
+        if pct is not None:
+            issues.append(
+                Issue("UtilizationOutOfRange", f"utilization {pct}% outside [0, 100]", line_no=line_no)
+            )
             continue
-        negative = [rail for rail, p in powers.items() if p < 0]
+        negative = [rail for rail, p in zip(RAILS, row[n_util:]) if p < 0]
         if negative:
             issues.append(
                 Issue("NegativePower", f"negative power on rail(s) {negative}", line_no=line_no)
             )
             continue
-        if mem < 0:
-            issues.append(
-                Issue("MalformedLine", "mem_bytes must be non-negative", line_no=line_no)
-            )
+        if not 0 <= mem < _INT64:
+            message = "must be non-negative" if mem < 0 else "must fit in int64"
+            issues.append(Issue("MalformedLine", f"mem_bytes {message}", line_no=line_no))
             continue
-        samples.append(
-            TelemetrySample(
-                t=t,
-                cpu_core_util=tuple(pct / 100.0 for pct in utils_pct),
-                gpu_util=gpu_pct / 100.0,
-                power_cpu_mw=powers["cpu"],
-                power_gpu_mw=powers["gpu"],
-                power_mem_mw=powers["mem"],
-                power_sys_mw=powers["sys"],
-                mem_used_bytes=mem,
-            )
-        )
-    if not samples and not any(i.severity == "error" for i in issues):
+        t_col.append(t)
+        values.extend([x / 100.0 for x in row[:n_util]])
+        values.extend(row[n_util:])
+        mem_col.append(mem)
+    if not t_col and not any(i.severity == "error" for i in issues):
         issues.append(Issue("EmptyTrace", "telemetry has a header but no rows", line_no=0))
+    samples = SampleTable(np.frombuffer(t_col, np.int64),
+                          np.frombuffer(values, np.float64).reshape(-1, len(value_names)),
+                          np.frombuffer(mem_col, np.int64))
     return samples, issues
 
 

@@ -11,13 +11,14 @@ sample falls back to the nominal interval. The same weights drive the
 time-weighted utilization means, so binary utilization streams reduce
 exactly to active-sample-count / total-count.
 
-Every metric reads one column view of the samples, built once per report:
-int64 timestamps and weights and a float64 matrix of core utilizations,
-GPU utilization and the four power rails. A window is bounded with
-``np.searchsorted`` (half-open, like ``bisect_left``), and each weighted sum
-is ``math.fsum`` over the elementwise products of the window's rows. fsum
-is correctly rounded, so a result never depends on summation order or
-blocking, and integer weight sums are exact.
+Every metric reads the run's sample columns (``model.SampleTable``): int64
+timestamps and a float64 matrix of core utilizations, GPU utilization and
+the four power rails. The int64 weights are computed once per report. A
+window is bounded with ``np.searchsorted`` (half-open, like
+``bisect_left``), and each weighted sum is ``math.fsum`` over the
+elementwise products of the window's rows. fsum is correctly rounded, so a
+result never depends on summation order or blocking, and integer weight
+sums are exact.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ import numpy as np
 from . import steps as steps_mod
 from .correlate import concurrent_ops_exist
 from .errors import NoCompleteSteps, NoSamplesInWindow, SignalTooShort
-from .model import MemoryBreakdown, Run, StepWindow
+from .model import RAILS, MemoryBreakdown, Run, StepWindow
 from .steps import PeriodEstimate, PredictabilityScore
-
-RAILS = ("cpu", "gpu", "mem", "sys")
 
 Window = tuple[int, int]
 
@@ -94,25 +93,6 @@ class MetricReport:
     notes: tuple[str, ...]
 
 
-class _Columns:
-    """A run's samples as columns, built once and shared by every window.
-
-    ``t`` and the rectangle weights ``dt`` are int64. ``values`` is float64
-    with one row per sample: the core utilizations, then the GPU
-    utilization, then the power rails in ``RAILS`` order.
-    """
-
-    def __init__(self, run: Run) -> None:
-        samples = run.samples
-        n, width = len(samples), run.meta.core_count + 5
-        self.core_count = run.meta.core_count
-        self.t = np.fromiter((s.t for s in samples), np.int64, n)
-        self.dt = np.append(np.diff(self.t), np.int64(run.meta.sample_interval_us))
-        rows = ((*s.cpu_core_util, s.gpu_util, s.power_cpu_mw, s.power_gpu_mw,
-                 s.power_mem_mw, s.power_sys_mw) for s in samples)
-        self.values = np.fromiter(rows, np.dtype((np.float64, width)), n)
-
-
 @dataclass(frozen=True)
 class _WindowSums:
     """Every time-weighted quantity of one window, each from an exact sum."""
@@ -125,22 +105,23 @@ class _WindowSums:
     rail_mean_mw: dict[str, float]
 
 
-def _window(cols: _Columns, window: Window | None, idle_threshold: float = 0.0) -> _WindowSums:
-    """Metrics of the samples with t in [lo, hi), or of all samples."""
-    a, b = 0, len(cols.t)
+def _window(run: Run, dt: np.ndarray, window: Window | None, idle: float = 0.0) -> _WindowSums:
+    """Metrics of the samples with t in [lo, hi), or of all samples, by their weights dt."""
+    samples = run.samples
+    a, b = 0, len(samples)
     if window is not None:
-        a, b = np.searchsorted(cols.t, window).tolist()
+        a, b = np.searchsorted(samples.t, window).tolist()
         if a >= b:
             raise NoSamplesInWindow(f"no samples with t in [{window[0]}, {window[1]}) us")
-    dt = cols.dt[a:b, None]
+    dt = dt[a:b, None]
     total = int(dt.sum())
     # Products that overflow to inf surface as a strict-JSON error, not a warning.
     with np.errstate(over="ignore"):
-        weighted = cols.values[a:b] * dt
+        weighted = samples.values[a:b] * dt
     # One column's Python floats at a time keeps the transient memory small.
     sums = [fsum(col.tolist()) for col in weighted.T]
-    c = cols.core_count
-    idle_us = ((cols.values[a:b, :c] <= idle_threshold) * dt).sum(axis=0).tolist()
+    c = samples.core_count
+    idle_us = ((samples.values[a:b, :c] <= idle) * dt).sum(axis=0).tolist()
     per_core = tuple(s / total for s in sums[:c])
     rail_nj = dict(zip(RAILS, sums[c + 1:]))  # mW * us, i.e. nanojoules
     return _WindowSums(
@@ -153,9 +134,13 @@ def _window(cols: _Columns, window: Window | None, idle_threshold: float = 0.0) 
     )
 
 
+def _weights(run: Run) -> np.ndarray:
+    return np.append(np.diff(run.samples.t), np.int64(run.meta.sample_interval_us))
+
+
 def sample_weights_us(run: Run) -> list[int]:
     """Rectangle width per sample: gap to the next sample; last uses nominal."""
-    return _Columns(run).dt.tolist()
+    return _weights(run).tolist()
 
 
 def nonwarmup_window(step_windows: Sequence[StepWindow]) -> Window:
@@ -174,16 +159,16 @@ def _check_core(run: Run, core_index: int) -> None:
 def cpu_core_utilization(run: Run, core_index: int, window: Window | None = None) -> float:
     """Time-weighted mean utilization of one core over the window."""
     _check_core(run, core_index)
-    return _window(_Columns(run), window).per_core[core_index]
+    return _window(run, _weights(run), window).per_core[core_index]
 
 
 def cpu_avg_utilization(run: Run, window: Window | None = None) -> float:
     """Arithmetic mean of per-core utilizations over all cores."""
-    return _window(_Columns(run), window).cpu_avg
+    return _window(run, _weights(run), window).cpu_avg
 
 
 def gpu_utilization(run: Run, window: Window | None = None) -> float:
-    return _window(_Columns(run), window).gpu
+    return _window(run, _weights(run), window).gpu
 
 
 def idle_ratio(
@@ -195,19 +180,19 @@ def idle_ratio(
     utilization <= threshold for noisy samplers.
     """
     _check_core(run, core_index)
-    return _window(_Columns(run), window, threshold).idle[core_index]
+    return _window(run, _weights(run), window, threshold).idle[core_index]
 
 
 def energy(run: Run, rail: str, window: Window | None = None) -> float:
     """Rectangle-rule energy of a power rail over the window, in joules."""
     if rail not in RAILS:
         raise ValueError(f"unknown rail {rail!r}, expected one of {RAILS}")
-    return _window(_Columns(run), window).energy_j[rail]
+    return _window(run, _weights(run), window).energy_j[rail]
 
 
 def peak_memory(run: Run) -> tuple[int, MemoryBreakdown | None]:
     """Maximum sampled memory over the full run (warmup included)."""
-    return max(s.mem_used_bytes for s in run.samples), run.memory_breakdown
+    return int(run.samples.mem.max()), run.memory_breakdown
 
 
 def throughput(run: Run, step_windows: Sequence[StepWindow]) -> float:
@@ -235,15 +220,15 @@ def power_dominance(run: Run, window: Window | None = None) -> tuple[RailShare, 
     Each entry carries its share of the system rail's mean; the system rail
     itself is the denominator, not a contestant.
     """
-    return _rail_ranking(_window(_Columns(run), window))
+    return _rail_ranking(_window(run, _weights(run), window))
 
 
-def _per_op_aggregates(run: Run, t: np.ndarray) -> dict[str, OpAggregate]:
+def _per_op_aggregates(run: Run) -> dict[str, OpAggregate]:
     # An op's attributed samples are those with t in its half-open
     # [start, end), counted by bisection: the same multi-attribution that
     # attribute_samples makes sample by sample. Sums per name are exact
     # int64 (object ints if busy time could pass 2**63).
-    ops = run.ops
+    ops, t = run.ops, run.samples.t
     n = len(ops.names)
     inside = np.searchsorted(t, ops.end) - np.searchsorted(t, ops.start)
     busy_us = ops.end - ops.start
@@ -262,9 +247,9 @@ def _per_op_aggregates(run: Run, t: np.ndarray) -> dict[str, OpAggregate]:
     }
 
 
-def _step_metrics(cols: _Columns, w: StepWindow, batch: int, idle: float) -> StepMetrics | None:
+def _step_metrics(run: Run, dt: np.ndarray, w: StepWindow, idle: float) -> StepMetrics | None:
     try:
-        sums = _window(cols, (w.start_us, w.end_us), idle)
+        sums = _window(run, dt, (w.start_us, w.end_us), idle)
     except NoSamplesInWindow:
         return None  # step shorter than the sampling resolution
     return StepMetrics(
@@ -277,7 +262,7 @@ def _step_metrics(cols: _Columns, w: StepWindow, batch: int, idle: float) -> Ste
         gpu_util=sums.gpu,
         idle_ratio_per_core=sums.idle,
         energy_by_rail_joules=sums.energy_j,
-        throughput_samples_per_sec=(batch * 1_000_000) / w.duration_us,
+        throughput_samples_per_sec=(run.meta.batch_size * 1_000_000) / w.duration_us,
     )
 
 
@@ -298,8 +283,8 @@ def build_report(
     if step_windows is None:
         step_windows = steps_mod.resolve_steps(run, signal)
     step_windows = tuple(step_windows)
-    cols = _Columns(run)
-    whole = _window(cols, nonwarmup_window(step_windows), idle_threshold)
+    dt = _weights(run)
+    whole = _window(run, dt, nonwarmup_window(step_windows), idle_threshold)
 
     if run.ops.has_step.any():
         period = steps_mod.explicit_period(step_windows)
@@ -326,7 +311,7 @@ def build_report(
             "concurrent ops exist: per-op attributed-sample counts may double-count samples"
         )
 
-    per_step = [_step_metrics(cols, w, run.meta.batch_size, idle_threshold) for w in step_windows]
+    per_step = [_step_metrics(run, dt, w, idle_threshold) for w in step_windows]
     return MetricReport(
         run_id=run.meta.run_id,
         batch_size=run.meta.batch_size,
@@ -342,7 +327,7 @@ def build_report(
         throughput_samples_per_sec=throughput(run, step_windows),
         steps=step_windows,
         per_step=tuple(m for m in per_step if m is not None),
-        per_op=_per_op_aggregates(run, cols.t),
+        per_op=_per_op_aggregates(run),
         power_rail_ranking=_rail_ranking(whole),
         period=period,
         predictability=predictability,

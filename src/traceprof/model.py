@@ -5,12 +5,14 @@ utilization is stored as fractions in [0, 1]; power in milliwatts. All types
 are plain carriers: invariants are enforced centrally by ``validate_run`` so
 that every violation in a trace can be reported at once.
 
-A run's ops are held as columns (:class:`OpTable`), not as one object per
-op: int64 ``start``/``end``/``step`` (with a ``has_step`` mask, so "no step"
-is distinct from every integer), an int8 device code and int32 codes into
-interned ``names`` and ``layers`` tuples (a ``None`` layer is distinct from
-``""``). The table is still a ``Sequence[OpEvent]``: indexing or iterating it
-builds the events on demand.
+A run's ops and samples are held as columns, not as one object per row.
+:class:`OpTable` has int64 ``start``/``end``/``step`` (with a ``has_step``
+mask, so "no step" is distinct from every integer), an int8 device code and
+int32 codes into interned ``names`` and ``layers`` tuples (a ``None`` layer
+is distinct from ``""``). :class:`SampleTable` has int64 ``t`` and ``mem``
+and one float64 ``values`` row per sample. Both share one read-only table
+protocol and are still sequences of ``OpEvent``/``TelemetrySample``:
+indexing or iterating them builds those objects on demand.
 """
 
 from __future__ import annotations
@@ -48,15 +50,63 @@ class OpEvent:
         return self.end - self.start
 
 
+@dataclass(frozen=True)
+class TelemetrySample:
+    """One periodic snapshot of utilization, power rails and memory footprint."""
+
+    t: Micros
+    cpu_core_util: tuple[float, ...]
+    gpu_util: float
+    power_cpu_mw: float
+    power_gpu_mw: float
+    power_mem_mw: float
+    power_sys_mw: float
+    mem_used_bytes: int
+
+
+class _Table(Sequence):
+    """Read-only numpy columns, one row per item.
+
+    A subclass is a frozen dataclass that names its array fields in
+    ``_columns`` and builds its items in ``__iter__``. ``self[i]`` is the
+    one item of ``self.take([i])``; a slice is a table. Tables are equal
+    when their items are.
+    """
+
+    def __post_init__(self) -> None:
+        for col in self._columns:
+            getattr(self, col).flags.writeable = False
+
+    def take(self, rows):
+        """The table of the given rows, in that order."""
+        return replace(self, **{col: getattr(self, col)[rows] for col in self._columns})
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._columns[0]))
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]  # any integer type; negative and out-of-range as a tuple
+        if isinstance(i, slice):
+            return self.take(rows)
+        (item,) = self.take([rows])
+        return item
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+# Power rails in the order of TelemetrySample's fields and SampleTable.values.
+RAILS = ("cpu", "gpu", "mem", "sys")
 # Device codes of OpTable.device; the codes sort as the Device values do.
 DEVICES = (Device.CPU, Device.GPU)
 _DEVICE_CODES = {d: code for code, d in enumerate(DEVICES)}
-_OP_COLUMNS = ("start", "end", "device", "step", "has_step", "name", "layer")
 
 
 @dataclass(frozen=True, eq=False)
-class OpTable(Sequence[OpEvent]):
-    """Ops as read-only columns, one row per op; ``self[i]`` is row i as an OpEvent.
+class OpTable(_Table):
+    """Ops as columns; a ``Sequence[OpEvent]`` whose ``self[i]`` is row i.
 
     ``names`` and ``layers`` hold each distinct value once and ``name`` and
     ``layer`` index them, so equal codes mean equal values. ``step`` is 0
@@ -72,10 +122,7 @@ class OpTable(Sequence[OpEvent]):
     layer: np.ndarray  # int32 index into layers
     names: tuple[str, ...]
     layers: tuple[str | None, ...]
-
-    def __post_init__(self) -> None:
-        for col in _OP_COLUMNS:
-            getattr(self, col).flags.writeable = False
+    _columns = ("start", "end", "device", "step", "has_step", "name", "layer")
 
     @classmethod
     def from_events(cls, events: Iterable[OpEvent]) -> OpTable:
@@ -88,7 +135,7 @@ class OpTable(Sequence[OpEvent]):
              layers.setdefault(op.layer, len(layers)))
             for op in events
         ]
-        values = np.array(rows, dtype=object).reshape(-1, len(_OP_COLUMNS))
+        values = np.array(rows, dtype=object).reshape(-1, len(cls._columns))
         columns = values.astype(np.int64)
         if not (columns == values).all():  # astype truncates 0.5 and parses "3"
             raise TypeError("op start, end and step_id must be integers")
@@ -96,26 +143,6 @@ class OpTable(Sequence[OpEvent]):
         return cls(start.copy(), end.copy(), device.astype(np.int8), step.copy(),
                    has_step.astype(bool), name.astype(np.int32), layer.astype(np.int32),
                    tuple(names), tuple(layers))
-
-    def take(self, rows) -> OpTable:
-        """The table of the given rows, in that order."""
-        return replace(self, **{col: getattr(self, col)[rows] for col in _OP_COLUMNS})
-
-    def __len__(self) -> int:
-        return len(self.start)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(range(len(self))[i])
-        i = range(len(self))[i]  # any integer type; negative and out-of-range as a tuple
-        return OpEvent(
-            op_name=self.names[self.name[i]],
-            device=DEVICES[self.device[i]],
-            start=int(self.start[i]),
-            end=int(self.end[i]),
-            layer=self.layers[self.layer[i]],
-            step_id=int(self.step[i]) if self.has_step[i] else None,
-        )
 
     def __iter__(self) -> Iterator[OpEvent]:
         names, layers = self.names, self.layers
@@ -126,24 +153,45 @@ class OpTable(Sequence[OpEvent]):
             yield OpEvent(names[name], DEVICES[device], start, end, layers[layer],
                           step if has_step else None)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpTable):
-            return NotImplemented
-        return list(self) == list(other)
 
+@dataclass(frozen=True, eq=False)
+class SampleTable(_Table):
+    """Samples as columns; a ``Sequence[TelemetrySample]`` whose ``self[i]`` is row i.
 
-@dataclass(frozen=True)
-class TelemetrySample:
-    """One periodic snapshot of utilization, power rails and memory footprint."""
+    ``values`` has one row per sample: the core utilizations, then the GPU
+    utilization, then the cpu, gpu, mem and sys power rails.
+    """
 
-    t: Micros
-    cpu_core_util: tuple[float, ...]
-    gpu_util: float
-    power_cpu_mw: float
-    power_gpu_mw: float
-    power_mem_mw: float
-    power_sys_mw: float
-    mem_used_bytes: int
+    t: np.ndarray  # int64 us
+    values: np.ndarray  # float64, one row of core_count + 5 values per sample
+    mem: np.ndarray  # int64 bytes
+    _columns = ("t", "values", "mem")
+
+    @property
+    def core_count(self) -> int:
+        return self.values.shape[1] - 5
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[TelemetrySample]) -> SampleTable:
+        """The table of the samples, in order; TypeError on a non-integer t or memory.
+
+        Every sample must have as many cores as the first (ValueError otherwise).
+        """
+        samples = list(samples)
+        ints = np.array([(s.t, s.mem_used_bytes) for s in samples], dtype=object).reshape(-1, 2)
+        t_mem = ints.astype(np.int64)
+        if not (t_mem == ints).all():  # astype truncates 0.5 and parses "3"
+            raise TypeError("sample t and mem_used_bytes must be integers")
+        rows = [(*s.cpu_core_util, s.gpu_util, s.power_cpu_mw, s.power_gpu_mw, s.power_mem_mw,
+                 s.power_sys_mw) for s in samples]
+        width = len(rows[0]) if rows else 5
+        return cls(t_mem[:, 0].copy(), np.array(rows, np.float64).reshape(-1, width),
+                   t_mem[:, 1].copy())
+
+    def __iter__(self) -> Iterator[TelemetrySample]:
+        c = self.core_count
+        for t, row, mem in zip(self.t.tolist(), self.values.tolist(), self.mem.tolist()):
+            yield TelemetrySample(t, tuple(row[:c]), *row[c:], mem)
 
 
 @dataclass(frozen=True)
@@ -207,17 +255,17 @@ class Run:
 
     meta: RunMeta
     ops: OpTable
-    samples: tuple[TelemetrySample, ...]
+    samples: SampleTable
     memory_breakdown: MemoryBreakdown | None = None
     warnings: tuple[Issue, ...] = ()
 
     @property
     def start_us(self) -> int:
-        return min(int(self.ops.start[0]), self.samples[0].t)
+        return min(int(self.ops.start[0]), int(self.samples.t[0]))
 
     @property
     def end_us(self) -> int:
-        last_sample_end = self.samples[-1].t + self.meta.sample_interval_us
+        last_sample_end = int(self.samples.t[-1]) + self.meta.sample_interval_us
         return max(int(self.ops.end.max()), last_sample_end)
 
     @property
@@ -243,17 +291,9 @@ def _op_order(ops: OpTable) -> np.ndarray:
     return np.lexsort((layer_rank, step, ops.device, name_rank, ops.end, ops.start))
 
 
-def _sample_sort_key(s: TelemetrySample):
-    return (
-        s.t,
-        s.cpu_core_util,
-        s.gpu_util,
-        s.power_cpu_mw,
-        s.power_gpu_mw,
-        s.power_mem_mw,
-        s.power_sys_mw,
-        s.mem_used_bytes,
-    )
+def _sample_order(samples: SampleTable) -> np.ndarray:
+    """Stable row order by t, then each value column in turn, then memory."""
+    return np.lexsort((samples.mem, *samples.values.T[::-1], samples.t))
 
 
 def _check_meta(meta: RunMeta, issues: list[Issue]) -> None:
@@ -297,14 +337,15 @@ def _check_ops(ops: OpTable, issues: list[Issue]) -> None:
     """_check_op on every row that breaks an invariant; the masks only find the rows."""
     empty_name = np.array([not name for name in ops.names], dtype=bool)[ops.name]
     bad = empty_name | (ops.start < 0) | (ops.end <= ops.start) | (ops.has_step & (ops.step < 0))
-    for i in np.flatnonzero(bad).tolist():
-        _check_op(i, ops[i], issues)
+    rows = np.flatnonzero(bad)
+    for i, op in zip(rows.tolist(), ops.take(rows)):
+        _check_op(i, op, issues)
 
 
 def _duplicate_op_warnings(ops: OpTable) -> list[Issue]:
     """One warning per op equal in every field to the op before it."""
     same = np.ones(max(len(ops) - 1, 0), dtype=bool)
-    for col in _OP_COLUMNS:
+    for col in ops._columns:
         values = getattr(ops, col)
         same &= values[1:] == values[:-1]
     return [
@@ -328,31 +369,31 @@ def _check_sample(i: int, s: TelemetrySample, core_count: int, issues: list[Issu
                 f"run declares {core_count} cores",
             )
         )
-    for c, u in enumerate(s.cpu_core_util):
+    utils = [*((f"core {c}", u) for c, u in enumerate(s.cpu_core_util)), ("gpu", s.gpu_util)]
+    for unit, u in utils:
         if not 0.0 <= u <= 1.0:
             issues.append(
-                Issue("InvariantViolation", f"sample #{i} core {c} utilization {u} outside [0, 1]")
+                Issue("InvariantViolation", f"sample #{i} {unit} utilization {u} outside [0, 1]")
             )
-    if not 0.0 <= s.gpu_util <= 1.0:
-        issues.append(
-            Issue("InvariantViolation", f"sample #{i} gpu utilization {s.gpu_util} outside [0, 1]")
-        )
-    for rail, p in (
-        ("cpu", s.power_cpu_mw),
-        ("gpu", s.power_gpu_mw),
-        ("mem", s.power_mem_mw),
-        ("sys", s.power_sys_mw),
-    ):
-        if not isfinite(p):
-            issues.append(
-                Issue("InvariantViolation", f"sample #{i} non-finite {rail} power {p} mW")
-            )
-        elif p < 0:
-            issues.append(
-                Issue("InvariantViolation", f"sample #{i} negative {rail} power {p} mW")
-            )
+    powers = (s.power_cpu_mw, s.power_gpu_mw, s.power_mem_mw, s.power_sys_mw)
+    for rail, p in zip(RAILS, powers):
+        if not isfinite(p) or p < 0:
+            kind = "negative" if isfinite(p) else "non-finite"
+            issues.append(Issue("InvariantViolation", f"sample #{i} {kind} {rail} power {p} mW"))
     if s.mem_used_bytes < 0:
         issues.append(Issue("InvariantViolation", f"sample #{i} negative mem_used_bytes"))
+
+
+def _check_samples(samples: SampleTable, core_count: int, issues: list[Issue]) -> None:
+    """_check_sample on every row that breaks an invariant; the masks only find the rows."""
+    c = samples.core_count
+    utils, powers = samples.values[:, :c + 1], samples.values[:, c + 1:]
+    in_range = ((utils >= 0.0) & (utils <= 1.0)).all(axis=1)
+    powered = (np.isfinite(powers) & (powers >= 0.0)).all(axis=1)
+    bad = (samples.t < 0) | ~in_range | ~powered | (samples.mem < 0) | (c != core_count)
+    rows = np.flatnonzero(bad)
+    for i, s in zip(rows.tolist(), samples.take(rows)):
+        _check_sample(i, s, core_count, issues)
 
 
 def validate_run(
@@ -368,35 +409,41 @@ def validate_run(
     error-severity issue exists. Non-fatal findings (duplicate timestamps,
     breakdown/peak mismatch) become warnings attached to the returned Run.
     Validating the pieces of an already-validated Run returns an equal Run.
-    Ops given as OpEvents are converted to an OpTable first.
+    Ops and samples given as objects are converted to tables first; a sample
+    with the wrong number of cores has no row, so it is reported by its
+    position in the input.
     """
     issues: list[Issue] = []
     _check_meta(meta, issues)
-
-    sorted_samples = tuple(sorted(samples, key=_sample_sort_key))
     if not isinstance(ops, OpTable):
         ops = OpTable.from_events(ops)
-    sorted_ops = ops.take(_op_order(ops))
-
-    if not sorted_samples or not sorted_ops:
+    if not isinstance(samples, SampleTable):
+        samples = list(samples)
+    if not samples or not ops:
         issues.append(Issue("EmptyTrace", "run needs at least one op and one sample"))
 
-    _check_ops(sorted_ops, issues)
-    for i, s in enumerate(sorted_samples):
-        _check_sample(i, s, meta.core_count, issues)
+    ops = ops.take(_op_order(ops))
+    _check_ops(ops, issues)
 
-    warnings: list[Issue] = []
-    for a, b in zip(sorted_samples, sorted_samples[1:]):
-        if a.t == b.t:
-            warnings.append(
-                Issue("ClockSkew", f"duplicate sample timestamp {a.t} us", severity="warning")
-            )
-    warnings.extend(_duplicate_op_warnings(sorted_ops))
+    if isinstance(samples, list):
+        fits = [len(s.cpu_core_util) == meta.core_count for s in samples]
+        for i in np.flatnonzero(np.logical_not(fits)).tolist():
+            _check_sample(i, samples[i], meta.core_count, issues)
+        samples = SampleTable.from_samples(s for s, ok in zip(samples, fits) if ok)
+    samples = samples.take(_sample_order(samples))
+    _check_samples(samples, meta.core_count, issues)
 
-    if memory_breakdown is not None and sorted_samples:
+    t = samples.t
+    warnings = [
+        Issue("ClockSkew", f"duplicate sample timestamp {dup} us", severity="warning")
+        for dup in t[1:][t[1:] == t[:-1]].tolist()
+    ]
+    warnings.extend(_duplicate_op_warnings(ops))
+
+    if memory_breakdown is not None and samples:
         total = memory_breakdown.total_bytes()
         if total is not None:
-            peak = max(s.mem_used_bytes for s in sorted_samples)
+            peak = int(samples.mem.max())
             if total > peak:
                 warnings.append(
                     Issue(
@@ -411,8 +458,8 @@ def validate_run(
 
     return Run(
         meta=meta,
-        ops=sorted_ops,
-        samples=sorted_samples,
+        ops=ops,
+        samples=samples,
         memory_breakdown=memory_breakdown,
         warnings=tuple(warnings),
     )

@@ -42,14 +42,13 @@ class PredictabilityScore:
 
 def signal_values(run: Run, signal: str) -> np.ndarray:
     """Per-sample values of one of the supported telemetry signals."""
+    values, c = run.samples.values, run.samples.core_count
     if signal == "gpu_util":
-        return np.array([s.gpu_util for s in run.samples], dtype=float)
+        return values[:, c]
     if signal == "cpu_avg_util":
-        return np.array(
-            [fsum(s.cpu_core_util) / len(s.cpu_core_util) for s in run.samples], dtype=float
-        )
+        return np.array([fsum(cores) / c for cores in values[:, :c].tolist()])
     if signal == "power_sys":
-        return np.array([s.power_sys_mw for s in run.samples], dtype=float)
+        return values[:, c + 4]  # the last rail
     raise ValueError(f"unknown signal {signal!r}, expected one of {SIGNALS}")
 
 
@@ -144,7 +143,7 @@ def detect_period(run: Run, signal: str = "gpu_util") -> PeriodEstimate:
     sample interval so that jittered samplers do not distort lag lengths.
     """
     interval = run.meta.sample_interval_us
-    ts = np.array([s.t for s in run.samples], dtype=float)
+    ts = run.samples.t.astype(float)
     if ts.size < _MIN_SAMPLES:
         raise SignalTooShort(f"need at least {_MIN_SAMPLES} samples, got {ts.size}")
     vals = signal_values(run, signal)
@@ -223,9 +222,8 @@ def predictability(
         raise NoCompleteSteps(
             f"predictability needs >= 2 non-warmup steps, got {len(windows)}"
         )
-    ts = np.array([s.t for s in run.samples])
     vals = signal_values(run, signal)
-    bounds = np.searchsorted(ts, [(w.start_us, w.end_us) for w in windows]).tolist()
+    bounds = np.searchsorted(run.samples.t, [(w.start_us, w.end_us) for w in windows]).tolist()
     segments = [vals[a:b] for a, b in bounds]
     target = min(len(seg) for seg in segments)
     if target < 2:

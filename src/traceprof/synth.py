@@ -31,7 +31,7 @@ from .ingest import (
     write_op_trace,
     write_telemetry,
 )
-from .model import Device, MemoryBreakdown, OpEvent, RunMeta, TelemetrySample
+from .model import RAILS, Device, MemoryBreakdown, OpEvent, RunMeta, SampleTable
 
 _UTIL_GRID = 1024.0
 
@@ -89,12 +89,7 @@ class GroundTruth:
     period_us: int
 
 
-_RAIL_FIELDS = {
-    "cpu": "power_cpu_mw",
-    "gpu": "power_gpu_mw",
-    "mem": "power_mem_mw",
-    "sys": "power_sys_mw",
-}
+_RAIL_FIELDS = {rail: f"power_{rail}_mw" for rail in RAILS}
 
 
 def _phase_sample_counts(spec: SynthSpec) -> list[int]:
@@ -194,9 +189,7 @@ def _ground_truth(spec: SynthSpec, phases: tuple[PhaseSpec, ...], counts: list[i
     )
 
 
-def generate(
-    spec: SynthSpec,
-) -> tuple[RunMeta, list[OpEvent], list[TelemetrySample], GroundTruth]:
+def generate(spec: SynthSpec) -> tuple[RunMeta, list[OpEvent], SampleTable, GroundTruth]:
     """Produce (meta, ops, samples, ground truth) for a spec.
 
     Deterministic for a given seed. Ops are emitted one per phase per step
@@ -220,7 +213,7 @@ def generate(
     )
 
     ops: list[OpEvent] = []
-    samples: list[TelemetrySample] = []
+    t_col, rows, mem_col = [], [], []
     for step in range(spec.steps):
         step_start = step * spec.step_duration_us
         offset = 0
@@ -239,34 +232,20 @@ def generate(
             mem = phase.mem_bytes
             if step < spec.warmup_steps:
                 mem += spec.warmup_mem_extra_bytes
+            powers = [getattr(phase, field) for field in _RAIL_FIELDS.values()]
             for j in range(count):
-                t = phase_start + j * dt
+                t_col.append(phase_start + j * dt)
                 if amp > 0.0:
-                    cores = tuple(
-                        quantize_util(u + rng.uniform(-amp, amp)) for u in phase.cpu_core_util
-                    )
+                    cores = [quantize_util(u + rng.uniform(-amp, amp)) for u in phase.cpu_core_util]
                     gpu = quantize_util(phase.gpu_util + rng.uniform(-amp, amp))
-                    powers = {
-                        rail: max(0.0, getattr(phase, field) * (1.0 + rng.uniform(-amp, amp)))
-                        for rail, field in _RAIL_FIELDS.items()
-                    }
+                    rows.append([*cores, gpu,
+                                 *(max(0.0, p * (1.0 + rng.uniform(-amp, amp))) for p in powers)])
                 else:
-                    cores = phase.cpu_core_util
-                    gpu = phase.gpu_util
-                    powers = {rail: getattr(phase, field) for rail, field in _RAIL_FIELDS.items()}
-                samples.append(
-                    TelemetrySample(
-                        t=t,
-                        cpu_core_util=cores,
-                        gpu_util=gpu,
-                        power_cpu_mw=powers["cpu"],
-                        power_gpu_mw=powers["gpu"],
-                        power_mem_mw=powers["mem"],
-                        power_sys_mw=powers["sys"],
-                        mem_used_bytes=mem,
-                    )
-                )
+                    rows.append([*phase.cpu_core_util, phase.gpu_util, *powers])
+                mem_col.append(mem)
             offset += count
+    samples = SampleTable(np.array(t_col, np.int64), np.array(rows, np.float64),
+                          np.array(mem_col, np.int64))
     return meta, ops, samples, truth
 
 

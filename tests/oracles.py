@@ -6,6 +6,7 @@ implementations under test.
 """
 
 import json
+from math import isfinite
 
 import numpy as np
 
@@ -146,8 +147,8 @@ def parse_op_trace_oracle(data: bytes):
         if not isinstance(record, dict):
             issues.append(Issue("MalformedLine", "record is not a JSON object", line_no=line_no))
             continue
-        for key in record.keys() - _OP_KEYS:
-            if key not in warned_keys:
+        for key in record:
+            if key not in _OP_KEYS and key not in warned_keys:
                 warned_keys.add(key)
                 issues.append(
                     Issue("UnknownKey", f"ignoring unknown key {key!r}", "warning", line_no)
@@ -227,5 +228,58 @@ def validate_ops_oracle(ops):
         Issue("ClockSkew", f"duplicate op record '{a.op_name}' at {a.start} us", severity="warning")
         for a, b in zip(ordered, ordered[1:])
         if a == b
+    ]
+    return ordered, errors, warnings
+
+
+def _sample_sort_key(s):
+    return (
+        s.t,
+        s.cpu_core_util,
+        s.gpu_util,
+        s.power_cpu_mw,
+        s.power_gpu_mw,
+        s.power_mem_mw,
+        s.power_sys_mw,
+        s.mem_used_bytes,
+    )
+
+
+def sort_samples_oracle(samples):
+    """Samples in validated order by a stable sort on the tuple key."""
+    return sorted(samples, key=_sample_sort_key)
+
+
+def validate_samples_oracle(samples, core_count):
+    """(sorted samples, sample errors, duplicate-timestamp warnings), by loops."""
+    ordered = sort_samples_oracle(samples)
+    errors = []
+    for i, s in enumerate(ordered):
+        if s.t < 0:
+            errors.append(Issue("InvariantViolation", f"sample #{i} has negative timestamp {s.t}"))
+        if len(s.cpu_core_util) != core_count:
+            errors.append(Issue("CoreCountMismatch",
+                                f"sample #{i} has {len(s.cpu_core_util)} core utilizations, "
+                                f"run declares {core_count} cores"))
+        for c, u in enumerate(s.cpu_core_util):
+            if not 0.0 <= u <= 1.0:
+                errors.append(Issue("InvariantViolation",
+                                    f"sample #{i} core {c} utilization {u} outside [0, 1]"))
+        if not 0.0 <= s.gpu_util <= 1.0:
+            errors.append(Issue("InvariantViolation",
+                                f"sample #{i} gpu utilization {s.gpu_util} outside [0, 1]"))
+        for rail in ("cpu", "gpu", "mem", "sys"):
+            p = getattr(s, f"power_{rail}_mw")
+            if not isfinite(p):
+                errors.append(Issue("InvariantViolation",
+                                    f"sample #{i} non-finite {rail} power {p} mW"))
+            elif p < 0:
+                errors.append(Issue("InvariantViolation", f"sample #{i} negative {rail} power {p} mW"))
+        if s.mem_used_bytes < 0:
+            errors.append(Issue("InvariantViolation", f"sample #{i} negative mem_used_bytes"))
+    warnings = [
+        Issue("ClockSkew", f"duplicate sample timestamp {a.t} us", severity="warning")
+        for a, b in zip(ordered, ordered[1:])
+        if a.t == b.t
     ]
     return ordered, errors, warnings

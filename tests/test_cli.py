@@ -1,9 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traceprof.cli import main
 from traceprof.ingest import (
@@ -347,11 +353,12 @@ def _edit_first_op(manifest, **fields):
     ops.write_text(json.dumps({**json.loads(first), **fields}) + "\n" + rest)
 
 
-def _edit_first_sample_time(manifest, value):
+def _edit_first_sample(manifest, column, value):
     telemetry = manifest.parent / "telemetry.csv"
     header, first, rest = telemetry.read_text().split("\n", 2)
     cells = first.split(",")
-    telemetry.write_text("\n".join([header, ",".join([value, *cells[1:]]), rest]))
+    cells[header.split(",").index(column)] = value
+    telemetry.write_text("\n".join([header, ",".join(cells), rest]))
 
 
 @pytest.mark.parametrize("edit, diagnostic", [
@@ -363,9 +370,12 @@ def _edit_first_sample_time(manifest, value):
      b"error[MalformedLine] line 1: start_us and end_us must fit in int64"),
     (lambda m: _edit_first_op(m, step=2**63),
      b"error[MalformedLine] line 1: step must fit in int64"),
-    (lambda m: _edit_first_sample_time(m, str(2**70)),
+    (lambda m: _edit_first_sample(m, "t_us", str(2**70)),
      b"error[MalformedLine] line 2: t_us must fit in int64"),
-], ids=["end_2pow70", "end_2e300", "start_below_int64", "step_2pow63", "t_us_2pow70"])
+    (lambda m: _edit_first_sample(m, "mem_bytes", str(2**63)),
+     b"error[MalformedLine] line 2: mem_bytes must fit in int64"),
+], ids=["end_2pow70", "end_2e300", "start_below_int64", "step_2pow63", "t_us_2pow70",
+        "mem_bytes_2pow63"])
 def test_out_of_range_integers_are_diagnostics(tmp_path, edit, diagnostic):
     manifest = write_run(random_spec(1), tmp_path / "run")
     edit(manifest)
@@ -387,3 +397,77 @@ def test_sweep_zero_energy_is_a_diagnostic(tmp_path):
     assert result.stderr == (
         b"error: run b4 has zero mean per-step sys energy; energy scaling is undefined\n"
     )
+
+
+@cache
+def _fuzz_base(strip_step_ids):
+    """(manifest, op lines, telemetry lines) of a small noisy synth run."""
+    spec = replace(random_spec(2, noise_amplitude=0.05), strip_step_ids=strip_step_ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_run(spec, tmp)
+        ops = (manifest.parent / "ops.jsonl").read_text().splitlines()
+        telemetry = (manifest.parent / "telemetry.csv").read_text().splitlines()
+        return manifest.read_bytes(), tuple(ops), tuple(telemetry)
+
+
+_CELLS = ["", "x", "nan", "-inf", "-1", "-0", "0.5", "101", "1e308", "1e-320", " 7 ",
+          str(2**63), str(-2**63 - 1), str(2**70)]
+_OP_VALUES = [None, "", "x", "TPU", -1, 0, 1.5, True, 2**63, -2**63 - 1, 1e300, [], {}]
+_LINES = ["", "garbage", "{}", "[1]", '{"op": "a"}', ",", "0,1", "\ufeff{}"]
+
+
+@st.composite
+def mutated_runs(draw):
+    """(manifest, op lines, telemetry lines) with a few cells, fields or lines changed."""
+    manifest, ops, telemetry = _fuzz_base(draw(st.booleans()))
+    ops, telemetry = list(ops), list(telemetry)
+    for _ in range(draw(st.integers(1, 4))):
+        lines = draw(st.sampled_from([ops, telemetry]))
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["edit", "drop", "repeat", "insert"]))
+        if action == "drop":
+            del lines[i]
+        elif action == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif action == "insert":
+            lines.insert(i, draw(st.sampled_from(_LINES)))
+        elif lines is telemetry:
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELLS))
+            lines[i] = ",".join(cells)
+        else:
+            try:
+                record = json.loads(lines[i])
+            except json.JSONDecodeError:
+                continue
+            if not isinstance(record, dict):
+                continue
+            key = draw(st.sampled_from(["op", "device", "start_us", "end_us", "step", "layer",
+                                        "pid"]))
+            record[key] = draw(st.sampled_from(_OP_VALUES))
+            lines[i] = json.dumps(record)
+    return manifest, ops, telemetry
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=60)
+@given(mutated_runs(), st.sampled_from(["gpu_util", "cpu_avg_util", "power_sys"]))
+def test_mutated_inputs_end_in_a_report_or_a_diagnostic(run, signal):
+    manifest, ops, telemetry = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "run.json")
+        path.write_bytes(manifest)
+        Path(tmp, "ops.jsonl").write_text("\n".join(ops) + "\n")
+        Path(tmp, "telemetry.csv").write_text("\n".join(telemetry) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["analyze", str(path), "--format", "json", "--signal", signal])
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error", "warning"))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -59,6 +62,20 @@ def test_parse_op_trace_unknown_key_warns_once():
     assert len(warnings) == 1 and warnings[0].severity == "warning"
 
 
+def test_parse_op_trace_unknown_keys_warn_in_line_order():
+    # String hashes, and so set order, change from process to process.
+    line = b'{"op":"a","pid":1,"device":"GPU","tid":2,"start_us":0,"cat":"x","end_us":1,"ts":3}'
+    code = ("import sys; from traceprof.ingest import parse_op_trace; "
+            "print([i.message for i in parse_op_trace(sys.stdin.buffer.read())[1]])")
+    outputs = [
+        subprocess.run([sys.executable, "-c", code], input=line, capture_output=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    ]
+    expected = [f"ignoring unknown key {key!r}" for key in ("pid", "tid", "cat", "ts")]
+    assert outputs == [f"{expected}\n".encode()] * 2
+
+
 def _telemetry_file(rows, core_count=6):
     header = "t_us," + ",".join(f"c{i}" for i in range(core_count)) + \
         ",gpu,p_cpu_mw,p_gpu_mw,p_mem_mw,p_sys_mw,mem_bytes"
@@ -79,7 +96,7 @@ def test_parse_telemetry_percent_to_fraction():
 def test_parse_telemetry_out_of_range():
     row = "0,50,0,0,0,0,0,101,500,4000,2000,7000,1000000"
     samples, issues = parse_telemetry(_telemetry_file([row]), core_count=6)
-    assert samples == []
+    assert list(samples) == []
     assert any(i.code == "UtilizationOutOfRange" for i in issues)
 
 

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample, util_fractions
-from oracles import validate_ops_oracle
+from oracles import validate_ops_oracle, validate_samples_oracle
 from traceprof.errors import TraceValidationError
 from traceprof.ingest import (
     parse_op_trace,
@@ -10,7 +12,16 @@ from traceprof.ingest import (
     write_op_trace,
     write_telemetry,
 )
-from traceprof.model import Device, Issue, OpEvent, OpTable, RunMeta, validate_run
+from traceprof.model import (
+    Device,
+    Issue,
+    OpEvent,
+    OpTable,
+    RunMeta,
+    SampleTable,
+    TelemetrySample,
+    validate_run,
+)
 
 
 def test_well_formed_run_is_sorted():
@@ -32,6 +43,20 @@ def test_core_count_mismatch_reported():
     with pytest.raises(TraceValidationError) as exc:
         validate_run(meta, ops, samples)
     assert any(i.code == "CoreCountMismatch" for i in exc.value.issues)
+
+
+def test_core_count_mismatch_is_collected_with_other_issues():
+    # A sample with another core count has no table row: it is reported by
+    # its input position, next to every other issue.
+    meta = RunMeta("r", batch_size=1, core_count=2)
+    samples = [mk_sample(10, cores=(0.0,)), mk_sample(0, cores=(0.0, 1.5))]
+    with pytest.raises(TraceValidationError) as exc:
+        validate_run(meta, [OpEvent("a", Device.GPU, 5, 5)], samples)
+    assert exc.value.issues == (
+        Issue("InvariantViolation", "op #0 'a' has end 5 <= start 5"),
+        Issue("CoreCountMismatch", "sample #0 has 1 core utilizations, run declares 2 cores"),
+        Issue("InvariantViolation", "sample #0 core 1 utilization 1.5 outside [0, 1]"),
+    )
 
 
 def test_op_end_before_start_names_the_op():
@@ -69,6 +94,15 @@ def test_non_integer_op_fields_are_rejected(field):
     op = OpEvent(**{"op_name": "a", "device": Device.GPU, "start": 0, "end": 100, **field})
     with pytest.raises(TypeError, match="must be integers"):
         mk_run([mk_sample(0)], [op])
+
+
+@pytest.mark.parametrize("field", [
+    {"t": 0.5}, {"t": "3"}, {"mem_used_bytes": 1.5}, {"mem_used_bytes": "7"},
+], ids=["t_half", "t_str", "mem_float", "mem_str"])
+def test_non_integer_sample_fields_are_rejected(field):
+    sample = replace(mk_sample(0), **field)
+    with pytest.raises(TypeError, match="sample t and mem_used_bytes must be integers"):
+        mk_run([sample], [OpEvent("a", Device.GPU, 0, 100)])
 
 
 def test_empty_trace_reported():
@@ -199,3 +233,64 @@ def test_op_table_from_events_round_trip(ops):
     assert list(table) == ops
     assert [table[i] for i in range(-len(ops), len(ops))] == ops + ops
     assert OpTable.from_events(list(table)) == table
+
+
+def _samples(core_count, invalid):
+    util = st.sampled_from([0.0, -0.0, 0.5, 1.0] * 3 + [1.5, -0.25] * invalid)
+    power = st.sampled_from([0.0, 1.0, 2.0] * 3 + [-1.0, float("inf"), -float("inf")] * invalid)
+    return st.builds(
+        lambda t, cores, gpu, powers, mem: TelemetrySample(t, cores, gpu, *powers, mem),
+        st.sampled_from([0, 1, 2] * 2 + [-1] * invalid),
+        st.tuples(*[util] * core_count),
+        util,
+        st.tuples(power, power, power, power),
+        st.sampled_from([0, 5] * 2 + [-1] * invalid),
+    )
+
+
+_SAMPLES = {(c, invalid): _samples(c, invalid) for c in (1, 2) for invalid in (False, True)}
+
+
+@st.composite
+def sample_lists(draw):
+    """(core count, samples) with tied timestamps and tied leading values.
+
+    Values come from a few choices, -0.0 and 0.0 among them, and some samples
+    are repeated exactly. Half of the lists may also hold invalid samples
+    (negative t or memory, utilization outside [0, 1], negative or infinite
+    power); invalid values are rare enough that many samples break only one
+    invariant.
+    """
+    core_count = draw(st.integers(1, 2))
+    samples = draw(st.lists(_SAMPLES[core_count, draw(st.booleans())], min_size=1, max_size=20))
+    duplicates = draw(st.lists(st.sampled_from(samples), max_size=5))
+    return core_count, draw(st.permutations(samples + duplicates))
+
+
+@given(sample_lists())
+def test_validate_run_samples_match_oracle(case):
+    core_count, samples = case
+    meta = RunMeta("r", batch_size=1, core_count=core_count)
+    ordered, errors, warnings = validate_samples_oracle(samples, core_count)
+    try:
+        run = validate_run(meta, [OpEvent("a", Device.GPU, 0, 100)], samples)
+    except TraceValidationError as exc:
+        assert list(exc.issues) == errors + warnings
+        assert errors
+    else:
+        assert errors == []
+        # repr tells -0.0 from 0.0, so ties must keep their input order.
+        assert list(map(repr, run.samples)) == list(map(repr, ordered))
+        assert list(run.warnings) == warnings
+
+
+@given(sample_lists())
+def test_sample_table_from_samples_round_trip(case):
+    _, samples = case
+    table = SampleTable.from_samples(samples)
+    assert list(map(repr, table)) == list(map(repr, samples))
+    assert [table[i] for i in range(-len(samples), len(samples))] == samples + samples
+    assert list(table[1:-1]) == samples[1:-1] and list(table[::-2]) == samples[::-2]
+    with pytest.raises(IndexError):
+        table[len(samples)]
+    assert SampleTable.from_samples(list(table)) == table
