@@ -7,6 +7,13 @@ profile. Noise is uniform, clamped to valid ranges and applied after the
 profile, so metrics stay unbiased estimators of the ground truth as long as
 clamping never engages.
 
+A run is built as the columns the parser fills, with no loop per op or per
+sample. Op ``k`` is phase ``k % P`` of step ``k // P`` and covers the next
+``count`` grid samples, so a cumulative sum of the counts gives every op's
+start and end; sample ``i`` is at ``i * sample_interval_us``. Noise is one
+``uniform(-a, a)`` draw shaped like the ``(samples, cores + 5)`` values, which
+in row order is the stream of one draw per cell.
+
 Utilization values are quantized to multiples of 1/1024 because the
 telemetry wire format stores percent: dyadic fractions survive the
 fraction -> percent -> fraction round trip bit-exactly.
@@ -14,8 +21,8 @@ fraction -> percent -> fraction round trip bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import fsum
+from dataclasses import dataclass, fields, replace
+from math import fsum, inf, isfinite
 from pathlib import Path
 from typing import Any
 
@@ -31,14 +38,18 @@ from .ingest import (
     write_op_trace,
     write_telemetry,
 )
-from .model import RAILS, Device, MemoryBreakdown, OpEvent, RunMeta, SampleTable
+from .model import DEVICES, RAILS, Device, MemoryBreakdown, OpTable, RunMeta, SampleTable, _check_meta
 
 _UTIL_GRID = 1024.0
 
 
-def quantize_util(value: float) -> float:
-    """Snap a utilization fraction to the 1/1024 grid used on the wire."""
-    return min(1.0, max(0.0, round(value * _UTIL_GRID) / _UTIL_GRID))
+def quantize_util(value: np.ndarray | float) -> np.ndarray | float:
+    """Snap utilization fractions (an array or a scalar) to the 1/1024 grid used on the wire.
+
+    ``np.round`` rounds half to even, as ``round`` does. Adding ``0.0`` turns a
+    ``-0.0`` into ``0.0``, as ``max(0.0, x)`` does, whichever zero ``np.maximum`` keeps.
+    """
+    return np.minimum(np.maximum(np.round(value * _UTIL_GRID) / _UTIL_GRID, 0.0), 1.0) + 0.0
 
 
 @dataclass(frozen=True)
@@ -95,17 +106,21 @@ _RAIL_FIELDS = {rail: f"power_{rail}_mw" for rail in RAILS}
 def _phase_sample_counts(spec: SynthSpec) -> list[int]:
     if spec.steps < 1:
         raise InvalidSpec("steps must be >= 1")
-    if spec.sample_interval_us <= 0 or spec.step_duration_us <= 0:
-        raise InvalidSpec("step duration and sample interval must be positive")
+    if not 0 < spec.steps * spec.step_duration_us < 2**63:
+        raise InvalidSpec("steps * step_duration_us must be in [1, 2**63)")
     if spec.step_duration_us % spec.sample_interval_us != 0:
         raise InvalidSpec("step_duration_us must be a multiple of sample_interval_us")
     if not spec.phases:
         raise InvalidSpec("at least one phase is required")
-    if abs(fsum(p.duration_fraction for p in spec.phases) - 1.0) > 1e-9:
+    fractions = [p.duration_fraction for p in spec.phases]
+    if not all(map(isfinite, fractions)) or not abs(fsum(fractions) - 1.0) <= 1e-9:
         raise InvalidSpec("phase duration fractions must sum to 1")
     if not 0.0 <= spec.noise_amplitude <= 1.0:
         raise InvalidSpec("noise_amplitude must be in [0, 1]")
+    if spec.seed < 0:
+        raise InvalidSpec("seed must be >= 0")
     samples_per_step = spec.step_duration_us // spec.sample_interval_us
+    warmup_extra = spec.warmup_mem_extra_bytes if spec.warmup_steps > 0 else 0
     counts = []
     for i, phase in enumerate(spec.phases):
         if len(phase.cpu_core_util) != spec.core_count:
@@ -115,10 +130,10 @@ def _phase_sample_counts(spec: SynthSpec) -> list[int]:
             if not 0.0 <= u <= 1.0:
                 raise InvalidSpec(f"phase {i} utilization {u} outside [0, 1]")
         for rail, field in _RAIL_FIELDS.items():
-            if getattr(phase, field) < 0:
-                raise InvalidSpec(f"phase {i} has negative {rail} power")
-        if phase.mem_bytes < 0:
-            raise InvalidSpec(f"phase {i} has negative mem_bytes")
+            if not 0 <= getattr(phase, field) * (1.0 + spec.noise_amplitude) < inf:
+                raise InvalidSpec(f"phase {i} {rail} power must be finite and >= 0, noise included")
+        if not all(0 <= mem < 2**63 for mem in (phase.mem_bytes, phase.mem_bytes + warmup_extra)):
+            raise InvalidSpec(f"phase {i} memory must be in [0, 2**63) bytes, warmup steps included")
         exact = phase.duration_fraction * samples_per_step
         count = round(exact)
         if count < 1 or abs(exact - count) > 1e-6:
@@ -136,8 +151,8 @@ def _quantized_phases(spec: SynthSpec) -> tuple[PhaseSpec, ...]:
     return tuple(
         replace(
             p,
-            cpu_core_util=tuple(quantize_util(u) for u in p.cpu_core_util),
-            gpu_util=quantize_util(p.gpu_util),
+            cpu_core_util=tuple(quantize_util(np.array(p.cpu_core_util)).tolist()),
+            gpu_util=float(quantize_util(p.gpu_util)),
         )
         for p in spec.phases
     )
@@ -189,64 +204,49 @@ def _ground_truth(spec: SynthSpec, phases: tuple[PhaseSpec, ...], counts: list[i
     )
 
 
-def generate(spec: SynthSpec) -> tuple[RunMeta, list[OpEvent], SampleTable, GroundTruth]:
-    """Produce (meta, ops, samples, ground truth) for a spec.
+def generate(spec: SynthSpec) -> tuple[RunMeta, OpTable, SampleTable, GroundTruth]:
+    """Produce (meta, ops, samples, ground truth) for a spec, or raise InvalidSpec.
 
     Deterministic for a given seed. Ops are emitted one per phase per step
     with explicit step ids unless ``strip_step_ids`` is set (which exercises
     period inference downstream).
     """
+    meta = RunMeta(**{f.name: getattr(spec, f.name) for f in fields(RunMeta)})
+    issues = []
+    _check_meta(meta, issues)
+    if issues:
+        raise InvalidSpec("; ".join(issue.message for issue in issues))
     counts = _phase_sample_counts(spec)
     phases = _quantized_phases(spec)
     truth = _ground_truth(spec, phases, counts)
 
-    rng = np.random.default_rng(spec.seed)
-    amp = spec.noise_amplitude
-    dt = spec.sample_interval_us
-    meta = RunMeta(
-        run_id=spec.run_id,
-        batch_size=spec.batch_size,
-        core_count=spec.core_count,
-        device_mem_capacity_bytes=spec.device_mem_capacity_bytes,
-        sample_interval_us=dt,
-        warmup_steps=spec.warmup_steps,
-    )
+    op_phase = np.tile(np.arange(len(phases)), spec.steps)
+    per_op = np.array(counts)[op_phase]
+    bounds = np.cumsum(np.r_[0, per_op]) * spec.sample_interval_us
+    device = np.array([DEVICES.index(p.op_device) for p in phases], np.int8)
+    labels = [p.op_name or f"phase{k}" for k, p in enumerate(phases)]
+    names = tuple(dict.fromkeys(labels))
+    name = np.array([names.index(label) for label in labels], np.int32)
+    has_step = np.full(len(op_phase), not spec.strip_step_ids)
+    step = np.where(has_step, np.repeat(np.arange(spec.steps), len(phases)), 0)
+    ops = OpTable(bounds[:-1], bounds[1:], device[op_phase], step, has_step, name[op_phase],
+                  np.zeros(len(op_phase), np.int32), names, (None,))
 
-    ops: list[OpEvent] = []
-    t_col, rows, mem_col = [], [], []
-    for step in range(spec.steps):
-        step_start = step * spec.step_duration_us
-        offset = 0
-        for k, (phase, count) in enumerate(zip(phases, counts)):
-            phase_start = step_start + offset * dt
-            phase_end = phase_start + count * dt
-            ops.append(
-                OpEvent(
-                    op_name=phase.op_name or f"phase{k}",
-                    device=phase.op_device,
-                    start=phase_start,
-                    end=phase_end,
-                    step_id=None if spec.strip_step_ids else step,
-                )
-            )
-            mem = phase.mem_bytes
-            if step < spec.warmup_steps:
-                mem += spec.warmup_mem_extra_bytes
-            powers = [getattr(phase, field) for field in _RAIL_FIELDS.values()]
-            for j in range(count):
-                t_col.append(phase_start + j * dt)
-                if amp > 0.0:
-                    cores = [quantize_util(u + rng.uniform(-amp, amp)) for u in phase.cpu_core_util]
-                    gpu = quantize_util(phase.gpu_util + rng.uniform(-amp, amp))
-                    rows.append([*cores, gpu,
-                                 *(max(0.0, p * (1.0 + rng.uniform(-amp, amp))) for p in powers)])
-                else:
-                    rows.append([*phase.cpu_core_util, phase.gpu_util, *powers])
-                mem_col.append(mem)
-            offset += count
-    samples = SampleTable(np.array(t_col, np.int64), np.array(rows, np.float64),
-                          np.array(mem_col, np.int64))
-    return meta, ops, samples, truth
+    sample_phase = np.repeat(op_phase, per_op)
+    profile = [[*p.cpu_core_util, p.gpu_util, *(getattr(p, f) for f in _RAIL_FIELDS.values())]
+               for p in phases]
+    values = np.array(profile, np.float64)[sample_phase]
+    amp = spec.noise_amplitude
+    if amp > 0.0:
+        noise = np.random.default_rng(spec.seed).uniform(-amp, amp, values.shape)
+        utils = spec.core_count + 1
+        values[:, :utils] = quantize_util(values[:, :utils] + noise[:, :utils])
+        values[:, utils:] = np.maximum(values[:, utils:] * (1.0 + noise[:, utils:]), 0.0) + 0.0
+    mem = np.array([p.mem_bytes for p in phases], np.int64)[sample_phase]
+    if spec.warmup_steps > 0:
+        mem[: spec.warmup_steps * sum(counts)] += spec.warmup_mem_extra_bytes
+    t = np.arange(len(sample_phase), dtype=np.int64) * spec.sample_interval_us
+    return meta, ops, SampleTable(t, values, mem), truth
 
 
 def write_run(

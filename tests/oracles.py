@@ -6,11 +6,13 @@ implementations under test.
 """
 
 import json
+from dataclasses import replace
 from math import isfinite
 
 import numpy as np
 
-from traceprof.model import Device, Issue, OpEvent
+from traceprof.model import Device, Issue, OpEvent, RunMeta, SampleTable
+from traceprof.synth import _RAIL_FIELDS, _ground_truth, _phase_sample_counts
 
 
 def weighted_mean_oracle(values, weights):
@@ -283,3 +285,72 @@ def validate_samples_oracle(samples, core_count):
         if a.t == b.t
     ]
     return ordered, errors, warnings
+
+
+def _quantize_util_oracle(value):
+    return min(1.0, max(0.0, round(value * 1024.0) / 1024.0))
+
+
+def generate_oracle(spec):
+    """(meta, ops, samples, ground truth) of a valid spec, one op and one sample at a time.
+
+    The loop that ``synth.generate`` replaced, with a scalar quantizer. It
+    reuses the spec checks and the closed forms of ``synth``: those are not
+    what it is compared on.
+    """
+    counts = _phase_sample_counts(spec)
+    phases = tuple(
+        replace(p, cpu_core_util=tuple(_quantize_util_oracle(u) for u in p.cpu_core_util),
+                gpu_util=_quantize_util_oracle(p.gpu_util))
+        for p in spec.phases
+    )
+    truth = _ground_truth(spec, phases, counts)
+
+    rng = np.random.default_rng(spec.seed)
+    amp = spec.noise_amplitude
+    dt = spec.sample_interval_us
+    meta = RunMeta(
+        run_id=spec.run_id,
+        batch_size=spec.batch_size,
+        core_count=spec.core_count,
+        device_mem_capacity_bytes=spec.device_mem_capacity_bytes,
+        sample_interval_us=dt,
+        warmup_steps=spec.warmup_steps,
+    )
+
+    ops: list[OpEvent] = []
+    t_col, rows, mem_col = [], [], []
+    for step in range(spec.steps):
+        step_start = step * spec.step_duration_us
+        offset = 0
+        for k, (phase, count) in enumerate(zip(phases, counts)):
+            phase_start = step_start + offset * dt
+            phase_end = phase_start + count * dt
+            ops.append(
+                OpEvent(
+                    op_name=phase.op_name or f"phase{k}",
+                    device=phase.op_device,
+                    start=phase_start,
+                    end=phase_end,
+                    step_id=None if spec.strip_step_ids else step,
+                )
+            )
+            mem = phase.mem_bytes
+            if step < spec.warmup_steps:
+                mem += spec.warmup_mem_extra_bytes
+            powers = [getattr(phase, field) for field in _RAIL_FIELDS.values()]
+            for j in range(count):
+                t_col.append(phase_start + j * dt)
+                if amp > 0.0:
+                    cores = [_quantize_util_oracle(u + rng.uniform(-amp, amp))
+                             for u in phase.cpu_core_util]
+                    gpu = _quantize_util_oracle(phase.gpu_util + rng.uniform(-amp, amp))
+                    rows.append([*cores, gpu,
+                                 *(max(0.0, p * (1.0 + rng.uniform(-amp, amp))) for p in powers)])
+                else:
+                    rows.append([*phase.cpu_core_util, phase.gpu_util, *powers])
+                mem_col.append(mem)
+            offset += count
+    samples = SampleTable(np.array(t_col, np.int64), np.array(rows, np.float64),
+                          np.array(mem_col, np.int64))
+    return meta, ops, samples, truth

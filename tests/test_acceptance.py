@@ -5,6 +5,7 @@ lines as they complete.
 """
 
 import json
+import math
 import random
 import time
 
@@ -449,3 +450,61 @@ def test_criterion_9_format_stability(tmp_path, capsysbinary):
     assert write_report(result, "json") == first
     print("\nPASS criterion 9: JSON reports are byte-identical across invocations and "
           "round-trip through parse/write unchanged")
+
+
+# -- 10. long noisy run ---------------------------------------------------------------------------
+
+def test_criterion_10_long_noisy_run_matches_ground_truth():
+    """100k samples at 5% noise against GroundTruth, with perfbench's six-sigma noise bounds.
+
+    Every utilization and power stays far enough from its clamp that the noise
+    never engages it, so each metric is an unbiased estimate of the ground truth.
+    """
+    amp, steps, per_step, dt = 0.05, 200, 500, 1_000
+    spec = SynthSpec(
+        steps=steps,
+        step_duration_us=per_step * dt,
+        batch_size=8,
+        core_count=4,
+        sample_interval_us=dt,
+        phases=(
+            PhaseSpec(0.6, (0.5, 0.25, 0.75, 0.375), 0.625, 800.0, 6000.0, 2000.0, 9000.0, 3 * GB),
+            PhaseSpec(0.4, (0.25, 0.5, 0.125, 0.625), 0.25, 400.0, 2000.0, 1500.0, 5000.0, 2 * GB),
+        ),
+        noise_amplitude=amp,
+        seed=10,
+        warmup_steps=3,
+        warmup_mem_extra_bytes=GB,
+    )
+    started = time.perf_counter()
+    meta, ops, samples, truth = generate(spec)
+    report = build_report(validate_run(meta, ops, samples))
+    elapsed = time.perf_counter() - started
+
+    assert len(samples) == steps * per_step
+    assert len(report.steps) == steps
+    assert report.period.method == "explicit"
+    assert report.period.period_us == truth.period_us
+    assert report.peak_mem_bytes == truth.peak_mem_bytes == 4 * GB
+    assert report.throughput_samples_per_sec == truth.throughput_samples_per_sec
+
+    # Uniform noise of amplitude a has standard deviation a / sqrt(3); the mean of
+    # n independent draws has a / sqrt(3 n). Quantization adds at most half a grid step.
+    six_sigma = 6.0 / math.sqrt(3.0) * amp
+    n = (steps - spec.warmup_steps) * per_step
+    util_tol = six_sigma / math.sqrt(n) + 0.5 / 1024
+    for got, want in zip(report.per_core_util, truth.per_core_util, strict=True):
+        assert abs(got - want) <= util_tol
+    assert abs(report.gpu_util - truth.gpu_util) <= util_tol
+    cpu_tol = six_sigma / math.sqrt(n * spec.core_count) + 0.5 / 1024
+    assert abs(report.cpu_avg_util - truth.cpu_avg_util) <= cpu_tol
+    assert report.idle_ratio_per_core == truth.idle_ratio_per_core == (0.0,) * spec.core_count
+    counts = [round(p.duration_fraction * per_step) for p in spec.phases]
+    for rail, want in truth.energy_by_rail_joules.items():
+        powers = [getattr(p, f"power_{rail}_mw") for p in spec.phases]
+        sigma_mw_us = dt * math.sqrt((steps - spec.warmup_steps)
+                                     * sum(c * p**2 for c, p in zip(counts, powers)))
+        tol = six_sigma * sigma_mw_us / 1e9 + 1e-9 * want
+        assert abs(report.energy_by_rail_joules[rail] - want) <= tol
+    print(f"\nPASS criterion 10: a {len(samples)}-sample noisy run matches GroundTruth within "
+          f"six sigma (exact throughput, peak memory, period, steps) in {elapsed:.2f}s")

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import subprocess
@@ -19,7 +20,7 @@ from traceprof.ingest import (
     write_telemetry,
 )
 from traceprof.model import OpEvent
-from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
+from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, spec_to_dict, write_run
 
 GB = 1_000_000_000
 
@@ -238,6 +239,7 @@ def test_unlabeled_run_analysis_via_inference(tmp_path, capsysbinary):
 
 def test_analyze_overlapping_labelled_steps_is_a_diagnostic(tmp_path):
     meta, ops, samples, _ = generate(replace(_throughput_spec(4, 100_000, 10_000), steps=7))
+    ops = list(ops)
     step4_end = max(op.end for op in ops if op.step_id == 4)
     first5 = min((op for op in ops if op.step_id == 5), key=lambda op: op.start)
     ops = [
@@ -471,3 +473,93 @@ def test_mutated_inputs_end_in_a_report_or_a_diagnostic(run, signal):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error", "warning"))
+
+
+def _run_past_int64(doc):
+    """5 steps of 14 samples at 2**58 us: each field fits in int64, the last op's end does not."""
+    doc.update(steps=5, sample_interval_us=2**58, step_duration_us=14 * 2**58,
+               phases=[{**doc["phases"][0], "duration_fraction": 1.0}])
+
+
+def _set_fractions(doc, *fractions):
+    for phase, fraction in zip(doc["phases"], fractions):
+        phase["duration_fraction"] = fraction
+
+
+def _huge_power_with_noise(doc):
+    doc["noise_amplitude"] = 0.5
+    doc["phases"][1]["power_gpu_mw"] = 1.7e308  # finite, but not once noise scales it up
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _set_fractions(d, float("nan")), "phase duration fractions must sum to 1"),
+    (lambda d: _set_fractions(d, float("inf"), -float("inf")),
+     "phase duration fractions must sum to 1"),
+    (lambda d: d["phases"][1].update(mem_bytes=2**63),
+     "phase 1 memory must be in [0, 2**63) bytes, warmup steps included"),
+    (lambda d: d.update(warmup_steps=1, warmup_mem_extra_bytes=2**63 - d["phases"][0]["mem_bytes"]),
+     "phase 0 memory must be in [0, 2**63) bytes, warmup steps included"),
+    (_run_past_int64, "steps * step_duration_us must be in [1, 2**63)"),
+    (lambda d: d.update(seed=-1, noise_amplitude=0.05), "seed must be >= 0"),
+    (lambda d: d["phases"][0].update(power_sys_mw=float("nan")),
+     "phase 0 sys power must be finite and >= 0, noise included"),
+    (_huge_power_with_noise,
+     "phase 1 gpu power must be finite and >= 0, noise included"),
+    (lambda d: d.update(batch_size=0, run_id=""),
+     "run_id must be non-empty; batch_size must be >= 1, got 0"),
+], ids=["nan_fraction", "inf_fractions", "mem_2pow63", "warmup_mem_2pow63", "run_2pow63_us",
+        "negative_seed", "nan_power", "power_overflows_with_noise", "invalid_meta"])
+def test_invalid_synth_spec_is_a_diagnostic(tmp_path, edit, message):
+    doc = spec_to_dict(random_spec(1))
+    edit(doc)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    result = _run_cli("synth", "--spec", spec, "--out", tmp_path / "run")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert result.stderr == f"error: {message}\n".encode()
+
+
+def _spec_edits():
+    """(path into a small spec document, value) pairs that keep the row count bounded.
+
+    The row count is steps * step_duration_us / sample_interval_us, so steps and
+    step_duration_us are never raised and sample_interval_us never lowered.
+    """
+    doc = spec_to_dict(random_spec(1, noise_amplitude=0.05))
+    paths = [(key,) for key in doc]
+    for i, phase in enumerate(doc["phases"]):
+        paths += [("phases", i, key) for key in phase]
+        paths += [("phases", i, "cpu_core_util", c) for c in range(len(phase["cpu_core_util"]))]
+    values = [float("nan"), float("inf"), -float("inf"), -1, 0, 2**63, ""]
+    unbounded = {("steps", 2**63), ("step_duration_us", 2**63), ("sample_interval_us", -1),
+                 ("sample_interval_us", 0)}
+    return doc, [(path, v) for path in paths for v in values if (path[-1], v) not in unbounded]
+
+
+_SPEC_DOC, _SPEC_EDITS = _spec_edits()
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(_SPEC_EDITS))
+def test_synth_spec_ends_in_a_valid_run_or_a_diagnostic(edit):
+    path, value = edit
+    doc = copy.deepcopy(_SPEC_DOC)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp, "spec.json")
+        spec.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["synth", "--spec", str(spec), "--out", str(Path(tmp, "run"))])
+            validated = main(["validate", str(Path(tmp, "run", "run.json"))]) if code == 0 else None
+    assert code in (0, 1)
+    if code == 0:
+        assert validated == 0, err.getvalue()
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")

@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from oracles import generate_oracle
 from traceprof.errors import InvalidSpec
+from traceprof.ingest import write_op_trace, write_telemetry
 from traceprof.metrics import build_report
-from traceprof.model import Device, validate_run
+from traceprof.model import Device, OpTable, SampleTable, validate_run
 from traceprof.synth import (
     PhaseSpec,
     SynthSpec,
@@ -183,3 +186,29 @@ def test_strip_step_ids_removes_labels():
     meta, ops, _, _ = generate(_two_phase_spec(strip_step_ids=True))
     assert all(op.step_id is None for op in ops)
     assert ops[0].device is Device.GPU
+
+
+def test_generate_matches_the_per_sample_oracle():
+    specs = [
+        replace(random_spec(seed, noise_amplitude=noise), strip_step_ids=strip)
+        for seed in range(30) for noise in (0.0, 0.05, 0.2, 0.45) for strip in (False, True)
+    ]
+    # Zero utilizations, a zero and a -0.0 power rail under full-scale noise: the
+    # cells where a clamp can produce -0.0, which equals 0.0 but is written "-0.0".
+    specs.append(_two_phase_spec(
+        phases=(
+            PhaseSpec(0.6, (0.0, 1.0), 0.0, 0.0, -0.0, 2000, 7000, 2 * GB),
+            PhaseSpec(0.4, (1.0, 0.0), 1.0, 500, 0.0, 2000, 4000, GB),
+        ),
+        noise_amplitude=1.0,
+        seed=3,
+    ))
+    for spec in specs:
+        meta, ops, samples, truth = generate(spec)
+        want_meta, want_ops, want_samples, want_truth = generate_oracle(spec)
+        assert isinstance(ops, OpTable) and isinstance(samples, SampleTable)
+        assert (meta, truth) == (want_meta, want_truth)
+        # Bytes, not values: -0.0 == 0.0.
+        assert write_op_trace(ops) == write_op_trace(want_ops)
+        assert write_telemetry(samples, meta.core_count) == write_telemetry(
+            want_samples, meta.core_count)
