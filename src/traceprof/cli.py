@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceProfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, DuplicateBatchSize) else 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

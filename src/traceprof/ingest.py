@@ -19,6 +19,17 @@ telemetry are parsed straight into the columns of a ``model.OpTable`` and a
 object per op or sample. A timestamp, step or ``mem_bytes`` value outside
 the int64 range is a diagnostic on its line.
 
+Each parser first reads the whole file as columns and returns them only if no
+line would get an issue; else the per-line loop, the only source of
+diagnostics and line numbers, runs. Op trace: if the file holds no ``[``/``]``
+and each stripped non-blank line is ``{...}``, a chunk of lines decodes as one
+JSON array. No record can then span lines (a string cannot hold the raw
+newline, an object would need a key where the next line has ``{``), so as
+many records as lines is one per line; keys and exact value types must be
+what the loop accepts unchanged. Telemetry: if the file is ASCII and the
+header exactly as expected, ``np.loadtxt`` reads the columns; it accepts a
+subset of what ``int``/``float`` do, with equal values.
+
 Manifests, reports, sweep results and synth specs go through one codec
 (``to_doc``/``from_doc``) whose JSON keys are the dataclass field names.
 Decoding type-checks every field, so a malformed manifest is one error
@@ -31,11 +42,14 @@ from __future__ import annotations
 import io
 import json
 import reprlib
+import warnings
 from array import array
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from functools import cache
+from functools import cache, partial
+from itertools import repeat
 from math import isfinite
+from operator import is_not
 from pathlib import Path
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -60,12 +74,16 @@ from .sweep import SweepResult
 SCHEMA_VERSION = 1
 
 _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
+# The exact value types a line of the op-trace column reader may hold, by key.
+_OP_TYPES = {"op": {str}, "device": {str}, "start_us": {int}, "end_us": {int},
+             "step": {int, type(None)}, "layer": {str, type(None)}}
 _DEVICE_CODES = {d.value: code for code, d in enumerate(DEVICES)}
 _INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
 # json.loads's own decoder without its per-call wrapper, which costs about as
 # much as decoding a short op record. On a stripped line it returns what
 # json.loads returns whenever it consumes the whole line.
 _raw_decode = json.JSONDecoder().raw_decode
+_CHUNK = 1024  # lines per json.loads call of the op-trace column reader
 
 
 @dataclass(frozen=True)
@@ -94,22 +112,68 @@ class _Codes(dict):
         return code
 
 
+def _op_columns() -> tuple[list[array], dict[str, int], dict[str | None, int]]:
+    """Empty growable op columns in ``OpTable`` field order, with name and layer codes."""
+    return [array(code) for code in "qqbqbii"], _Codes(), _Codes()
+
+
+def _op_table(columns: list[array], names: dict, layers: dict) -> OpTable:
+    dtypes = (np.int64, np.int64, np.int8, np.int64, np.bool_, np.int32, np.int32)
+    arrays = (np.frombuffer(col, dtype) for col, dtype in zip(columns, dtypes))
+    return OpTable(*arrays, names=tuple(names), layers=tuple(layers))
+
+
+def _parse_clean_op_trace(lines: list[str]) -> OpTable | None:
+    """The op columns when no line would get an issue, else None (see the module doc)."""
+    columns, names, layers = _op_columns()
+    start, end, device, step, has_step, name_code, layer_code = columns
+    for i in range(0, len(lines), _CHUNK):
+        chunk = [line for line in map(str.strip, lines[i : i + _CHUNK]) if line]
+        if not all(line[0] == "{" and line[-1] == "}" for line in chunk):
+            return None
+        try:
+            records = json.loads("[" + ",\n".join(chunk) + "]")
+        except json.JSONDecodeError:
+            return None
+        if len(records) != len(chunk) or not _OP_KEYS.issuperset(set().union(*records)):
+            return None
+        cols = [list(map(dict.get, records, repeat(key))) for key in _OP_TYPES]
+        if not all(set(map(type, col)) <= kinds for col, kinds in zip(cols, _OP_TYPES.values())):
+            return None
+        name, dev, t0, t1, op_step, layer = cols
+        if not all(name) or not _DEVICE_CODES.keys() >= set(dev):
+            return None
+        try:  # int64 range
+            start.extend(t0)
+            end.extend(t1)
+            step.extend([s or 0 for s in op_step])
+        except OverflowError:
+            return None
+        has_step.extend(map(is_not, op_step, repeat(None)))
+        device.extend(map(_DEVICE_CODES.__getitem__, dev))
+        name_code.extend(map(names.__getitem__, name))
+        layer_code.extend(map(layers.__getitem__, layer))
+    return _op_table(columns, names, layers) if start else None
+
+
 def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
     """Parse a line-delimited op trace; returns (ops in file order, diagnostics).
 
     Each valid line becomes one row of the op columns; no per-op object is
     built.
     """
-    start, end, step = array("q"), array("q"), array("q")
-    device, has_step = array("b"), array("b")
-    name_code, layer_code = array("i"), array("i")
-    names: dict[str, int] = _Codes()
-    layers: dict[str | None, int] = _Codes()
+    lines = data.decode("utf-8", errors="replace").splitlines()
+    if b"[" not in data and b"]" not in data:
+        ops = _parse_clean_op_trace(lines)
+        if ops is not None:
+            return ops, []
+    columns, names, layers = _op_columns()
+    start, end, device, step, has_step, name_code, layer_code = columns
     issues: list[Issue] = []
     warned_keys: set[str] = set()
     non_blank = 0
     lo, hi = -_INT64, _INT64
-    for line_no, raw in enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -188,23 +252,40 @@ def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
         layer_code.append(layers[layer])
     if non_blank == 0:
         issues.append(Issue("EmptyTrace", "op trace has no records", line_no=0))
-    ops = OpTable(
-        start=np.frombuffer(start, np.int64),
-        end=np.frombuffer(end, np.int64),
-        device=np.frombuffer(device, np.int8),
-        step=np.frombuffer(step, np.int64),
-        has_step=np.frombuffer(has_step, np.bool_),
-        name=np.frombuffer(name_code, np.int32),
-        layer=np.frombuffer(layer_code, np.int32),
-        names=tuple(names),
-        layers=tuple(layers),
-    )
-    return ops, issues
+    return _op_table(columns, names, layers), issues
 
 
 def _telemetry_columns(core_count: int) -> list[str]:
     cores = [f"c{i}" for i in range(core_count)]
     return ["t_us", *cores, "gpu", *(f"p_{rail}_mw" for rail in RAILS), "mem_bytes"]
+
+
+def _parse_clean_telemetry(lines: list[str], columns: list[str]) -> SampleTable | None:
+    """The sample columns when no line would get an issue, else None (see the module doc)."""
+    rows = [line for line in map(str.strip, lines) if line]
+    # numpy's int reader takes some non-ASCII letters for digits (U+20000 reads
+    # as 131024) and can crash on others, so it sees ASCII only.
+    if len(rows) < 2 or not all(map(str.isascii, rows)):
+        return None
+    if [cell.strip() for cell in rows.pop(0).split(",")] != columns:
+        return None
+    last = len(columns) - 1
+    read = partial(np.loadtxt, rows, delimiter=",", comments=None, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.23-1.24 only warn on "1.0" as an int
+            ints = read(np.int64, usecols=(0, last))
+            values = read(np.float64, usecols=range(1, last))
+    except (ValueError, Warning):
+        return None
+    t, mem = ints.T.copy()
+    util, power = values[:, : -len(RAILS)], values[:, -len(RAILS) :]
+    # Percent, before scaling: -5e-324 is out of range, its fraction -0.0 is not.
+    if not (((0 <= util) & (util <= 100)).all() and ((0 <= power) & (power < np.inf)).all()
+            and (mem >= 0).all()):
+        return None
+    util /= 100.0
+    return SampleTable(t, values, mem)
 
 
 def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Issue]]:
@@ -213,10 +294,14 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Iss
     Each valid line becomes one row of the sample columns, in file order; no
     per-sample object is built.
     """
+    decoded = data.decode("utf-8", errors="replace").splitlines()
+    expected = _telemetry_columns(core_count)
+    samples = _parse_clean_telemetry(decoded, expected)
+    if samples is not None:
+        return samples, []
     t_col, values, mem_col = array("q"), array("d"), array("q")
     issues: list[Issue] = []
-    # Lazy over the decoded lines: no stripped copy of the whole file is kept.
-    lines = enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1)
+    lines = enumerate(decoded, start=1)
     stripped = ((i, line.strip()) for i, line in lines)
     numbered = ((i, line) for i, line in stripped if line)
     first = next(numbered, None)
@@ -226,7 +311,6 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Iss
 
     header_no, header_line = first
     header = [cell.strip() for cell in header_line.split(",")]
-    expected = _telemetry_columns(core_count)
     col_index: dict[str, int] = {}
     for pos, name in enumerate(header):
         if name in expected and name not in col_index:
@@ -471,6 +555,8 @@ def _read_json(path: Path, what: str) -> Any:
         raise ManifestError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{what} {path} is not valid JSON: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}")
 
 
 def load_manifest(path: Path | str) -> RunManifest:

@@ -106,6 +106,8 @@ _RAIL_FIELDS = {rail: f"power_{rail}_mw" for rail in RAILS}
 def _phase_sample_counts(spec: SynthSpec) -> list[int]:
     if spec.steps < 1:
         raise InvalidSpec("steps must be >= 1")
+    if spec.warmup_steps > spec.steps:  # equal is a run that is all warmup
+        raise InvalidSpec(f"warmup_steps must be <= steps ({spec.steps}), got {spec.warmup_steps}")
     if not 0 < spec.steps * spec.step_duration_us < 2**63:
         raise InvalidSpec("steps * step_duration_us must be in [1, 2**63)")
     if spec.step_duration_us % spec.sample_interval_us != 0:

@@ -194,6 +194,94 @@ def parse_op_trace_oracle(data: bytes):
     return events, issues
 
 
+
+def parse_telemetry_oracle(data: bytes, core_count: int):
+    """The telemetry parser one line at a time: (SampleTable, diagnostics)."""
+    int64 = 2**63
+    t_col, values, mem_col = [], [], []
+    issues: list[Issue] = []
+    lines = enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1)
+    numbered = [(i, line.strip()) for i, line in lines if line.strip()]
+    if not numbered:
+        issues.append(Issue("EmptyTrace", "telemetry file is empty", line_no=0))
+        return SampleTable.from_samples(()), issues
+
+    header_no, header_line = numbered[0]
+    header = [cell.strip() for cell in header_line.split(",")]
+    rails = ("cpu", "gpu", "mem", "sys")
+    value_names = [*(f"c{i}" for i in range(core_count)), "gpu", *(f"p_{r}_mw" for r in rails)]
+    expected = ["t_us", *value_names, "mem_bytes"]
+    col_index: dict[str, int] = {}
+    for pos, name in enumerate(header):
+        if name in expected and name not in col_index:
+            col_index[name] = pos
+        elif name.startswith("c") and name[1:].isdigit():
+            issues.append(
+                Issue(
+                    "CoreCountMismatch",
+                    f"telemetry column {name!r} exceeds declared core count {core_count}",
+                    line_no=header_no,
+                )
+            )
+        else:
+            issues.append(
+                Issue("UnknownColumn", f"ignoring unknown column {name!r}", "warning", header_no)
+            )
+    missing = [name for name in expected if name not in col_index]
+    if missing:
+        issues.append(
+            Issue("MalformedLine", f"header missing columns {missing}", line_no=header_no)
+        )
+        return SampleTable.from_samples(()), issues
+
+    n_util = core_count + 1
+    for line_no, line in numbered[1:]:
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) < len(header):
+            issues.append(
+                Issue("MalformedLine", f"expected {len(header)} cells, got {len(cells)}", line_no=line_no)
+            )
+            continue
+        try:
+            t = int(cells[col_index["t_us"]])
+            mem = int(cells[col_index["mem_bytes"]])
+            row = [float(cells[col_index[name]]) for name in value_names]
+        except ValueError as exc:
+            issues.append(Issue("MalformedLine", f"bad numeric cell: {exc}", line_no=line_no))
+            continue
+        if not -int64 <= t < int64:
+            issues.append(Issue("MalformedLine", "t_us must fit in int64", line_no=line_no))
+            continue
+        if not all(isfinite(x) for x in row):
+            cols = [name for name, x in zip(value_names, row) if not isfinite(x)]
+            issues.append(Issue("NonFinite", f"nan or inf in column(s) {cols}", line_no=line_no))
+            continue
+        pct = next((x for x in row[:n_util] if not 0.0 <= x <= 100.0), None)
+        if pct is not None:
+            issues.append(
+                Issue("UtilizationOutOfRange", f"utilization {pct}% outside [0, 100]", line_no=line_no)
+            )
+            continue
+        negative = [rail for rail, p in zip(rails, row[n_util:]) if p < 0]
+        if negative:
+            issues.append(
+                Issue("NegativePower", f"negative power on rail(s) {negative}", line_no=line_no)
+            )
+            continue
+        if not 0 <= mem < int64:
+            message = "must be non-negative" if mem < 0 else "must fit in int64"
+            issues.append(Issue("MalformedLine", f"mem_bytes {message}", line_no=line_no))
+            continue
+        t_col.append(t)
+        values.append([x / 100.0 for x in row[:n_util]] + row[n_util:])
+        mem_col.append(mem)
+    if not t_col and not any(i.severity == "error" for i in issues):
+        issues.append(Issue("EmptyTrace", "telemetry has a header but no rows", line_no=0))
+    samples = SampleTable(np.array(t_col, np.int64),
+                          np.array(values, np.float64).reshape(-1, len(value_names)),
+                          np.array(mem_col, np.int64))
+    return samples, issues
+
 def _op_sort_key(op):
     return (
         op.start,

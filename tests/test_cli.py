@@ -507,8 +507,11 @@ def _huge_power_with_noise(doc):
      "phase 1 gpu power must be finite and >= 0, noise included"),
     (lambda d: d.update(batch_size=0, run_id=""),
      "run_id must be non-empty; batch_size must be >= 1, got 0"),
+    (lambda d: d.update(warmup_steps=20), "warmup_steps must be <= steps (8), got 20"),
+    (lambda d: d.update(warmup_steps=d["steps"] + 1), "warmup_steps must be <= steps (8), got 9"),
 ], ids=["nan_fraction", "inf_fractions", "mem_2pow63", "warmup_mem_2pow63", "run_2pow63_us",
-        "negative_seed", "nan_power", "power_overflows_with_noise", "invalid_meta"])
+        "negative_seed", "nan_power", "power_overflows_with_noise", "invalid_meta",
+        "warmup_20_of_8_steps", "warmup_one_past_steps"])
 def test_invalid_synth_spec_is_a_diagnostic(tmp_path, edit, message):
     doc = spec_to_dict(random_spec(1))
     edit(doc)
@@ -520,6 +523,27 @@ def test_invalid_synth_spec_is_a_diagnostic(tmp_path, edit, message):
     assert b"Traceback" not in result.stderr
     assert result.stderr == f"error: {message}\n".encode()
 
+
+def _write(path, data):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("args, message", [
+    (lambda tmp: ["validate", _write(tmp / "run.json", b'{"meta": "\xff"}')], "is not UTF-8"),
+    (lambda tmp: ["analyze", tmp], "Is a directory"),
+    (lambda tmp: ["synth", "--spec", tmp, "--out", tmp / "run"], "Is a directory"),
+    (lambda tmp: ["synth", "--spec", _write(tmp / "spec.json", b"\xff"), "--out", tmp / "run"],
+     "can't decode byte 0xff"),
+    (lambda tmp: ["synth", "--out", _write(tmp / "run", b"")], "File exists"),
+], ids=["non_utf8_manifest", "analyze_dir", "spec_dir", "non_utf8_spec", "out_is_a_file"])
+def test_unreadable_or_unwritable_path_is_a_diagnostic(tmp_path, args, message):
+    result = _run_cli(*args(tmp_path))
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    (line,) = result.stderr.decode().splitlines()
+    assert line.startswith("error: ") and message in line
 
 def _spec_edits():
     """(path into a small spec document, value) pairs that keep the row count bounded.

@@ -1,14 +1,18 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import mk_run, mk_sample
-from oracles import parse_op_trace_oracle
+from oracles import parse_op_trace_oracle, parse_telemetry_oracle
+from traceprof import ingest
 from traceprof.errors import InvalidSpec, ManifestError, TraceValidationError
 from traceprof.ingest import (
     RunManifest,
@@ -24,7 +28,15 @@ from traceprof.ingest import (
     write_telemetry,
 )
 from traceprof.metrics import build_report
-from traceprof.model import Device, MemoryBreakdown, OpEvent, RunMeta, validate_run
+from traceprof.model import (
+    Device,
+    Issue,
+    MemoryBreakdown,
+    OpEvent,
+    OpTable,
+    RunMeta,
+    validate_run,
+)
 from traceprof.sweep import SweepPoint, build_sweep_result
 from traceprof.synth import generate, random_spec, spec_from_dict, spec_to_dict
 
@@ -378,3 +390,175 @@ def test_load_run_collects_parse_errors(tmp_path):
     with pytest.raises(TraceValidationError) as exc:
         load_run(tmp_path / "run.json")
     assert any(i.code == "MalformedLine" for i in exc.value.issues)
+
+
+# ---------------------------------------------------------------------------
+# Column readers: whatever path a file takes, the result is the oracle's
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_columns(got, want):
+    for col in got._columns:
+        a, b = getattr(got, col), getattr(want, col)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), col
+
+
+def _assert_ops_match_oracle(data):
+    ops, issues = parse_op_trace(data)
+    want_events, want_issues = parse_op_trace_oracle(data)
+    want = OpTable.from_events(want_events)
+    _assert_same_columns(ops, want)
+    assert (ops.names, ops.layers) == (want.names, want.layers)
+    assert issues == want_issues
+
+
+_CLEAN_OPS = [
+    {"op": "conv", "device": "GPU", "step": 0, "start_us": 10, "end_us": 20, "layer": "b0"},
+    {"op": "relu", "device": "CPU", "start_us": 2**63 - 1, "end_us": -2**63},
+    {"device": "GPU", "end_us": 7, "op": "conv", "start_us": 0, "step": None, "layer": None},
+    {"op": "é }{", "device": "GPU", "start_us": 0, "end_us": 1, "step": -3},
+]
+# Raw text mutations of one record line; each is either still clean or some
+# line's diagnostic. Out-of-int64 values, which the OpEvent oracle accepts,
+# are checked on their own below.
+_OP_MUTATIONS = [
+    lambda r: r + " " + r,  # two objects on one line
+    lambda r: r[: len(r) // 2] + "\n" + r[len(r) // 2 :],  # a record split across two lines
+    lambda r: r.replace(", ", "\n", 1),  # ... where the joining ",\n" makes it whole
+    lambda r: r.replace("{", '{"x": [{}\n{}], ', 1),  # ... into two lines that are {...}
+    lambda r: r.replace('"conv"', '"a\u2028b"'),  # raw line breaks in a string
+    lambda r: r.replace('"conv"', '"}\x85{"'),
+    lambda r: r + "\n\n   \n\t",  # blank and whitespace-only lines
+    lambda r: "\ufeff" + r,
+    lambda r: "# " + r,
+    lambda r: r + "  # note",
+    lambda r: r.replace('"device"', '"pid": 7, "device"'),
+    lambda r: r.replace('"op"', '"name"'),
+    lambda r: r.replace("}", ', "args": {"k": "v"}}', 1),
+    lambda r: r.replace('"GPU"', '"TPU"').replace('"CPU"', '"TPU"'),
+    *(lambda r, v=v: re.sub(r'"start_us": -?\d+', f'"start_us": {v}', r)
+      for v in ("1_0", "５", "Infinity", "NaN", "1.0", "1e3", "true", "null", '"5"')),
+    lambda r: re.sub(r'"step": (-?\d+|null)', '"step": 2.0', r),
+    lambda r: re.sub(r'"layer": ("\w*"|null)', '"layer": 5', r),
+    lambda r: r.replace('"conv"', '""'),
+    lambda r: r.replace('"conv"', '"[conv]"'),
+]
+
+
+@st.composite
+def op_trace_files(draw):
+    lines = [json.dumps(draw(st.sampled_from(_CLEAN_OPS)), ensure_ascii=draw(st.booleans()))
+             for _ in range(draw(st.integers(1, 12)))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(_OP_MUTATIONS))(lines[i])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return (newline.join(lines) + newline).encode()
+
+
+@settings(max_examples=300)
+@given(op_trace_files(), st.sampled_from([1, 2, 3, 1024]))
+def test_op_trace_reader_matches_oracle_on_mutated_files(data, chunk):
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        _assert_ops_match_oracle(data)
+
+
+_TEL_HEADER = ["t_us", "c0", "c1", "gpu", "p_cpu_mw", "p_gpu_mw", "p_mem_mw", "p_sys_mw",
+               "mem_bytes"]
+# Cells that int()/float() and np.loadtxt may read differently, valid or not.
+# numpy 2.4.6's int reader takes U+20000 for a digit.
+_TEL_EDGE_CELLS = ["1_0", "５", "inf", "-inf", "nan", "1e400", "1.0", "1e3", "", "#", "3 # c",
+                  "0x10", str(2**63), str(-2**63 - 1), "-5e-324", "5e-324", "-0.0", "-0", "+7",
+                  " 7 ", "\u30004", "100.0000001", "-1", "101", "\U00020000"]
+
+
+@st.composite
+def telemetry_files(draw):
+    rows = [list(_TEL_HEADER)]
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append([
+            str(draw(st.integers(-2**63, 2**63 - 1))),
+            *(repr(draw(st.floats(0, 100))) for _ in range(3)),
+            *(repr(draw(st.floats(0, 1e300))) for _ in range(4)),
+            str(draw(st.integers(0, 2**63 - 1))),
+        ])
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["cell", "cell", "drop", "extra"]))
+        if kind == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_TEL_EDGE_CELLS))
+        elif kind == "drop":
+            row.pop()
+        else:
+            row.append(draw(st.sampled_from(["", "9", "x"])))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(["", "   ", "\t", "# note", "1,2\u20283", "1\x852"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return (bom + newline.join(lines) + newline).encode()
+
+
+@settings(max_examples=300)
+@given(telemetry_files())
+def test_telemetry_reader_matches_oracle_on_mutated_files(data):
+    samples, issues = parse_telemetry(data, core_count=2)
+    want, want_issues = parse_telemetry_oracle(data, core_count=2)
+    _assert_same_columns(samples, want)
+    assert issues == want_issues
+
+
+def test_every_single_op_mutation_matches_oracle():
+    lines = [json.dumps(op, ensure_ascii=False) for op in _CLEAN_OPS]
+    for i, mutate in itertools.product(range(len(lines)), _OP_MUTATIONS):
+        mutated = [*lines[:i], mutate(lines[i]), *lines[i + 1 :]]
+        _assert_ops_match_oracle(("\n".join(mutated) + "\n").encode())
+
+
+def test_every_single_telemetry_cell_matches_oracle():
+    rows = [list(_TEL_HEADER), "0,0,12.5,100,0,1.5,2e3,4,0".split(","),
+            "10,50,-0.0,1e2,7,0,0,0,9223372036854775807".split(",")]
+    for i, j, cell in itertools.product(range(3), range(len(_TEL_HEADER)), _TEL_EDGE_CELLS):
+        mutated = [row.copy() for row in rows]
+        mutated[i][j] = cell
+        data = "".join(",".join(row) + "\n" for row in mutated).encode()
+        samples, issues = parse_telemetry(data, core_count=2)
+        want, want_issues = parse_telemetry_oracle(data, core_count=2)
+        _assert_same_columns(samples, want)
+        assert issues == want_issues
+
+
+def _long_op_trace(n):
+    return [json.dumps({"op": f"op{i % 7}", "device": "GPU", "step": i // 10, "start_us": i,
+                        "end_us": i + 1}) for i in range(n)]
+
+
+def _long_telemetry(n):
+    return [",".join(_TEL_HEADER)] + [f"{i},12.5,0,100,1.5,2,3,4,{i}" for i in range(n)]
+
+
+def test_column_readers_take_clean_input():
+    lines = _long_op_trace(3000)
+    ops = ingest._parse_clean_op_trace(lines)
+    assert ops is not None and len(ops) == 3000
+    _assert_ops_match_oracle(("\n".join(lines) + "\n").encode())
+    lines = _long_telemetry(3000)
+    samples = ingest._parse_clean_telemetry(lines, _TEL_HEADER)
+    assert samples is not None and len(samples) == 3000
+    want, _ = parse_telemetry_oracle(("\n".join(lines) + "\n").encode(), core_count=2)
+    _assert_same_columns(samples, want)
+
+
+def test_bad_line_in_a_late_chunk_keeps_its_line_number():
+    lines = _long_op_trace(2 * 1024 + 500)
+    lines[2400] = lines[2400].replace('"start_us": 2400', f'"start_us": {2**63}')
+    ops, issues = parse_op_trace(("\n".join(lines) + "\n").encode())
+    assert len(ops) == len(lines) - 1
+    assert issues == [Issue("MalformedLine", "start_us and end_us must fit in int64",
+                            line_no=2401)]
+    lines = _long_telemetry(2 * 1024 + 500)
+    lines[2400] = lines[2400].rsplit(",", 1)[0] + f",{2**63}"
+    samples, issues = parse_telemetry(("\n".join(lines) + "\n").encode(), core_count=2)
+    assert len(samples) == len(lines) - 2
+    assert issues == [Issue("MalformedLine", "mem_bytes must fit in int64", line_no=2401)]
