@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from math import isfinite
 from pathlib import Path
 
 from .errors import DuplicateBatchSize, TraceProfError, TraceValidationError
@@ -148,6 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "warmup", None) is not None and args.warmup < 0:
         print("--warmup must be >= 0", file=sys.stderr)
+        return USAGE_ERROR
+    if not isfinite(getattr(args, "idle_threshold", 0.0)):
+        print("--idle-threshold must be finite", file=sys.stderr)
         return USAGE_ERROR
     try:
         return args.func(args)

@@ -593,8 +593,13 @@ def load_run(manifest_path: Path | str) -> Run:
     except FileNotFoundError:
         raise ManifestError(f"telemetry not found: {telemetry_file}")
 
+    core_count = manifest.meta.core_count
+    if core_count > len(telemetry_bytes):  # no header this short names that many cores
+        raise TraceValidationError([Issue(
+            "CoreCountMismatch", f"run declares {core_count} cores, more than the "
+            f"{len(telemetry_bytes)} bytes of {telemetry_file} can name")])
     ops, op_issues = parse_op_trace(op_bytes)
-    samples, telemetry_issues = parse_telemetry(telemetry_bytes, manifest.meta.core_count)
+    samples, telemetry_issues = parse_telemetry(telemetry_bytes, core_count)
     issues = op_issues + telemetry_issues
     if any(i.severity == "error" for i in issues):
         raise TraceValidationError(issues)

@@ -257,9 +257,9 @@ def write_run(
     memory_breakdown: MemoryBreakdown | None = None,
 ) -> Path:
     """Write a complete run (op trace, telemetry, manifest); returns manifest path."""
+    meta, ops, samples, _ = generate(spec)  # before mkdir: an invalid spec leaves no directory
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta, ops, samples, _ = generate(spec)
     (out_dir / "ops.jsonl").write_bytes(write_op_trace(ops))
     (out_dir / "telemetry.csv").write_bytes(write_telemetry(samples, meta.core_count))
     manifest = RunManifest(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traceprof.cli import main
+from traceprof.errors import InvalidSpec
 from traceprof.ingest import (
     RunManifest,
     write_manifest,
@@ -401,6 +402,56 @@ def test_sweep_zero_energy_is_a_diagnostic(tmp_path):
     )
 
 
+def _set_meta(manifest, **fields):
+    doc = json.loads(manifest.read_text())
+    doc["meta"].update(fields)
+    manifest.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fields, diagnostic", [
+    ({"sample_interval_us": 2**63},
+     "error[InvariantViolation]: last sample at {last_t} us plus sample_interval_us "
+     "9223372036854775808 reaches 2**63 us"),
+    ({"sample_interval_us": 2**63 - 1},
+     "error[InvariantViolation]: last sample at {last_t} us plus sample_interval_us "
+     "9223372036854775807 reaches 2**63 us"),
+    ({"batch_size": 10**400}, "error[InvalidMeta]: batch_size must be < 2**63"),
+    ({"core_count": 10**6},
+     "error[CoreCountMismatch]: run declares 1000000 cores, more than the {size} bytes of "
+     "{telemetry} can name"),
+], ids=["interval_2pow63", "interval_2pow63_minus_1", "batch_10pow400", "cores_10pow6"])
+def test_meta_values_past_int64_are_diagnostics(tmp_path, fields, diagnostic):
+    spec = random_spec(1)
+    manifest = write_run(spec, tmp_path / "run")
+    _set_meta(manifest, **fields)
+    telemetry = tmp_path / "run" / "telemetry.csv"
+    last_t = generate(spec)[2].t[-1]
+    result = _run_cli("analyze", manifest, "--format", "json")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    expected = diagnostic.format(last_t=last_t, size=telemetry.stat().st_size, telemetry=telemetry)
+    assert result.stderr.decode().splitlines() == [expected]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_idle_threshold_is_a_usage_error(tmp_path, capsys, value):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    sweep = _write_sweep(tmp_path, [(_throughput_spec(4, 100_000, 10_000), None),
+                                    (_throughput_spec(8, 200_000, 10_000), None)])
+    for args in (["analyze", manifest, "--format", "json"], ["analyze", manifest],
+                 ["sweep", sweep, "--format", "json"], ["sweep", sweep]):
+        assert main([*map(str, args), f"--idle-threshold={value}"]) == 2
+        assert capsys.readouterr() == ("", "--idle-threshold must be finite\n")
+
+
+def test_invalid_synth_spec_leaves_no_directory(tmp_path, capsys):
+    assert main(["synth", "--seed", "0", "--noise", "5", "--out", str(tmp_path / "cli")]) == 1
+    with pytest.raises(InvalidSpec):
+        write_run(replace(random_spec(1), warmup_steps=20), tmp_path / "lib")
+    assert list(tmp_path.iterdir()) == []
+
+
 @cache
 def _fuzz_base(strip_step_ids):
     """(manifest, op lines, telemetry lines) of a small noisy synth run."""
@@ -416,15 +467,24 @@ _CELLS = ["", "x", "nan", "-inf", "-1", "-0", "0.5", "101", "1e308", "1e-320", "
           str(2**63), str(-2**63 - 1), str(2**70)]
 _OP_VALUES = [None, "", "x", "TPU", -1, 0, 1.5, True, 2**63, -2**63 - 1, 1e300, [], {}]
 _LINES = ["", "garbage", "{}", "[1]", '{"op": "a"}', ",", "0,1", "\ufeff{}"]
+_META_VALUES = [0, -1, 2**63 - 1, 2**63, 10**400]
 
 
 @st.composite
 def mutated_runs(draw):
-    """(manifest, op lines, telemetry lines) with a few cells, fields or lines changed."""
+    """(manifest, op lines, telemetry lines) with a few cells, fields, lines or meta changed."""
     manifest, ops, telemetry = _fuzz_base(draw(st.booleans()))
-    ops, telemetry = list(ops), list(telemetry)
+    ops, telemetry, doc = list(ops), list(telemetry), json.loads(manifest)
+    meta = doc["meta"]
+    # core_count sizes the expected telemetry header: one past the real count, or past the file.
+    meta_values = {key: _META_VALUES for key, value in meta.items() if type(value) is int}
+    meta_values["core_count"] = [0, -1, meta["core_count"] + 1, 10**6]
     for _ in range(draw(st.integers(1, 4))):
-        lines = draw(st.sampled_from([ops, telemetry]))
+        lines = draw(st.sampled_from([ops, telemetry, meta]))
+        if lines is meta:
+            key = draw(st.sampled_from(sorted(meta_values)))
+            meta[key] = draw(st.sampled_from(meta_values[key]))
+            continue
         i = draw(st.integers(0, len(lines) - 1))
         action = draw(st.sampled_from(["edit", "drop", "repeat", "insert"]))
         if action == "drop":
@@ -448,11 +508,20 @@ def mutated_runs(draw):
                                         "pid"]))
             record[key] = draw(st.sampled_from(_OP_VALUES))
             lines[i] = json.dumps(record)
-    return manifest, ops, telemetry
+    return json.dumps(doc).encode(), ops, telemetry
 
 
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _fractions(doc, key=""):
+    """Every utilization and idle-ratio number in a report document."""
+    if isinstance(doc, dict):
+        return [x for k, v in doc.items() for x in _fractions(v, k)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _fractions(v, key)]
+    return [doc] if key.endswith("_util") or key.startswith("idle_ratio") else []
 
 
 @settings(max_examples=60)
@@ -469,7 +538,8 @@ def test_mutated_inputs_end_in_a_report_or_a_diagnostic(run, signal):
             code = main(["analyze", str(path), "--format", "json", "--signal", signal])
     assert code in (0, 1, 2)
     if code == 0:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert all(0.0 <= x <= 1.0 + 1e-9 for x in _fractions(report))
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error", "warning"))
@@ -509,9 +579,10 @@ def _huge_power_with_noise(doc):
      "run_id must be non-empty; batch_size must be >= 1, got 0"),
     (lambda d: d.update(warmup_steps=20), "warmup_steps must be <= steps (8), got 20"),
     (lambda d: d.update(warmup_steps=d["steps"] + 1), "warmup_steps must be <= steps (8), got 9"),
+    (lambda d: d.update(batch_size=2**63), "batch_size must be < 2**63"),
 ], ids=["nan_fraction", "inf_fractions", "mem_2pow63", "warmup_mem_2pow63", "run_2pow63_us",
         "negative_seed", "nan_power", "power_overflows_with_noise", "invalid_meta",
-        "warmup_20_of_8_steps", "warmup_one_past_steps"])
+        "warmup_20_of_8_steps", "warmup_one_past_steps", "batch_2pow63"])
 def test_invalid_synth_spec_is_a_diagnostic(tmp_path, edit, message):
     doc = spec_to_dict(random_spec(1))
     edit(doc)
