@@ -12,7 +12,6 @@ from .errors import (
     InvalidSpec,
     ManifestError,
     MissingEnergy,
-    MissingThroughput,
     NoCompleteSteps,
     NoSamplesInWindow,
     NoSteps,
@@ -66,6 +65,7 @@ from .steps import (
     detect_period,
     predictability,
     resolve_steps,
+    resolve_steps_and_period,
 )
 from .sweep import (
     SweepPoint,

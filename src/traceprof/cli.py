@@ -14,7 +14,7 @@ from dataclasses import replace
 from math import isfinite
 from pathlib import Path
 
-from .errors import DuplicateBatchSize, TraceProfError, TraceValidationError
+from .errors import DuplicateBatchSize, InvalidSpec, TraceProfError, TraceValidationError
 from .ingest import load_run, load_sweep_manifest, write_report
 from .metrics import build_report
 from .model import Run, with_warmup_steps
@@ -90,7 +90,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.spec is not None:
-        spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        try:
+            spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past the int digit limit
+            raise InvalidSpec(str(exc)) from None
         spec = spec_from_dict(spec_doc)
     else:
         spec = random_spec(args.seed, noise_amplitude=args.noise)
@@ -161,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceProfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, DuplicateBatchSize) else 1
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

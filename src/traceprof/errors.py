@@ -50,9 +50,5 @@ class DuplicateBatchSize(TraceProfError, ValueError):
     """Two runs of a sweep declare the same batch size."""
 
 
-class MissingThroughput(TraceProfError):
-    """A sweep point lacks a throughput value."""
-
-
 class MissingEnergy(TraceProfError):
     """A sweep point lacks per-step energy values."""

@@ -133,7 +133,7 @@ def _parse_clean_op_trace(lines: list[str]) -> OpTable | None:
             return None
         try:
             records = json.loads("[" + ",\n".join(chunk) + "]")
-        except json.JSONDecodeError:
+        except ValueError:  # also an integer past Python's int-to-str digit limit
             return None
         if len(records) != len(chunk) or not _OP_KEYS.issuperset(set().union(*records)):
             return None
@@ -180,13 +180,14 @@ def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
         non_blank += 1
         try:
             record, stop = _raw_decode(line)
-        except json.JSONDecodeError:
+        except ValueError:
             stop = -1
         if stop != len(line):  # not one JSON value: json.loads gives the result or message
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                issues.append(Issue("MalformedLine", f"invalid JSON: {exc.msg}", line_no=line_no))
+            except ValueError as exc:  # also an integer past Python's int-to-str digit limit
+                message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
+                issues.append(Issue("MalformedLine", message, line_no=line_no))
                 continue
         # json.loads makes exact types only, so the type tests below are
         # isinstance tests that skip the subclass walk.
@@ -553,10 +554,10 @@ def _read_json(path: Path, what: str) -> Any:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ManifestError(f"{what} not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{what} {path} is not valid JSON: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}")
+    except ValueError as exc:  # also an integer past Python's int-to-str digit limit
+        raise ManifestError(f"{what} {path} is not valid JSON: {getattr(exc, 'msg', exc)}")
 
 
 def load_manifest(path: Path | str) -> RunManifest:
@@ -570,6 +571,8 @@ def load_manifest(path: Path | str) -> RunManifest:
         raise ManifestError(f"{exc} in {path}")
     if not manifest.op_trace_path or not manifest.telemetry_path:
         raise ManifestError(f"manifest {path} needs op_trace_path and telemetry_path")
+    if "\0" in manifest.op_trace_path + manifest.telemetry_path:
+        raise ManifestError(f"manifest {path} has a NUL character in a path")
     return manifest
 
 
@@ -619,6 +622,8 @@ def load_sweep_manifest(path: Path | str) -> tuple[str, list[Path]]:
     runs = doc["runs"]
     if not isinstance(runs, list) or not all(isinstance(r, str) for r in runs):
         raise ManifestError(f"sweep manifest {path} 'runs' must be a list of paths")
+    if any("\0" in r for r in runs):
+        raise ManifestError(f"sweep manifest {path} has a NUL character in a path")
     return doc["model"], [path.parent / r for r in runs]
 
 
@@ -653,18 +658,11 @@ def _render_report_table(report: MetricReport) -> str:
     )
     lines.append(f"power ranking: {ranking}")
     lines.append("")
-    tput = (
-        "n/a"
-        if report.throughput_samples_per_sec is None
-        else f"{report.throughput_samples_per_sec:.3f}"
-    )
-    lines.append(f"throughput: {tput} samples/s")
+    lines.append(f"throughput: {report.throughput_samples_per_sec:.3f} samples/s")
     lines.append(f"peak memory: {report.peak_mem_bytes} bytes")
-    if report.period is not None:
-        lines.append(
-            f"step period: {report.period.period_us} us "
-            f"(confidence {report.period.confidence:.3f}, {report.period.method})"
-        )
+    period = report.period
+    lines.append(f"step period: {period.period_us} us "
+                 f"(confidence {period.confidence:.3f}, {period.method})")
     if report.predictability is not None:
         p = report.predictability
         lines.append(
@@ -713,9 +711,9 @@ def _render_sweep_table(result: SweepResult) -> str:
         r = p.report
         step_e = [m.energy_by_rail_joules["sys"] for m in r.per_step if not m.is_warmup]
         mean_e = sum(step_e) / len(step_e) if step_e else float("nan")
-        tput = "n/a" if r.throughput_samples_per_sec is None else f"{r.throughput_samples_per_sec:.2f}"
         lines.append(
-            f"{p.batch_size:<7}{tput:>12}{_pct(r.gpu_util):>10}{_pct(r.cpu_avg_util):>9}"
+            f"{p.batch_size:<7}{r.throughput_samples_per_sec:>12.2f}{_pct(r.gpu_util):>10}"
+            f"{_pct(r.cpu_avg_util):>9}"
             f"{mean_e:>12.6f}{r.peak_mem_bytes:>14}  {fz[p.batch_size].verdict}"
         )
     return "\n".join(lines) + "\n"

@@ -80,12 +80,12 @@ class MetricReport:
     idle_ratio_per_core: tuple[float, ...]
     energy_by_rail_joules: dict[str, float]
     peak_mem_bytes: int
-    throughput_samples_per_sec: float | None
+    throughput_samples_per_sec: float
     steps: tuple[StepWindow, ...]
     per_step: tuple[StepMetrics, ...]
     per_op: dict[str, OpAggregate]
     power_rail_ranking: tuple[RailShare, ...]
-    period: PeriodEstimate | None
+    period: PeriodEstimate
     predictability: PredictabilityScore | None
     memory_breakdown: MemoryBreakdown | None
     concurrent_ops_double_counting: bool
@@ -275,21 +275,15 @@ def build_report(
 ) -> MetricReport:
     """Assemble the full metric report for one run.
 
-    Resolves step windows when not supplied, restricts run-level metrics to
-    the non-warmup analysis window, computes per-step metrics by narrowing
-    the window to each step, and aggregates per-op sample attributions.
+    One ``steps.resolve_steps_and_period`` call gives the steps (given, labelled,
+    or tiled by one autocorrelation estimate of ``signal``) and their period.
+    Run-level metrics cover the non-warmup analysis window, per-step metrics
+    narrow it to each step, and per-op sample attributions are aggregated.
     Component errors (NoSamplesInWindow, NoCompleteSteps, ...) propagate.
     """
-    if step_windows is None:
-        step_windows = steps_mod.resolve_steps(run, signal)
-    step_windows = tuple(step_windows)
+    step_windows, period = steps_mod.resolve_steps_and_period(run, signal, step_windows)
     dt = _weights(run)
     whole = _window(run, dt, nonwarmup_window(step_windows), idle_threshold)
-
-    if run.ops.has_step.any():
-        period = steps_mod.explicit_period(step_windows)
-    else:
-        period = steps_mod.detect_period(run, signal)
 
     predictability: PredictabilityScore | None
     try:

@@ -1,9 +1,11 @@
 """Resolves training-step windows and quantifies cross-step predictability.
 
-Steps come from explicit op labels when present; otherwise a single dominant
-period is inferred by normalized autocorrelation of a telemetry signal and
-windows are tiled from the first op's start. GPU utilization is the default
-signal because it carries the strongest step structure.
+One call, ``resolve_steps_and_period``, gives a run's steps and their period.
+Explicit op labels give the steps when present, and their mean duration the
+period. Otherwise one normalized-autocorrelation estimate of a telemetry
+signal gives the period, whose windows are tiled from the first op's start.
+GPU utilization is the default signal because it carries the strongest step
+structure.
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ def detect_period(run: Run, signal: str = "gpu_util") -> PeriodEstimate:
 
     The signal is first resampled onto a uniform grid at the run's nominal
     sample interval so that jittered samplers do not distort lag lengths.
+    The samples must fill at least half of that grid (else SignalTooShort).
     """
     interval = run.meta.sample_interval_us
     ts = run.samples.t.astype(float)
@@ -150,30 +153,45 @@ def detect_period(run: Run, signal: str = "gpu_util") -> PeriodEstimate:
     n_grid = int((ts[-1] - ts[0]) // interval) + 1
     if n_grid < _MIN_SAMPLES:
         raise SignalTooShort("run spans fewer than the minimum number of sample intervals")
+    if n_grid > 2 * ts.size:  # also bounds the grid's memory and its O(n^2) autocorrelation
+        raise SignalTooShort(f"{ts.size} samples cover under half of the {n_grid}-point "
+                             f"resampling grid at the {interval} us sample interval")
     grid = ts[0] + interval * np.arange(n_grid)
     resampled = np.interp(grid, ts, vals)
     return estimate_period_from_series(resampled, interval)
 
 
-def explicit_period(steps: Sequence[StepWindow]) -> PeriodEstimate:
-    """Period implied by explicit step windows: mean window duration."""
-    if not steps:
-        raise NoSteps("no step windows")
-    mean_dur = fsum(w.duration_us for w in steps) / len(steps)
-    return PeriodEstimate(period_us=int(round(mean_dur)), confidence=1.0, method="explicit")
+def resolve_steps_and_period(
+    run: Run, signal: str = "gpu_util", windows: Sequence[StepWindow] | None = None
+) -> tuple[tuple[StepWindow, ...], PeriodEstimate]:
+    """A run's step windows, or the given ``windows``, with their period.
 
-
-def resolve_steps(run: Run, signal: str = "gpu_util") -> tuple[StepWindow, ...]:
-    """Resolve step windows from op labels, or infer them by period tiling.
-
-    With labeled ops, each step window spans [min start, max end] of its ops.
-    Without labels, the detected period tiles complete windows from the first
-    op's start; detection below the confidence threshold raises NoSteps. The
-    first ``meta.warmup_steps`` windows are flagged as warmup.
+    With labeled ops, each step window spans [min start, max end] of its ops,
+    and the period is the windows' mean duration ("explicit"). Without
+    labels, ``detect_period`` runs once; its estimate is the period, and it
+    tiles complete windows from the first op's start unless its confidence is
+    below the threshold (NoSteps). The first ``meta.warmup_steps`` resolved
+    windows are flagged as warmup.
     """
     ops = run.ops
     warmup = run.meta.warmup_steps
-    if ops.has_step.any():
+    if not ops.has_step.any():
+        estimate = detect_period(run, signal)
+        if windows is None:
+            if estimate.confidence < PERIOD_CONFIDENCE_THRESHOLD:
+                raise NoSteps(
+                    f"no step labels and period confidence {estimate.confidence:.3f} "
+                    f"below threshold {PERIOD_CONFIDENCE_THRESHOLD}"
+                )
+            period = estimate.period_us
+            start = int(ops.start[0])
+            count = (run.end_us - start) // period
+            if count < 1:
+                raise NoSteps("inferred period does not fit a single complete window")
+            windows = [StepWindow(i, start + i * period, start + (i + 1) * period, i < warmup)
+                       for i in range(count)]
+        return tuple(windows), estimate
+    if windows is None:
         labelled = np.flatnonzero(ops.has_step)
         labelled = labelled[np.argsort(ops.step[labelled], kind="stable")]
         step_ids = ops.step[labelled]
@@ -188,24 +206,17 @@ def resolve_steps(run: Run, signal: str = "gpu_util") -> tuple[StepWindow, ...]:
                 f"step windows {ids[k]} and {ids[k + 1]} overlap; "
                 "labeled op intervals are inconsistent"
             )
-        windows = zip(ids, lo.tolist(), hi.tolist())
-    else:
-        estimate = detect_period(run, signal)
-        if estimate.confidence < PERIOD_CONFIDENCE_THRESHOLD:
-            raise NoSteps(
-                f"no step labels and period confidence {estimate.confidence:.3f} "
-                f"below threshold {PERIOD_CONFIDENCE_THRESHOLD}"
-            )
-        period = estimate.period_us
-        start = int(ops.start[0])
-        count = (run.end_us - start) // period
-        if count < 1:
-            raise NoSteps("inferred period does not fit a single complete window")
-        windows = ((i, start + i * period, start + (i + 1) * period) for i in range(count))
-    return tuple(
-        StepWindow(step_id, lo, hi, is_warmup=i < warmup)
-        for i, (step_id, lo, hi) in enumerate(windows)
-    )
+        bounds = enumerate(zip(ids, lo.tolist(), hi.tolist()))
+        windows = [StepWindow(step_id, a, b, i < warmup) for i, (step_id, a, b) in bounds]
+    windows = tuple(windows)
+    # No windows, no mean: period 0, and build_report raises NoSamplesInWindow.
+    mean_us = fsum(w.duration_us for w in windows) / len(windows) if windows else 0.0
+    return windows, PeriodEstimate(int(round(mean_us)), confidence=1.0, method="explicit")
+
+
+def resolve_steps(run: Run, signal: str = "gpu_util") -> tuple[StepWindow, ...]:
+    """The step windows of :func:`resolve_steps_and_period`."""
+    return resolve_steps_and_period(run, signal)[0]
 
 
 def predictability(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
 
-from .errors import DuplicateBatchSize, MissingEnergy, MissingThroughput
+from .errors import DuplicateBatchSize, MissingEnergy
 from .metrics import MetricReport
 from .model import MemoryBreakdown
 
@@ -66,11 +66,7 @@ def _sorted_points(points: Sequence[SweepPoint]) -> list[SweepPoint]:
 def throughput_speedup(points: Sequence[SweepPoint]) -> float:
     """Throughput at the largest batch divided by throughput at the smallest."""
     pts = _sorted_points(points)
-    lo, hi = pts[0], pts[-1]
-    for p in (lo, hi):
-        if p.report.throughput_samples_per_sec is None:
-            raise MissingThroughput(f"batch {p.batch_size} report has no throughput")
-    return hi.report.throughput_samples_per_sec / lo.report.throughput_samples_per_sec
+    return pts[-1].report.throughput_samples_per_sec / pts[0].report.throughput_samples_per_sec
 
 
 def per_step_energy(report: MetricReport, rail: str = "sys") -> float:

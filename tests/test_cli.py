@@ -20,7 +20,7 @@ from traceprof.ingest import (
     write_op_trace,
     write_telemetry,
 )
-from traceprof.model import OpEvent
+from traceprof.model import Device, MemoryBreakdown, OpEvent, RunMeta, TelemetrySample
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, spec_to_dict, write_run
 
 GB = 1_000_000_000
@@ -456,8 +456,9 @@ def test_invalid_synth_spec_leaves_no_directory(tmp_path, capsys):
 def _fuzz_base(strip_step_ids):
     """(manifest, op lines, telemetry lines) of a small noisy synth run."""
     spec = replace(random_spec(2, noise_amplitude=0.05), strip_step_ids=strip_step_ids)
+    breakdown = MemoryBreakdown(10**6, 10**6, 10**4, 10**5)
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = write_run(spec, tmp)
+        manifest = write_run(spec, tmp, memory_breakdown=breakdown)
         ops = (manifest.parent / "ops.jsonl").read_text().splitlines()
         telemetry = (manifest.parent / "telemetry.csv").read_text().splitlines()
         return manifest.read_bytes(), tuple(ops), tuple(telemetry)
@@ -468,19 +469,43 @@ _CELLS = ["", "x", "nan", "-inf", "-1", "-0", "0.5", "101", "1e308", "1e-320", "
 _OP_VALUES = [None, "", "x", "TPU", -1, 0, 1.5, True, 2**63, -2**63 - 1, 1e300, [], {}]
 _LINES = ["", "garbage", "{}", "[1]", '{"op": "a"}', ",", "0,1", "\ufeff{}"]
 _META_VALUES = [0, -1, 2**63 - 1, 2**63, 10**400]
+_PATHS = ["", ".", "missing.jsonl", "ops\0.jsonl"]
+_BREAKDOWN_VALUES = [None, [1], -1, 2**63, 10**400]
+_BYTE_EDITS = ["truncate", b"\x00", b"\xff", "crlf"]
 
 
 @st.composite
-def mutated_runs(draw):
-    """(manifest, op lines, telemetry lines) with a few cells, fields, lines or meta changed."""
+def mutated_runs(draw, batch_size=None, max_edits=4):
+    """(manifest, op trace, telemetry) bytes after 1 to ``max_edits`` text edits and byte edits.
+
+    A text edit changes a cell, an op field, a line, a manifest ``meta``
+    integer, a trace path or the memory breakdown; byte edits then truncate a
+    file, insert a NUL or 0xff byte, or turn every newline into CRLF. With
+    ``max_edits`` 0 the run is unchanged.
+    """
     manifest, ops, telemetry = _fuzz_base(draw(st.booleans()))
     ops, telemetry, doc = list(ops), list(telemetry), json.loads(manifest)
     meta = doc["meta"]
+    if batch_size is not None:
+        meta["batch_size"] = batch_size
     # core_count sizes the expected telemetry header: one past the real count, or past the file.
     meta_values = {key: _META_VALUES for key, value in meta.items() if type(value) is int}
     meta_values["core_count"] = [0, -1, meta["core_count"] + 1, 10**6]
-    for _ in range(draw(st.integers(1, 4))):
-        lines = draw(st.sampled_from([ops, telemetry, meta]))
+    for _ in range(draw(st.integers(min(1, max_edits), max_edits))):
+        lines = draw(st.sampled_from([ops, telemetry, meta, "paths", "memory_breakdown"]))
+        if lines == "paths":
+            doc[draw(st.sampled_from(["op_trace_path", "telemetry_path"]))] = draw(
+                st.sampled_from(_PATHS))
+            continue
+        if lines == "memory_breakdown":
+            value = draw(st.sampled_from(_BREAKDOWN_VALUES))
+            field = draw(st.sampled_from([None, "parameters_bytes", "gradients_bytes",
+                                          "input_bytes", "intermediate_bytes"]))
+            if field is None:
+                doc["memory_breakdown"] = value
+            elif isinstance(doc["memory_breakdown"], dict):
+                doc["memory_breakdown"][field] = value
+            continue
         if lines is meta:
             key = draw(st.sampled_from(sorted(meta_values)))
             meta[key] = draw(st.sampled_from(meta_values[key]))
@@ -508,7 +533,18 @@ def mutated_runs(draw):
                                         "pid"]))
             record[key] = draw(st.sampled_from(_OP_VALUES))
             lines[i] = json.dumps(record)
-    return json.dumps(doc).encode(), ops, telemetry
+    files = [("\n".join(lines) + "\n").encode() for lines in (ops, telemetry)]
+    for _ in range(draw(st.integers(0, min(2, max_edits)))):
+        k = draw(st.sampled_from([0, 1]))
+        at = draw(st.integers(0, len(files[k])))
+        edit = draw(st.sampled_from(_BYTE_EDITS))
+        if edit == "truncate":
+            files[k] = files[k][:at]
+        elif edit == "crlf":
+            files[k] = files[k].replace(b"\n", b"\r\n")
+        else:
+            files[k] = files[k][:at] + edit + files[k][at:]
+    return json.dumps(doc).encode(), *files
 
 
 def _reject_constant(name):
@@ -524,18 +560,17 @@ def _fractions(doc, key=""):
     return [doc] if key.endswith("_util") or key.startswith("idle_ratio") else []
 
 
-@settings(max_examples=60)
-@given(mutated_runs(), st.sampled_from(["gpu_util", "cpu_avg_util", "power_sys"]))
-def test_mutated_inputs_end_in_a_report_or_a_diagnostic(run, signal):
-    manifest, ops, telemetry = run
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "run.json")
-        path.write_bytes(manifest)
-        Path(tmp, "ops.jsonl").write_text("\n".join(ops) + "\n")
-        Path(tmp, "telemetry.csv").write_text("\n".join(telemetry) + "\n")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["analyze", str(path), "--format", "json", "--signal", signal])
+def _write_fuzz_run(directory, run):
+    directory.mkdir(exist_ok=True)
+    for name, data in zip(("run.json", "ops.jsonl", "telemetry.csv"), run):
+        (directory / name).write_bytes(data)
+    return directory / "run.json"
+
+
+def _assert_report_or_diagnostic(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*map(str, args), "--format", "json"])
     assert code in (0, 1, 2)
     if code == 0:
         report = json.loads(out.getvalue(), parse_constant=_reject_constant)
@@ -543,6 +578,34 @@ def test_mutated_inputs_end_in_a_report_or_a_diagnostic(run, signal):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error", "warning"))
+
+
+_SIGNALS = st.sampled_from(["gpu_util", "cpu_avg_util", "power_sys"])
+
+
+@settings(max_examples=100)
+@given(mutated_runs(), _SIGNALS)
+def test_mutated_inputs_end_in_a_report_or_a_diagnostic(run, signal):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_report_or_diagnostic(["analyze", _write_fuzz_run(Path(tmp), run),
+                                      "--signal", signal])
+
+
+def _sweep_run(batch_size):
+    """A sweep's run at this batch size: clean, or after one or two edits."""
+    return mutated_runs(batch_size, max_edits=0) | mutated_runs(batch_size, max_edits=2)
+
+
+@settings(max_examples=40)
+@given(_sweep_run(4), _sweep_run(16), st.none() | _sweep_run(64), _SIGNALS)
+def test_sweep_over_mutated_runs_ends_in_a_result_or_a_diagnostic(run4, run16, run64, signal):
+    runs = [run for run in (run4, run16, run64) if run is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        names = [_write_fuzz_run(Path(tmp, f"r{i}"), run).relative_to(tmp).as_posix()
+                 for i, run in enumerate(runs)]
+        sweep = Path(tmp, "sweep.json")
+        sweep.write_text(json.dumps({"model": "m", "runs": names}))
+        _assert_report_or_diagnostic(["sweep", sweep, "--signal", signal])
 
 
 def _run_past_int64(doc):
@@ -615,6 +678,87 @@ def test_unreadable_or_unwritable_path_is_a_diagnostic(tmp_path, args, message):
     assert b"Traceback" not in result.stderr
     (line,) = result.stderr.decode().splitlines()
     assert line.startswith("error: ") and message in line
+
+_LONG_INT = "1" + "0" * 5000  # past Python's 4300-digit int conversion limit; json.dumps fails too
+
+
+def _long_int_batch(tmp):
+    manifest = write_run(random_spec(1), tmp / "run")
+    doc = json.loads(manifest.read_text())
+    doc["meta"]["batch_size"] = 12345
+    manifest.write_text(json.dumps(doc).replace("12345", _LONG_INT))
+    return ["validate", manifest]
+
+
+def _long_int_step(tmp):
+    manifest = write_run(random_spec(1), tmp / "run")
+    _edit_first_op(manifest, step=12345)
+    ops = manifest.parent / "ops.jsonl"
+    ops.write_text(ops.read_text().replace("12345", _LONG_INT, 1))
+    return ["validate", manifest]
+
+
+def _long_int_seed(tmp):
+    spec = tmp / "spec.json"
+    spec.write_text(json.dumps({**spec_to_dict(random_spec(1)), "seed": 12345})
+                    .replace("12345", _LONG_INT))
+    return ["synth", "--spec", spec, "--out", tmp / "run"]
+
+
+def _long_int_sweep(tmp):
+    path = tmp / "sweep.json"
+    path.write_text('{"model": "m", "runs": [], "seed": %s}' % _LONG_INT)
+    return ["sweep", path]
+
+
+@pytest.mark.parametrize("args, message", [
+    (_long_int_batch, "error: manifest {tmp}/run/run.json is not valid JSON: Exceeds the limit"),
+    (_long_int_step, "error[MalformedLine] line 1: invalid JSON: Exceeds the limit"),
+    (_long_int_seed, "error: Exceeds the limit"),
+    (_long_int_sweep, "error: sweep manifest {tmp}/sweep.json is not valid JSON: Exceeds the limit"),
+], ids=["manifest_batch_size", "op_step", "spec_seed", "sweep_manifest"])
+def test_integers_past_the_digit_limit_are_diagnostics(tmp_path, args, message):
+    result = _run_cli(*args(tmp_path))
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    (line,) = result.stderr.decode().splitlines()
+    assert line.startswith(message.format(tmp=tmp_path))
+
+
+def test_nul_in_a_manifest_path_is_a_diagnostic(tmp_path, capsys):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    doc = json.loads(manifest.read_text())
+    bad = tmp_path / "run" / "nul.json"
+    bad.write_text(json.dumps({**doc, "op_trace_path": "ops\u0000.jsonl"}))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"model": "m", "runs": ["run/run.json", "run/run\u0000.json"]}))
+    for args, message in [(["analyze", bad], f"error: manifest {bad} has a NUL character"),
+                          (["validate", bad], f"error: manifest {bad} has a NUL character"),
+                          (["sweep", sweep], f"error: sweep manifest {sweep} has a NUL character")]:
+        assert main(list(map(str, args))) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(message)
+
+
+def test_samples_on_under_half_the_period_grid_are_a_diagnostic(tmp_path):
+    # Unlabelled, 10 samples 10**12 us apart at a declared 1 us interval: a 9e12-point grid.
+    meta = RunMeta(run_id="sparse", batch_size=1, core_count=1, sample_interval_us=1)
+    samples = [TelemetrySample(i * 10**12, (0.5,), float(i % 2), 1.0, 1.0, 1.0, 4.0, 100)
+               for i in range(10)]
+    (tmp_path / "ops.jsonl").write_bytes(
+        write_op_trace([OpEvent("a", Device.GPU, 0, 9 * 10**12 + 1)]))
+    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(samples, 1))
+    manifest = tmp_path / "run.json"
+    manifest.write_bytes(write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
+    result = _run_cli("analyze", manifest)
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == (b"error: 10 samples cover under half of the 9000000000001-point "
+                             b"resampling grid at the 1 us sample interval\n")
+
 
 def _spec_edits():
     """(path into a small spec document, value) pairs that keep the row count bounded.

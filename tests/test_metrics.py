@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import fsum
 
 import pytest
@@ -20,6 +21,7 @@ from traceprof.metrics import (
     throughput,
 )
 from traceprof.model import Device, OpEvent, StepWindow
+from traceprof.steps import resolve_steps
 
 
 def _uniform_run(core_rows, gpu_row=None, powers=None, interval=10_000, mems=None, **kw):
@@ -335,6 +337,14 @@ def test_warmup_only_run_rejected():
         nonwarmup_window(windows)
     with pytest.raises(TraceProfError):
         build_report(run)
+
+
+def test_build_report_rejects_given_windows_without_an_analysis_window():
+    run = _stepped_run(n_steps=4, step_us=100_000, batch=4, warmup=1)
+    all_warmup = [replace(w, is_warmup=True) for w in resolve_steps(run)]
+    for windows in ((), [], all_warmup):
+        with pytest.raises(NoSamplesInWindow, match="^all step windows are warmup; nothing"):
+            build_report(run, windows)
 
 
 def test_report_cpu_avg_consistent_with_per_core():

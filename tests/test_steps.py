@@ -3,14 +3,18 @@ import pytest
 
 from conftest import mk_run, mk_sample
 from oracles import pairwise_pearson_oracle, pearson_pair_oracle
+from traceprof import steps
 from traceprof.errors import NoCompleteSteps, NoSteps, SignalTooShort
+from traceprof.metrics import build_report
 from traceprof.model import Device, OpEvent
 from traceprof.steps import (
     _pair_scores,
+    PeriodEstimate,
     detect_period,
     estimate_period_from_series,
     predictability,
     resolve_steps,
+    resolve_steps_and_period,
 )
 from traceprof.synth import PhaseSpec, SynthSpec, generate
 from traceprof.model import validate_run
@@ -74,6 +78,51 @@ def test_resolve_steps_flat_signal_raises():
     run = mk_run(samples, ops)
     with pytest.raises(NoSteps):
         resolve_steps(run)
+
+
+def test_resolve_steps_and_period_labelled_gives_the_mean_duration():
+    samples = [mk_sample(t * 10_000) for t in range(50)]
+    ops = [OpEvent("op", Device.GPU, s * 100_000, s * 100_000 + 90_000 + s, step_id=s)
+           for s in range(5)]
+    run = mk_run(samples, ops, warmup=1)
+    windows, period = resolve_steps_and_period(run)
+    assert windows == resolve_steps(run)
+    assert period == PeriodEstimate(90_002, confidence=1.0, method="explicit")
+    # Given windows replace the labelled ones: (90_001 + 90_003) / 2.
+    given = [windows[1], windows[3]]
+    assert resolve_steps_and_period(run, windows=given) == (
+        tuple(given), PeriodEstimate(90_002, confidence=1.0, method="explicit"))
+    assert resolve_steps_and_period(run, windows=())[0] == ()
+
+
+def test_resolve_steps_and_period_unlabelled_keeps_one_estimate():
+    run, truth = _square_run(period_samples=100, strip_step_ids=True)
+    windows, period = resolve_steps_and_period(run)
+    assert windows == resolve_steps(run)
+    assert period == detect_period(run)
+    assert period.method == "autocorrelation" and period.period_us == truth.period_us
+    assert resolve_steps_and_period(run, windows=windows[:2]) == (windows[:2], period)
+
+
+def test_build_report_detects_the_period_once(monkeypatch):
+    run, truth = _square_run(period_samples=100, strip_step_ids=True)
+    calls = []
+    detect = steps.detect_period
+    monkeypatch.setattr(steps, "detect_period", lambda *args: calls.append(args) or detect(*args))
+    report = build_report(run)
+    assert len(calls) == 1
+    assert report.period == detect(run) and report.period.period_us == truth.period_us
+
+
+def test_detect_period_rejects_samples_on_under_half_the_grid():
+    # 10 samples 10**12 us apart at a declared 1 us interval: a 9e12-point grid.
+    samples = [mk_sample(i * 10**12, gpu=float(i % 2)) for i in range(10)]
+    run = mk_run(samples, [OpEvent("op", Device.GPU, 0, 9 * 10**12 + 1)], interval=1)
+    with pytest.raises(SignalTooShort, match="cover under half of the 9000000000001-point"):
+        detect_period(run)
+    # Every other interval sampled is exactly half the grid, which is enough.
+    half = mk_run([mk_sample(2 * i, gpu=float(i % 4 < 2)) for i in range(40)], interval=1)
+    assert detect_period(half).period_us == 8
 
 
 def test_detect_period_square_wave():
