@@ -19,16 +19,17 @@ telemetry are parsed straight into the columns of a ``model.OpTable`` and a
 object per op or sample. A timestamp, step or ``mem_bytes`` value outside
 the int64 range is a diagnostic on its line.
 
-Each parser first reads the whole file as columns and returns them only if no
-line would get an issue; else the per-line loop, the only source of
-diagnostics and line numbers, runs. Op trace: if the file holds no ``[``/``]``
-and each stripped non-blank line is ``{...}``, a chunk of lines decodes as one
-JSON array. No record can then span lines (a string cannot hold the raw
-newline, an object would need a key where the next line has ``{``), so as
-many records as lines is one per line; keys and exact value types must be
-what the loop accepts unchanged. Telemetry: if the file is ASCII and the
-header exactly as expected, ``np.loadtxt`` reads the columns; it accepts a
-subset of what ``int``/``float`` do, with equal values.
+Each parser reads its file once. Only decoding falls back to one line at a
+time; each value rule is then one check over a column, and a failing line
+gets the diagnostic of its first failing rule. Op trace: lines are decoded
+``_CHUNK`` at a time. If a chunk holds no ``[``/``]`` and each stripped
+non-blank line is ``{...}``, the chunk decodes as one JSON array. No record
+can then span lines (a string cannot hold the raw newline, an object would
+need a key where the next line has ``{``), so as many records as lines is one
+per line. Else each line goes through ``json.loads`` on its own. Telemetry:
+if the file is ASCII and the header exactly as expected, ``np.loadtxt``
+tokenizes the rows; it accepts a subset of what ``int``/``float`` do, with
+equal values. Else each row is split and converted on its own.
 
 Manifests, reports, sweep results and synth specs go through one codec
 (``to_doc``/``from_doc``) whose JSON keys are the dataclass field names.
@@ -47,11 +48,11 @@ from array import array
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache, partial
-from itertools import repeat
+from itertools import compress, repeat
 from math import isfinite
-from operator import is_not
+from operator import itemgetter
 from pathlib import Path
-from types import UnionType
+from types import NoneType, UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -74,16 +75,9 @@ from .sweep import SweepResult
 SCHEMA_VERSION = 1
 
 _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
-# The exact value types a line of the op-trace column reader may hold, by key.
-_OP_TYPES = {"op": {str}, "device": {str}, "start_us": {int}, "end_us": {int},
-             "step": {int, type(None)}, "layer": {str, type(None)}}
 _DEVICE_CODES = {d.value: code for code, d in enumerate(DEVICES)}
 _INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
-# json.loads's own decoder without its per-call wrapper, which costs about as
-# much as decoding a short op record. On a stripped line it returns what
-# json.loads returns whenever it consumes the whole line.
-_raw_decode = json.JSONDecoder().raw_decode
-_CHUNK = 1024  # lines per json.loads call of the op-trace column reader
+_CHUNK = 1024  # op-trace lines per bulk decode
 
 
 @dataclass(frozen=True)
@@ -94,16 +88,6 @@ class RunManifest:
     memory_breakdown: MemoryBreakdown | None = None
 
 
-def _as_int(value: Any) -> int | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return None
-
-
 class _Codes(dict):
     """Interns keys: a key not seen before gets the next code."""
 
@@ -112,48 +96,107 @@ class _Codes(dict):
         return code
 
 
-def _op_columns() -> tuple[list[array], dict[str, int], dict[str | None, int]]:
-    """Empty growable op columns in ``OpTable`` field order, with name and layer codes."""
-    return [array(code) for code in "qqbqbii"], _Codes(), _Codes()
+def _json_or_error(line: str) -> Any:
+    try:
+        return json.loads(line)
+    except ValueError as exc:  # also an integer past Python's int-to-str digit limit
+        return exc
 
 
-def _op_table(columns: list[array], names: dict, layers: dict) -> OpTable:
-    dtypes = (np.int64, np.int64, np.int8, np.int64, np.bool_, np.int32, np.int32)
-    arrays = (np.frombuffer(col, dtype) for col, dtype in zip(columns, dtypes))
-    return OpTable(*arrays, names=tuple(names), layers=tuple(layers))
-
-
-def _parse_clean_op_trace(lines: list[str]) -> OpTable | None:
-    """The op columns when no line would get an issue, else None (see the module doc)."""
-    columns, names, layers = _op_columns()
-    start, end, device, step, has_step, name_code, layer_code = columns
-    for i in range(0, len(lines), _CHUNK):
-        chunk = [line for line in map(str.strip, lines[i : i + _CHUNK]) if line]
-        if not all(line[0] == "{" and line[-1] == "}" for line in chunk):
-            return None
+def _decode_op_lines(lines: list[str]) -> list:
+    """Each stripped non-blank line's JSON value, or the ValueError of a line that is not JSON."""
+    joined = ",\n".join(lines)
+    objects = all(line[0] == "{" and line[-1] == "}" for line in lines)
+    if objects and "[" not in joined and "]" not in joined:
         try:
-            records = json.loads("[" + ",\n".join(chunk) + "]")
-        except ValueError:  # also an integer past Python's int-to-str digit limit
-            return None
-        if len(records) != len(chunk) or not _OP_KEYS.issuperset(set().union(*records)):
-            return None
-        cols = [list(map(dict.get, records, repeat(key))) for key in _OP_TYPES]
-        if not all(set(map(type, col)) <= kinds for col, kinds in zip(cols, _OP_TYPES.values())):
-            return None
-        name, dev, t0, t1, op_step, layer = cols
-        if not all(name) or not _DEVICE_CODES.keys() >= set(dev):
-            return None
-        try:  # int64 range
-            start.extend(t0)
-            end.extend(t1)
-            step.extend([s or 0 for s in op_step])
+            records = json.loads("[" + joined + "]")
+            if len(records) == len(lines):  # one record per line (see the module doc)
+                return records
+        except ValueError:
+            pass
+    return list(map(_json_or_error, lines))
+
+
+def _numbered(found: list[tuple], lines: list[str], first: int = 0) -> list[Issue]:
+    """Issues from (record, code, message, severity) in record order, where record r is
+    the r-th non-blank one of ``lines``, numbered from ``first`` + 1."""
+    found.sort(key=itemgetter(0))  # stable: a line's warnings stay before its error
+    line_nos = [n for n, line in enumerate(lines, first + 1) if line.strip()] if found else []
+    return [Issue(code, message, severity, line_nos[r]) for r, code, message, severity in found]
+
+
+def _kinds(col: list) -> set[type]:
+    """The exact types in a column: json.loads makes no subclass, and a bool is no int here."""
+    return set(map(type, col))
+
+
+def _in_int64(x: int) -> bool:
+    return -_INT64 <= x < _INT64
+
+
+def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], list[tuple]]:
+    """Apply the op rules, in order, to one chunk's decoded records.
+
+    Returns the columns of the records that pass (by key, plus ``has_step``)
+    and (record index, code, message, severity) per new unknown key, which
+    joins ``warned``, and per failing record, for its first failing rule. A
+    rule tests a whole column at once, and its values one by one only then.
+    """
+    found: list[tuple[int, str, str, str]] = []
+    cols: dict[str, Any] = {"at": range(len(records)), "record": records}
+
+    def drop(key: str, ok, code: str, message) -> None:
+        passed = list(map(ok, cols[key]))
+        found.extend((i, code, message(x), "error")
+                     for i, x, p in zip(cols["at"], cols[key], passed) if not p)
+        for k, col in cols.items():
+            cols[k] = list(compress(col, passed))
+
+    def integers(key: str, kinds: set[type], message: str) -> None:
+        if not _kinds(cols[key]) <= kinds:  # JSON 5.0 is the integer 5
+            cols[key] = [int(x) if type(x) is float and x.is_integer() else x for x in cols[key]]
+            drop(key, lambda x: type(x) in kinds, "MalformedLine", lambda _: message)
+
+    def int64(key: str, message: str) -> None:
+        try:
+            cols[key] = array("q", cols[key])
         except OverflowError:
-            return None
-        has_step.extend(map(is_not, op_step, repeat(None)))
-        device.extend(map(_DEVICE_CODES.__getitem__, dev))
-        name_code.extend(map(names.__getitem__, name))
-        layer_code.extend(map(layers.__getitem__, layer))
-    return _op_table(columns, names, layers) if start else None
+            drop(key, _in_int64, "MalformedLine", lambda _: message)
+            cols[key] = array("q", cols[key])
+
+    if not _kinds(records) <= {dict}:
+        drop("record", lambda r: type(r) is dict, "MalformedLine",
+             lambda r: f"invalid JSON: {getattr(r, 'msg', r)}" if isinstance(r, ValueError)
+             else "record is not a JSON object")
+    records = cols.pop("record")
+    unknown = set().union(*records) - _OP_KEYS - warned
+    for i, record in zip(cols["at"], records) if unknown else ():
+        for key in record:  # in the line's order
+            if key in unknown:
+                unknown.discard(key)
+                warned.add(key)
+                found.append((i, "UnknownKey", f"ignoring unknown key {key!r}", "warning"))
+    for key in _OP_KEYS:
+        cols[key] = list(map(dict.get, records, repeat(key)))
+
+    if not (_kinds(cols["op"]) <= {str} and all(cols["op"])):
+        drop("op", lambda x: type(x) is str and x != "", "MalformedLine",
+             lambda _: "missing or empty 'op'")
+    if not (_kinds(cols["device"]) <= {str} and set(cols["device"]) <= _DEVICE_CODES.keys()):
+        drop("device", lambda x: type(x) is str and x in _DEVICE_CODES, "UnknownDevice",
+             lambda x: f"unknown device {x!r}")
+    for key in ("start_us", "end_us"):
+        integers(key, {int}, "start_us and end_us must be integers")
+    for key in ("start_us", "end_us"):
+        int64(key, "start_us and end_us must fit in int64")
+    integers("step", {int, NoneType}, "step must be an integer")
+    cols["has_step"] = [x is not None for x in cols["step"]]
+    cols["step"] = [x or 0 for x in cols["step"]]
+    int64("step", "step must fit in int64")
+    if not _kinds(cols["layer"]) <= {str, NoneType}:
+        drop("layer", lambda x: x is None or type(x) is str, "MalformedLine",
+             lambda _: "layer must be a string")
+    return cols, found
 
 
 def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
@@ -163,97 +206,30 @@ def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
     built.
     """
     lines = data.decode("utf-8", errors="replace").splitlines()
-    if b"[" not in data and b"]" not in data:
-        ops = _parse_clean_op_trace(lines)
-        if ops is not None:
-            return ops, []
-    columns, names, layers = _op_columns()
+    columns = [array(code) for code in "qqbqbii"]  # growable, in OpTable field order
     start, end, device, step, has_step, name_code, layer_code = columns
+    names, layers = _Codes(), _Codes()
     issues: list[Issue] = []
-    warned_keys: set[str] = set()
-    non_blank = 0
-    lo, hi = -_INT64, _INT64
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+    warned: set[str] = set()
+    for first in range(0, len(lines), _CHUNK):
+        chunk = lines[first : first + _CHUNK]
+        records = [line for line in map(str.strip, chunk) if line]
+        if not records:
             continue
-        non_blank += 1
-        try:
-            record, stop = _raw_decode(line)
-        except ValueError:
-            stop = -1
-        if stop != len(line):  # not one JSON value: json.loads gives the result or message
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # also an integer past Python's int-to-str digit limit
-                message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
-                issues.append(Issue("MalformedLine", message, line_no=line_no))
-                continue
-        # json.loads makes exact types only, so the type tests below are
-        # isinstance tests that skip the subclass walk.
-        if type(record) is not dict:
-            issues.append(Issue("MalformedLine", "record is not a JSON object", line_no=line_no))
-            continue
-        if not _OP_KEYS.issuperset(record):
-            for key in record:  # in the line's order, not set order
-                if key not in _OP_KEYS and key not in warned_keys:
-                    warned_keys.add(key)
-                    issues.append(
-                        Issue("UnknownKey", f"ignoring unknown key {key!r}", "warning", line_no)
-                    )
-        name = record.get("op")
-        if type(name) is not str or not name:
-            issues.append(Issue("MalformedLine", "missing or empty 'op'", line_no=line_no))
-            continue
-        device_raw = record.get("device")
-        code = _DEVICE_CODES.get(device_raw) if type(device_raw) is str else None
-        if code is None:
-            issues.append(
-                Issue("UnknownDevice", f"unknown device {device_raw!r}", line_no=line_no)
-            )
-            continue
-        t0 = record.get("start_us")
-        t1 = record.get("end_us")
-        if type(t0) is not int:
-            t0 = _as_int(t0)
-        if type(t1) is not int:
-            t1 = _as_int(t1)
-        if t0 is None or t1 is None:
-            issues.append(
-                Issue("MalformedLine", "start_us and end_us must be integers", line_no=line_no)
-            )
-            continue
-        if not (lo <= t0 < hi and lo <= t1 < hi):
-            issues.append(
-                Issue("MalformedLine", "start_us and end_us must fit in int64", line_no=line_no)
-            )
-            continue
-        op_step = record.get("step")
-        if op_step is not None:
-            if type(op_step) is not int:
-                op_step = _as_int(op_step)
-            if op_step is None:
-                issues.append(
-                    Issue("MalformedLine", "step must be an integer", line_no=line_no)
-                )
-                continue
-            if not lo <= op_step < hi:
-                issues.append(Issue("MalformedLine", "step must fit in int64", line_no=line_no))
-                continue
-        layer = record.get("layer")
-        if layer is not None and type(layer) is not str:
-            issues.append(Issue("MalformedLine", "layer must be a string", line_no=line_no))
-            continue
-        start.append(t0)
-        end.append(t1)
-        device.append(code)
-        step.append(op_step or 0)
-        has_step.append(op_step is not None)
-        name_code.append(names[name])
-        layer_code.append(layers[layer])
-    if non_blank == 0:
+        cols, found = _check_op_records(_decode_op_lines(records), warned)
+        issues.extend(_numbered(found, chunk, first))
+        start.extend(cols["start_us"])
+        end.extend(cols["end_us"])
+        device.extend(map(_DEVICE_CODES.__getitem__, cols["device"]))
+        step.extend(cols["step"])
+        has_step.extend(cols["has_step"])
+        name_code.extend(map(names.__getitem__, cols["op"]))
+        layer_code.extend(map(layers.__getitem__, cols["layer"]))
+    if not start and not issues:  # every non-blank line is a row or has an error
         issues.append(Issue("EmptyTrace", "op trace has no records", line_no=0))
-    return _op_table(columns, names, layers), issues
+    dtypes = (np.int64, np.int64, np.int8, np.int64, np.bool_, np.int32, np.int32)
+    arrays = (np.frombuffer(col, dtype) for col, dtype in zip(columns, dtypes))
+    return OpTable(*arrays, names=tuple(names), layers=tuple(layers)), issues
 
 
 def _telemetry_columns(core_count: int) -> list[str]:
@@ -261,32 +237,21 @@ def _telemetry_columns(core_count: int) -> list[str]:
     return ["t_us", *cores, "gpu", *(f"p_{rail}_mw" for rail in RAILS), "mem_bytes"]
 
 
-def _parse_clean_telemetry(lines: list[str], columns: list[str]) -> SampleTable | None:
-    """The sample columns when no line would get an issue, else None (see the module doc)."""
-    rows = [line for line in map(str.strip, lines) if line]
+def _loadtxt_rows(rows: list[str], width: int) -> tuple[np.ndarray, ...] | None:
+    """(t, values, mem) of rows of ``width`` cells in the expected order, or None."""
     # numpy's int reader takes some non-ASCII letters for digits (U+20000 reads
     # as 131024) and can crash on others, so it sees ASCII only.
-    if len(rows) < 2 or not all(map(str.isascii, rows)):
+    if not all(map(str.isascii, rows)):
         return None
-    if [cell.strip() for cell in rows.pop(0).split(",")] != columns:
-        return None
-    last = len(columns) - 1
     read = partial(np.loadtxt, rows, delimiter=",", comments=None, ndmin=2)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.23-1.24 only warn on "1.0" as an int
-            ints = read(np.int64, usecols=(0, last))
-            values = read(np.float64, usecols=range(1, last))
+            t, mem = read(np.int64, usecols=(0, width - 1)).T.copy()
+            values = read(np.float64, usecols=range(1, width - 1))
     except (ValueError, Warning):
         return None
-    t, mem = ints.T.copy()
-    util, power = values[:, : -len(RAILS)], values[:, -len(RAILS) :]
-    # Percent, before scaling: -5e-324 is out of range, its fraction -0.0 is not.
-    if not (((0 <= util) & (util <= 100)).all() and ((0 <= power) & (power < np.inf)).all()
-            and (mem >= 0).all()):
-        return None
-    util /= 100.0
-    return SampleTable(t, values, mem)
+    return t, values, mem
 
 
 def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Issue]]:
@@ -295,23 +260,15 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Iss
     Each valid line becomes one row of the sample columns, in file order; no
     per-sample object is built.
     """
-    decoded = data.decode("utf-8", errors="replace").splitlines()
+    lines = data.decode("utf-8", errors="replace").splitlines()
+    rows = [line for line in map(str.strip, lines) if line]  # the header, then one per sample
+    if not rows:
+        return SampleTable.from_samples(()), [
+            Issue("EmptyTrace", "telemetry file is empty", line_no=0)]
     expected = _telemetry_columns(core_count)
-    samples = _parse_clean_telemetry(decoded, expected)
-    if samples is not None:
-        return samples, []
-    t_col, values, mem_col = array("q"), array("d"), array("q")
+    header_no = next(n for n, line in enumerate(lines, start=1) if line.strip())
+    header = [cell.strip() for cell in rows[0].split(",")]
     issues: list[Issue] = []
-    lines = enumerate(decoded, start=1)
-    stripped = ((i, line.strip()) for i, line in lines)
-    numbered = ((i, line) for i, line in stripped if line)
-    first = next(numbered, None)
-    if first is None:
-        issues.append(Issue("EmptyTrace", "telemetry file is empty", line_no=0))
-        return SampleTable.from_samples(()), issues
-
-    header_no, header_line = first
-    header = [cell.strip() for cell in header_line.split(",")]
     col_index: dict[str, int] = {}
     for pos, name in enumerate(header):
         if name in expected and name not in col_index:
@@ -336,56 +293,66 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Iss
         return SampleTable.from_samples(()), issues
 
     value_names = expected[1:-1]  # the cores, gpu and rails: one row of SampleTable.values
-    value_at = [col_index[name] for name in value_names]
-    t_at, mem_at = col_index["t_us"], col_index["mem_bytes"]
     n_util = len(value_names) - len(RAILS)  # the cores and gpu, in percent
-    for line_no, line in numbered:
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) < len(header):
-            issues.append(
-                Issue("MalformedLine", f"expected {len(header)} cells, got {len(cells)}", line_no=line_no)
-            )
-            continue
-        try:
-            t = int(cells[t_at])
-            mem = int(cells[mem_at])
-            row = [float(cells[k]) for k in value_at]
-        except ValueError as exc:
-            issues.append(Issue("MalformedLine", f"bad numeric cell: {exc}", line_no=line_no))
-            continue
-        if not -_INT64 <= t < _INT64:
-            issues.append(Issue("MalformedLine", "t_us must fit in int64", line_no=line_no))
-            continue
-        if not all(map(isfinite, row)):
-            cols = [name for name, x in zip(value_names, row) if not isfinite(x)]
-            issues.append(Issue("NonFinite", f"nan or inf in column(s) {cols}", line_no=line_no))
-            continue
-        pct = next((x for x in row[:n_util] if not 0.0 <= x <= 100.0), None)
-        if pct is not None:
-            issues.append(
-                Issue("UtilizationOutOfRange", f"utilization {pct}% outside [0, 100]", line_no=line_no)
-            )
-            continue
-        negative = [rail for rail, p in zip(RAILS, row[n_util:]) if p < 0]
-        if negative:
-            issues.append(
-                Issue("NegativePower", f"negative power on rail(s) {negative}", line_no=line_no)
-            )
-            continue
-        if not 0 <= mem < _INT64:
-            message = "must be non-negative" if mem < 0 else "must fit in int64"
-            issues.append(Issue("MalformedLine", f"mem_bytes {message}", line_no=line_no))
-            continue
-        t_col.append(t)
-        values.extend([x / 100.0 for x in row[:n_util]])
-        values.extend(row[n_util:])
-        mem_col.append(mem)
-    if not t_col and not any(i.severity == "error" for i in issues):
+    found: list[tuple[int, str, str, str]] = []  # (row, code, message, severity) of rows[row]
+    at: Any = range(1, len(rows))  # the row of each tokenized sample
+    tokens = _loadtxt_rows(rows[1:], len(header)) if header == expected else None
+    if tokens is None:  # one row at a time
+        at, t_col, values, mem_col = array("q"), array("q"), array("d"), []
+        value_at = [col_index[name] for name in value_names]
+        t_at, mem_at = col_index["t_us"], col_index["mem_bytes"]
+        for r in range(1, len(rows)):
+            cells = [cell.strip() for cell in rows[r].split(",")]
+            if len(cells) < len(header):
+                found.append((r, "MalformedLine",
+                              f"expected {len(header)} cells, got {len(cells)}", "error"))
+                continue
+            try:
+                t, mem = int(cells[t_at]), int(cells[mem_at])
+                row = [float(cells[k]) for k in value_at]
+            except ValueError as exc:
+                found.append((r, "MalformedLine", f"bad numeric cell: {exc}", "error"))
+                continue
+            if not _in_int64(t):
+                found.append((r, "MalformedLine", "t_us must fit in int64", "error"))
+                continue
+            at.append(r)
+            t_col.append(t)
+            values.extend(row)
+            mem_col.append(mem)
+        tokens = (np.frombuffer(t_col, np.int64),
+                  np.frombuffer(values, np.float64).reshape(-1, len(value_names)),
+                  np.array(mem_col, dtype=object))  # its range is checked after the values'
+    t, values, mem = tokens
+    # Percent, before scaling: -5e-324 is out of range, its fraction -0.0 is not.
+    util, power = values[:, :n_util], values[:, n_util:]
+    checks = [~np.isfinite(values), ~((0 <= util) & (util <= 100)), power < 0,
+              ((mem < 0) | (mem > _INT64 - 1))[:, None]]
+    if any(map(np.any, checks)):  # else skip the slower per-row reductions
+        failures = np.column_stack([check.any(1) for check in checks])
+        failed = failures.any(1)
+        for k in np.flatnonzero(failed).tolist():
+            row = values[k].tolist()
+            check = int(failures[k].argmax())
+            if check == 0:
+                cols = [name for name, x in zip(value_names, row) if not isfinite(x)]
+                code, message = "NonFinite", f"nan or inf in column(s) {cols}"
+            elif check == 1:
+                pct = next(x for x in row[:n_util] if not 0.0 <= x <= 100.0)
+                code, message = "UtilizationOutOfRange", f"utilization {pct}% outside [0, 100]"
+            elif check == 2:
+                negative = [rail for rail, p in zip(RAILS, row[n_util:]) if p < 0]
+                code, message = "NegativePower", f"negative power on rail(s) {negative}"
+            else:
+                what = "must be non-negative" if mem[k] < 0 else "must fit in int64"
+                code, message = "MalformedLine", f"mem_bytes {what}"
+            found.append((at[k], code, message, "error"))
+        t, values, mem = t[~failed], values[~failed], mem[~failed]
+    values[:, :n_util] /= 100.0
+    issues += _numbered(found, lines)
+    if not len(t) and not any(i.severity == "error" for i in issues):
         issues.append(Issue("EmptyTrace", "telemetry has a header but no rows", line_no=0))
-    samples = SampleTable(np.frombuffer(t_col, np.int64),
-                          np.frombuffer(values, np.float64).reshape(-1, len(value_names)),
-                          np.frombuffer(mem_col, np.int64))
-    return samples, issues
+    return SampleTable(t, values, np.asarray(mem, np.int64)), issues
 
 
 def write_op_trace(ops) -> bytes:

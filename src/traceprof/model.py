@@ -402,6 +402,10 @@ def validate_run(
     """
     issues: list[Issue] = []
     _check_meta(meta, issues)
+    for field, value in vars(memory_breakdown or MemoryBreakdown()).items():
+        if value is not None and value < 0:
+            issues.append(
+                Issue("InvalidMeta", f"memory_breakdown.{field} must be >= 0, got {value}"))
     if not isinstance(ops, OpTable):
         ops = OpTable.from_events(ops)
     if not isinstance(samples, SampleTable):

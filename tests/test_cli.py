@@ -186,6 +186,29 @@ def test_sweep_three_point_closed_form(tmp_path, capsysbinary):
     assert doc["energy_scaling_class"] == "proportional"
 
 
+def test_sweep_table_rows_follow_the_json_result(tmp_path, capsys):
+    specs = [_throughput_spec(16, 300_000, 10_000), _throughput_spec(4, 100_000, 10_000),
+             _throughput_spec(8, 160_000, 10_000)]
+    # Batch 16 peaks at 9 GB, above the default capacity of 8 GiB.
+    specs[0] = replace(specs[0], phases=(replace(specs[0].phases[0], mem_bytes=9 * GB),
+                                         *specs[0].phases[1:]))
+    path = _write_sweep(tmp_path, [(spec, None) for spec in specs])
+    assert main(["sweep", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["sweep", str(path), "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("batch"))
+    rows = [line.split() for line in lines[header + 1 :]]
+    verdicts = {v["batch_size"]: v["verdict"] for v in doc["feasibility"]}
+    assert [[row[0], row[1], row[5], row[6]] for row in rows] == [
+        [str(p["batch_size"]), f"{p['report']['throughput_samples_per_sec']:.2f}",
+         str(p["report"]["peak_mem_bytes"]), verdicts[p["batch_size"]]]
+        for p in doc["points"]
+    ]
+    assert [(row[0], row[6]) for row in rows] == [
+        ("4", "fits"), ("8", "fits"), ("16", "out_of_memory")]
+
+
 def test_synth_manifest_feeds_analyze(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "s"), "--seed", "5"]) == 0
     manifest = capsys.readouterr().out.strip()
@@ -313,6 +336,17 @@ def test_malformed_manifest_is_a_diagnostic(tmp_path, edit, message):
     assert b"Traceback" not in result.stderr
     assert result.stderr.startswith(b"error: manifest")
     assert message.encode() in result.stderr
+
+
+def test_negative_memory_breakdown_is_a_diagnostic(tmp_path):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    doc = json.loads(manifest.read_text())
+    doc["memory_breakdown"] = {"parameters_bytes": -5}
+    manifest.write_text(json.dumps(doc))
+    result = _run_cli("analyze", manifest, "--format", "json")
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.decode().splitlines() == [
+        "error[InvalidMeta]: memory_breakdown.parameters_bytes must be >= 0, got -5"]
 
 
 def test_non_finite_telemetry_is_a_diagnostic(tmp_path):

@@ -538,16 +538,60 @@ def _long_telemetry(n):
     return [",".join(_TEL_HEADER)] + [f"{i},12.5,0,100,1.5,2,3,4,{i}" for i in range(n)]
 
 
-def test_column_readers_take_clean_input():
+def _counted(monkeypatch, owner, name):
+    """The argument tuples of each later call of ``owner.name`` in this test."""
+    calls = []
+    function = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args, **kw: calls.append(args) or function(*args, **kw))
+    return calls
+
+
+def test_column_readers_take_clean_input(monkeypatch):
     lines = _long_op_trace(3000)
-    ops = ingest._parse_clean_op_trace(lines)
-    assert ops is not None and len(ops) == 3000
-    _assert_ops_match_oracle(("\n".join(lines) + "\n").encode())
+    data = ("\n".join(lines) + "\n").encode()
+    loads = _counted(monkeypatch, json, "loads")
+    ops, issues = parse_op_trace(data)
+    assert len(loads) == 3  # one JSON array per chunk of ingest._CHUNK lines
+    assert len(ops) == 3000 and issues == []
+    _assert_ops_match_oracle(data)
     lines = _long_telemetry(3000)
-    samples = ingest._parse_clean_telemetry(lines, _TEL_HEADER)
-    assert samples is not None and len(samples) == 3000
-    want, _ = parse_telemetry_oracle(("\n".join(lines) + "\n").encode(), core_count=2)
+    data = ("\n".join(lines) + "\n").encode()
+    loadtxt = _counted(monkeypatch, ingest.np, "loadtxt")
+    samples, issues = parse_telemetry(data, core_count=2)
+    assert len(loadtxt) == 2 and len(samples) == 3000 and issues == []
+    want, _ = parse_telemetry_oracle(data, core_count=2)
     _assert_same_columns(samples, want)
+
+
+def test_a_bad_line_is_decoded_again_only_within_its_chunk(monkeypatch):
+    lines = _long_op_trace(3000)
+    lines[2900] = "not json"
+    data = ("\n".join(lines) + "\n").encode()
+    loads = _counted(monkeypatch, json, "loads")
+    ops, issues = parse_op_trace(data)
+    # Two whole chunks, then the last chunk's 952 lines one at a time.
+    assert [len(args[0].splitlines()) for args in loads[:2]] == [1024, 1024]
+    assert len(loads) == 2 + 952
+    assert len(ops) == 2999
+    assert issues == [Issue("MalformedLine", "invalid JSON: Expecting value", line_no=2901)]
+
+
+def test_a_flagged_telemetry_row_is_read_by_loadtxt_alone(monkeypatch):
+    lines = _long_telemetry(3000)
+    lines[2001] = lines[2001].replace(",12.5,", ",100.5,", 1)
+    data = ("\n".join(lines) + "\n").encode()
+    loadtxt = _counted(monkeypatch, ingest.np, "loadtxt")
+    per_line_columns = _counted(monkeypatch, ingest, "array")
+    samples, issues = parse_telemetry(data, core_count=2)
+    # The flagged row leaves loadtxt's columns; no row is tokenized again.
+    assert (len(loadtxt), len(per_line_columns)) == (2, 0)
+    assert len(samples) == 2999
+    assert issues == [Issue("UtilizationOutOfRange", "utilization 100.5% outside [0, 100]",
+                            line_no=2002)]
+    want, want_issues = parse_telemetry_oracle(data, core_count=2)
+    _assert_same_columns(samples, want)
+    assert issues == want_issues
 
 
 def test_bad_line_in_a_late_chunk_keeps_its_line_number():

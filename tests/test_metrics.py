@@ -366,6 +366,17 @@ def test_report_marks_sub_resolution_ops():
     assert report.concurrent_ops_double_counting
 
 
+def test_report_keeps_a_step_with_no_sample_but_drops_its_metrics():
+    # Step 2 spans [61 000, 62 000) us, between two 10 ms samples.
+    bounds = [0, 30_000, 61_000, 62_000, 100_000]
+    ops = [OpEvent("op", Device.GPU, lo, hi, step_id=s)
+           for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    report = build_report(_uniform_run([(0.0,)] * 10, ops=ops, warmup=0))
+    assert [(w.step_id, w.start_us, w.end_us) for w in report.steps] == [
+        (0, 0, 30_000), (1, 30_000, 61_000), (2, 61_000, 62_000), (3, 62_000, 100_000)]
+    assert [m.step_id for m in report.per_step] == [0, 1, 3]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_window_metrics_equal_loop_reference_bit_for_bit(seed):
     run = _jittered_run(seed=100 + seed, n=300)

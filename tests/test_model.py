@@ -15,6 +15,7 @@ from traceprof.ingest import (
 from traceprof.model import (
     Device,
     Issue,
+    MemoryBreakdown,
     OpEvent,
     OpTable,
     RunMeta,
@@ -110,6 +111,18 @@ def test_empty_trace_reported():
     with pytest.raises(TraceValidationError) as exc:
         validate_run(meta, [], [])
     assert any(i.code == "EmptyTrace" for i in exc.value.issues)
+
+
+def test_negative_memory_breakdown_bytes_are_invalid_meta():
+    # Zero is a valid count; each negative one is an error, though the sum is below the peak.
+    breakdown = MemoryBreakdown(-1, 0, -3, -4)
+    with pytest.raises(TraceValidationError) as exc:
+        mk_run([mk_sample(0), mk_sample(10_000)], breakdown=breakdown)
+    assert [(i.code, i.message) for i in exc.value.issues] == [
+        ("InvalidMeta", "memory_breakdown.parameters_bytes must be >= 0, got -1"),
+        ("InvalidMeta", "memory_breakdown.input_bytes must be >= 0, got -3"),
+        ("InvalidMeta", "memory_breakdown.intermediate_bytes must be >= 0, got -4"),
+    ]
 
 
 def test_duplicate_timestamps_warn_but_validate():
