@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import reprlib
 import warnings
 from array import array
@@ -527,6 +528,17 @@ def _read_json(path: Path, what: str) -> Any:
         raise ManifestError(f"{what} {path} is not valid JSON: {getattr(exc, 'msg', exc)}")
 
 
+def _check_paths(paths: list[str], where: str) -> None:
+    """ManifestError unless the file system can open every path: no NUL, and encodable."""
+    for p in paths:
+        if "\0" in p:
+            raise ManifestError(f"{where} has a NUL character in a path")
+        try:
+            os.fsencode(p)
+        except UnicodeEncodeError:
+            raise ManifestError(f"{where} has a path the file system cannot encode: {p!r}")
+
+
 def load_manifest(path: Path | str) -> RunManifest:
     path = Path(path)
     doc = _read_json(path, "manifest")
@@ -538,8 +550,7 @@ def load_manifest(path: Path | str) -> RunManifest:
         raise ManifestError(f"{exc} in {path}")
     if not manifest.op_trace_path or not manifest.telemetry_path:
         raise ManifestError(f"manifest {path} needs op_trace_path and telemetry_path")
-    if "\0" in manifest.op_trace_path + manifest.telemetry_path:
-        raise ManifestError(f"manifest {path} has a NUL character in a path")
+    _check_paths([manifest.op_trace_path, manifest.telemetry_path], f"manifest {path}")
     return manifest
 
 
@@ -589,8 +600,7 @@ def load_sweep_manifest(path: Path | str) -> tuple[str, list[Path]]:
     runs = doc["runs"]
     if not isinstance(runs, list) or not all(isinstance(r, str) for r in runs):
         raise ManifestError(f"sweep manifest {path} 'runs' must be a list of paths")
-    if any("\0" in r for r in runs):
-        raise ManifestError(f"sweep manifest {path} has a NUL character in a path")
+    _check_paths(runs, f"sweep manifest {path}")
     return doc["model"], [path.parent / r for r in runs]
 
 

@@ -402,10 +402,11 @@ def validate_run(
     """
     issues: list[Issue] = []
     _check_meta(meta, issues)
-    for field, value in vars(memory_breakdown or MemoryBreakdown()).items():
-        if value is not None and value < 0:
-            issues.append(
-                Issue("InvalidMeta", f"memory_breakdown.{field} must be >= 0, got {value}"))
+    breakdown = memory_breakdown or MemoryBreakdown()
+    bad_bytes = {f: v for f, v in vars(breakdown).items() if v is not None and not 0 <= v < 2**63}
+    for field, value in bad_bytes.items():
+        bound = f">= 0, got {value}" if value < 0 else "< 2**63"
+        issues.append(Issue("InvalidMeta", f"memory_breakdown.{field} must be {bound}"))
     if not isinstance(ops, OpTable):
         ops = OpTable.from_events(ops)
     if not isinstance(samples, SampleTable):
@@ -421,7 +422,8 @@ def validate_run(
         for i in np.flatnonzero(np.logical_not(fits)).tolist():
             _check_samples(SampleTable.from_samples([samples[i]]), meta.core_count, issues, i)
         samples = SampleTable.from_samples(s for s, ok in zip(samples, fits) if ok)
-    samples = samples.take(_sample_order(samples))
+    if not (samples.t[1:] > samples.t[:-1]).all():  # else the sorted order is the identity
+        samples = samples.take(_sample_order(samples))
     _check_samples(samples, meta.core_count, issues)
     # With every t >= 0 this bounds each window's int64 weight sum.
     if samples and samples.t[-1].item() + meta.sample_interval_us >= 2**63:
@@ -435,7 +437,7 @@ def validate_run(
     ]
     warnings.extend(_duplicate_op_warnings(ops))
 
-    total = memory_breakdown.total_bytes() if memory_breakdown is not None else None
+    total = None if bad_bytes else breakdown.total_bytes()
     peak = int(samples.mem.max()) if samples else None
     if total is not None and peak is not None and total > peak:
         warnings.append(Issue("MemoryBreakdownMismatch",

@@ -6,12 +6,19 @@ period. Otherwise one normalized-autocorrelation estimate of a telemetry
 signal gives the period, whose windows are tiled from the first op's start.
 GPU utilization is the default signal because it carries the strongest step
 structure.
+
+``predictability`` scores how alike the steps are: the mean Pearson r over
+every pair of non-warmup steps. It never forms the S(S-1)/2 pairs. Steps are
+resampled to rows of equal length L by one gather per distinct step length,
+and the pair scores are summed in closed form from the rows' centred,
+unit-norm vectors. Memory is O(S*L), and time is O(S*L) plus one sort of the
+rows, which groups the equal ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import comb, fsum
 from typing import Sequence
 
 import numpy as np
@@ -54,29 +61,53 @@ def signal_values(run: Run, signal: str) -> np.ndarray:
     raise ValueError(f"unknown signal {signal!r}, expected one of {SIGNALS}")
 
 
-def _pair_scores(rows: np.ndarray) -> np.ndarray:
-    """Pearson r of every row pair i < j, in (i, j) order.
+def _resampled_rows(values: np.ndarray, bounds: np.ndarray, target: int) -> np.ndarray:
+    """One row per segment ``values[a:b]`` of ``bounds``, linearly resampled to ``target`` points.
 
-    Each pair scores exactly as the scalar definition does on its two rows:
-    equal rows correlate perfectly (this also covers two identical constant
-    rows, where the usual formula is 0/0), a zero denominator scores 0.0, and
-    r is clamped to [-1, 1] with NaN mapped to 1.0 as Python's min/max do.
-    Row i is scored against the block of rows after it, so memory stays one
-    block and every reduction runs along a contiguous row.
+    Row i equals ``np.interp(np.linspace(0, n - 1, target), np.arange(n), segment)`` bit
+    for bit, for a segment of n >= target samples: one gather per distinct n evaluates
+    np.interp's formula ``(fp[j+1] - fp[j]) * (x - j) + fp[j]``, and ``fp[j]`` where
+    ``x == j`` (this covers the last knot). The values are finite and non-negative, as
+    every signal is, so the difference cannot overflow.
     """
-    centred = rows - rows.mean(axis=1, keepdims=True)
-    sq_sums = (centred * centred).sum(axis=1)
-    blocks = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(len(rows) - 1):
-            denom = np.sqrt(sq_sums[i] * sq_sums[i + 1:])
-            r = (centred[i] * centred[i + 1:]).sum(axis=1) / denom
-            r = np.where(r < 1.0, r, 1.0)
-            r = np.where(r > -1.0, r, -1.0)
-            r[denom == 0.0] = 0.0
-            r[(rows[i] == rows[i + 1:]).all(axis=1)] = 1.0
-            blocks.append(r)
-    return np.concatenate(blocks)
+    starts, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    rows = np.empty((len(bounds), target))
+    for n in set(lengths.tolist()):
+        group = np.flatnonzero(lengths == n)
+        x = np.linspace(0.0, n - 1.0, target)
+        j = x.astype(np.intp)
+        frac = x - j
+        first = starts[group, None]
+        lo = values[first + j]
+        hi = values[first + np.minimum(j + 1, n - 1)]
+        rows[group] = np.where(frac == 0.0, lo, (hi - lo) * frac + lo)
+    return rows
+
+
+def _mean_pair_score(rows: np.ndarray) -> float:
+    """Mean Pearson r over the row pairs i < j, without forming the pairs.
+
+    Pairs of equal rows score exactly 1 (this covers identical constant rows).
+    Across the groups g of equal rows, with k_g rows each, the scores sum to
+    (||sum_g k_g z_g||^2 - sum_g k_g^2 ||z_g||^2) / 2, where z_g is the group's
+    centred, unit-norm row and is 0 when its denominator is 0. Each row is first
+    scaled by a power of two, which leaves r unchanged and keeps the squares of
+    values near 1e308 finite. With a single group the mean is exactly 1; it is
+    clamped to [-1, 1], as each pair's r would be.
+    """
+    uniq, counts = np.unique(rows, axis=0, return_counts=True)
+    total = comb(len(rows), 2)
+    same = int((counts * (counts - 1) // 2).sum())
+    cross = 0.0
+    if len(uniq) > 1:
+        scaled = np.ldexp(uniq, -np.frexp(np.abs(uniq).max(axis=1))[1][:, None])
+        centred = scaled - scaled.mean(axis=1, keepdims=True)
+        norms = np.sqrt((centred * centred).sum(axis=1, keepdims=True))
+        z = centred / np.where(norms > 0.0, norms, 1.0)
+        weighted = (counts[:, None] * z).sum(axis=0)
+        diagonal = (counts * counts * (z * z).sum(axis=1)).sum()
+        cross = float((weighted * weighted).sum() - diagonal) / 2.0
+    return max(-1.0, min(1.0, (same + cross) / total))
 
 
 def estimate_period_from_series(values: np.ndarray, interval_us: int) -> PeriodEstimate:
@@ -225,8 +256,8 @@ def predictability(
     """Mean pairwise Pearson correlation of the per-step signal.
 
     Each step's samples are linearly resampled to the shortest step's sample
-    count (avoids extrapolation), then all unordered step pairs are scored.
-    Defined only when at least two complete non-warmup steps exist.
+    count (avoids extrapolation), then the scores of all unordered step pairs
+    are averaged. Defined only when at least two complete non-warmup steps exist.
     """
     windows = [w for w in steps if not w.is_warmup]
     if len(windows) < 2:
@@ -234,18 +265,13 @@ def predictability(
             f"predictability needs >= 2 non-warmup steps, got {len(windows)}"
         )
     vals = signal_values(run, signal)
-    bounds = np.searchsorted(run.samples.t, [(w.start_us, w.end_us) for w in windows]).tolist()
-    segments = [vals[a:b] for a, b in bounds]
-    target = min(len(seg) for seg in segments)
+    bounds = np.searchsorted(run.samples.t, [(w.start_us, w.end_us) for w in windows])
+    target = int((bounds[:, 1] - bounds[:, 0]).min())
     if target < 2:
         raise SignalTooShort("shortest step contains fewer than 2 samples")
-    rows = np.stack([
-        np.interp(np.linspace(0.0, len(seg) - 1.0, target), np.arange(len(seg)), seg)
-        for seg in segments
-    ])
-    scores = _pair_scores(rows)
+    rows = _resampled_rows(vals, bounds, target)
     return PredictabilityScore(
         signal=signal,
-        mean_pairwise_correlation=fsum(scores) / scores.size,
-        per_step_pairs=scores.size,
+        mean_pairwise_correlation=_mean_pair_score(rows),
+        per_step_pairs=comb(len(rows), 2),
     )

@@ -85,6 +85,30 @@ def pearson_pair_oracle(a, b):
     return max(-1.0, min(1.0, r))
 
 
+def pair_scores_oracle(rows):
+    """Pearson r of every row pair i < j, in (i, j) order: the report's reference scores.
+
+    Each pair scores exactly as the scalar definition does on its two rows:
+    equal rows correlate perfectly (this also covers two identical constant
+    rows, where the usual formula is 0/0), a zero denominator scores 0.0, and
+    r is clamped to [-1, 1] with NaN mapped to 1.0 as Python's min/max do.
+    It holds all pair scores at once, and values near 1e308 overflow it.
+    """
+    centred = rows - rows.mean(axis=1, keepdims=True)
+    sq_sums = (centred * centred).sum(axis=1)
+    blocks = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(rows) - 1):
+            denom = np.sqrt(sq_sums[i] * sq_sums[i + 1:])
+            r = (centred[i] * centred[i + 1:]).sum(axis=1) / denom
+            r = np.where(r < 1.0, r, 1.0)
+            r = np.where(r > -1.0, r, -1.0)
+            r[denom == 0.0] = 0.0
+            r[(rows[i] == rows[i + 1:]).all(axis=1)] = 1.0
+            blocks.append(r)
+    return np.concatenate(blocks)
+
+
 def window_metrics_loop_oracle(run, window, threshold=0.0):
     """Every time-weighted window metric by a per-sample loop, each sum by fsum.
 

@@ -454,13 +454,14 @@ def test_criterion_9_format_stability(tmp_path, capsysbinary):
 
 # -- 10. long noisy run ---------------------------------------------------------------------------
 
-def test_criterion_10_long_noisy_run_matches_ground_truth():
-    """100k samples at 5% noise against GroundTruth, with perfbench's six-sigma noise bounds.
+def _check_long_noisy_run(steps, per_step):
+    """``steps`` x ``per_step`` samples at 5% noise against GroundTruth, with six-sigma bounds.
 
-    Every utilization and power stays far enough from its clamp that the noise
-    never engages it, so each metric is an unbiased estimate of the ground truth.
+    The bounds are perfbench's. Every utilization and power stays far enough
+    from its clamp that the noise never engages it, so each metric is an
+    unbiased estimate of the ground truth.
     """
-    amp, steps, per_step, dt = 0.05, 200, 500, 1_000
+    amp, dt = 0.05, 1_000
     spec = SynthSpec(
         steps=steps,
         step_duration_us=per_step * dt,
@@ -487,6 +488,7 @@ def test_criterion_10_long_noisy_run_matches_ground_truth():
     assert report.period.period_us == truth.period_us
     assert report.peak_mem_bytes == truth.peak_mem_bytes == 4 * GB
     assert report.throughput_samples_per_sec == truth.throughput_samples_per_sec
+    assert report.predictability.per_step_pairs == math.comb(steps - spec.warmup_steps, 2)
 
     # Uniform noise of amplitude a has standard deviation a / sqrt(3); the mean of
     # n independent draws has a / sqrt(3 n). Quantization adds at most half a grid step.
@@ -508,3 +510,12 @@ def test_criterion_10_long_noisy_run_matches_ground_truth():
         assert abs(report.energy_by_rail_joules[rail] - want) <= tol
     print(f"\nPASS criterion 10: a {len(samples)}-sample noisy run matches GroundTruth within "
           f"six sigma (exact throughput, peak memory, period, steps) in {elapsed:.2f}s")
+
+
+def test_criterion_10_long_noisy_run_matches_ground_truth():
+    _check_long_noisy_run(steps=200, per_step=500)
+
+
+def test_criterion_10_million_sample_run_matches_ground_truth():
+    # 50 000 steps: predictability's C(49 997, 2) step pairs are summed, never stored.
+    _check_long_noisy_run(steps=50_000, per_step=20)

@@ -349,6 +349,18 @@ def test_negative_memory_breakdown_is_a_diagnostic(tmp_path):
         "error[InvalidMeta]: memory_breakdown.parameters_bytes must be >= 0, got -5"]
 
 
+def test_memory_breakdown_past_int64_is_a_diagnostic(tmp_path):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    doc = json.loads(manifest.read_text())
+    doc["memory_breakdown"] = {"parameters_bytes": 10**400, "gradients_bytes": 1,
+                               "input_bytes": 1, "intermediate_bytes": 1}
+    manifest.write_text(json.dumps(doc))
+    result = _run_cli("analyze", manifest, "--format", "json")
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.decode().splitlines() == [
+        "error[InvalidMeta]: memory_breakdown.parameters_bytes must be < 2**63"]
+
+
 def test_non_finite_telemetry_is_a_diagnostic(tmp_path):
     manifest = write_run(random_spec(1), tmp_path / "run")
     telemetry = tmp_path / "run" / "telemetry.csv"
@@ -503,7 +515,7 @@ _CELLS = ["", "x", "nan", "-inf", "-1", "-0", "0.5", "101", "1e308", "1e-320", "
 _OP_VALUES = [None, "", "x", "TPU", -1, 0, 1.5, True, 2**63, -2**63 - 1, 1e300, [], {}]
 _LINES = ["", "garbage", "{}", "[1]", '{"op": "a"}', ",", "0,1", "\ufeff{}"]
 _META_VALUES = [0, -1, 2**63 - 1, 2**63, 10**400]
-_PATHS = ["", ".", "missing.jsonl", "ops\0.jsonl"]
+_PATHS = ["", ".", "missing.jsonl", "ops\0.jsonl", "\ud800ops.jsonl"]
 _BREAKDOWN_VALUES = [None, [1], -1, 2**63, 10**400]
 _BYTE_EDITS = ["truncate", b"\x00", b"\xff", "crlf"]
 
@@ -775,6 +787,23 @@ def test_nul_in_a_manifest_path_is_a_diagnostic(tmp_path, capsys):
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith(message)
+
+
+def test_unencodable_manifest_path_is_a_diagnostic(tmp_path):
+    # A lone surrogate has no file-system bytes; the JSON file holds it as the escape \ud800.
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    doc = json.loads(manifest.read_text())
+    bad = tmp_path / "run" / "surrogate.json"
+    bad.write_text(json.dumps({**doc, "op_trace_path": "\ud800ops.jsonl"}))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"model": "m", "runs": ["run/run.json", "run/\ud800.json"]}))
+    for args, where, path in [(["analyze", bad], f"manifest {bad}", "\\ud800ops.jsonl"),
+                              (["validate", bad], f"manifest {bad}", "\\ud800ops.jsonl"),
+                              (["sweep", sweep], f"sweep manifest {sweep}", "run/\\ud800.json")]:
+        result = _run_cli(*args)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode().splitlines() == [
+            f"error: {where} has a path the file system cannot encode: '{path}'"]
 
 
 def test_samples_on_under_half_the_period_grid_are_a_diagnostic(tmp_path):

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample, util_fractions
-from oracles import validate_ops_oracle, validate_samples_oracle
+from oracles import sort_samples_oracle, validate_ops_oracle, validate_samples_oracle
+from traceprof import model
 from traceprof.errors import TraceValidationError
 from traceprof.ingest import (
     parse_op_trace,
@@ -122,6 +124,17 @@ def test_negative_memory_breakdown_bytes_are_invalid_meta():
         ("InvalidMeta", "memory_breakdown.parameters_bytes must be >= 0, got -1"),
         ("InvalidMeta", "memory_breakdown.input_bytes must be >= 0, got -3"),
         ("InvalidMeta", "memory_breakdown.intermediate_bytes must be >= 0, got -4"),
+    ]
+
+
+def test_memory_breakdown_bytes_past_int64_are_invalid_meta():
+    # The mismatch warning is not given either: it would print the sum.
+    breakdown = MemoryBreakdown(10**400, 2**63 - 1, 2**63, 1)
+    with pytest.raises(TraceValidationError) as exc:
+        mk_run([mk_sample(0), mk_sample(10_000)], breakdown=breakdown)
+    assert [(i.code, i.message) for i in exc.value.issues] == [
+        ("InvalidMeta", "memory_breakdown.parameters_bytes must be < 2**63"),
+        ("InvalidMeta", "memory_breakdown.input_bytes must be < 2**63"),
     ]
 
 
@@ -307,3 +320,28 @@ def test_sample_table_from_samples_round_trip(case):
     with pytest.raises(IndexError):
         table[len(samples)]
     assert SampleTable.from_samples(list(table)) == table
+
+
+def _validated(meta, samples):
+    """validate_run's Run, or its issues, and whether it sorted the samples."""
+    with mock.patch.object(model, "_sample_order", wraps=model._sample_order) as order:
+        try:
+            result = validate_run(meta, [OpEvent("a", Device.GPU, 0, 100)], samples)
+        except TraceValidationError as exc:
+            return exc.issues, order.called
+    return (list(map(repr, result.samples)), result.warnings), order.called
+
+
+@given(sample_lists())
+def test_validate_run_sorts_samples_unless_t_strictly_increases(case):
+    core_count, samples = case
+    meta = RunMeta("r", batch_size=1, core_count=core_count)
+    ordered = sort_samples_oracle(samples)
+    increasing = [s for i, s in enumerate(ordered) if i == 0 or s.t != ordered[i - 1].t]
+    # Time order alone skips the sort, and the Run is the one the sort gives.
+    result, sorted_ = _validated(meta, increasing)
+    assert not sorted_
+    assert _validated(meta, increasing[::-1]) == (result, len(increasing) > 1)
+    # Out-of-order or duplicate-t input is sorted, with its ClockSkew warnings.
+    tied = any(a.t >= b.t for a, b in zip(samples, samples[1:]))
+    assert _validated(meta, samples) == (_validated(meta, ordered)[0], tied)

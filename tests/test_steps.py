@@ -1,14 +1,16 @@
+from math import comb, fsum
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import mk_run, mk_sample
-from oracles import pairwise_pearson_oracle, pearson_pair_oracle
+from conftest import mk_run, mk_sample, util_fractions
+from oracles import pair_scores_oracle, pairwise_pearson_oracle, pearson_pair_oracle
 from traceprof import steps
 from traceprof.errors import NoCompleteSteps, NoSteps, SignalTooShort
 from traceprof.metrics import build_report
-from traceprof.model import Device, OpEvent
+from traceprof.model import Device, OpEvent, RunMeta, SampleTable
 from traceprof.steps import (
-    _pair_scores,
     PeriodEstimate,
     detect_period,
     estimate_period_from_series,
@@ -252,4 +254,79 @@ def test_batched_pair_scores_equal_scalar_pearson(length):
         for i in range(len(rows))
         for j in range(i + 1, len(rows))
     ]
-    assert _pair_scores(rows).tolist() == expected
+    assert pair_scores_oracle(rows).tolist() == expected
+
+
+@st.composite
+def step_rows(draw):
+    """(rows, oracle rows): one row of sys-power samples per step, and its oracle input.
+
+    Rows are random, on the 1/1024 utilization grid (zeros among them), constant,
+    a copy of an earlier row with the sign of every zero flipped, or an earlier
+    row mirrored about its maximum (anti-correlated). A random row is scaled by
+    2**1000, to near 1e308, at random; copies and mirrors keep their row's scale.
+    The oracle rows are the unscaled ones: r is invariant under the exact scaling,
+    and the oracle's squares would overflow near 1e308.
+    """
+    length = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, scales = [], []
+    for _ in range(draw(st.integers(2, 10))):
+        kinds = ["random", "grid", "constant"] + ["copy", "mirror"] * bool(rows)
+        kind = draw(st.sampled_from(kinds))
+        scale = 0
+        if kind == "random":
+            row = rng.uniform(0.5, 1.0, length) * 2.0**23
+            scale = draw(st.sampled_from([0, 1000]))
+        elif kind == "grid":
+            row = rng.integers(0, draw(st.sampled_from([2, 1025])), length) / 1024
+        elif kind == "constant":
+            row = np.full(length, draw(st.sampled_from([0.0, -0.0, 0.1, 5.0])))
+        else:
+            i = draw(st.integers(0, len(rows) - 1))
+            row = rows[i]
+            row = row.max() - row if kind == "mirror" else np.where(row, row, -row)
+            scale = scales[i]
+        rows.append(row)
+        scales.append(scale)
+    oracle_rows = np.array(rows)
+    return np.ldexp(oracle_rows, np.array(scales)[:, None]), oracle_rows
+
+
+def _sys_power_run(rows):
+    """A labelled run whose step i holds one 1 ms sample per value of rows[i], as sys power."""
+    steps_, length = rows.shape
+    values = np.zeros((rows.size, 6))  # one core, the GPU, then the cpu, gpu, mem and sys rails
+    values[:, 5] = rows.ravel()
+    samples = SampleTable(np.arange(rows.size) * 1_000, values, np.zeros(rows.size, np.int64))
+    ops = [OpEvent("op", Device.GPU, i * length * 1_000, (i + 1) * length * 1_000, step_id=i)
+           for i in range(steps_)]
+    meta = RunMeta("rows", batch_size=1, core_count=1, sample_interval_us=1_000, warmup_steps=0)
+    return validate_run(meta, ops, samples)
+
+
+@given(step_rows())
+def test_predictability_matches_the_pair_scores_oracle(case):
+    rows, oracle_rows = case
+    run = _sys_power_run(rows)
+    score = predictability(run, resolve_steps(run), "power_sys")
+    scores = pair_scores_oracle(oracle_rows)
+    assert score.per_step_pairs == scores.size == comb(len(rows), 2)
+    assert abs(score.mean_pairwise_correlation - fsum(scores) / scores.size) <= 1e-12
+    if (rows == rows[0]).all():  # -0.0 == 0.0, as for the oracle
+        assert score.mean_pairwise_correlation == 1.0
+
+
+@given(st.lists(st.integers(2, 30), min_size=1, max_size=8), st.data())
+def test_resampled_rows_equal_per_segment_interp_bit_for_bit(lengths, data):
+    cells = st.floats(0.0, 1e308) | util_fractions | st.just(-0.0)
+    values = np.array(data.draw(st.lists(cells, min_size=sum(lengths), max_size=sum(lengths))))
+    ends = np.cumsum(lengths)
+    bounds = np.column_stack([ends - lengths, ends])
+    target = data.draw(st.integers(2, min(lengths)))
+    expected = np.stack([
+        np.interp(np.linspace(0.0, b - a - 1.0, target), np.arange(b - a), values[a:b])
+        for a, b in bounds.tolist()
+    ])
+    # tobytes tells -0.0 from 0.0.
+    assert steps._resampled_rows(values, bounds, target).tobytes() == expected.tobytes()
