@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from oracle import strict_loads  # noqa: E402
 from run import ROOT, spawn  # noqa: E402
 
-MAX_RSS_MB = 1024
+MAX_RSS_MB = 512
 STEPS, PER_STEP, WARMUP = 50_000, 20, 3
 SPEC = {
     "steps": STEPS, "step_duration_us": PER_STEP * 1_000, "batch_size": 8, "core_count": 4,

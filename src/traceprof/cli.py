@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from math import isfinite
 from pathlib import Path
+
+# traceprof makes no BLAS call, but numpy's OpenBLAS starts one spinning worker
+# per CPU when it loads, so the package modules below are imported after this.
+# A value the user sets wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import DuplicateBatchSize, InvalidSpec, TraceProfError, TraceValidationError
 from .ingest import load_run, load_sweep_manifest, write_report

@@ -19,17 +19,26 @@ telemetry are parsed straight into the columns of a ``model.OpTable`` and a
 object per op or sample. A timestamp, step or ``mem_bytes`` value outside
 the int64 range is a diagnostic on its line.
 
-Each parser reads its file once. Only decoding falls back to one line at a
-time; each value rule is then one check over a column, and a failing line
-gets the diagnostic of its first failing rule. Op trace: lines are decoded
-``_CHUNK`` at a time. If a chunk holds no ``[``/``]`` and each stripped
-non-blank line is ``{...}``, the chunk decodes as one JSON array. No record
-can then span lines (a string cannot hold the raw newline, an object would
-need a key where the next line has ``{``), so as many records as lines is one
-per line. Else each line goes through ``json.loads`` on its own. Telemetry:
-if the file is ASCII and the header exactly as expected, ``np.loadtxt``
-tokenizes the rows; it accepts a subset of what ``int``/``float`` do, with
-equal values. Else each row is split and converted on its own.
+Each parser reads its input, bytes or an open binary file, once and in line
+chunks, so no reader holds the whole file's bytes, text or line list. A chunk
+is a fixed number of binary lines (``_CHUNK`` for the op trace, ``_ROWS`` for
+telemetry), decoded with ``errors="replace"`` and split by
+``str.splitlines``; line numbers run on across chunks. This gives the lines
+of decoding the whole file at once: every chunk but the last ends just after
+a ``\n`` byte, so no ``\r\n`` pair straddles two chunks, and byte 0x0A never
+occurs inside a UTF-8 sequence, so decoding per chunk gives the same
+characters. Only decoding falls back to one line at a time; each value rule
+is then one check over a chunk's column, and a failing line gets the
+diagnostic of its first failing rule. Op trace: if a chunk holds no
+``[``/``]`` and each stripped non-blank line is ``{...}``, the chunk decodes
+as one JSON array. No record can then span lines (a string cannot hold the
+raw newline, an object would need a key where the next line has ``{``), so as
+many records as lines is one per line. Else each line goes through
+``json.loads`` on its own. Telemetry: the first non-blank line is the header,
+and the lines after it are rows. If a chunk is ASCII and the header exactly
+as expected, ``np.loadtxt`` tokenizes its rows; it accepts a subset of what
+``int``/``float`` do, with equal values. Else each row of that chunk is split
+and converted on its own. The chunks' columns are joined at the end.
 
 Manifests, reports, sweep results and synth specs go through one codec
 (``to_doc``/``from_doc``) whose JSON keys are the dataclass field names.
@@ -49,12 +58,12 @@ from array import array
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache, partial
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from typing import Any, BinaryIO, Iterator, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -79,6 +88,7 @@ _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
 _DEVICE_CODES = {d.value: code for code, d in enumerate(DEVICES)}
 _INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
 _CHUNK = 1024  # op-trace lines per bulk decode
+_ROWS = 65536  # telemetry lines per np.loadtxt call
 
 
 @dataclass(frozen=True)
@@ -200,20 +210,31 @@ def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], 
     return cols, found
 
 
-def parse_op_trace(data: bytes) -> tuple[OpTable, list[Issue]]:
-    """Parse a line-delimited op trace; returns (ops in file order, diagnostics).
+def _line_chunks(data: bytes | BinaryIO, size: int) -> Iterator[tuple[int, list[str]]]:
+    """(text lines before the chunk, the chunk's text lines) per ``size`` binary lines.
 
-    Each valid line becomes one row of the op columns; no per-op object is
-    built.
+    Concatenated, the chunks are the lines of the whole file decoded at once
+    (see the module doc). Bytes are read through ``io.BytesIO``.
     """
-    lines = data.decode("utf-8", errors="replace").splitlines()
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    first = 0
+    while lines := b"".join(islice(stream, size)).decode("utf-8", errors="replace").splitlines():
+        yield first, lines
+        first += len(lines)
+
+
+def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
+    """Parse a line-delimited op trace, given as bytes or a binary file.
+
+    Returns (ops in file order, diagnostics). Each valid line becomes one row
+    of the op columns; no per-op object is built.
+    """
     columns = [array(code) for code in "qqbqbii"]  # growable, in OpTable field order
     start, end, device, step, has_step, name_code, layer_code = columns
     names, layers = _Codes(), _Codes()
     issues: list[Issue] = []
     warned: set[str] = set()
-    for first in range(0, len(lines), _CHUNK):
-        chunk = lines[first : first + _CHUNK]
+    for first, chunk in _line_chunks(data, _CHUNK):
         records = [line for line in map(str.strip, chunk) if line]
         if not records:
             continue
@@ -255,55 +276,21 @@ def _loadtxt_rows(rows: list[str], width: int) -> tuple[np.ndarray, ...] | None:
     return t, values, mem
 
 
-def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Issue]]:
-    """Parse the telemetry CSV; utilization percent columns become fractions.
-
-    Each valid line becomes one row of the sample columns, in file order; no
-    per-sample object is built.
-    """
-    lines = data.decode("utf-8", errors="replace").splitlines()
-    rows = [line for line in map(str.strip, lines) if line]  # the header, then one per sample
-    if not rows:
-        return SampleTable.from_samples(()), [
-            Issue("EmptyTrace", "telemetry file is empty", line_no=0)]
-    expected = _telemetry_columns(core_count)
-    header_no = next(n for n, line in enumerate(lines, start=1) if line.strip())
-    header = [cell.strip() for cell in rows[0].split(",")]
-    issues: list[Issue] = []
-    col_index: dict[str, int] = {}
-    for pos, name in enumerate(header):
-        if name in expected and name not in col_index:
-            col_index[name] = pos
-        elif name.startswith("c") and name[1:].isdigit():
-            issues.append(
-                Issue(
-                    "CoreCountMismatch",
-                    f"telemetry column {name!r} exceeds declared core count {core_count}",
-                    line_no=header_no,
-                )
-            )
-        else:
-            issues.append(
-                Issue("UnknownColumn", f"ignoring unknown column {name!r}", "warning", header_no)
-            )
-    missing = [name for name in expected if name not in col_index]
-    if missing:
-        issues.append(
-            Issue("MalformedLine", f"header missing columns {missing}", line_no=header_no)
-        )
-        return SampleTable.from_samples(()), issues
-
+def _parse_rows(rows: list[str], header: list[str], col_index: dict[str, int],
+                expected: list[str]) -> tuple[tuple[np.ndarray, ...], list[tuple]]:
+    """The (t, values, mem) columns of one chunk's valid rows, utilization as fractions,
+    and (row, code, message, severity) per invalid row of ``rows``."""
     value_names = expected[1:-1]  # the cores, gpu and rails: one row of SampleTable.values
     n_util = len(value_names) - len(RAILS)  # the cores and gpu, in percent
-    found: list[tuple[int, str, str, str]] = []  # (row, code, message, severity) of rows[row]
-    at: Any = range(1, len(rows))  # the row of each tokenized sample
-    tokens = _loadtxt_rows(rows[1:], len(header)) if header == expected else None
+    found: list[tuple[int, str, str, str]] = []
+    at: Any = range(len(rows))  # the row of each tokenized sample
+    tokens = _loadtxt_rows(rows, len(header)) if header == expected else None
     if tokens is None:  # one row at a time
         at, t_col, values, mem_col = array("q"), array("q"), array("d"), []
         value_at = [col_index[name] for name in value_names]
         t_at, mem_at = col_index["t_us"], col_index["mem_bytes"]
-        for r in range(1, len(rows)):
-            cells = [cell.strip() for cell in rows[r].split(",")]
+        for r, line in enumerate(rows):
+            cells = [cell.strip() for cell in line.split(",")]
             if len(cells) < len(header):
                 found.append((r, "MalformedLine",
                               f"expected {len(header)} cells, got {len(cells)}", "error"))
@@ -350,10 +337,60 @@ def parse_telemetry(data: bytes, core_count: int) -> tuple[SampleTable, list[Iss
             found.append((at[k], code, message, "error"))
         t, values, mem = t[~failed], values[~failed], mem[~failed]
     values[:, :n_util] /= 100.0
-    issues += _numbered(found, lines)
+    return (t, values, np.asarray(mem, np.int64)), found
+
+
+def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTable, list[Issue]]:
+    """Parse the telemetry CSV, given as bytes or a binary file.
+
+    Utilization percent columns become fractions. Each valid line becomes one
+    row of the sample columns, in file order; no per-sample object is built.
+    """
+    chunks = _line_chunks(data, _ROWS)
+    for first, lines in chunks:
+        h = next((k for k, line in enumerate(lines) if line.strip()), None)
+        if h is not None:  # the header
+            break
+    else:
+        return SampleTable.from_samples(()), [
+            Issue("EmptyTrace", "telemetry file is empty", line_no=0)]
+    expected = _telemetry_columns(core_count)
+    header_no = first + h + 1
+    header = [cell.strip() for cell in lines[h].split(",")]
+    issues: list[Issue] = []
+    col_index: dict[str, int] = {}
+    for pos, name in enumerate(header):
+        if name in expected and name not in col_index:
+            col_index[name] = pos
+        elif name.startswith("c") and name[1:].isdigit():
+            issues.append(
+                Issue(
+                    "CoreCountMismatch",
+                    f"telemetry column {name!r} exceeds declared core count {core_count}",
+                    line_no=header_no,
+                )
+            )
+        else:
+            issues.append(
+                Issue("UnknownColumn", f"ignoring unknown column {name!r}", "warning", header_no)
+            )
+    missing = [name for name in expected if name not in col_index]
+    if missing:
+        issues.append(
+            Issue("MalformedLine", f"header missing columns {missing}", line_no=header_no)
+        )
+        return SampleTable.from_samples(()), issues
+
+    pieces = []
+    for first, lines in chain([(header_no, lines[h + 1 :])], chunks):
+        rows = [line for line in map(str.strip, lines) if line]
+        columns, found = _parse_rows(rows, header, col_index, expected)
+        issues += _numbered(found, lines, first)
+        pieces.append(columns)
+    t, values, mem = (np.concatenate(col) for col in zip(*pieces))
     if not len(t) and not any(i.severity == "error" for i in issues):
         issues.append(Issue("EmptyTrace", "telemetry has a header but no rows", line_no=0))
-    return SampleTable(t, values, np.asarray(mem, np.int64)), issues
+    return SampleTable(t, values, mem), issues
 
 
 def write_op_trace(ops) -> bytes:
@@ -432,12 +469,23 @@ def to_doc(obj: Any) -> Any:
     return doc
 
 
+# json.dumps with these settings joins one list of every piece of the text
+# (millions for a long run). _dump writes the same pieces to one buffer, joined
+# _PIECES at a time: fewer write calls than one per piece, and no long list.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+_PIECES = 8192
+
+
 def _dump(obj: Any) -> bytes:
+    pieces = _ENCODER.iterencode(to_doc(obj))
+    out = io.StringIO()
     try:
-        text = json.dumps(to_doc(obj), sort_keys=True, indent=2, allow_nan=False)
+        while batch := list(islice(pieces, _PIECES)):
+            out.write("".join(batch))
     except ValueError as exc:  # a metric overflowed to inf or nan
         raise TraceProfError(f"cannot write strict JSON: {exc}") from None
-    return (text + "\n").encode("utf-8")
+    out.write("\n")
+    return out.getvalue().encode("utf-8")
 
 
 @cache
@@ -554,6 +602,13 @@ def load_manifest(path: Path | str) -> RunManifest:
     return manifest
 
 
+def _open(path: Path, what: str) -> BinaryIO:
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise ManifestError(f"{what} not found: {path}")
+
+
 def load_run(manifest_path: Path | str) -> Run:
     """Load, parse and validate a complete run from its manifest.
 
@@ -565,22 +620,16 @@ def load_run(manifest_path: Path | str) -> Run:
     base = manifest_path.parent
     op_file = base / manifest.op_trace_path
     telemetry_file = base / manifest.telemetry_path
-    try:
-        op_bytes = op_file.read_bytes()
-    except FileNotFoundError:
-        raise ManifestError(f"op trace not found: {op_file}")
-    try:
-        telemetry_bytes = telemetry_file.read_bytes()
-    except FileNotFoundError:
-        raise ManifestError(f"telemetry not found: {telemetry_file}")
-
-    core_count = manifest.meta.core_count
-    if core_count > len(telemetry_bytes):  # no header this short names that many cores
-        raise TraceValidationError([Issue(
-            "CoreCountMismatch", f"run declares {core_count} cores, more than the "
-            f"{len(telemetry_bytes)} bytes of {telemetry_file} can name")])
-    ops, op_issues = parse_op_trace(op_bytes)
-    samples, telemetry_issues = parse_telemetry(telemetry_bytes, core_count)
+    with (_open(op_file, "op trace") as op_stream,
+          _open(telemetry_file, "telemetry") as telemetry_stream):
+        core_count = manifest.meta.core_count
+        size = os.fstat(telemetry_stream.fileno()).st_size
+        if core_count > size:  # no header this short names that many cores
+            raise TraceValidationError([Issue(
+                "CoreCountMismatch", f"run declares {core_count} cores, more than the "
+                f"{size} bytes of {telemetry_file} can name")])
+        ops, op_issues = parse_op_trace(op_stream)
+        samples, telemetry_issues = parse_telemetry(telemetry_stream, core_count)
     issues = op_issues + telemetry_issues
     if any(i.severity == "error" for i in issues):
         raise TraceValidationError(issues)

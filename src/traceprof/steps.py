@@ -90,7 +90,8 @@ def _mean_pair_score(rows: np.ndarray) -> float:
     Pairs of equal rows score exactly 1 (this covers identical constant rows).
     Across the groups g of equal rows, with k_g rows each, the scores sum to
     (||sum_g k_g z_g||^2 - sum_g k_g^2 ||z_g||^2) / 2, where z_g is the group's
-    centred, unit-norm row and is 0 when its denominator is 0. Each row is first
+    centred, unit-norm row and is 0 when its denominator is 0; a constant row
+    centres to exactly 0, whatever its mean rounds to. Each row is first
     scaled by a power of two, which leaves r unchanged and keeps the squares of
     values near 1e308 finite. With a single group the mean is exactly 1; it is
     clamped to [-1, 1], as each pair's r would be.
@@ -102,6 +103,7 @@ def _mean_pair_score(rows: np.ndarray) -> float:
     if len(uniq) > 1:
         scaled = np.ldexp(uniq, -np.frexp(np.abs(uniq).max(axis=1))[1][:, None])
         centred = scaled - scaled.mean(axis=1, keepdims=True)
+        centred[np.ptp(scaled, axis=1) == 0] = 0.0  # constant: 0, not a rounded mean's residue
         norms = np.sqrt((centred * centred).sum(axis=1, keepdims=True))
         z = centred / np.where(norms > 0.0, norms, 1.0)
         weighted = (counts[:, None] * z).sum(axis=0)

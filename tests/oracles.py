@@ -76,6 +76,8 @@ def pearson_pair_oracle(a, b):
     """
     if np.array_equal(a, b):
         return 1.0
+    if np.ptp(a) == 0 or np.ptp(b) == 0:  # a constant row centres to exactly 0
+        return 0.0
     ca = a - a.mean()
     cb = b - b.mean()
     denom = np.sqrt((ca * ca).sum() * (cb * cb).sum())
@@ -95,6 +97,7 @@ def pair_scores_oracle(rows):
     It holds all pair scores at once, and values near 1e308 overflow it.
     """
     centred = rows - rows.mean(axis=1, keepdims=True)
+    centred[np.ptp(rows, axis=1) == 0] = 0.0  # a constant row has no rounding residue
     sq_sums = (centred * centred).sum(axis=1)
     blocks = []
     with np.errstate(divide="ignore", invalid="ignore"):

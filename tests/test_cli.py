@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -239,6 +240,31 @@ def test_console_entry_point_subprocess(tmp_path):
     assert result.stderr == b""
 
 
+def _in_child(code, **env):
+    """Stdout of ``python -c code``, with OPENBLAS_NUM_THREADS set only as given."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts Linux threads")
+def test_cli_import_starts_no_blas_threads():
+    code = "import os, traceprof.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _in_child(code) == ["1"]
+
+
+def test_cli_keeps_a_preset_blas_thread_count():
+    code = "import os, traceprof.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _in_child(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+def test_package_import_loads_nothing_until_an_export_is_used():
+    code = ("import os, sys, traceprof; print('OPENBLAS_NUM_THREADS' in os.environ, "
+            "'numpy' in sys.modules, traceprof.load_run is traceprof.ingest.load_run, "
+            "all(hasattr(traceprof, name) for name in traceprof.__all__))")
+    assert _in_child(code) == ["False", "False", "True", "True"]
+
+
 def test_unlabeled_run_analysis_via_inference(tmp_path, capsysbinary):
     spec = SynthSpec(
         steps=6,
@@ -336,6 +362,26 @@ def test_malformed_manifest_is_a_diagnostic(tmp_path, edit, message):
     assert b"Traceback" not in result.stderr
     assert result.stderr.startswith(b"error: manifest")
     assert message.encode() in result.stderr
+
+
+@pytest.mark.parametrize("name, encode, error", [
+    ("ops.jsonl", lambda d: "\ufeff".encode() + d,
+     "error[MalformedLine] line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("telemetry.csv", lambda d: "\ufeff".encode() + d,
+     "error[MalformedLine] line 1: header missing columns ['t_us']"),
+    ("ops.jsonl", lambda d: d.decode().encode("utf-16"),
+     "error[MalformedLine] line 1: invalid JSON: Expecting value"),
+    ("telemetry.csv", lambda d: d.decode().encode("utf-16"),
+     "error[MalformedLine] line 1: header missing columns"),
+], ids=["ops_bom", "telemetry_bom", "ops_utf16", "telemetry_utf16"])
+def test_other_encodings_are_diagnostics(tmp_path, name, encode, error):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    path = manifest.parent / name
+    path.write_bytes(encode(path.read_bytes()))
+    result = _run_cli("analyze", manifest, "--format", "json")
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert b"Traceback" not in result.stderr
+    assert any(line.startswith(error) for line in result.stderr.decode().splitlines())
 
 
 def test_negative_memory_breakdown_is_a_diagnostic(tmp_path):
@@ -517,7 +563,7 @@ _LINES = ["", "garbage", "{}", "[1]", '{"op": "a"}', ",", "0,1", "\ufeff{}"]
 _META_VALUES = [0, -1, 2**63 - 1, 2**63, 10**400]
 _PATHS = ["", ".", "missing.jsonl", "ops\0.jsonl", "\ud800ops.jsonl"]
 _BREAKDOWN_VALUES = [None, [1], -1, 2**63, 10**400]
-_BYTE_EDITS = ["truncate", b"\x00", b"\xff", "crlf"]
+_BYTE_EDITS = ["truncate", b"\x00", b"\xff", "crlf", "bom", "utf16"]
 
 
 @st.composite
@@ -526,8 +572,9 @@ def mutated_runs(draw, batch_size=None, max_edits=4):
 
     A text edit changes a cell, an op field, a line, a manifest ``meta``
     integer, a trace path or the memory breakdown; byte edits then truncate a
-    file, insert a NUL or 0xff byte, or turn every newline into CRLF. With
-    ``max_edits`` 0 the run is unchanged.
+    file, insert a NUL or 0xff byte, turn every newline into CRLF, put a UTF-8
+    BOM before the first op line or the telemetry header, or re-encode a file
+    as UTF-16 (with its BOM). With ``max_edits`` 0 the run is unchanged.
     """
     manifest, ops, telemetry = _fuzz_base(draw(st.booleans()))
     ops, telemetry, doc = list(ops), list(telemetry), json.loads(manifest)
@@ -588,6 +635,10 @@ def mutated_runs(draw, batch_size=None, max_edits=4):
             files[k] = files[k][:at]
         elif edit == "crlf":
             files[k] = files[k].replace(b"\n", b"\r\n")
+        elif edit == "bom":
+            files[k] = "\ufeff".encode() + files[k]
+        elif edit == "utf16":
+            files[k] = files[k].decode(errors="replace").encode("utf-16")
         else:
             files[k] = files[k][:at] + edit + files[k][at:]
     return json.dumps(doc).encode(), *files

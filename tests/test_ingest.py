@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -403,8 +405,9 @@ def _assert_same_columns(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), col
 
 
-def _assert_ops_match_oracle(data):
-    ops, issues = parse_op_trace(data)
+def _assert_ops_match_oracle(data, source=None):
+    """parse_op_trace of ``source`` (default: the bytes ``data``) equals the oracle's of ``data``."""
+    ops, issues = parse_op_trace(data if source is None else source)
     want_events, want_issues = parse_op_trace_oracle(data)
     want = OpTable.from_events(want_events)
     _assert_same_columns(ops, want)
@@ -456,11 +459,38 @@ def op_trace_files(draw):
     return (newline.join(lines) + newline).encode()
 
 
+# Characters str.splitlines() breaks at besides "\n", and bytes that are not UTF-8.
+_LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+_NOISE = [*(b.encode() for b in _LINE_BREAKS), b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80",
+          b"\n\n", b" \t\n"]
+
+
+@st.composite
+def noisy(draw, files):
+    """A drawn file with line breaks, invalid UTF-8 and blank lines put anywhere, and
+    maybe blank lines before its first line."""
+    data = draw(files)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_NOISE)) + data[at:]
+    return draw(st.sampled_from([b"", b"\n", b" \r\n\n\t\x85"])) + data
+
+
+@contextmanager
+def _open_copy(data):
+    """A binary file open for reading, holding ``data``."""
+    with tempfile.TemporaryFile() as f:
+        f.write(data)
+        f.seek(0)
+        yield f
+
+
 @settings(max_examples=300)
-@given(op_trace_files(), st.sampled_from([1, 2, 3, 1024]))
+@given(noisy(op_trace_files()), st.sampled_from([1, 2, 3, 7, 1024]))
 def test_op_trace_reader_matches_oracle_on_mutated_files(data, chunk):
-    with mock.patch.object(ingest, "_CHUNK", chunk):
+    with mock.patch.object(ingest, "_CHUNK", chunk), _open_copy(data) as f:
         _assert_ops_match_oracle(data)
+        _assert_ops_match_oracle(data, f)
 
 
 _TEL_HEADER = ["t_us", "c0", "c1", "gpu", "p_cpu_mw", "p_gpu_mw", "p_mem_mw", "p_sys_mw",
@@ -501,12 +531,14 @@ def telemetry_files(draw):
 
 
 @settings(max_examples=300)
-@given(telemetry_files())
-def test_telemetry_reader_matches_oracle_on_mutated_files(data):
-    samples, issues = parse_telemetry(data, core_count=2)
+@given(noisy(telemetry_files()), st.sampled_from([1, 2, 3, 7, 65536]))
+def test_telemetry_reader_matches_oracle_on_mutated_files(data, rows):
     want, want_issues = parse_telemetry_oracle(data, core_count=2)
-    _assert_same_columns(samples, want)
-    assert issues == want_issues
+    with mock.patch.object(ingest, "_ROWS", rows), _open_copy(data) as f:
+        for source in (data, f):
+            samples, issues = parse_telemetry(source, core_count=2)
+            _assert_same_columns(samples, want)
+            assert issues == want_issues
 
 
 def test_every_single_op_mutation_matches_oracle():

@@ -317,6 +317,18 @@ def test_predictability_matches_the_pair_scores_oracle(case):
         assert score.mean_pairwise_correlation == 1.0
 
 
+@pytest.mark.parametrize("length", [5, 20, 31])
+@pytest.mark.parametrize("low, high", [(100.0, 300.0), (100.1, 300.3)])
+def test_constant_steps_score_zero_against_other_constant_steps(low, high, length):
+    # Means of 100.1 and 300.3 round; their centred rows must still be exactly 0.
+    rows = np.array([[low] * length, [high] * length] * 3)
+    run = _sys_power_run(rows)
+    score = predictability(run, resolve_steps(run), "power_sys")
+    # 6 pairs of equal steps score 1, the 9 unequal pairs 0.
+    assert score.mean_pairwise_correlation == 0.4
+    assert fsum(pair_scores_oracle(rows)) / score.per_step_pairs == 0.4
+
+
 @given(st.lists(st.integers(2, 30), min_size=1, max_size=8), st.data())
 def test_resampled_rows_equal_per_segment_interp_bit_for_bit(lengths, data):
     cells = st.floats(0.0, 1e308) | util_fractions | st.just(-0.0)
