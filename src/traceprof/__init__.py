@@ -20,9 +20,8 @@ _EXPORTS = {
     "ingest": ["RunManifest", "load_manifest", "load_run", "parse_op_trace", "parse_report",
                "parse_telemetry", "write_manifest", "write_op_trace", "write_report",
                "write_telemetry"],
-    "metrics": ["MetricReport", "OpAggregate", "StepMetrics", "build_report",
-                "cpu_avg_utilization", "cpu_core_utilization", "energy", "gpu_utilization",
-                "idle_ratio", "peak_memory", "power_dominance", "throughput"],
+    "metrics": ["MetricReport", "OpAggregate", "StepMetrics", "build_report", "peak_memory",
+                "throughput"],
     "model": ["Device", "Issue", "MemoryBreakdown", "OpEvent", "OpTable", "Run", "RunMeta",
               "SampleTable", "StepWindow", "TelemetrySample", "validate_run"],
     "steps": ["PeriodEstimate", "PredictabilityScore", "detect_period", "predictability",

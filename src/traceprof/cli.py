@@ -74,7 +74,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     model, run_paths = load_sweep_manifest(Path(args.manifest))
     if len(run_paths) < 2:
-        print(f"sweep needs at least 2 runs, manifest lists {len(run_paths)}", file=sys.stderr)
+        print(f"error: sweep needs at least 2 runs, manifest lists {len(run_paths)}",
+              file=sys.stderr)
         return USAGE_ERROR
     points = []
     capacities = []

@@ -49,6 +49,7 @@ stable-key-ordered, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import os
@@ -85,10 +86,13 @@ from .sweep import SweepResult
 SCHEMA_VERSION = 1
 
 _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
-_DEVICE_CODES = {d.value: code for code, d in enumerate(DEVICES)}
+_CODE_OF_DEVICE = {d.value: code for code, d in enumerate(DEVICES)}
 _INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
 _CHUNK = 1024  # op-trace lines per bulk decode
 _ROWS = 65536  # telemetry lines per np.loadtxt call
+# An op trace that starts with one of these is UTF-16 or UTF-32, not UTF-8.
+_WIDE_BOMS = (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE, codecs.BOM_UTF32_BE)
+_NO_SAMPLES = SampleTable(np.empty(0, np.int64), np.empty((0, 5)), np.empty(0, np.int64))
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,8 @@ def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], 
     if not (_kinds(cols["op"]) <= {str} and all(cols["op"])):
         drop("op", lambda x: type(x) is str and x != "", "MalformedLine",
              lambda _: "missing or empty 'op'")
-    if not (_kinds(cols["device"]) <= {str} and set(cols["device"]) <= _DEVICE_CODES.keys()):
-        drop("device", lambda x: type(x) is str and x in _DEVICE_CODES, "UnknownDevice",
+    if not (_kinds(cols["device"]) <= {str} and set(cols["device"]) <= _CODE_OF_DEVICE.keys()):
+        drop("device", lambda x: type(x) is str and x in _CODE_OF_DEVICE, "UnknownDevice",
              lambda x: f"unknown device {x!r}")
     for key in ("start_us", "end_us"):
         integers(key, {int}, "start_us and end_us must be integers")
@@ -227,14 +231,22 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
     """Parse a line-delimited op trace, given as bytes or a binary file.
 
     Returns (ops in file order, diagnostics). Each valid line becomes one row
-    of the op columns; no per-op object is built.
+    of the op columns; no per-op object is built. A file that starts with a
+    UTF-16 or UTF-32 byte-order mark has no rows and one diagnostic.
     """
     columns = [array(code) for code in "qqbqbii"]  # growable, in OpTable field order
     start, end, device, step, has_step, name_code, layer_code = columns
     names, layers = _Codes(), _Codes()
     issues: list[Issue] = []
     warned: set[str] = set()
-    for first, chunk in _line_chunks(data, _CHUNK):
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    head = stream.read(4)
+    stream.seek(-len(head), io.SEEK_CUR)
+    wide = head.startswith(_WIDE_BOMS)  # the UTF-32 LE mark starts with the UTF-16 LE one
+    if wide:
+        issues.append(Issue("MalformedLine", "op trace is not UTF-8: it starts with a "
+                            "UTF-16 or UTF-32 byte-order mark", line_no=1))
+    for first, chunk in () if wide else _line_chunks(stream, _CHUNK):
         records = [line for line in map(str.strip, chunk) if line]
         if not records:
             continue
@@ -242,7 +254,7 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
         issues.extend(_numbered(found, chunk, first))
         start.extend(cols["start_us"])
         end.extend(cols["end_us"])
-        device.extend(map(_DEVICE_CODES.__getitem__, cols["device"]))
+        device.extend(map(_CODE_OF_DEVICE.__getitem__, cols["device"]))
         step.extend(cols["step"])
         has_step.extend(cols["has_step"])
         name_code.extend(map(names.__getitem__, cols["op"]))
@@ -352,8 +364,7 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
         if h is not None:  # the header
             break
     else:
-        return SampleTable.from_samples(()), [
-            Issue("EmptyTrace", "telemetry file is empty", line_no=0)]
+        return _NO_SAMPLES, [Issue("EmptyTrace", "telemetry file is empty", line_no=0)]
     expected = _telemetry_columns(core_count)
     header_no = first + h + 1
     header = [cell.strip() for cell in lines[h].split(",")]
@@ -379,7 +390,7 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
         issues.append(
             Issue("MalformedLine", f"header missing columns {missing}", line_no=header_no)
         )
-        return SampleTable.from_samples(()), issues
+        return _NO_SAMPLES, issues
 
     pieces = []
     for first, lines in chain([(header_no, lines[h + 1 :])], chunks):

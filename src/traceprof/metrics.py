@@ -106,7 +106,10 @@ class _WindowSums:
 
 
 def _window(run: Run, dt: np.ndarray, window: Window | None, idle: float = 0.0) -> _WindowSums:
-    """Metrics of the samples with t in [lo, hi), or of all samples, by their weights dt."""
+    """Metrics of the samples with t in [lo, hi), or of all samples, by their weights dt.
+
+    A core is idle in a sample where its utilization is <= ``idle``.
+    """
     samples = run.samples
     a, b = 0, len(samples)
     if window is not None:
@@ -135,12 +138,8 @@ def _window(run: Run, dt: np.ndarray, window: Window | None, idle: float = 0.0) 
 
 
 def _weights(run: Run) -> np.ndarray:
+    """Rectangle width per sample: gap to the next sample; the last uses the nominal."""
     return np.append(np.diff(run.samples.t), np.int64(run.meta.sample_interval_us))
-
-
-def sample_weights_us(run: Run) -> list[int]:
-    """Rectangle width per sample: gap to the next sample; last uses nominal."""
-    return _weights(run).tolist()
 
 
 def nonwarmup_window(step_windows: Sequence[StepWindow]) -> Window:
@@ -149,45 +148,6 @@ def nonwarmup_window(step_windows: Sequence[StepWindow]) -> Window:
     if not non_warmup:
         raise NoSamplesInWindow("all step windows are warmup; nothing to analyze")
     return (non_warmup[0].start_us, step_windows[-1].end_us)
-
-
-def _check_core(run: Run, core_index: int) -> None:
-    if not 0 <= core_index < run.meta.core_count:
-        raise ValueError(f"core_index {core_index} outside 0..{run.meta.core_count - 1}")
-
-
-def cpu_core_utilization(run: Run, core_index: int, window: Window | None = None) -> float:
-    """Time-weighted mean utilization of one core over the window."""
-    _check_core(run, core_index)
-    return _window(run, _weights(run), window).per_core[core_index]
-
-
-def cpu_avg_utilization(run: Run, window: Window | None = None) -> float:
-    """Arithmetic mean of per-core utilizations over all cores."""
-    return _window(run, _weights(run), window).cpu_avg
-
-
-def gpu_utilization(run: Run, window: Window | None = None) -> float:
-    return _window(run, _weights(run), window).gpu
-
-
-def idle_ratio(
-    run: Run, core_index: int, window: Window | None = None, threshold: float = 0.0
-) -> float:
-    """Fraction of window sample time where the core's utilization is idle.
-
-    Idle means exactly zero by default; ``threshold`` loosens that to
-    utilization <= threshold for noisy samplers.
-    """
-    _check_core(run, core_index)
-    return _window(run, _weights(run), window, threshold).idle[core_index]
-
-
-def energy(run: Run, rail: str, window: Window | None = None) -> float:
-    """Rectangle-rule energy of a power rail over the window, in joules."""
-    if rail not in RAILS:
-        raise ValueError(f"unknown rail {rail!r}, expected one of {RAILS}")
-    return _window(run, _weights(run), window).energy_j[rail]
 
 
 def peak_memory(run: Run) -> tuple[int, MemoryBreakdown | None]:
@@ -205,6 +165,7 @@ def throughput(run: Run, step_windows: Sequence[StepWindow]) -> float:
 
 
 def _rail_ranking(sums: _WindowSums) -> tuple[RailShare, ...]:
+    """The cpu, gpu and mem rails by descending mean power, each with its share of sys's."""
     means = dict(sums.rail_mean_mw)
     sys_mean = means.pop("sys")
     ranked = sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -212,15 +173,6 @@ def _rail_ranking(sums: _WindowSums) -> tuple[RailShare, ...]:
         RailShare(rail=r, mean_mw=m, share_of_sys=(m / sys_mean if sys_mean > 0 else 0.0))
         for r, m in ranked
     )
-
-
-def power_dominance(run: Run, window: Window | None = None) -> tuple[RailShare, ...]:
-    """Component rails (cpu, gpu, mem) ordered by time-weighted mean power.
-
-    Each entry carries its share of the system rail's mean; the system rail
-    itself is the denominator, not a contestant.
-    """
-    return _rail_ranking(_window(run, _weights(run), window))
 
 
 def _per_op_aggregates(run: Run) -> dict[str, OpAggregate]:

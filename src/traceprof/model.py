@@ -15,12 +15,13 @@ int32 codes into interned ``names`` and ``layers`` tuples (a ``None`` layer
 is distinct from ``""``). :class:`SampleTable` has int64 ``t`` and ``mem``
 and one float64 ``values`` row per sample. Both share one read-only table
 protocol and are still sequences of ``OpEvent``/``TelemetrySample``:
-indexing or iterating them builds those objects on demand.
+indexing or iterating them builds those objects on demand. Those objects are
+row views only; ``validate_run`` takes the tables, not lists of them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import isfinite
@@ -104,7 +105,6 @@ class _Table(Sequence):
 RAILS = ("cpu", "gpu", "mem", "sys")
 # Device codes of OpTable.device; the codes sort as the Device values do.
 DEVICES = (Device.CPU, Device.GPU)
-_DEVICE_CODES = {d: code for code, d in enumerate(DEVICES)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,26 +126,6 @@ class OpTable(_Table):
     names: tuple[str, ...]
     layers: tuple[str | None, ...]
     _columns = ("start", "end", "device", "step", "has_step", "name", "layer")
-
-    @classmethod
-    def from_events(cls, events: Iterable[OpEvent]) -> OpTable:
-        """The table of the events, in order; TypeError on a non-integer time or step."""
-        names: dict[str, int] = {}
-        layers: dict[str | None, int] = {}
-        rows = [
-            (op.start, op.end, _DEVICE_CODES[op.device], op.step_id or 0,
-             op.step_id is not None, names.setdefault(op.op_name, len(names)),
-             layers.setdefault(op.layer, len(layers)))
-            for op in events
-        ]
-        values = np.array(rows, dtype=object).reshape(-1, len(cls._columns))
-        columns = values.astype(np.int64)
-        if not (columns == values).all():  # astype truncates 0.5 and parses "3"
-            raise TypeError("op start, end and step_id must be integers")
-        start, end, device, step, has_step, name, layer = columns.T
-        return cls(start.copy(), end.copy(), device.astype(np.int8), step.copy(),
-                   has_step.astype(bool), name.astype(np.int32), layer.astype(np.int32),
-                   tuple(names), tuple(layers))
 
     def __iter__(self) -> Iterator[OpEvent]:
         names, layers = self.names, self.layers
@@ -173,23 +153,6 @@ class SampleTable(_Table):
     @property
     def core_count(self) -> int:
         return self.values.shape[1] - 5
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[TelemetrySample]) -> SampleTable:
-        """The table of the samples, in order; TypeError on a non-integer t or memory.
-
-        Every sample must have as many cores as the first (ValueError otherwise).
-        """
-        samples = list(samples)
-        ints = np.array([(s.t, s.mem_used_bytes) for s in samples], dtype=object).reshape(-1, 2)
-        t_mem = ints.astype(np.int64)
-        if not (t_mem == ints).all():  # astype truncates 0.5 and parses "3"
-            raise TypeError("sample t and mem_used_bytes must be integers")
-        rows = [(*s.cpu_core_util, s.gpu_util, s.power_cpu_mw, s.power_gpu_mw, s.power_mem_mw,
-                 s.power_sys_mw) for s in samples]
-        width = len(rows[0]) if rows else 5
-        return cls(t_mem[:, 0].copy(), np.array(rows, np.float64).reshape(-1, width),
-                   t_mem[:, 1].copy())
 
     def __iter__(self) -> Iterator[TelemetrySample]:
         c = self.core_count
@@ -263,17 +226,9 @@ class Run:
     warnings: tuple[Issue, ...] = ()
 
     @property
-    def start_us(self) -> int:
-        return min(int(self.ops.start[0]), int(self.samples.t[0]))
-
-    @property
     def end_us(self) -> int:
         last_sample_end = int(self.samples.t[-1]) + self.meta.sample_interval_us
         return max(int(self.ops.end.max()), last_sample_end)
-
-    @property
-    def duration_us(self) -> int:
-        return self.end_us - self.start_us
 
 
 def _ranks(keys: Sequence[str]) -> np.ndarray:
@@ -353,12 +308,11 @@ def _duplicate_op_warnings(ops: OpTable) -> list[Issue]:
     ]
 
 
-def _check_samples(samples: SampleTable, core_count: int, issues: list[Issue],
-                   first: int = 0) -> None:
+def _check_samples(samples: SampleTable, core_count: int, issues: list[Issue]) -> None:
     """One issue per failing (sample, check), in row-then-check order.
 
-    Samples are numbered from ``first``. Checks 2 to c + 6 are the value
-    columns: c cores and the GPU in [0, 1], then the rails finite and >= 0.
+    Checks 2 to c + 6 are the value columns: c cores and the GPU in [0, 1],
+    then the rails finite and >= 0.
     """
     c, values = samples.core_count, samples.values
     utils, powers = values[:, :c + 1], values[:, c + 1:]
@@ -380,13 +334,13 @@ def _check_samples(samples: SampleTable, core_count: int, issues: list[Issue],
             what = f"{kind} {RAILS[col - c - 1]} power {p} mW"
         else:
             what = "negative mem_used_bytes"
-        issues.append(Issue(code, f"sample #{first + i} {what}"))
+        issues.append(Issue(code, f"sample #{i} {what}"))
 
 
 def validate_run(
     meta: RunMeta,
-    ops: Sequence[OpEvent],
-    samples: Sequence[TelemetrySample],
+    ops: OpTable,
+    samples: SampleTable,
     memory_breakdown: MemoryBreakdown | None = None,
 ) -> Run:
     """Check every invariant and return a Run with sorted ops and samples.
@@ -396,9 +350,8 @@ def validate_run(
     error-severity issue exists. Non-fatal findings (duplicate timestamps,
     breakdown/peak mismatch) become warnings attached to the returned Run.
     Validating the pieces of an already-validated Run returns an equal Run.
-    Ops and samples given as objects are converted to tables first; a sample
-    with the wrong number of cores has no row, so it is reported by its
-    position in the input.
+    Ops and samples are tables, as ``ingest.load_run`` and ``synth.generate``
+    build them; each issue names its row in sorted order.
     """
     issues: list[Issue] = []
     _check_meta(meta, issues)
@@ -407,21 +360,12 @@ def validate_run(
     for field, value in bad_bytes.items():
         bound = f">= 0, got {value}" if value < 0 else "< 2**63"
         issues.append(Issue("InvalidMeta", f"memory_breakdown.{field} must be {bound}"))
-    if not isinstance(ops, OpTable):
-        ops = OpTable.from_events(ops)
-    if not isinstance(samples, SampleTable):
-        samples = list(samples)
     if not samples or not ops:
         issues.append(Issue("EmptyTrace", "run needs at least one op and one sample"))
 
     ops = ops.take(_op_order(ops))
     _check_ops(ops, issues)
 
-    if isinstance(samples, list):
-        fits = [len(s.cpu_core_util) == meta.core_count for s in samples]
-        for i in np.flatnonzero(np.logical_not(fits)).tolist():
-            _check_samples(SampleTable.from_samples([samples[i]]), meta.core_count, issues, i)
-        samples = SampleTable.from_samples(s for s, ok in zip(samples, fits) if ok)
     if not (samples.t[1:] > samples.t[:-1]).all():  # else the sorted order is the identity
         samples = samples.take(_sample_order(samples))
     _check_samples(samples, meta.core_count, issues)

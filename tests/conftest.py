@@ -1,7 +1,18 @@
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import settings
 
-from traceprof.model import Device, OpEvent, RunMeta, TelemetrySample, validate_run
+from traceprof import metrics
+from traceprof.model import (
+    DEVICES,
+    Device,
+    OpEvent,
+    OpTable,
+    RunMeta,
+    SampleTable,
+    TelemetrySample,
+    validate_run,
+)
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -20,6 +31,34 @@ def mk_sample(t, cores=(0.0, 0.0), gpu=0.0, p_cpu=0.0, p_gpu=0.0, p_mem=0.0, p_s
     )
 
 
+def tables(ops, samples):
+    """The OpTable and SampleTable of OpEvent and TelemetrySample lists, rows in order.
+
+    Every sample has as many cores as the first.
+    """
+    names, layers = {}, {}
+    op_rows = [(op.start, op.end, DEVICES.index(op.device), op.step_id or 0,
+                op.step_id is not None, names.setdefault(op.op_name, len(names)),
+                layers.setdefault(op.layer, len(layers))) for op in ops]
+    start, end, device, step, has_step, name, layer = np.array(op_rows, np.int64).reshape(-1, 7).T
+    op_table = OpTable(start.copy(), end.copy(), device.astype(np.int8), step.copy(),
+                       has_step.astype(bool), name.astype(np.int32), layer.astype(np.int32),
+                       tuple(names), tuple(layers))
+    samples = list(samples)
+    rows = [(*s.cpu_core_util, s.gpu_util, s.power_cpu_mw, s.power_gpu_mw, s.power_mem_mw,
+             s.power_sys_mw) for s in samples]
+    width = len(rows[0]) if rows else 5
+    sample_table = SampleTable(np.array([s.t for s in samples], np.int64),
+                               np.array(rows, np.float64).reshape(-1, width),
+                               np.array([s.mem_used_bytes for s in samples], np.int64))
+    return op_table, sample_table
+
+
+def window_sums(run, window=None, threshold=0.0):
+    """Every time-weighted metric of the run's samples with t in ``window``, or of all."""
+    return metrics._window(run, metrics._weights(run), window, threshold)
+
+
 def mk_run(samples, ops=None, *, batch=1, interval=10_000, warmup=0,
            capacity=8_000_000_000, breakdown=None, run_id="test"):
     core_count = len(samples[0].cpu_core_util)
@@ -33,7 +72,7 @@ def mk_run(samples, ops=None, *, batch=1, interval=10_000, warmup=0,
         sample_interval_us=interval,
         warmup_steps=warmup,
     )
-    return validate_run(meta, ops, samples, breakdown)
+    return validate_run(meta, *tables(ops, samples), breakdown)
 
 
 # Utilization fractions on the 1/1024 grid survive the percent wire format

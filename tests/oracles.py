@@ -5,6 +5,7 @@ enumeration and a discretized timeline. None of it shares code with the
 implementations under test.
 """
 
+import codecs
 import json
 from dataclasses import replace
 from math import isfinite
@@ -22,6 +23,12 @@ def weighted_mean_oracle(values, weights):
         num += v * w
         den += w
     return num / den
+
+
+def sample_weights_oracle(run):
+    """Rectangle width per sample: the gap to the next sample; the last uses the nominal."""
+    ts = [s.t for s in run.samples]
+    return [b - a for a, b in zip(ts, ts[1:])] + [run.meta.sample_interval_us]
 
 
 def rectangle_energy_oracle(powers_mw, dts_us):
@@ -122,7 +129,7 @@ def window_metrics_loop_oracle(run, window, threshold=0.0):
     from math import fsum
 
     ts = [s.t for s in run.samples]
-    dts = [b - a for a, b in zip(ts, ts[1:])] + [run.meta.sample_interval_us]
+    dts = sample_weights_oracle(run)
     idx = range(bisect_left(ts, window[0]), bisect_left(ts, window[1]))
     total = fsum(dts[i] for i in idx)
 
@@ -161,6 +168,10 @@ def parse_op_trace_oracle(data: bytes):
     """The op-trace parser as one OpEvent per line: (events, diagnostics)."""
     events: list[OpEvent] = []
     issues: list[Issue] = []
+    boms = (codecs.BOM_UTF32_LE, codecs.BOM_UTF32_BE, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
+    if data.startswith(boms):
+        message = "op trace is not UTF-8: it starts with a UTF-16 or UTF-32 byte-order mark"
+        return events, [Issue("MalformedLine", message, line_no=1)]
     warned_keys: set[str] = set()
     non_blank = 0
     for line_no, raw in enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1):
@@ -222,6 +233,9 @@ def parse_op_trace_oracle(data: bytes):
 
 
 
+_NO_SAMPLES = SampleTable(np.empty(0, np.int64), np.empty((0, 5)), np.empty(0, np.int64))
+
+
 def parse_telemetry_oracle(data: bytes, core_count: int):
     """The telemetry parser one line at a time: (SampleTable, diagnostics)."""
     int64 = 2**63
@@ -231,7 +245,7 @@ def parse_telemetry_oracle(data: bytes, core_count: int):
     numbered = [(i, line.strip()) for i, line in lines if line.strip()]
     if not numbered:
         issues.append(Issue("EmptyTrace", "telemetry file is empty", line_no=0))
-        return SampleTable.from_samples(()), issues
+        return _NO_SAMPLES, issues
 
     header_no, header_line = numbered[0]
     header = [cell.strip() for cell in header_line.split(",")]
@@ -259,7 +273,7 @@ def parse_telemetry_oracle(data: bytes, core_count: int):
         issues.append(
             Issue("MalformedLine", f"header missing columns {missing}", line_no=header_no)
         )
-        return SampleTable.from_samples(()), issues
+        return _NO_SAMPLES, issues
 
     n_util = core_count + 1
     for line_no, line in numbered[1:]:

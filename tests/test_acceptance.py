@@ -12,23 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mk_run, mk_sample
+from conftest import mk_run, mk_sample, window_sums
 from oracles import (
     brute_force_attribution,
     discretized_busy_oracle,
     rectangle_energy_oracle,
+    sample_weights_oracle,
 )
 from traceprof.cli import main
 from traceprof.correlate import attribute_samples, busy_time
 from traceprof.ingest import parse_report, write_report
-from traceprof.metrics import (
-    build_report,
-    cpu_avg_utilization,
-    cpu_core_utilization,
-    energy,
-    gpu_utilization,
-    sample_weights_us,
-)
+from traceprof.metrics import build_report
 from traceprof.model import Device, MemoryBreakdown, OpEvent, validate_run
 from traceprof.steps import detect_period, predictability, resolve_steps
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
@@ -103,12 +97,12 @@ def test_criterion_2_utilization_equations_binary_streams():
         per_core = []
         for c in range(cores):
             active = sum(1 for row in rows if row[c] == 1.0)
-            got = cpu_core_utilization(run, c)
+            got = window_sums(run).per_core[c]
             assert got == active / n  # exact, per the binary-stream reduction
             per_core.append(got)
-        assert abs(cpu_avg_utilization(run) - sum(per_core) / cores) <= 1e-12
+        assert abs(window_sums(run).cpu_avg - sum(per_core) / cores) <= 1e-12
         gpu_active = sum(1 for g in gpu_row if g == 1.0)
-        assert gpu_utilization(run) == gpu_active / n
+        assert window_sums(run).gpu == gpu_active / n
     print("\nPASS criterion 2: binary-stream utilizations equal count ratios exactly; "
           "core average matches Eq-by-Eq mean to 1e-12")
 
@@ -133,16 +127,17 @@ def test_criterion_3_energy_rectangle_oracle():
             )
             t += rng.randrange(5_000, 15_000)
         run = mk_run(samples)
-        dts = sample_weights_us(run)
+        dts = sample_weights_oracle(run)
         rail = ("cpu", "gpu", "mem", "sys")[case % 4]
         attr = f"power_{rail}_mw"
         expected = rectangle_energy_oracle([getattr(s, attr) for s in run.samples], dts)
-        assert abs(energy(run, rail) - expected) <= 1e-9
+        assert abs(window_sums(run).energy_j[rail] - expected) <= 1e-9
         if n >= 4:
             ts = [s.t for s in run.samples]
             a, b, c = ts[0], ts[n // 2], ts[-1] + run.meta.sample_interval_us
-            whole = energy(run, rail, (a, c))
-            split = energy(run, rail, (a, b)) + energy(run, rail, (b, c))
+            whole = window_sums(run, (a, c)).energy_j[rail]
+            split = (window_sums(run, (a, b)).energy_j[rail]
+                     + window_sums(run, (b, c)).energy_j[rail])
             assert abs(whole - split) <= 1e-9
     print("\nPASS criterion 3: energy matches the independent rectangle sum on 1000 "
           "random series within 1e-9 J, additively across sample-boundary splits")

@@ -370,10 +370,14 @@ def test_malformed_manifest_is_a_diagnostic(tmp_path, edit, message):
     ("telemetry.csv", lambda d: "\ufeff".encode() + d,
      "error[MalformedLine] line 1: header missing columns ['t_us']"),
     ("ops.jsonl", lambda d: d.decode().encode("utf-16"),
-     "error[MalformedLine] line 1: invalid JSON: Expecting value"),
+     "error[MalformedLine] line 1: op trace is not UTF-8: it starts with a UTF-16 or UTF-32 "
+     "byte-order mark"),
     ("telemetry.csv", lambda d: d.decode().encode("utf-16"),
      "error[MalformedLine] line 1: header missing columns"),
-], ids=["ops_bom", "telemetry_bom", "ops_utf16", "telemetry_utf16"])
+    ("ops.jsonl", lambda d: d.decode().encode("utf-32"),
+     "error[MalformedLine] line 1: op trace is not UTF-8: it starts with a UTF-16 or UTF-32 "
+     "byte-order mark"),
+], ids=["ops_bom", "telemetry_bom", "ops_utf16", "telemetry_utf16", "ops_utf32"])
 def test_other_encodings_are_diagnostics(tmp_path, name, encode, error):
     manifest = write_run(random_spec(1), tmp_path / "run")
     path = manifest.parent / name
@@ -381,7 +385,10 @@ def test_other_encodings_are_diagnostics(tmp_path, name, encode, error):
     result = _run_cli("analyze", manifest, "--format", "json")
     assert (result.returncode, result.stdout) == (1, b"")
     assert b"Traceback" not in result.stderr
-    assert any(line.startswith(error) for line in result.stderr.decode().splitlines())
+    lines = result.stderr.decode().splitlines()
+    assert any(line.startswith(error) for line in lines)
+    if "byte-order mark" in error:  # one diagnostic for the file, not one per line
+        assert [line for line in lines if line.startswith("error")] == [error]
 
 
 def test_negative_memory_breakdown_is_a_diagnostic(tmp_path):
@@ -855,6 +862,40 @@ def test_unencodable_manifest_path_is_a_diagnostic(tmp_path):
         assert (result.returncode, result.stdout) == (1, b"")
         assert result.stderr.decode().splitlines() == [
             f"error: {where} has a path the file system cannot encode: '{path}'"]
+
+
+_RUNS = ["a/run.json", "b/run.json"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"runs": _RUNS}, {"model": 3, "runs": _RUNS}, {"model": "m"},
+    {"model": "m", "runs": "a/run.json"}, {"model": "m", "runs": {"a": "a/run.json"}}, _RUNS,
+    {"model": "m", "runs": ["a/run.json", 5]}, {"model": "m", "runs": ["a/run.json", None]},
+    {"model": "m", "runs": ["a/run.json", "b\u0000/run.json"]},
+    {"model": "m", "runs": ["a/run.json", "\ud800.json"]},
+    {"model": "m", "runs": ["a/run.json", "b"]}, {"model": "m", "runs": ["a/run.json", "c.json"]},
+    {"model": "m", "runs": ["a/run.json", "sweep.json"]},
+    {"model": "m", "runs": ["a/run.json", "b/ops.jsonl"]},
+    {"model": "m", "runs": ["a/run.json", "b/telemetry.csv"]},
+    {"model": "m", "runs": []}, {"model": "m", "runs": ["a/run.json"]},
+    {"model": "m", "runs": ["a/run.json", "a/run.json"]},
+    b'{"model": "m", "runs": ["a/run.json", "b/run.json"]',
+    "\ufeff".encode() + json.dumps({"model": "m", "runs": _RUNS}).encode(),
+    json.dumps({"model": "m", "runs": _RUNS}).encode("utf-16"),
+], ids=["no_model", "int_model", "no_runs", "str_runs", "dict_runs", "list_document",
+        "int_entry", "null_entry", "nul_entry", "unencodable_entry", "directory_entry",
+        "missing_entry", "sweep_manifest_entry", "op_trace_entry", "telemetry_entry",
+        "zero_runs", "one_run", "duplicate_run", "invalid_json", "utf8_bom", "utf16"])
+def test_malformed_sweep_manifest_is_a_diagnostic(tmp_path, capsys, doc):
+    write_run(random_spec(1), tmp_path / "a")  # batch 8
+    write_run(random_spec(2), tmp_path / "b")  # batch 16
+    sweep = tmp_path / "sweep.json"
+    sweep.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    assert main(["sweep", str(sweep), "--format", "json"]) in (1, 2)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[0].startswith("error")
 
 
 def test_samples_on_under_half_the_period_grid_are_a_diagnostic(tmp_path):

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mk_run, mk_sample
+from conftest import mk_run, mk_sample, tables
 from oracles import parse_op_trace_oracle, parse_telemetry_oracle
 from traceprof import ingest
 from traceprof.errors import InvalidSpec, ManifestError, TraceValidationError
@@ -35,7 +35,6 @@ from traceprof.model import (
     Issue,
     MemoryBreakdown,
     OpEvent,
-    OpTable,
     RunMeta,
     validate_run,
 )
@@ -409,7 +408,7 @@ def _assert_ops_match_oracle(data, source=None):
     """parse_op_trace of ``source`` (default: the bytes ``data``) equals the oracle's of ``data``."""
     ops, issues = parse_op_trace(data if source is None else source)
     want_events, want_issues = parse_op_trace_oracle(data)
-    want = OpTable.from_events(want_events)
+    want, _ = tables(want_events, [])
     _assert_same_columns(ops, want)
     assert (ops.names, ops.layers) == (want.names, want.layers)
     assert issues == want_issues

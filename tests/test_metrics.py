@@ -4,20 +4,19 @@ from math import fsum
 
 import pytest
 
-from conftest import mk_run, mk_sample
-from oracles import rectangle_energy_oracle, weighted_mean_oracle, window_metrics_loop_oracle
+from conftest import mk_run, mk_sample, window_sums
+from oracles import (
+    rectangle_energy_oracle,
+    sample_weights_oracle,
+    weighted_mean_oracle,
+    window_metrics_loop_oracle,
+)
 from traceprof.errors import NoCompleteSteps, NoSamplesInWindow, TraceProfError
 from traceprof.metrics import (
+    _rail_ranking,
     build_report,
-    cpu_avg_utilization,
-    cpu_core_utilization,
-    energy,
-    gpu_utilization,
-    idle_ratio,
     nonwarmup_window,
     peak_memory,
-    power_dominance,
-    sample_weights_us,
     throughput,
 )
 from traceprof.model import Device, OpEvent, StepWindow
@@ -63,59 +62,59 @@ def _jittered_run(seed, n=60):
 
 def test_saturated_core_is_one():
     run = _uniform_run([(1.0,)] * 10)
-    assert cpu_core_utilization(run, 0) == 1.0
+    assert window_sums(run).per_core[0] == 1.0
 
 
 def test_binary_stream_active_30_of_100():
     rows = [(1.0,) if i < 30 else (0.0,) for i in range(100)]
     run = _uniform_run(rows)
-    assert cpu_core_utilization(run, 0) == 0.30
+    assert window_sums(run).per_core[0] == 0.30
 
 
 def test_core_utilization_matches_direct_sum_oracle():
     run = _jittered_run(seed=1)
-    dts = sample_weights_us(run)
+    dts = sample_weights_oracle(run)
     for core in (0, 1):
         values = [s.cpu_core_util[core] for s in run.samples]
         expected = weighted_mean_oracle(values, dts)
-        assert cpu_core_utilization(run, core) == pytest.approx(expected, rel=1e-12)
+        assert window_sums(run).per_core[core] == pytest.approx(expected, rel=1e-12)
 
 
 # --- Eq. 2: average over cores ----------------------------------------------
 
 def test_avg_utilization_six_cores():
     run = _uniform_run([(0.6, 0.6, 0.0, 0.0, 0.0, 0.0)] * 4)
-    assert cpu_avg_utilization(run) == pytest.approx(0.2, abs=1e-15)
+    assert window_sums(run).cpu_avg == pytest.approx(0.2, abs=1e-15)
 
 
 def test_avg_utilization_all_zero():
     run = _uniform_run([(0.0, 0.0)] * 4)
-    assert cpu_avg_utilization(run) == 0.0
+    assert window_sums(run).cpu_avg == 0.0
 
 
 def test_avg_equals_mean_of_per_core_exactly():
     run = _jittered_run(seed=2)
-    per_core = [cpu_core_utilization(run, c) for c in range(2)]
-    assert cpu_avg_utilization(run) == fsum(per_core) / len(per_core)
+    sums = window_sums(run)
+    assert sums.cpu_avg == fsum(sums.per_core) / len(sums.per_core)
 
 
 # --- Eq. 3: GPU utilization ---------------------------------------------------
 
 def test_gpu_constant_denselike_batch64():
     run = _uniform_run([(0.0,)] * 50, gpu_row=[0.964] * 50)
-    assert gpu_utilization(run) == 0.964
+    assert window_sums(run).gpu == 0.964
 
 
 def test_gpu_all_zero():
     run = _uniform_run([(0.0,)] * 10)
-    assert gpu_utilization(run) == 0.0
+    assert window_sums(run).gpu == 0.0
 
 
 def test_gpu_matches_direct_sum_oracle():
     run = _jittered_run(seed=3)
-    dts = sample_weights_us(run)
+    dts = sample_weights_oracle(run)
     expected = weighted_mean_oracle([s.gpu_util for s in run.samples], dts)
-    assert gpu_utilization(run) == pytest.approx(expected, rel=1e-12)
+    assert window_sums(run).gpu == pytest.approx(expected, rel=1e-12)
 
 
 # --- idle-state ratio ---------------------------------------------------------
@@ -123,18 +122,18 @@ def test_gpu_matches_direct_sum_oracle():
 def test_idle_ratio_denver2_extreme():
     rows = [(0.0,) if i < 65 else (0.5,) for i in range(100)]
     run = _uniform_run(rows)
-    assert idle_ratio(run, 0) == 0.65
+    assert window_sums(run).idle[0] == 0.65
 
 
 def test_idle_ratio_never_zero_utilization():
     run = _uniform_run([(0.25,)] * 20)
-    assert idle_ratio(run, 0) == 0.0
+    assert window_sums(run).idle[0] == 0.0
 
 
 def test_idle_ratio_counts_exact_zeros_only():
     run = _uniform_run([(0.0,), (1e-9,), (0.0,), (0.5,)])
-    assert idle_ratio(run, 0) == 0.5
-    assert idle_ratio(run, 0, threshold=1e-6) == 0.75
+    assert window_sums(run).idle[0] == 0.5
+    assert window_sums(run, threshold=1e-6).idle[0] == 0.75
 
 
 def test_idle_ratio_matches_count_oracle_on_binary_stream():
@@ -142,22 +141,22 @@ def test_idle_ratio_matches_count_oracle_on_binary_stream():
     rows = [((0.0 if rng.random() < 0.4 else 1.0),) for _ in range(200)]
     run = _uniform_run(rows)
     zeros = sum(1 for (u,) in rows if u == 0.0)
-    assert idle_ratio(run, 0) == pytest.approx(zeros / 200, abs=1e-15)
+    assert window_sums(run).idle[0] == pytest.approx(zeros / 200, abs=1e-15)
 
 
 def test_idle_plus_active_is_one_for_binary_streams():
     rng = random.Random(9)
     rows = [((0.0 if rng.random() < 0.3 else 1.0),) for _ in range(150)]
     run = _uniform_run(rows)
-    active = cpu_core_utilization(run, 0)
-    assert abs(idle_ratio(run, 0) + active - 1.0) < 1e-12
+    active = window_sums(run).per_core[0]
+    assert abs(window_sums(run).idle[0] + active - 1.0) < 1e-12
 
 
 # --- Eq. 4: energy -------------------------------------------------------------
 
 def test_energy_single_sample():
     run = _uniform_run([(0.0,)], powers=[(0.0, 0.0, 0.0, 2_000.0)])
-    assert energy(run, "sys") == 0.02
+    assert window_sums(run).energy_j["sys"] == 0.02
 
 
 def test_energy_constant_low_power_mode_one_second():
@@ -168,24 +167,24 @@ def test_energy_constant_low_power_mode_one_second():
             powers=[(0.0, 0.0, 0.0, 7_500.0)] * n,
             interval=interval,
         )
-        assert energy(run, "sys") == 7.5
+        assert window_sums(run).energy_j["sys"] == 7.5
 
 
 def test_energy_matches_rectangle_oracle():
     run = _jittered_run(seed=4)
-    dts = sample_weights_us(run)
+    dts = sample_weights_oracle(run)
     for rail, attr in (("cpu", "power_cpu_mw"), ("gpu", "power_gpu_mw"),
                        ("mem", "power_mem_mw"), ("sys", "power_sys_mw")):
         expected = rectangle_energy_oracle([getattr(s, attr) for s in run.samples], dts)
-        assert energy(run, rail) == pytest.approx(expected, abs=1e-9)
+        assert window_sums(run).energy_j[rail] == pytest.approx(expected, abs=1e-9)
 
 
 def test_energy_additive_at_sample_boundaries():
     run = _jittered_run(seed=5)
     ts = [s.t for s in run.samples]
     a, b, c = ts[0], ts[len(ts) // 2], ts[-1] + run.meta.sample_interval_us
-    total = energy(run, "sys", (a, c))
-    split = energy(run, "sys", (a, b)) + energy(run, "sys", (b, c))
+    total = window_sums(run, (a, c)).energy_j["sys"]
+    split = window_sums(run, (a, b)).energy_j["sys"] + window_sums(run, (b, c)).energy_j["sys"]
     assert split == pytest.approx(total, abs=1e-9)
 
 
@@ -201,7 +200,7 @@ def test_energy_scales_exactly_with_power():
         ]
     )
     for rail in ("cpu", "gpu", "mem", "sys"):
-        assert energy(doubled, rail) == 2 * energy(run, rail)
+        assert window_sums(doubled).energy_j[rail] == 2 * window_sums(run).energy_j[rail]
 
 
 # --- peak memory ----------------------------------------------------------------
@@ -300,26 +299,26 @@ def test_throughput_invariant_under_time_translation():
 
 def test_power_dominance_constant_ordering():
     run = _uniform_run([(0.0,)] * 5, powers=[(1_000.0, 4_000.0, 2_000.0, 7_000.0)] * 5)
-    ranking = power_dominance(run)
+    ranking = _rail_ranking(window_sums(run))
     assert [r.rail for r in ranking] == ["gpu", "mem", "cpu"]
     assert ranking[0].share_of_sys == pytest.approx(4_000 / 7_000, rel=1e-12)
 
 
 def test_power_dominance_memory_first_lstm_signature():
     run = _uniform_run([(0.0,)] * 5, powers=[(1_000.0, 2_000.0, 3_000.0, 7_000.0)] * 5)
-    assert power_dominance(run)[0].rail == "mem"
+    assert _rail_ranking(window_sums(run))[0].rail == "mem"
 
 
 def test_power_dominance_matches_weighted_mean_oracle():
     run = _jittered_run(seed=12)
-    dts = sample_weights_us(run)
+    dts = sample_weights_oracle(run)
     means = {
         rail: weighted_mean_oracle([getattr(s, attr) for s in run.samples], dts)
         for rail, attr in (("cpu", "power_cpu_mw"), ("gpu", "power_gpu_mw"),
                            ("mem", "power_mem_mw"))
     }
     expected = sorted(means, key=lambda r: -means[r])
-    assert [r.rail for r in power_dominance(run)] == expected
+    assert [r.rail for r in _rail_ranking(window_sums(run))] == expected
 
 
 # --- report assembly -------------------------------------------------------------
@@ -390,11 +389,12 @@ def test_window_metrics_equal_loop_reference_bit_for_bit(seed):
             continue
         window = (lo, hi)
         ref = window_metrics_loop_oracle(run, window, threshold)
-        assert [cpu_core_utilization(run, c, window) for c in (0, 1)] == ref["per_core"]
-        assert gpu_utilization(run, window) == ref["gpu"]
-        assert [idle_ratio(run, c, window, threshold) for c in (0, 1)] == ref["idle"]
-        assert {r: energy(run, r, window) for r in ref["energy"]} == ref["energy"]
-        ranking = power_dominance(run, window)
+        sums = window_sums(run, window, threshold)
+        assert list(sums.per_core) == ref["per_core"]
+        assert sums.gpu == ref["gpu"]
+        assert list(sums.idle) == ref["idle"]
+        assert sums.energy_j == ref["energy"]
+        ranking = _rail_ranking(sums)
         assert {r.rail: r.mean_mw for r in ranking} == {
             r: m for r, m in ref["mean_mw"].items() if r != "sys"
         }

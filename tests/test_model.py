@@ -1,10 +1,9 @@
-from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import mk_run, mk_sample, util_fractions
+from conftest import mk_run, mk_sample, tables, util_fractions
 from oracles import sort_samples_oracle, validate_ops_oracle, validate_samples_oracle
 from traceprof import model
 from traceprof.errors import TraceValidationError
@@ -19,9 +18,7 @@ from traceprof.model import (
     Issue,
     MemoryBreakdown,
     OpEvent,
-    OpTable,
     RunMeta,
-    SampleTable,
     TelemetrySample,
     validate_run,
 )
@@ -44,21 +41,22 @@ def test_core_count_mismatch_reported():
     samples = [mk_sample(0, cores=(0.0,) * 5)]
     ops = [OpEvent("a", Device.GPU, 0, 100)]
     with pytest.raises(TraceValidationError) as exc:
-        validate_run(meta, ops, samples)
+        validate_run(meta, *tables(ops, samples))
     assert any(i.code == "CoreCountMismatch" for i in exc.value.issues)
 
 
 def test_core_count_mismatch_is_collected_with_other_issues():
-    # A sample with another core count has no table row: it is reported by
-    # its input position, next to every other issue.
+    # A one-core table under a two-core meta: each sorted row is reported,
+    # next to every other issue.
     meta = RunMeta("r", batch_size=1, core_count=2)
-    samples = [mk_sample(10, cores=(0.0,)), mk_sample(0, cores=(0.0, 1.5))]
+    samples = [mk_sample(10, cores=(0.0,)), mk_sample(0, cores=(1.5,))]
     with pytest.raises(TraceValidationError) as exc:
-        validate_run(meta, [OpEvent("a", Device.GPU, 5, 5)], samples)
+        validate_run(meta, *tables([OpEvent("a", Device.GPU, 5, 5)], samples))
     assert exc.value.issues == (
         Issue("InvariantViolation", "op #0 'a' has end 5 <= start 5"),
         Issue("CoreCountMismatch", "sample #0 has 1 core utilizations, run declares 2 cores"),
-        Issue("InvariantViolation", "sample #0 core 1 utilization 1.5 outside [0, 1]"),
+        Issue("InvariantViolation", "sample #0 core 0 utilization 1.5 outside [0, 1]"),
+        Issue("CoreCountMismatch", "sample #1 has 1 core utilizations, run declares 2 cores"),
     )
 
 
@@ -76,7 +74,7 @@ def test_validation_collects_every_violation():
     ops = [OpEvent("", Device.GPU, 100, 100), OpEvent("x", Device.CPU, -5, 10)]
     samples = [mk_sample(0, cores=(1.5, 0.0), p_gpu=-1.0)]
     with pytest.raises(TraceValidationError) as exc:
-        validate_run(meta, ops, samples)
+        validate_run(meta, *tables(ops, samples))
     codes = [i.code for i in exc.value.issues]
     # batch_size, empty name, end<=start, negative start, util range, power
     assert len([c for c in codes if c in ("InvalidMeta", "InvariantViolation")]) >= 5
@@ -94,24 +92,34 @@ def test_non_finite_power_is_an_invariant_violation(power):
 
 @pytest.mark.parametrize("field", [{"start": 0.5}, {"end": "100"}, {"step_id": 1.5}])
 def test_non_integer_op_fields_are_rejected(field):
+    # Tables hold int64 columns; a non-integer time or step is stopped by the op-trace reader.
     op = OpEvent(**{"op_name": "a", "device": Device.GPU, "start": 0, "end": 100, **field})
-    with pytest.raises(TypeError, match="must be integers"):
-        mk_run([mk_sample(0)], [op])
+    ops, issues = parse_op_trace(write_op_trace([op]))
+    assert len(ops) == 0
+    (issue,) = issues
+    assert (issue.code, issue.line_no) == ("MalformedLine", 1)
+    assert issue.message.endswith(("must be integers", "must be an integer"))
 
 
-@pytest.mark.parametrize("field", [
-    {"t": 0.5}, {"t": "3"}, {"mem_used_bytes": 1.5}, {"mem_used_bytes": "7"},
+@pytest.mark.parametrize("column, cell", [
+    (0, "0.5"), (0, '"3"'), (-1, "1.5"), (-1, '"7"'),
 ], ids=["t_half", "t_str", "mem_float", "mem_str"])
-def test_non_integer_sample_fields_are_rejected(field):
-    sample = replace(mk_sample(0), **field)
-    with pytest.raises(TypeError, match="sample t and mem_used_bytes must be integers"):
-        mk_run([sample], [OpEvent("a", Device.GPU, 0, 100)])
+def test_non_integer_sample_fields_are_rejected(column, cell):
+    # The same for a sample's t or memory cell in the telemetry reader.
+    header, row = write_telemetry([mk_sample(0)], 2).decode().splitlines()
+    cells = row.split(",")
+    cells[column] = cell
+    samples, issues = parse_telemetry(f"{header}\n{','.join(cells)}\n".encode(), 2)
+    assert len(samples) == 0
+    (issue,) = issues
+    assert (issue.code, issue.line_no) == ("MalformedLine", 2)
+    assert issue.message.startswith("bad numeric cell: invalid literal for int()")
 
 
 def test_empty_trace_reported():
     meta = RunMeta("r", batch_size=1, core_count=1)
     with pytest.raises(TraceValidationError) as exc:
-        validate_run(meta, [], [])
+        validate_run(meta, *tables([], []))
     assert any(i.code == "EmptyTrace" for i in exc.value.issues)
 
 
@@ -192,7 +200,7 @@ def runs(draw):
         sample_interval_us=interval,
         warmup_steps=draw(st.integers(0, 3)),
     )
-    return validate_run(meta, ops, samples)
+    return validate_run(meta, *tables(ops, samples))
 
 
 @given(runs())
@@ -243,7 +251,7 @@ def test_validate_run_ops_match_oracle(ops):
     if not ops:
         errors.insert(0, Issue("EmptyTrace", "run needs at least one op and one sample"))
     try:
-        run = validate_run(meta, ops, [mk_sample(0, cores=(0.0,))])
+        run = validate_run(meta, *tables(ops, [mk_sample(0, cores=(0.0,))]))
     except TraceValidationError as exc:
         assert list(exc.issues) == errors + warnings
         assert errors
@@ -254,11 +262,10 @@ def test_validate_run_ops_match_oracle(ops):
 
 
 @given(op_lists())
-def test_op_table_from_events_round_trip(ops):
-    table = OpTable.from_events(ops)
+def test_op_table_row_views(ops):
+    table, _ = tables(ops, [])
     assert list(table) == ops
     assert [table[i] for i in range(-len(ops), len(ops))] == ops + ops
-    assert OpTable.from_events(list(table)) == table
 
 
 def _samples(core_count, invalid):
@@ -299,7 +306,7 @@ def test_validate_run_samples_match_oracle(case):
     meta = RunMeta("r", batch_size=1, core_count=core_count)
     ordered, errors, warnings = validate_samples_oracle(samples, core_count)
     try:
-        run = validate_run(meta, [OpEvent("a", Device.GPU, 0, 100)], samples)
+        run = validate_run(meta, *tables([OpEvent("a", Device.GPU, 0, 100)], samples))
     except TraceValidationError as exc:
         assert list(exc.issues) == errors + warnings
         assert errors
@@ -311,22 +318,21 @@ def test_validate_run_samples_match_oracle(case):
 
 
 @given(sample_lists())
-def test_sample_table_from_samples_round_trip(case):
+def test_sample_table_row_views(case):
     _, samples = case
-    table = SampleTable.from_samples(samples)
+    _, table = tables([], samples)
     assert list(map(repr, table)) == list(map(repr, samples))
     assert [table[i] for i in range(-len(samples), len(samples))] == samples + samples
     assert list(table[1:-1]) == samples[1:-1] and list(table[::-2]) == samples[::-2]
     with pytest.raises(IndexError):
         table[len(samples)]
-    assert SampleTable.from_samples(list(table)) == table
 
 
 def _validated(meta, samples):
     """validate_run's Run, or its issues, and whether it sorted the samples."""
     with mock.patch.object(model, "_sample_order", wraps=model._sample_order) as order:
         try:
-            result = validate_run(meta, [OpEvent("a", Device.GPU, 0, 100)], samples)
+            result = validate_run(meta, *tables([OpEvent("a", Device.GPU, 0, 100)], samples))
         except TraceValidationError as exc:
             return exc.issues, order.called
     return (list(map(repr, result.samples)), result.warnings), order.called

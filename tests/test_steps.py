@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import mk_run, mk_sample, util_fractions
+from conftest import mk_run, mk_sample, tables, util_fractions
 from oracles import pair_scores_oracle, pairwise_pearson_oracle, pearson_pair_oracle
 from traceprof import steps
 from traceprof.errors import NoCompleteSteps, NoSteps, SignalTooShort
@@ -302,7 +302,7 @@ def _sys_power_run(rows):
     ops = [OpEvent("op", Device.GPU, i * length * 1_000, (i + 1) * length * 1_000, step_id=i)
            for i in range(steps_)]
     meta = RunMeta("rows", batch_size=1, core_count=1, sample_interval_us=1_000, warmup_steps=0)
-    return validate_run(meta, ops, samples)
+    return validate_run(meta, tables(ops, [])[0], samples)
 
 
 @given(step_rows())
