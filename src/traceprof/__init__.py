@@ -20,14 +20,12 @@ _EXPORTS = {
     "ingest": ["RunManifest", "load_manifest", "load_run", "parse_op_trace", "parse_report",
                "parse_telemetry", "write_manifest", "write_op_trace", "write_report",
                "write_telemetry"],
-    "metrics": ["MetricReport", "OpAggregate", "StepMetrics", "build_report", "peak_memory",
-                "throughput"],
+    "metrics": ["MetricReport", "OpAggregate", "StepMetrics", "build_report"],
     "model": ["Device", "Issue", "MemoryBreakdown", "OpEvent", "OpTable", "Run", "RunMeta",
               "SampleTable", "StepWindow", "TelemetrySample", "validate_run"],
     "steps": ["PeriodEstimate", "PredictabilityScore", "detect_period", "predictability",
               "resolve_steps", "resolve_steps_and_period"],
-    "sweep": ["SweepPoint", "SweepResult", "build_sweep_result", "energy_scaling",
-              "feasibility", "gpu_util_sensitivity", "throughput_speedup"],
+    "sweep": ["SweepPoint", "SweepResult", "build_sweep_result"],
     "synth": ["GroundTruth", "PhaseSpec", "SynthSpec", "generate", "random_spec", "write_run"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import DuplicateBatchSize, InvalidSpec, TraceProfError, TraceValidationError
 from .ingest import load_run, load_sweep_manifest, write_report
 from .metrics import build_report
-from .model import Run, with_warmup_steps
+from .model import Run
 from .steps import SIGNALS
 from .sweep import SweepPoint, build_sweep_result
 from .synth import random_spec, spec_from_dict, write_run
@@ -51,7 +51,7 @@ def _load(path: str, warmup: int | None) -> Run:
     run = load_run(Path(path))
     _print_issues(run.warnings)
     if warmup is not None:
-        run = with_warmup_steps(run, warmup)
+        run = replace(run, meta=replace(run.meta, warmup_steps=warmup))
     return run
 
 

@@ -581,6 +581,8 @@ def _read_json(path: Path, what: str) -> Any:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ManifestError(f"{what} not found: {path}")
+    except OSError as exc:
+        raise ManifestError(f"{what} {path} cannot be read: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}")
     except ValueError as exc:  # also an integer past Python's int-to-str digit limit
@@ -618,6 +620,8 @@ def _open(path: Path, what: str) -> BinaryIO:
         return open(path, "rb")
     except FileNotFoundError:
         raise ManifestError(f"{what} not found: {path}")
+    except OSError as exc:
+        raise ManifestError(f"{what} {path} cannot be read: {exc.strerror}")
 
 
 def load_run(manifest_path: Path | str) -> Run:

@@ -11,6 +11,7 @@ sample falls back to the nominal interval. The same weights drive the
 time-weighted utilization means, so binary utilization streams reduce
 exactly to active-sample-count / total-count.
 
+``build_report`` is the one entry point and computes each field once.
 Every metric reads the run's sample columns (``model.SampleTable``): int64
 timestamps and a float64 matrix of core utilizations, GPU utilization and
 the four power rails. The int64 weights are computed once per report. A
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import Sequence
 
 import numpy as np
 
@@ -105,17 +105,15 @@ class _WindowSums:
     rail_mean_mw: dict[str, float]
 
 
-def _window(run: Run, dt: np.ndarray, window: Window | None, idle: float = 0.0) -> _WindowSums:
-    """Metrics of the samples with t in [lo, hi), or of all samples, by their weights dt.
+def _window(run: Run, dt: np.ndarray, window: Window, idle: float = 0.0) -> _WindowSums:
+    """Metrics of the samples with t in [lo, hi), by their weights dt.
 
     A core is idle in a sample where its utilization is <= ``idle``.
     """
     samples = run.samples
-    a, b = 0, len(samples)
-    if window is not None:
-        a, b = np.searchsorted(samples.t, window).tolist()
-        if a >= b:
-            raise NoSamplesInWindow(f"no samples with t in [{window[0]}, {window[1]}) us")
+    a, b = np.searchsorted(samples.t, window).tolist()
+    if a >= b:
+        raise NoSamplesInWindow(f"no samples with t in [{window[0]}, {window[1]}) us")
     dt = dt[a:b, None]
     total = int(dt.sum())
     # Products that overflow to inf surface as a strict-JSON error, not a warning.
@@ -140,28 +138,6 @@ def _window(run: Run, dt: np.ndarray, window: Window | None, idle: float = 0.0) 
 def _weights(run: Run) -> np.ndarray:
     """Rectangle width per sample: gap to the next sample; the last uses the nominal."""
     return np.append(np.diff(run.samples.t), np.int64(run.meta.sample_interval_us))
-
-
-def nonwarmup_window(step_windows: Sequence[StepWindow]) -> Window:
-    """Analysis window spanning the first non-warmup step to the last step."""
-    non_warmup = [w for w in step_windows if not w.is_warmup]
-    if not non_warmup:
-        raise NoSamplesInWindow("all step windows are warmup; nothing to analyze")
-    return (non_warmup[0].start_us, step_windows[-1].end_us)
-
-
-def peak_memory(run: Run) -> tuple[int, MemoryBreakdown | None]:
-    """Maximum sampled memory over the full run (warmup included)."""
-    return int(run.samples.mem.max()), run.memory_breakdown
-
-
-def throughput(run: Run, step_windows: Sequence[StepWindow]) -> float:
-    """Training samples per second over the complete non-warmup steps."""
-    non_warmup = [w for w in step_windows if not w.is_warmup]
-    if not non_warmup:
-        raise NoCompleteSteps("throughput needs at least one complete non-warmup step")
-    total_us = sum(w.duration_us for w in non_warmup)
-    return (run.meta.batch_size * len(non_warmup) * 1_000_000) / total_us
 
 
 def _rail_ranking(sums: _WindowSums) -> tuple[RailShare, ...]:
@@ -219,23 +195,24 @@ def _step_metrics(run: Run, dt: np.ndarray, w: StepWindow, idle: float) -> StepM
 
 
 def build_report(
-    run: Run,
-    step_windows: Sequence[StepWindow] | None = None,
-    *,
-    signal: str = "gpu_util",
-    idle_threshold: float = 0.0,
+    run: Run, *, signal: str = "gpu_util", idle_threshold: float = 0.0
 ) -> MetricReport:
     """Assemble the full metric report for one run.
 
-    One ``steps.resolve_steps_and_period`` call gives the steps (given, labelled,
-    or tiled by one autocorrelation estimate of ``signal``) and their period.
-    Run-level metrics cover the non-warmup analysis window, per-step metrics
-    narrow it to each step, and per-op sample attributions are aggregated.
-    Component errors (NoSamplesInWindow, NoCompleteSteps, ...) propagate.
+    One ``steps.resolve_steps_and_period`` call gives the steps (labelled, or
+    tiled by one autocorrelation estimate of ``signal``) and their period.
+    Run-level metrics cover the analysis window, from the first non-warmup
+    step's start to the last step's end; with no non-warmup step that is
+    NoSamplesInWindow. Per-step metrics narrow it to each step, throughput
+    counts the non-warmup steps, peak memory covers the whole run, and per-op
+    sample attributions are aggregated. Component errors propagate.
     """
-    step_windows, period = steps_mod.resolve_steps_and_period(run, signal, step_windows)
+    step_windows, period = steps_mod.resolve_steps_and_period(run, signal)
+    non_warmup = [w for w in step_windows if not w.is_warmup]
+    if not non_warmup:
+        raise NoSamplesInWindow("all step windows are warmup; nothing to analyze")
     dt = _weights(run)
-    whole = _window(run, dt, nonwarmup_window(step_windows), idle_threshold)
+    whole = _window(run, dt, (non_warmup[0].start_us, step_windows[-1].end_us), idle_threshold)
 
     predictability: PredictabilityScore | None
     try:
@@ -244,7 +221,6 @@ def build_report(
         predictability = None
 
     concurrent = concurrent_ops_exist(run)
-    peak, breakdown = peak_memory(run)
     warmup = run.meta.warmup_steps
     notes = [
         f"utilization, idle-ratio and energy metrics exclude the first {warmup} warmup steps",
@@ -269,15 +245,16 @@ def build_report(
         gpu_util=whole.gpu,
         idle_ratio_per_core=whole.idle,
         energy_by_rail_joules=whole.energy_j,
-        peak_mem_bytes=peak,
-        throughput_samples_per_sec=throughput(run, step_windows),
+        peak_mem_bytes=int(run.samples.mem.max()),
+        throughput_samples_per_sec=(run.meta.batch_size * len(non_warmup) * 1_000_000)
+        / sum(w.duration_us for w in non_warmup),
         steps=step_windows,
         per_step=tuple(m for m in per_step if m is not None),
         per_op=_per_op_aggregates(run),
         power_rail_ranking=_rail_ranking(whole),
         period=period,
         predictability=predictability,
-        memory_breakdown=breakdown,
+        memory_breakdown=run.memory_breakdown,
         concurrent_ops_double_counting=concurrent,
         idle_threshold=idle_threshold,
         notes=tuple(notes),

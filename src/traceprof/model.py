@@ -309,22 +309,21 @@ def _duplicate_op_warnings(ops: OpTable) -> list[Issue]:
 
 
 def _check_samples(samples: SampleTable, core_count: int, issues: list[Issue]) -> None:
-    """One issue per failing (sample, check), in row-then-check order.
+    """A table of the wrong width once, then one issue per failing (sample, check).
 
-    Checks 2 to c + 6 are the value columns: c cores and the GPU in [0, 1],
-    then the rails finite and >= 0.
+    The row checks, in order, are the timestamp, then the value columns: c
+    cores and the GPU in [0, 1], then the rails finite and >= 0, then memory.
     """
     c, values = samples.core_count, samples.values
+    if samples and c != core_count:
+        issues.append(Issue("CoreCountMismatch", f"samples have {c} core utilizations, "
+                            f"run declares {core_count} cores"))
     utils, powers = values[:, :c + 1], values[:, c + 1:]
-    for i, check in _failures(samples.t < 0, np.full(len(samples), c != core_count),
-                              ~((utils >= 0.0) & (utils <= 1.0)),
+    for i, check in _failures(samples.t < 0, ~((utils >= 0.0) & (utils <= 1.0)),
                               ~(np.isfinite(powers) & (powers >= 0.0)), samples.mem < 0):
-        code, col = "InvariantViolation", check - 2
+        col = check - 1
         if check == 0:
             what = f"has negative timestamp {samples.t[i].item()}"
-        elif check == 1:
-            code = "CoreCountMismatch"
-            what = f"has {c} core utilizations, run declares {core_count} cores"
         elif col <= c:
             unit = f"core {col}" if col < c else "gpu"
             what = f"{unit} utilization {values[i, col].item()} outside [0, 1]"
@@ -334,7 +333,7 @@ def _check_samples(samples: SampleTable, core_count: int, issues: list[Issue]) -
             what = f"{kind} {RAILS[col - c - 1]} power {p} mW"
         else:
             what = "negative mem_used_bytes"
-        issues.append(Issue(code, f"sample #{i} {what}"))
+        issues.append(Issue("InvariantViolation", f"sample #{i} {what}"))
 
 
 def validate_run(
@@ -398,8 +397,3 @@ def validate_run(
         memory_breakdown=memory_breakdown,
         warnings=tuple(warnings),
     )
-
-
-def with_warmup_steps(run: Run, warmup_steps: int) -> Run:
-    """Return a copy of the run with an overridden warmup-step count."""
-    return replace(run, meta=replace(run.meta, warmup_steps=warmup_steps))

@@ -195,55 +195,51 @@ def detect_period(run: Run, signal: str = "gpu_util") -> PeriodEstimate:
 
 
 def resolve_steps_and_period(
-    run: Run, signal: str = "gpu_util", windows: Sequence[StepWindow] | None = None
+    run: Run, signal: str = "gpu_util"
 ) -> tuple[tuple[StepWindow, ...], PeriodEstimate]:
-    """A run's step windows, or the given ``windows``, with their period.
+    """A run's step windows with their period.
 
     With labeled ops, each step window spans [min start, max end] of its ops,
-    and the period is the windows' mean duration ("explicit"). Without
-    labels, ``detect_period`` runs once; its estimate is the period, and it
-    tiles complete windows from the first op's start unless its confidence is
-    below the threshold (NoSteps). The first ``meta.warmup_steps`` resolved
-    windows are flagged as warmup.
+    and the period is the windows' mean duration ("explicit"); labeled ops
+    always give at least one window. Without labels, ``detect_period`` runs
+    once; its estimate is the period, and it tiles complete windows from the
+    first op's start unless its confidence is below the threshold (NoSteps).
+    The first ``meta.warmup_steps`` resolved windows are flagged as warmup.
     """
     ops = run.ops
     warmup = run.meta.warmup_steps
     if not ops.has_step.any():
         estimate = detect_period(run, signal)
-        if windows is None:
-            if estimate.confidence < PERIOD_CONFIDENCE_THRESHOLD:
-                raise NoSteps(
-                    f"no step labels and period confidence {estimate.confidence:.3f} "
-                    f"below threshold {PERIOD_CONFIDENCE_THRESHOLD}"
-                )
-            period = estimate.period_us
-            start = int(ops.start[0])
-            count = (run.end_us - start) // period
-            if count < 1:
-                raise NoSteps("inferred period does not fit a single complete window")
-            windows = [StepWindow(i, start + i * period, start + (i + 1) * period, i < warmup)
-                       for i in range(count)]
-        return tuple(windows), estimate
-    if windows is None:
-        labelled = np.flatnonzero(ops.has_step)
-        labelled = labelled[np.argsort(ops.step[labelled], kind="stable")]
-        step_ids = ops.step[labelled]
-        heads = np.flatnonzero(np.r_[True, step_ids[1:] != step_ids[:-1]])
-        ids = step_ids[heads].tolist()
-        lo = np.minimum.reduceat(ops.start[labelled], heads)
-        hi = np.maximum.reduceat(ops.end[labelled], heads)
-        overlaps = np.flatnonzero(lo[1:] < hi[:-1]).tolist()
-        if overlaps:
-            k = overlaps[0]
-            raise OverlappingSteps(
-                f"step windows {ids[k]} and {ids[k + 1]} overlap; "
-                "labeled op intervals are inconsistent"
+        if estimate.confidence < PERIOD_CONFIDENCE_THRESHOLD:
+            raise NoSteps(
+                f"no step labels and period confidence {estimate.confidence:.3f} "
+                f"below threshold {PERIOD_CONFIDENCE_THRESHOLD}"
             )
-        bounds = enumerate(zip(ids, lo.tolist(), hi.tolist()))
-        windows = [StepWindow(step_id, a, b, i < warmup) for i, (step_id, a, b) in bounds]
-    windows = tuple(windows)
-    # No windows, no mean: period 0, and build_report raises NoSamplesInWindow.
-    mean_us = fsum(w.duration_us for w in windows) / len(windows) if windows else 0.0
+        period = estimate.period_us
+        start = int(ops.start[0])
+        count = (run.end_us - start) // period
+        if count < 1:
+            raise NoSteps("inferred period does not fit a single complete window")
+        windows = tuple(StepWindow(i, start + i * period, start + (i + 1) * period, i < warmup)
+                        for i in range(count))
+        return windows, estimate
+    labelled = np.flatnonzero(ops.has_step)
+    labelled = labelled[np.argsort(ops.step[labelled], kind="stable")]
+    step_ids = ops.step[labelled]
+    heads = np.flatnonzero(np.r_[True, step_ids[1:] != step_ids[:-1]])
+    ids = step_ids[heads].tolist()
+    lo = np.minimum.reduceat(ops.start[labelled], heads)
+    hi = np.maximum.reduceat(ops.end[labelled], heads)
+    overlaps = np.flatnonzero(lo[1:] < hi[:-1]).tolist()
+    if overlaps:
+        k = overlaps[0]
+        raise OverlappingSteps(
+            f"step windows {ids[k]} and {ids[k + 1]} overlap; "
+            "labeled op intervals are inconsistent"
+        )
+    bounds = enumerate(zip(ids, lo.tolist(), hi.tolist()))
+    windows = tuple(StepWindow(step_id, a, b, i < warmup) for i, (step_id, a, b) in bounds)
+    mean_us = fsum(w.duration_us for w in windows) / len(windows)
     return windows, PeriodEstimate(int(round(mean_us)), confidence=1.0, method="explicit")
 
 

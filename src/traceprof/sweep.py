@@ -1,10 +1,11 @@
 """Compares runs of one model across batch sizes: scaling, sensitivity, feasibility.
 
-Ratios use the min/max batch endpoints; adding intermediate points never
-changes them. Energy comparisons use per-step energy because runs at
-different batch sizes finish different step counts. The capacity check is a
-strict inequality: a peak exactly equal to capacity fails in practice due to
-system reservations.
+``build_sweep_result`` is the one entry point: it sorts and checks the points
+once, then computes every field. Ratios use the min/max batch endpoints;
+adding intermediate points never changes them. Energy comparisons use
+per-step energy because runs at different batch sizes finish different step
+counts. The capacity check is a strict inequality: a peak exactly equal to
+capacity fails in practice due to system reservations.
 """
 
 from __future__ import annotations
@@ -53,95 +54,12 @@ class SweepResult:
     feasibility: tuple[FeasibilityVerdict, ...]
 
 
-def _sorted_points(points: Sequence[SweepPoint]) -> list[SweepPoint]:
-    if len(points) < 2:
-        raise ValueError(f"a sweep needs at least 2 points, got {len(points)}")
-    out = sorted(points, key=lambda p: p.batch_size)
-    for a, b in zip(out, out[1:]):
-        if a.batch_size == b.batch_size:
-            raise DuplicateBatchSize(f"duplicate batch size {a.batch_size} in sweep")
-    return out
-
-
-def throughput_speedup(points: Sequence[SweepPoint]) -> float:
-    """Throughput at the largest batch divided by throughput at the smallest."""
-    pts = _sorted_points(points)
-    return pts[-1].report.throughput_samples_per_sec / pts[0].report.throughput_samples_per_sec
-
-
-def per_step_energy(report: MetricReport, rail: str = "sys") -> float:
-    """Mean energy of one non-warmup training step for the given rail."""
-    energies = [
-        sm.energy_by_rail_joules[rail] for sm in report.per_step if not sm.is_warmup
-    ]
+def _mean_step_energy(report: MetricReport, rail: str) -> float:
+    """Mean energy of one non-warmup training step on ``rail``."""
+    energies = [sm.energy_by_rail_joules[rail] for sm in report.per_step if not sm.is_warmup]
     if not energies:
         raise MissingEnergy(f"run {report.run_id} has no non-warmup per-step energy")
     return fsum(energies) / len(energies)
-
-
-def energy_scaling(points: Sequence[SweepPoint], rail: str = "sys") -> tuple[float, str]:
-    """Per-step energy ratio (max batch / min batch) and its classification.
-
-    Proportional means the ratio matches the batch ratio within the 5% band;
-    below is sub_proportional, above is super_proportional. A zero per-step
-    energy at the smallest batch leaves the ratio undefined: MissingEnergy.
-    """
-    pts = _sorted_points(points)
-    lo, hi = pts[0], pts[-1]
-    lo_energy = per_step_energy(lo.report, rail)
-    if lo_energy == 0.0:
-        raise MissingEnergy(
-            f"run {lo.report.run_id} has zero mean per-step {rail} energy; "
-            "energy scaling is undefined"
-        )
-    ratio = per_step_energy(hi.report, rail) / lo_energy
-    batch_ratio = hi.batch_size / lo.batch_size
-    if abs(ratio - batch_ratio) <= PROPORTIONALITY_BAND * batch_ratio:
-        cls = PROPORTIONAL
-    elif ratio < batch_ratio:
-        cls = SUB_PROPORTIONAL
-    else:
-        cls = SUPER_PROPORTIONAL
-    return ratio, cls
-
-
-def gpu_util_sensitivity(points: Sequence[SweepPoint]) -> tuple[float, float]:
-    """(GPU, CPU-average) utilization change from the smallest to largest batch."""
-    pts = _sorted_points(points)
-    lo, hi = pts[0], pts[-1]
-    return (
-        hi.report.gpu_util - lo.report.gpu_util,
-        hi.report.cpu_avg_util - lo.report.cpu_avg_util,
-    )
-
-
-def feasibility(
-    points: Sequence[SweepPoint], capacity_bytes: int
-) -> tuple[FeasibilityVerdict, ...]:
-    """Per-batch fits / out_of_memory verdicts against the device capacity."""
-    verdicts = []
-    for p in sorted(points, key=lambda p: p.batch_size):
-        fits = p.report.peak_mem_bytes < capacity_bytes
-        verdicts.append(
-            FeasibilityVerdict(
-                batch_size=p.batch_size,
-                verdict="fits" if fits else "out_of_memory",
-                peak_mem_bytes=p.report.peak_mem_bytes,
-                capacity_bytes=capacity_bytes,
-                memory_breakdown=p.report.memory_breakdown,
-            )
-        )
-    return tuple(verdicts)
-
-
-def _intermediate_growth(points: list[SweepPoint]) -> tuple[int, int] | None:
-    lo, hi = points[0], points[-1]
-    lo_bd, hi_bd = lo.report.memory_breakdown, hi.report.memory_breakdown
-    if lo_bd is None or hi_bd is None:
-        return None
-    if lo_bd.intermediate_bytes is None or hi_bd.intermediate_bytes is None:
-        return None
-    return (lo_bd.intermediate_bytes, hi_bd.intermediate_bytes)
 
 
 def build_sweep_result(
@@ -150,19 +68,57 @@ def build_sweep_result(
     capacity_bytes: int,
     rail: str = "sys",
 ) -> SweepResult:
-    """Aggregate a batch-size sweep of one model into a SweepResult."""
-    pts = _sorted_points(points)
-    ratio, cls = energy_scaling(pts, rail)
-    delta_gpu, delta_cpu = gpu_util_sensitivity(pts)
+    """Aggregate a batch-size sweep of one model into a SweepResult.
+
+    Fewer than 2 points is a ValueError, a repeated batch size DuplicateBatchSize.
+    The energy scaling is the ratio of the mean non-warmup per-step ``rail``
+    energies; it is proportional within the 5% band around the batch ratio,
+    sub_proportional below it and super_proportional above it. A run with no
+    non-warmup step energy, or a zero one at the lowest batch, is MissingEnergy.
+    """
+    if len(points) < 2:
+        raise ValueError(f"a sweep needs at least 2 points, got {len(points)}")
+    pts = tuple(sorted(points, key=lambda p: p.batch_size))
+    for a, b in zip(pts, pts[1:]):
+        if a.batch_size == b.batch_size:
+            raise DuplicateBatchSize(f"duplicate batch size {a.batch_size} in sweep")
+    lo, hi = pts[0].report, pts[-1].report
+    batch_ratio = pts[-1].batch_size / pts[0].batch_size
+
+    lo_energy = _mean_step_energy(lo, rail)
+    if lo_energy == 0.0:
+        raise MissingEnergy(
+            f"run {lo.run_id} has zero mean per-step {rail} energy; "
+            "energy scaling is undefined"
+        )
+    energy_ratio = _mean_step_energy(hi, rail) / lo_energy
+    if abs(energy_ratio - batch_ratio) <= PROPORTIONALITY_BAND * batch_ratio:
+        energy_class = PROPORTIONAL
+    elif energy_ratio < batch_ratio:
+        energy_class = SUB_PROPORTIONAL
+    else:
+        energy_class = SUPER_PROPORTIONAL
+
+    growth = tuple(r.memory_breakdown and r.memory_breakdown.intermediate_bytes
+                   for r in (lo, hi))
     return SweepResult(
         model=model,
-        points=tuple(pts),
-        batch_ratio=pts[-1].batch_size / pts[0].batch_size,
-        throughput_speedup=throughput_speedup(pts),
-        energy_scaling=ratio,
-        energy_scaling_class=cls,
-        gpu_util_delta=delta_gpu,
-        cpu_util_delta=delta_cpu,
-        mem_intermediate_growth=_intermediate_growth(pts),
-        feasibility=feasibility(pts, capacity_bytes),
+        points=pts,
+        batch_ratio=batch_ratio,
+        throughput_speedup=hi.throughput_samples_per_sec / lo.throughput_samples_per_sec,
+        energy_scaling=energy_ratio,
+        energy_scaling_class=energy_class,
+        gpu_util_delta=hi.gpu_util - lo.gpu_util,
+        cpu_util_delta=hi.cpu_avg_util - lo.cpu_avg_util,
+        mem_intermediate_growth=None if None in growth else growth,
+        feasibility=tuple(
+            FeasibilityVerdict(
+                batch_size=p.batch_size,
+                verdict="fits" if p.report.peak_mem_bytes < capacity_bytes else "out_of_memory",
+                peak_mem_bytes=p.report.peak_mem_bytes,
+                capacity_bytes=capacity_bytes,
+                memory_breakdown=p.report.memory_breakdown,
+            )
+            for p in pts
+        ),
     )

@@ -33,7 +33,6 @@ from .ingest import (
     RunManifest,
     SchemaError,
     from_doc,
-    to_doc,
     write_manifest,
     write_op_trace,
     write_telemetry,
@@ -317,10 +316,6 @@ def random_spec(seed: int, *, noise_amplitude: float = 0.0) -> SynthSpec:
         warmup_steps=warmup,
         run_id=f"synth-{seed}",
     )
-
-
-def spec_to_dict(spec: SynthSpec) -> dict[str, Any]:
-    return to_doc(spec)
 
 
 def spec_from_dict(doc: dict[str, Any]) -> SynthSpec:

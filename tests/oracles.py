@@ -385,13 +385,13 @@ def validate_samples_oracle(samples, core_count):
     """(sorted samples, sample errors, duplicate-timestamp warnings), by loops."""
     ordered = sort_samples_oracle(samples)
     errors = []
+    width = len(ordered[0].cpu_core_util) if ordered else core_count
+    if width != core_count:  # one table, one width
+        errors.append(Issue("CoreCountMismatch", f"samples have {width} core utilizations, "
+                            f"run declares {core_count} cores"))
     for i, s in enumerate(ordered):
         if s.t < 0:
             errors.append(Issue("InvariantViolation", f"sample #{i} has negative timestamp {s.t}"))
-        if len(s.cpu_core_util) != core_count:
-            errors.append(Issue("CoreCountMismatch",
-                                f"sample #{i} has {len(s.cpu_core_util)} core utilizations, "
-                                f"run declares {core_count} cores"))
         for c, u in enumerate(s.cpu_core_util):
             if not 0.0 <= u <= 1.0:
                 errors.append(Issue("InvariantViolation",

@@ -17,12 +17,13 @@ from traceprof.cli import main
 from traceprof.errors import InvalidSpec
 from traceprof.ingest import (
     RunManifest,
+    to_doc,
     write_manifest,
     write_op_trace,
     write_telemetry,
 )
 from traceprof.model import Device, MemoryBreakdown, OpEvent, RunMeta, TelemetrySample
-from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, spec_to_dict, write_run
+from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
 
 GB = 1_000_000_000
 
@@ -218,10 +219,8 @@ def test_synth_manifest_feeds_analyze(tmp_path, capsys):
 
 def test_synth_spec_file(tmp_path, capsys):
     spec = _throughput_spec(4, 100_000, 10_000)
-    from traceprof.synth import spec_to_dict
-
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec_to_dict(spec)))
+    spec_path.write_text(json.dumps(to_doc(spec)))
     assert main(["synth", "--out", str(tmp_path / "s"), "--spec", str(spec_path)]) == 0
     manifest = capsys.readouterr().out.strip()
     assert main(["analyze", manifest, "--format", "json"]) == 0
@@ -751,7 +750,7 @@ def _huge_power_with_noise(doc):
         "negative_seed", "nan_power", "power_overflows_with_noise", "invalid_meta",
         "warmup_20_of_8_steps", "warmup_one_past_steps", "batch_2pow63"])
 def test_invalid_synth_spec_is_a_diagnostic(tmp_path, edit, message):
-    doc = spec_to_dict(random_spec(1))
+    doc = to_doc(random_spec(1))
     edit(doc)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
@@ -767,21 +766,35 @@ def _write(path, data):
     return path
 
 
+def _op_trace_is_a_directory(tmp):
+    manifest = write_run(random_spec(1), tmp / "run")
+    doc = json.loads(manifest.read_text())
+    return ["analyze", _write(manifest, json.dumps({**doc, "op_trace_path": "."}).encode())]
+
+
 @pytest.mark.parametrize("args, message", [
     (lambda tmp: ["validate", _write(tmp / "run.json", b'{"meta": "\xff"}')], "is not UTF-8"),
     (lambda tmp: ["analyze", tmp], "Is a directory"),
+    (_op_trace_is_a_directory,
+     lambda tmp: f"error: op trace {tmp / 'run'} cannot be read: Is a directory"),
     (lambda tmp: ["synth", "--spec", tmp, "--out", tmp / "run"], "Is a directory"),
     (lambda tmp: ["synth", "--spec", _write(tmp / "spec.json", b"\xff"), "--out", tmp / "run"],
      "can't decode byte 0xff"),
     (lambda tmp: ["synth", "--out", _write(tmp / "run", b"")], "File exists"),
-], ids=["non_utf8_manifest", "analyze_dir", "spec_dir", "non_utf8_spec", "out_is_a_file"])
+], ids=["non_utf8_manifest", "analyze_dir", "op_trace_dir", "spec_dir", "non_utf8_spec",
+        "out_is_a_file"])
 def test_unreadable_or_unwritable_path_is_a_diagnostic(tmp_path, args, message):
+    # A callable message is the exact line. PermissionError takes the same path
+    # as a directory, but root, which may run the tests, can read any file.
     result = _run_cli(*args(tmp_path))
     assert result.returncode == 1
     assert result.stdout == b""
     assert b"Traceback" not in result.stderr
     (line,) = result.stderr.decode().splitlines()
-    assert line.startswith("error: ") and message in line
+    if callable(message):
+        assert line == message(tmp_path)
+    else:
+        assert line.startswith("error: ") and message in line
 
 _LONG_INT = "1" + "0" * 5000  # past Python's 4300-digit int conversion limit; json.dumps fails too
 
@@ -804,7 +817,7 @@ def _long_int_step(tmp):
 
 def _long_int_seed(tmp):
     spec = tmp / "spec.json"
-    spec.write_text(json.dumps({**spec_to_dict(random_spec(1)), "seed": 12345})
+    spec.write_text(json.dumps({**to_doc(random_spec(1)), "seed": 12345})
                     .replace("12345", _LONG_INT))
     return ["synth", "--spec", spec, "--out", tmp / "run"]
 
@@ -896,6 +909,8 @@ def test_malformed_sweep_manifest_is_a_diagnostic(tmp_path, capsys, doc):
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines()[0].startswith("error")
+    if doc == {"model": "m", "runs": ["a/run.json", "b"]}:  # directory_entry
+        assert err == f"error: manifest {tmp_path / 'b'} cannot be read: Is a directory\n"
 
 
 def test_samples_on_under_half_the_period_grid_are_a_diagnostic(tmp_path):
@@ -921,7 +936,7 @@ def _spec_edits():
     The row count is steps * step_duration_us / sample_interval_us, so steps and
     step_duration_us are never raised and sample_interval_us never lowered.
     """
-    doc = spec_to_dict(random_spec(1, noise_amplitude=0.05))
+    doc = to_doc(random_spec(1, noise_amplitude=0.05))
     paths = [(key,) for key in doc]
     for i, phase in enumerate(doc["phases"]):
         paths += [("phases", i, key) for key in phase]

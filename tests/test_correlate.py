@@ -137,23 +137,23 @@ def test_concurrent_ops_detection():
 
 def test_report_attribution_counts_match_attribute_samples():
     # Concurrent ops on both devices, and samples exactly on op starts and
-    # ends, where half-open intervals decide the attribution.
+    # ends, where half-open intervals decide the attribution. The labels give
+    # the disjoint steps [0, 300) and [310, 320).
     ops = [
         OpEvent("A", Device.GPU, 0, 100, step_id=0),
         OpEvent("B", Device.GPU, 50, 150, step_id=0),
         OpEvent("A", Device.CPU, 100, 200, step_id=0),
         OpEvent("C", Device.CPU, 120, 125, step_id=0),
-        OpEvent("D", Device.GPU, 150, 300, step_id=1),
-        OpEvent("D", Device.GPU, 150, 300, step_id=1),
+        OpEvent("D", Device.GPU, 150, 300, step_id=0),
+        OpEvent("D", Device.GPU, 150, 300, step_id=0),
         OpEvent("E", Device.CPU, 310, 320, step_id=1),
     ]
     run = _run_with(ops, [0, 25, 50, 100, 120, 125, 150, 200, 250, 300], interval=50)
-    windows = [StepWindow(0, 0, 150), StepWindow(1, 150, 300)]
     expected = {op.op_name: 0 for op in run.ops}
-    for attribution in attribute_samples(run, windows):
+    for attribution in attribute_samples(run):
         for i in attribution.op_indices:
             expected[run.ops[i].op_name] += 1
-    per_op = build_report(run, windows).per_op
+    per_op = build_report(run).per_op
     assert {name: agg.attributed_samples for name, agg in per_op.items()} == expected
     assert expected["C"] == 1 and expected["E"] == 0
     assert [name for name, agg in per_op.items() if agg.below_sampling_resolution] == ["E"]
@@ -168,6 +168,5 @@ def test_report_attribution_counts_match_attribute_samples_on_random_runs():
         for attribution in attribute_samples(run):
             for i in attribution.op_indices:
                 expected[run.ops[i].op_name] += 1
-        window = [StepWindow(0, int(min(run.ops.start[0], run.samples.t[0])), run.end_us)]
-        per_op = build_report(run, window).per_op
+        per_op = build_report(run).per_op
         assert {name: agg.attributed_samples for name, agg in per_op.items()} == expected

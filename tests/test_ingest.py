@@ -24,6 +24,7 @@ from traceprof.ingest import (
     parse_op_trace,
     parse_report,
     parse_telemetry,
+    to_doc,
     write_manifest,
     write_op_trace,
     write_report,
@@ -39,9 +40,9 @@ from traceprof.model import (
     validate_run,
 )
 from traceprof.sweep import SweepPoint, build_sweep_result
-from traceprof.synth import generate, random_spec, spec_from_dict, spec_to_dict
+from traceprof.synth import generate, random_spec, spec_from_dict
 
-_PHASE = spec_to_dict(random_spec(3))["phases"][0]
+_PHASE = to_doc(random_spec(3))["phases"][0]
 
 
 def test_parse_op_trace_direct_mapping():
@@ -338,7 +339,7 @@ def test_manifest_type_errors_name_the_field(tmp_path, edit, message):
      "spec.phases[0].cpu_core_util[1] must be float, got 'x'"),
 ])
 def test_spec_document_type_errors_name_the_field(edit, message):
-    doc = {**spec_to_dict(random_spec(3)), **edit}
+    doc = {**to_doc(random_spec(3)), **edit}
     with pytest.raises(InvalidSpec) as exc:
         spec_from_dict(doc)
     assert message in str(exc.value)

@@ -11,20 +11,16 @@ from oracles import (
     weighted_mean_oracle,
     window_metrics_loop_oracle,
 )
-from traceprof.errors import NoCompleteSteps, NoSamplesInWindow, TraceProfError
-from traceprof.metrics import (
-    _rail_ranking,
-    build_report,
-    nonwarmup_window,
-    peak_memory,
-    throughput,
-)
-from traceprof.model import Device, OpEvent, StepWindow
-from traceprof.steps import resolve_steps
+from traceprof.errors import NoSamplesInWindow
+from traceprof.metrics import _rail_ranking, build_report
+from traceprof.model import Device, OpEvent
 
 
-def _uniform_run(core_rows, gpu_row=None, powers=None, interval=10_000, mems=None, **kw):
+def _uniform_run(core_rows, gpu_row=None, powers=None, interval=10_000, mems=None, ops=None,
+                 **kw):
+    """One sample per interval; by default one op labelled step 0 spans the run."""
     n = len(core_rows)
+    ops = ops or [OpEvent("op", Device.GPU, 0, n * interval, step_id=0)]
     gpu_row = gpu_row or [0.0] * n
     powers = powers or [(0.0, 0.0, 0.0, 0.0)] * n
     mems = mems or [0] * n
@@ -34,7 +30,7 @@ def _uniform_run(core_rows, gpu_row=None, powers=None, interval=10_000, mems=Non
                   p_sys=powers[i][3], mem=mems[i])
         for i in range(n)
     ]
-    return mk_run(samples, interval=interval, **kw)
+    return mk_run(samples, ops, interval=interval, **kw)
 
 
 def _jittered_run(seed, n=60):
@@ -55,7 +51,7 @@ def _jittered_run(seed, n=60):
             )
         )
         t += rng.randrange(8_000, 13_000)
-    return mk_run(samples)
+    return mk_run(samples, [OpEvent("op", Device.GPU, 0, t, step_id=0)])
 
 
 # --- Eq. 1: individual core utilization -------------------------------------
@@ -208,13 +204,12 @@ def test_energy_scales_exactly_with_power():
 def test_peak_memory_is_max():
     gb = 1_000_000_000
     run = _uniform_run([(0.0,)] * 3, mems=[1 * gb, 5 * gb, 3 * gb])
-    peak, _ = peak_memory(run)
-    assert peak == 5 * gb
+    assert build_report(run).peak_mem_bytes == 5 * gb
 
 
 def test_peak_memory_monotone_series_is_last():
     run = _uniform_run([(0.0,)] * 5, mems=[1, 2, 3, 4, 5])
-    assert peak_memory(run)[0] == 5
+    assert build_report(run).peak_mem_bytes == 5
 
 
 def test_peak_memory_includes_warmup_window():
@@ -223,12 +218,12 @@ def test_peak_memory_includes_warmup_window():
     mems = [9, 9, 1, 1, 1, 1, 1, 1]
     ops = [OpEvent("op", Device.GPU, s * 40_000, (s + 1) * 40_000, step_id=s) for s in range(2)]
     run = _uniform_run(rows, mems=mems, ops=ops, warmup=1)
-    assert peak_memory(run)[0] == 9
+    assert build_report(run).peak_mem_bytes == 9
 
 
 def test_peak_memory_matches_running_max_oracle():
     run = _jittered_run(seed=8)
-    peak, _ = peak_memory(run)
+    peak = build_report(run).peak_mem_bytes
     running = 0
     for s in run.samples:
         if s.mem_used_bytes > running:
@@ -239,46 +234,38 @@ def test_peak_memory_matches_running_max_oracle():
 
 # --- throughput -------------------------------------------------------------------
 
+def _steps_run(durations, batch, warmup=0, interval=10_000):
+    """Back-to-back labelled steps of the given durations, one sample per interval."""
+    bounds = [sum(durations[:s]) for s in range(len(durations) + 1)]
+    ops = [OpEvent("op", Device.GPU, a, b, step_id=s)
+           for s, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return _uniform_run([(0.0,)] * (bounds[-1] // interval), ops=ops, batch=batch,
+                        warmup=warmup, interval=interval)
+
+
 def _stepped_run(n_steps, step_us, batch, warmup=0, interval=10_000):
-    total = n_steps * step_us
-    rows = [(0.0,)] * (total // interval)
-    ops = [OpEvent("op", Device.GPU, s * step_us, (s + 1) * step_us, step_id=s)
-           for s in range(n_steps)]
-    return _uniform_run(rows, ops=ops, batch=batch, warmup=warmup, interval=interval)
+    return _steps_run([step_us] * n_steps, batch, warmup, interval)
+
+
+def _throughput(run):
+    return build_report(run).throughput_samples_per_sec
 
 
 def test_throughput_worked_example():
     # Five steps per second at batch size 4.
-    run = _stepped_run(n_steps=5, step_us=200_000, batch=4)
-    windows = [StepWindow(s, s * 200_000, (s + 1) * 200_000) for s in range(5)]
-    assert throughput(run, windows) == 20.0
+    assert _throughput(_stepped_run(n_steps=5, step_us=200_000, batch=4)) == 20.0
 
 
 def test_throughput_one_second_step_batch_one():
-    run = _stepped_run(n_steps=1, step_us=1_000_000, batch=1)
-    windows = [StepWindow(0, 0, 1_000_000)]
-    assert throughput(run, windows) == 1.0
+    assert _throughput(_stepped_run(n_steps=1, step_us=1_000_000, batch=1)) == 1.0
 
 
 def test_throughput_matches_raw_window_oracle():
     rng = random.Random(11)
     durations = [rng.randrange(50_000, 400_000) for _ in range(6)]
-    start = 0
-    windows = []
-    for i, d in enumerate(durations):
-        windows.append(StepWindow(i, start, start + d, is_warmup=i < 2))
-        start += d
-    run = _stepped_run(n_steps=3, step_us=100_000, batch=16)
-    non_warmup = [w for w in windows if not w.is_warmup]
-    expected = 16 * len(non_warmup) / (sum(w.duration_us for w in non_warmup) / 1e6)
-    assert throughput(run, windows) == pytest.approx(expected, rel=1e-12)
-
-
-def test_throughput_requires_non_warmup_steps():
-    run = _stepped_run(n_steps=2, step_us=100_000, batch=4, warmup=2)
-    windows = [StepWindow(s, s * 100_000, (s + 1) * 100_000, is_warmup=True) for s in range(2)]
-    with pytest.raises(NoCompleteSteps):
-        throughput(run, windows)
+    run = _steps_run(durations, batch=16, warmup=2)
+    expected = 16 * 4 / (sum(durations[2:]) / 1e6)
+    assert _throughput(run) == pytest.approx(expected, rel=1e-12)
 
 
 def test_throughput_invariant_under_time_translation():
@@ -290,9 +277,7 @@ def test_throughput_invariant_under_time_translation():
          for o in run.ops],
         batch=8,
     )
-    w = [StepWindow(s, s * 150_000, (s + 1) * 150_000) for s in range(4)]
-    w_shift = [StepWindow(x.step_id, x.start_us + shift, x.end_us + shift) for x in w]
-    assert throughput(run, w) == throughput(shifted, w_shift)
+    assert _throughput(run) == _throughput(shifted)
 
 
 # --- power dominance -----------------------------------------------------------
@@ -330,20 +315,19 @@ def test_two_identical_runs_give_identical_reports():
 
 
 def test_warmup_only_run_rejected():
+    # The manifest's warmup covers every step.
     run = _stepped_run(n_steps=3, step_us=100_000, batch=4, warmup=3)
-    windows = [StepWindow(s, s * 100_000, (s + 1) * 100_000, is_warmup=True) for s in range(3)]
-    with pytest.raises(NoSamplesInWindow):
-        nonwarmup_window(windows)
-    with pytest.raises(TraceProfError):
+    with pytest.raises(NoSamplesInWindow, match="^all step windows are warmup; nothing"):
         build_report(run)
 
 
 def test_build_report_rejects_given_windows_without_an_analysis_window():
+    # A warmup override at or past the step count leaves every resolved window warmup.
     run = _stepped_run(n_steps=4, step_us=100_000, batch=4, warmup=1)
-    all_warmup = [replace(w, is_warmup=True) for w in resolve_steps(run)]
-    for windows in ((), [], all_warmup):
+    for warmup in (4, 5):
+        overridden = replace(run, meta=replace(run.meta, warmup_steps=warmup))
         with pytest.raises(NoSamplesInWindow, match="^all step windows are warmup; nothing"):
-            build_report(run, windows)
+            build_report(overridden)
 
 
 def test_report_cpu_avg_consistent_with_per_core():

@@ -46,18 +46,26 @@ def test_core_count_mismatch_reported():
 
 
 def test_core_count_mismatch_is_collected_with_other_issues():
-    # A one-core table under a two-core meta: each sorted row is reported,
-    # next to every other issue.
+    # A one-core table under a two-core meta: the table's width is reported
+    # once, ahead of the row issues, next to every other issue.
     meta = RunMeta("r", batch_size=1, core_count=2)
     samples = [mk_sample(10, cores=(0.0,)), mk_sample(0, cores=(1.5,))]
     with pytest.raises(TraceValidationError) as exc:
         validate_run(meta, *tables([OpEvent("a", Device.GPU, 5, 5)], samples))
     assert exc.value.issues == (
         Issue("InvariantViolation", "op #0 'a' has end 5 <= start 5"),
-        Issue("CoreCountMismatch", "sample #0 has 1 core utilizations, run declares 2 cores"),
+        Issue("CoreCountMismatch", "samples have 1 core utilizations, run declares 2 cores"),
         Issue("InvariantViolation", "sample #0 core 0 utilization 1.5 outside [0, 1]"),
-        Issue("CoreCountMismatch", "sample #1 has 1 core utilizations, run declares 2 cores"),
     )
+
+
+def test_core_count_mismatch_is_one_issue_for_any_row_count():
+    meta = RunMeta("r", batch_size=1, core_count=2)
+    samples = [mk_sample(t * 10_000, cores=(0.5,)) for t in range(1000)]
+    with pytest.raises(TraceValidationError) as exc:
+        validate_run(meta, *tables([OpEvent("a", Device.GPU, 0, 100)], samples))
+    assert exc.value.issues == (
+        Issue("CoreCountMismatch", "samples have 1 core utilizations, run declares 2 cores"),)
 
 
 def test_op_end_before_start_names_the_op():

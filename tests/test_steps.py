@@ -90,11 +90,6 @@ def test_resolve_steps_and_period_labelled_gives_the_mean_duration():
     windows, period = resolve_steps_and_period(run)
     assert windows == resolve_steps(run)
     assert period == PeriodEstimate(90_002, confidence=1.0, method="explicit")
-    # Given windows replace the labelled ones: (90_001 + 90_003) / 2.
-    given = [windows[1], windows[3]]
-    assert resolve_steps_and_period(run, windows=given) == (
-        tuple(given), PeriodEstimate(90_002, confidence=1.0, method="explicit"))
-    assert resolve_steps_and_period(run, windows=())[0] == ()
 
 
 def test_resolve_steps_and_period_unlabelled_keeps_one_estimate():
@@ -103,7 +98,6 @@ def test_resolve_steps_and_period_unlabelled_keeps_one_estimate():
     assert windows == resolve_steps(run)
     assert period == detect_period(run)
     assert period.method == "autocorrelation" and period.period_us == truth.period_us
-    assert resolve_steps_and_period(run, windows=windows[:2]) == (windows[:2], period)
 
 
 def test_build_report_detects_the_period_once(monkeypatch):

@@ -23,7 +23,7 @@ KEPT_UNCALLED = {
 
 
 def _commands(tmp):
-    """Every command on small synth runs: labelled, unlabelled and a sweep of the two."""
+    """Every command and option on small synth runs: labelled, unlabelled and a sweep of the two."""
     labelled, unlabelled = tmp / "labelled", tmp / "unlabelled"
     sweep = tmp / "sweep.json"
     sweep.write_text(json.dumps({"model": "m", "runs": ["labelled/run.json",
@@ -35,7 +35,9 @@ def _commands(tmp):
         ["analyze", unlabelled / "run.json", "--format", "json"],
         *(["analyze", labelled / "run.json", "--format", fmt, "--signal", signal]
           for fmt in ("json", "table") for signal in ("gpu_util", "cpu_avg_util", "power_sys")),
+        ["analyze", labelled / "run.json", "--warmup", "1", "--idle-threshold", "0.01"],
         *(["sweep", sweep, "--format", fmt] for fmt in ("json", "table")),
+        ["sweep", sweep, "--rail", "gpu", "--format", "table"],
     ]
     return [list(map(str, argv)) for argv in commands]
 

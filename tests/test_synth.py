@@ -6,7 +6,7 @@ import pytest
 
 from oracles import generate_oracle
 from traceprof.errors import InvalidSpec
-from traceprof.ingest import write_op_trace, write_telemetry
+from traceprof.ingest import to_doc, write_op_trace, write_telemetry
 from traceprof.metrics import build_report
 from traceprof.model import Device, OpTable, SampleTable, validate_run
 from traceprof.synth import (
@@ -15,7 +15,6 @@ from traceprof.synth import (
     generate,
     random_spec,
     spec_from_dict,
-    spec_to_dict,
     write_run,
 )
 
@@ -176,10 +175,10 @@ def _kw(spec):
 
 def test_spec_dict_round_trip():
     spec = _two_phase_spec()
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert spec_from_dict(to_doc(spec)) == spec
     for seed in range(6):
         spec = random_spec(seed, noise_amplitude=0.05 * (seed % 2))
-        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+        assert spec_from_dict(json.loads(json.dumps(to_doc(spec)))) == spec
 
 
 def test_strip_step_ids_removes_labels():
