@@ -5,11 +5,11 @@ The run is 50 000 steps of 20 samples at 1 ms on 4 cores, at 5% noise.
 ``traceprof synth --spec`` writes it and ``traceprof analyze --format json``
 reads it, each in a fresh process started by the benchmark's ``spawn``, which
 kills a child that outlives its timeout. The script prints each child's wall
-time and peak RSS (from ``os.wait4``) and fails unless analyze exits 0, prints
-strict JSON (no NaN or Infinity) with one score per pair of the 49 997
-non-warmup steps, and peaks at no more than MAX_RSS_MB. Like the benchmark it
-imports neither numpy nor traceprof, because a child's peak RSS starts at its
-parent's.
+time and peak RSS (from ``os.wait4``). It fails unless both children exit 0
+and peak at no more than MAX_RSS_MB, and analyze prints strict JSON (no NaN
+or Infinity) with one score per pair of the 49 997 non-warmup steps. Like the
+benchmark it imports neither numpy nor traceprof, because a child's peak RSS
+starts at its parent's.
 
 Example:
     python scripts/million_sample_run.py
@@ -58,12 +58,12 @@ def main() -> int:
             if child.returncode != 0:
                 sys.stdout.write(child.stderr.decode(errors="replace")[-2000:])
                 return 1
+            if child.peak_rss_mb > MAX_RSS_MB:
+                print(f"{name} peaked at {child.peak_rss_mb:.0f} MB, above {MAX_RSS_MB} MB")
+                return 1
     pairs = strict_loads(child.stdout)["predictability"]["per_step_pairs"]
     if pairs != math.comb(STEPS - WARMUP, 2):
         print(f"per_step_pairs {pairs}, expected C({STEPS - WARMUP}, 2)")
-        return 1
-    if child.peak_rss_mb > MAX_RSS_MB:
-        print(f"analyze peaked at {child.peak_rss_mb:.0f} MB, above {MAX_RSS_MB} MB")
         return 1
     return 0
 

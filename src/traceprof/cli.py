@@ -99,6 +99,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.spec is not None:
         try:
             spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise InvalidSpec(f"synth spec {args.spec} cannot be read: {exc.strerror}") from None
         except ValueError as exc:  # bad JSON or UTF-8, or an integer past the int digit limit
             raise InvalidSpec(str(exc)) from None
         spec = spec_from_dict(spec_doc)
@@ -106,7 +108,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         spec = random_spec(args.seed, noise_amplitude=args.noise)
     if args.strip_step_ids:
         spec = replace(spec, strip_step_ids=True)
-    manifest_path = write_run(spec, Path(args.out))
+    try:
+        manifest_path = write_run(spec, Path(args.out))
+    except OSError as exc:
+        raise TraceProfError(f"synth out {args.out} cannot be written: {exc.strerror}") from None
     print(manifest_path)
     return 0
 

@@ -404,39 +404,35 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
     return SampleTable(t, values, mem), issues
 
 
-def write_op_trace(ops) -> bytes:
-    out = io.StringIO()
-    for op in ops:
-        record: dict[str, Any] = {
-            "op": op.op_name,
-            "device": op.device.value,
-            "start_us": op.start,
-            "end_us": op.end,
-        }
-        if op.layer is not None:
-            record["layer"] = op.layer
-        if op.step_id is not None:
-            record["step"] = op.step_id
-        out.write(json.dumps(record, sort_keys=True))
-        out.write("\n")
-    return out.getvalue().encode("utf-8")
+def write_op_trace(ops: OpTable) -> bytes:
+    """One JSON line per op, keys sorted, as ``json.dumps(record, sort_keys=True)`` writes it."""
+    devices = [json.dumps(d.value) for d in DEVICES]
+    names = [json.dumps(n) for n in ops.names]
+    layers = ["" if x is None else f'"layer": {json.dumps(x)}, ' for x in ops.layers]
+    chunks = []
+    for lo in range(0, len(ops), _ROWS):
+        start, end, device, step, has_step, name, layer = (
+            getattr(ops, col)[lo:lo + _ROWS].tolist() for col in ops._columns)
+        steps = (f', "step": {s}' if has else "" for s, has in zip(step, has_step))
+        chunks.append("".join(
+            f'{{"device": {devices[d]}, "end_us": {e}, {layers[x]}"op": {names[n]}, '
+            f'"start_us": {s}{step_key}}}\n'
+            for s, e, d, n, x, step_key in zip(start, end, device, name, layer, steps)).encode())
+    return b"".join(chunks)
 
 
-def write_telemetry(samples, core_count: int) -> bytes:
-    out = io.StringIO()
-    out.write(",".join(_telemetry_columns(core_count)))
-    out.write("\n")
-    for s in samples:
-        cells = [str(s.t)]
-        cells.extend(repr(u * 100.0) for u in s.cpu_core_util)
-        cells.append(repr(s.gpu_util * 100.0))
-        cells.extend(
-            repr(p) for p in (s.power_cpu_mw, s.power_gpu_mw, s.power_mem_mw, s.power_sys_mw)
-        )
-        cells.append(str(s.mem_used_bytes))
-        out.write(",".join(cells))
-        out.write("\n")
-    return out.getvalue().encode("utf-8")
+def write_telemetry(samples: SampleTable) -> bytes:
+    """The header, then one row per sample; utilizations are written as percent."""
+    c = samples.core_count
+    chunks = [(",".join(_telemetry_columns(c)) + "\n").encode()]
+    for lo in range(0, len(samples), _ROWS):
+        values = samples.values[lo:lo + _ROWS].copy()
+        values[:, :c + 1] *= 100.0
+        rows = zip(samples.t[lo:lo + _ROWS].tolist(), values.tolist(),
+                   samples.mem[lo:lo + _ROWS].tolist())
+        chunks.append("".join(f"{t},{','.join(map(repr, row))},{mem}\n"
+                              for t, row, mem in rows).encode())
+    return b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ exactly to active-sample-count / total-count.
 ``build_report`` is the one entry point and computes each field once.
 Every metric reads the run's sample columns (``model.SampleTable``): int64
 timestamps and a float64 matrix of core utilizations, GPU utilization and
-the four power rails. The int64 weights are computed once per report. A
-window is bounded with ``np.searchsorted`` (half-open, like
-``bisect_left``), and each weighted sum is ``math.fsum`` over the
-elementwise products of the window's rows. fsum is correctly rounded, so a
-result never depends on summation order or blocking, and integer weight
-sums are exact.
+the four power rails. One pass evaluates the analysis window and every step
+window. It computes the int64 weights once and bounds all windows with one
+``np.searchsorted`` (half-open, like ``bisect_left``). A window's total and
+idle microseconds are differences of int64 prefix sums, exact because
+validated timestamps and t + interval stay in [0, 2**63). Each value column
+is multiplied by the weights once, and a window's weighted sum is
+``math.fsum`` of its slice of the products. fsum is correctly rounded, so a
+result never depends on summation order or blocking. Float prefix sums would
+round, and one inf product would make every later difference NaN.
 """
 
 from __future__ import annotations
@@ -105,39 +108,44 @@ class _WindowSums:
     rail_mean_mw: dict[str, float]
 
 
-def _window(run: Run, dt: np.ndarray, window: Window, idle: float = 0.0) -> _WindowSums:
-    """Metrics of the samples with t in [lo, hi), by their weights dt.
+def _windows(run: Run, bounds: list[Window], idle: float) -> list[_WindowSums | None]:
+    """Metrics of the samples with t in each [lo, hi), or None where there are none.
 
     A core is idle in a sample where its utilization is <= ``idle``.
     """
-    samples = run.samples
-    a, b = np.searchsorted(samples.t, window).tolist()
-    if a >= b:
-        raise NoSamplesInWindow(f"no samples with t in [{window[0]}, {window[1]}) us")
-    dt = dt[a:b, None]
-    total = int(dt.sum())
-    # Products that overflow to inf surface as a strict-JSON error, not a warning.
-    with np.errstate(over="ignore"):
-        weighted = samples.values[a:b] * dt
-    # One column's Python floats at a time keeps the transient memory small.
-    sums = [fsum(col.tolist()) for col in weighted.T]
-    c = samples.core_count
-    idle_us = ((samples.values[a:b, :c] <= idle) * dt).sum(axis=0).tolist()
-    per_core = tuple(s / total for s in sums[:c])
-    rail_nj = dict(zip(RAILS, sums[c + 1:]))  # mW * us, i.e. nanojoules
-    return _WindowSums(
-        per_core=per_core,
-        cpu_avg=fsum(per_core) / c,
-        gpu=sums[c] / total,
-        idle=tuple(u / total for u in idle_us),
-        energy_j={rail: nj / 1e9 for rail, nj in rail_nj.items()},
-        rail_mean_mw={rail: nj / total for rail, nj in rail_nj.items()},
-    )
+    samples, c = run.samples, run.samples.core_count
+    # Rectangle width per sample: gap to the next sample; the last uses the nominal.
+    dt = np.append(np.diff(samples.t), np.int64(run.meta.sample_interval_us))
+    a, b = np.searchsorted(samples.t, np.array(bounds, np.int64).reshape(-1, 2).T)
+    spans = list(zip(a.tolist(), b.tolist()))
 
+    def window_us(weights: np.ndarray) -> list[int]:
+        # Exact: validate_run keeps every t, and t[-1] + interval, in [0, 2**63).
+        prefix = np.concatenate(([0], np.cumsum(weights)))
+        return (prefix[b] - prefix[a]).tolist()
 
-def _weights(run: Run) -> np.ndarray:
-    """Rectangle width per sample: gap to the next sample; the last uses the nominal."""
-    return np.append(np.diff(run.samples.t), np.int64(run.meta.sample_interval_us))
+    sums = []
+    for col in samples.values.T:
+        # Products that overflow to inf surface as a strict-JSON error, not a warning.
+        with np.errstate(over="ignore"):
+            products = (col * dt).tolist()  # one column's Python floats at a time
+        sums.append([fsum(products[i:j]) for i, j in spans])
+
+    def window(total: int, idle_us: tuple[int, ...], s: tuple[float, ...]) -> _WindowSums:
+        per_core = tuple(x / total for x in s[:c])
+        rail_nj = dict(zip(RAILS, s[c + 1:]))  # mW * us, i.e. nanojoules
+        return _WindowSums(
+            per_core=per_core,
+            cpu_avg=fsum(per_core) / c,
+            gpu=s[c] / total,
+            idle=tuple(u / total for u in idle_us),
+            energy_j={rail: nj / 1e9 for rail, nj in rail_nj.items()},
+            rail_mean_mw={rail: nj / total for rail, nj in rail_nj.items()},
+        )
+
+    idle_cols = [window_us(np.where(samples.values[:, k] <= idle, dt, 0)) for k in range(c)]
+    rows = zip(spans, window_us(dt), zip(*idle_cols), zip(*sums))  # c >= 1: validate_run
+    return [window(*row) if i < j else None for (i, j), *row in rows]
 
 
 def _rail_ranking(sums: _WindowSums) -> tuple[RailShare, ...]:
@@ -175,25 +183,6 @@ def _per_op_aggregates(run: Run) -> dict[str, OpAggregate]:
     }
 
 
-def _step_metrics(run: Run, dt: np.ndarray, w: StepWindow, idle: float) -> StepMetrics | None:
-    try:
-        sums = _window(run, dt, (w.start_us, w.end_us), idle)
-    except NoSamplesInWindow:
-        return None  # step shorter than the sampling resolution
-    return StepMetrics(
-        step_id=w.step_id,
-        is_warmup=w.is_warmup,
-        start_us=w.start_us,
-        end_us=w.end_us,
-        per_core_util=sums.per_core,
-        cpu_avg_util=sums.cpu_avg,
-        gpu_util=sums.gpu,
-        idle_ratio_per_core=sums.idle,
-        energy_by_rail_joules=sums.energy_j,
-        throughput_samples_per_sec=(run.meta.batch_size * 1_000_000) / w.duration_us,
-    )
-
-
 def build_report(
     run: Run, *, signal: str = "gpu_util", idle_threshold: float = 0.0
 ) -> MetricReport:
@@ -211,8 +200,11 @@ def build_report(
     non_warmup = [w for w in step_windows if not w.is_warmup]
     if not non_warmup:
         raise NoSamplesInWindow("all step windows are warmup; nothing to analyze")
-    dt = _weights(run)
-    whole = _window(run, dt, (non_warmup[0].start_us, step_windows[-1].end_us), idle_threshold)
+    analysis = (non_warmup[0].start_us, step_windows[-1].end_us)
+    whole, *step_sums = _windows(
+        run, [analysis, *((w.start_us, w.end_us) for w in step_windows)], idle_threshold)
+    if whole is None:
+        raise NoSamplesInWindow(f"no samples with t in [{analysis[0]}, {analysis[1]}) us")
 
     predictability: PredictabilityScore | None
     try:
@@ -233,7 +225,12 @@ def build_report(
             "concurrent ops exist: per-op attributed-sample counts may double-count samples"
         )
 
-    per_step = [_step_metrics(run, dt, w, idle_threshold) for w in step_windows]
+    per_step = tuple(
+        StepMetrics(w.step_id, w.is_warmup, w.start_us, w.end_us, s.per_core, s.cpu_avg, s.gpu,
+                    s.idle, s.energy_j, (run.meta.batch_size * 1_000_000) / w.duration_us)
+        for w, s in zip(step_windows, step_sums)
+        if s is not None  # None: the step is shorter than the sampling resolution
+    )
     return MetricReport(
         run_id=run.meta.run_id,
         batch_size=run.meta.batch_size,
@@ -249,7 +246,7 @@ def build_report(
         throughput_samples_per_sec=(run.meta.batch_size * len(non_warmup) * 1_000_000)
         / sum(w.duration_us for w in non_warmup),
         steps=step_windows,
-        per_step=tuple(m for m in per_step if m is not None),
+        per_step=per_step,
         per_op=_per_op_aggregates(run),
         power_rail_ranking=_rail_ranking(whole),
         period=period,

@@ -260,7 +260,7 @@ def write_run(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ops.jsonl").write_bytes(write_op_trace(ops))
-    (out_dir / "telemetry.csv").write_bytes(write_telemetry(samples, meta.core_count))
+    (out_dir / "telemetry.csv").write_bytes(write_telemetry(samples))
     manifest = RunManifest(
         meta=meta,
         op_trace_path="ops.jsonl",
@@ -274,6 +274,8 @@ def write_run(
 
 def random_spec(seed: int, *, noise_amplitude: float = 0.0) -> SynthSpec:
     """A randomized valid spec; phase values land on the exactness grids."""
+    if seed < 0:
+        raise InvalidSpec("seed must be >= 0")
     rng = np.random.default_rng(seed)
     core_count = int(rng.integers(2, 7))
     interval = int(rng.choice([1_000, 5_000, 10_000]))

@@ -57,8 +57,8 @@ def tables(ops, samples):
 def window_sums(run, window=None, threshold=0.0):
     """Every time-weighted metric of the run's samples with t in ``window``, or of all."""
     t = run.samples.t
-    window = window or (int(t[0]), int(t[-1]) + 1)
-    return metrics._window(run, metrics._weights(run), window, threshold)
+    (sums,) = metrics._windows(run, [window or (int(t[0]), int(t[-1]) + 1)], threshold)
+    return sums
 
 
 def mk_run(samples, ops=None, *, batch=1, interval=10_000, warmup=0,

@@ -119,6 +119,33 @@ def pair_scores_oracle(rows):
     return np.concatenate(blocks)
 
 
+def write_op_trace_oracle(ops):
+    """The op-trace bytes, one ``json.dumps(record, sort_keys=True)`` line per OpEvent."""
+    lines = []
+    for op in ops:
+        record = {"op": op.op_name, "device": op.device.value, "start_us": op.start,
+                  "end_us": op.end}
+        if op.layer is not None:
+            record["layer"] = op.layer
+        if op.step_id is not None:
+            record["step"] = op.step_id
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def write_telemetry_oracle(samples, core_count):
+    """The telemetry bytes, one row per TelemetrySample, each percent cell ``repr(u * 100.0)``."""
+    cores = [f"c{i}" for i in range(core_count)]
+    lines = [",".join(["t_us", *cores, "gpu", "p_cpu_mw", "p_gpu_mw", "p_mem_mw", "p_sys_mw",
+                       "mem_bytes"]) + "\n"]
+    for s in samples:
+        cells = [str(s.t), *(repr(u * 100.0) for u in s.cpu_core_util), repr(s.gpu_util * 100.0),
+                 *map(repr, (s.power_cpu_mw, s.power_gpu_mw, s.power_mem_mw, s.power_sys_mw)),
+                 str(s.mem_used_bytes)]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
 def window_metrics_loop_oracle(run, window, threshold=0.0):
     """Every time-weighted window metric by a per-sample loop, each sum by fsum.
 

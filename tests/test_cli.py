@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import tables
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
 from traceprof.ingest import (
@@ -296,8 +297,8 @@ def test_analyze_overlapping_labelled_steps_is_a_diagnostic(tmp_path):
         if op is first5 else op
         for op in ops
     ]
-    (tmp_path / "ops.jsonl").write_bytes(write_op_trace(ops))
-    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(samples, meta.core_count))
+    (tmp_path / "ops.jsonl").write_bytes(write_op_trace(tables(ops, [])[0]))
+    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(samples))
     manifest = tmp_path / "run.json"
     manifest.write_bytes(write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
     result = subprocess.run(
@@ -545,6 +546,9 @@ def test_non_finite_idle_threshold_is_a_usage_error(tmp_path, capsys, value):
 
 def test_invalid_synth_spec_leaves_no_directory(tmp_path, capsys):
     assert main(["synth", "--seed", "0", "--noise", "5", "--out", str(tmp_path / "cli")]) == 1
+    # A negative --seed gets the --spec path's message, not numpy's ValueError.
+    assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "cli")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: seed must be >= 0"
     with pytest.raises(InvalidSpec):
         write_run(replace(random_spec(1), warmup_steps=20), tmp_path / "lib")
     assert list(tmp_path.iterdir()) == []
@@ -777,10 +781,12 @@ def _op_trace_is_a_directory(tmp):
     (lambda tmp: ["analyze", tmp], "Is a directory"),
     (_op_trace_is_a_directory,
      lambda tmp: f"error: op trace {tmp / 'run'} cannot be read: Is a directory"),
-    (lambda tmp: ["synth", "--spec", tmp, "--out", tmp / "run"], "Is a directory"),
+    (lambda tmp: ["synth", "--spec", tmp, "--out", tmp / "run"],
+     lambda tmp: f"error: synth spec {tmp} cannot be read: Is a directory"),
     (lambda tmp: ["synth", "--spec", _write(tmp / "spec.json", b"\xff"), "--out", tmp / "run"],
      "can't decode byte 0xff"),
-    (lambda tmp: ["synth", "--out", _write(tmp / "run", b"")], "File exists"),
+    (lambda tmp: ["synth", "--out", _write(tmp / "run", b"")],
+     lambda tmp: f"error: synth out {tmp / 'run'} cannot be written: File exists"),
 ], ids=["non_utf8_manifest", "analyze_dir", "op_trace_dir", "spec_dir", "non_utf8_spec",
         "out_is_a_file"])
 def test_unreadable_or_unwritable_path_is_a_diagnostic(tmp_path, args, message):
@@ -918,9 +924,9 @@ def test_samples_on_under_half_the_period_grid_are_a_diagnostic(tmp_path):
     meta = RunMeta(run_id="sparse", batch_size=1, core_count=1, sample_interval_us=1)
     samples = [TelemetrySample(i * 10**12, (0.5,), float(i % 2), 1.0, 1.0, 1.0, 4.0, 100)
                for i in range(10)]
-    (tmp_path / "ops.jsonl").write_bytes(
-        write_op_trace([OpEvent("a", Device.GPU, 0, 9 * 10**12 + 1)]))
-    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(samples, 1))
+    op_table, sample_table = tables([OpEvent("a", Device.GPU, 0, 9 * 10**12 + 1)], samples)
+    (tmp_path / "ops.jsonl").write_bytes(write_op_trace(op_table))
+    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(sample_table))
     manifest = tmp_path / "run.json"
     manifest.write_bytes(write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
     result = _run_cli("analyze", manifest)

@@ -364,7 +364,7 @@ def test_load_run_resolves_paths_relative_to_manifest(tmp_path):
     sub = tmp_path / "nested"
     sub.mkdir()
     (sub / "ops.jsonl").write_bytes(write_op_trace(run.ops))
-    (sub / "telemetry.csv").write_bytes(write_telemetry(run.samples, 2))
+    (sub / "telemetry.csv").write_bytes(write_telemetry(run.samples))
     manifest = RunManifest(run.meta, "ops.jsonl", "telemetry.csv")
     (sub / "run.json").write_bytes(write_manifest(manifest))
     loaded = load_run(sub / "run.json")
@@ -385,7 +385,7 @@ def test_load_run_collects_parse_errors(tmp_path):
     run = _sample_run()
     bad_ops = write_op_trace(run.ops) + b"garbage line\n"
     (tmp_path / "ops.jsonl").write_bytes(bad_ops)
-    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(run.samples, 2))
+    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(run.samples))
     (tmp_path / "run.json").write_bytes(
         write_manifest(RunManifest(run.meta, "ops.jsonl", "telemetry.csv"))
     )

@@ -11,7 +11,9 @@ from oracles import (
     weighted_mean_oracle,
     window_metrics_loop_oracle,
 )
+from traceprof import metrics
 from traceprof.errors import NoSamplesInWindow
+from traceprof.ingest import write_report
 from traceprof.metrics import _rail_ranking, build_report
 from traceprof.model import Device, OpEvent
 
@@ -360,20 +362,46 @@ def test_report_keeps_a_step_with_no_sample_but_drops_its_metrics():
     assert [m.step_id for m in report.per_step] == [0, 1, 3]
 
 
+def test_analysis_window_without_samples_is_no_samples_in_window():
+    # Warmup step 0 holds every sample; step 1, the only other, falls between two.
+    ops = [OpEvent("op", Device.GPU, 0, 61_000, step_id=0),
+           OpEvent("op", Device.GPU, 61_000, 62_000, step_id=1)]
+    run = _uniform_run([(0.0,)] * 10, ops=ops, warmup=1)
+    with pytest.raises(NoSamplesInWindow, match=r"^no samples with t in \[61000, 62000\) us$"):
+        build_report(run)
+
+
+def test_power_overflowing_outside_every_step_leaves_the_report_unchanged():
+    # Samples 0 and 7 lie before the first and after the last step; there a
+    # 1e308 mW rail times the 10 ms weight overflows to inf. A float prefix
+    # sum would carry that inf into every window (inf - inf is NaN).
+    ops = [OpEvent("op", Device.GPU, s * 10_000, (s + 1) * 10_000, step_id=s)
+           for s in range(1, 7)]
+    powers = [(100.0, 200.0, 300.0, 400.0)] * 8
+    spiked = [(1e308,) * 4] + powers[1:7] + [(1e308,) * 4]
+    plain, spike = (build_report(_uniform_run([(0.5,)] * 8, powers=p, ops=ops, warmup=0))
+                    for p in (powers, spiked))
+    assert spike == plain
+    assert write_report(spike, "json") == write_report(plain, "json")  # strict JSON
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_window_metrics_equal_loop_reference_bit_for_bit(seed):
+    # All windows go through one call, as build_report's do, the empty ones too.
     run = _jittered_run(seed=100 + seed, n=300)
     rng = random.Random(seed)
     ts = [s.t for s in run.samples]
     threshold = rng.choice([0.0, 0.25])
-    for lo, hi in [(ts[0], ts[-1] + 1)] + [
+    windows = [(ts[0], ts[-1] + 1)] + [
         tuple(sorted(rng.sample(range(ts[0] - 5_000, ts[-1] + 5_000), 2))) for _ in range(20)
-    ]:
-        if not any(lo <= t < hi for t in ts):
+    ] + [(ts[0] - 5_000, ts[0]), (ts[-1] + 1, ts[-1] + 9_000), (ts[5] + 1, ts[6])]
+    results = metrics._windows(run, windows, threshold)
+    assert len(results) == len(windows)
+    for window, sums in zip(windows, results):
+        if not any(window[0] <= t < window[1] for t in ts):
+            assert sums is None
             continue
-        window = (lo, hi)
         ref = window_metrics_loop_oracle(run, window, threshold)
-        sums = window_sums(run, window, threshold)
         assert list(sums.per_core) == ref["per_core"]
         assert sums.gpu == ref["gpu"]
         assert list(sums.idle) == ref["idle"]

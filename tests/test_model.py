@@ -1,11 +1,18 @@
+import json
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample, tables, util_fractions
-from oracles import sort_samples_oracle, validate_ops_oracle, validate_samples_oracle
-from traceprof import model
+from oracles import (
+    sort_samples_oracle,
+    validate_ops_oracle,
+    validate_samples_oracle,
+    write_op_trace_oracle,
+    write_telemetry_oracle,
+)
+from traceprof import ingest, model
 from traceprof.errors import TraceValidationError
 from traceprof.ingest import (
     parse_op_trace,
@@ -98,11 +105,11 @@ def test_non_finite_power_is_an_invariant_violation(power):
     )
 
 
-@pytest.mark.parametrize("field", [{"start": 0.5}, {"end": "100"}, {"step_id": 1.5}])
+@pytest.mark.parametrize("field", [{"start_us": 0.5}, {"end_us": "100"}, {"step": 1.5}])
 def test_non_integer_op_fields_are_rejected(field):
     # Tables hold int64 columns; a non-integer time or step is stopped by the op-trace reader.
-    op = OpEvent(**{"op_name": "a", "device": Device.GPU, "start": 0, "end": 100, **field})
-    ops, issues = parse_op_trace(write_op_trace([op]))
+    record = {"op": "a", "device": "GPU", "start_us": 0, "end_us": 100, **field}
+    ops, issues = parse_op_trace(json.dumps(record).encode() + b"\n")
     assert len(ops) == 0
     (issue,) = issues
     assert (issue.code, issue.line_no) == ("MalformedLine", 1)
@@ -114,7 +121,7 @@ def test_non_integer_op_fields_are_rejected(field):
 ], ids=["t_half", "t_str", "mem_float", "mem_str"])
 def test_non_integer_sample_fields_are_rejected(column, cell):
     # The same for a sample's t or memory cell in the telemetry reader.
-    header, row = write_telemetry([mk_sample(0)], 2).decode().splitlines()
+    header, row = write_telemetry(tables([], [mk_sample(0)])[1]).decode().splitlines()
     cells = row.split(",")
     cells[column] = cell
     samples, issues = parse_telemetry(f"{header}\n{','.join(cells)}\n".encode(), 2)
@@ -214,7 +221,7 @@ def runs(draw):
 @given(runs())
 def test_serialize_parse_round_trip(run):
     op_bytes = write_op_trace(run.ops)
-    telemetry_bytes = write_telemetry(run.samples, run.meta.core_count)
+    telemetry_bytes = write_telemetry(run.samples)
     ops, op_issues = parse_op_trace(op_bytes)
     samples, telemetry_issues = parse_telemetry(telemetry_bytes, run.meta.core_count)
     assert not [i for i in op_issues if i.severity == "error"]
@@ -359,3 +366,21 @@ def test_validate_run_sorts_samples_unless_t_strictly_increases(case):
     # Out-of-order or duplicate-t input is sorted, with its ClockSkew warnings.
     tied = any(a.t >= b.t for a, b in zip(samples, samples[1:]))
     assert _validated(meta, samples) == (_validated(meta, ordered)[0], tied)
+
+
+_NAMES = st.text(st.characters(codec="utf-8"), max_size=3)
+
+
+@given(st.lists(st.builds(OpEvent, _NAMES, st.sampled_from(list(Device)),
+                          st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
+                          st.none() | _NAMES, st.none() | st.integers(-2**63, 2**63 - 1)),
+                max_size=8),
+       sample_lists(), st.sampled_from([1, 2, 3, 65536]))
+def test_writers_format_the_columns_as_the_per_row_oracles(ops, case, rows):
+    # Names and layers with quotes, backslashes and non-ASCII; -0.0, inf and
+    # out-of-range cells; chunks of 1, 2, 3 and 65 536 rows.
+    core_count, samples = case
+    op_table, sample_table = tables(ops, samples)
+    with mock.patch.object(ingest, "_ROWS", rows):
+        assert write_op_trace(op_table) == write_op_trace_oracle(ops)
+        assert write_telemetry(sample_table) == write_telemetry_oracle(samples, core_count)
