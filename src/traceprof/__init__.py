@@ -17,9 +17,9 @@ _EXPORTS = {
     "errors": ["DuplicateBatchSize", "InvalidSpec", "ManifestError", "MissingEnergy",
                "NoCompleteSteps", "NoSamplesInWindow", "NoSteps", "OverlappingSteps",
                "SignalTooShort", "TraceProfError", "TraceValidationError"],
-    "ingest": ["RunManifest", "load_manifest", "load_run", "parse_op_trace", "parse_report",
-               "parse_telemetry", "write_manifest", "write_op_trace", "write_report",
-               "write_telemetry"],
+    "ingest": ["RunManifest", "load_manifest", "load_run", "op_trace_chunks", "parse_op_trace",
+               "parse_report", "parse_telemetry", "telemetry_chunks", "write_manifest",
+               "write_report"],
     "metrics": ["MetricReport", "OpAggregate", "StepMetrics", "build_report"],
     "model": ["Device", "Issue", "MemoryBreakdown", "OpEvent", "OpTable", "Run", "RunMeta",
               "SampleTable", "StepWindow", "TelemetrySample", "validate_run"],

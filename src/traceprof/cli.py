@@ -8,6 +8,7 @@ fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ from .metrics import build_report
 from .model import Run
 from .steps import SIGNALS
 from .sweep import SweepPoint, build_sweep_result
-from .synth import random_spec, spec_from_dict, write_run
 
 USAGE_ERROR = 2
 
@@ -96,6 +96,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Imported here: no other command runs synth, and each process compiles what it imports.
+    from .synth import random_spec, spec_from_dict, write_run
+
     if args.spec is not None:
         try:
             spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
@@ -181,5 +184,18 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point (``python -m traceprof`` and the ``traceprof`` script).
+
+    Freezing moves every object that exists after the imports into the permanent
+    generation, so neither a collection during the run nor the one at interpreter
+    exit walks them again. Cycles the run itself makes are still collected.
+    ``main`` leaves the collector alone, because tests and library callers run it
+    in process.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -404,35 +404,47 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
     return SampleTable(t, values, mem), issues
 
 
-def write_op_trace(ops: OpTable) -> bytes:
-    """One JSON line per op, keys sorted, as ``json.dumps(record, sort_keys=True)`` writes it."""
+def op_trace_chunks(ops: OpTable) -> Iterator[bytes]:
+    """The op trace in pieces of up to ``_ROWS`` lines, to write one at a time.
+
+    One JSON line per op, keys sorted, as ``json.dumps(record, sort_keys=True)`` writes it.
+    """
     devices = [json.dumps(d.value) for d in DEVICES]
     names = [json.dumps(n) for n in ops.names]
     layers = ["" if x is None else f'"layer": {json.dumps(x)}, ' for x in ops.layers]
-    chunks = []
     for lo in range(0, len(ops), _ROWS):
         start, end, device, step, has_step, name, layer = (
             getattr(ops, col)[lo:lo + _ROWS].tolist() for col in ops._columns)
         steps = (f', "step": {s}' if has else "" for s, has in zip(step, has_step))
-        chunks.append("".join(
+        yield "".join(
             f'{{"device": {devices[d]}, "end_us": {e}, {layers[x]}"op": {names[n]}, '
             f'"start_us": {s}{step_key}}}\n'
-            for s, e, d, n, x, step_key in zip(start, end, device, name, layer, steps)).encode())
-    return b"".join(chunks)
+            for s, e, d, n, x, step_key in zip(start, end, device, name, layer, steps)).encode()
 
 
-def write_telemetry(samples: SampleTable) -> bytes:
-    """The header, then one row per sample; utilizations are written as percent."""
+def write_op_trace(ops: OpTable) -> bytes:
+    """The whole op trace as one ``bytes``: the pieces of ``op_trace_chunks`` joined."""
+    return b"".join(op_trace_chunks(ops))
+
+
+def telemetry_chunks(samples: SampleTable) -> Iterator[bytes]:
+    """The telemetry in pieces, to write one at a time: the header, then up to ``_ROWS`` rows each.
+
+    One row per sample; utilizations are written as percent.
+    """
     c = samples.core_count
-    chunks = [(",".join(_telemetry_columns(c)) + "\n").encode()]
+    yield (",".join(_telemetry_columns(c)) + "\n").encode()
     for lo in range(0, len(samples), _ROWS):
         values = samples.values[lo:lo + _ROWS].copy()
         values[:, :c + 1] *= 100.0
         rows = zip(samples.t[lo:lo + _ROWS].tolist(), values.tolist(),
                    samples.mem[lo:lo + _ROWS].tolist())
-        chunks.append("".join(f"{t},{','.join(map(repr, row))},{mem}\n"
-                              for t, row, mem in rows).encode())
-    return b"".join(chunks)
+        yield "".join(f"{t},{','.join(map(repr, row))},{mem}\n" for t, row, mem in rows).encode()
+
+
+def write_telemetry(samples: SampleTable) -> bytes:
+    """The whole telemetry file as one ``bytes``: the pieces of ``telemetry_chunks`` joined."""
+    return b"".join(telemetry_chunks(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from .ingest import (
     RunManifest,
     SchemaError,
     from_doc,
+    op_trace_chunks,
+    telemetry_chunks,
     write_manifest,
-    write_op_trace,
-    write_telemetry,
 )
 from .model import DEVICES, RAILS, Device, MemoryBreakdown, OpTable, RunMeta, SampleTable, _check_meta
 
@@ -259,8 +259,11 @@ def write_run(
     meta, ops, samples, _ = generate(spec)  # before mkdir: an invalid spec leaves no directory
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ops.jsonl").write_bytes(write_op_trace(ops))
-    (out_dir / "telemetry.csv").write_bytes(write_telemetry(samples))
+    # One piece at a time: the whole file as one bytes object would double the peak.
+    with open(out_dir / "ops.jsonl", "wb") as f:
+        f.writelines(op_trace_chunks(ops))
+    with open(out_dir / "telemetry.csv", "wb") as f:
+        f.writelines(telemetry_chunks(samples))
     manifest = RunManifest(
         meta=meta,
         op_trace_path="ops.jsonl",

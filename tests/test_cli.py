@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import os
@@ -256,6 +257,42 @@ def test_cli_import_starts_no_blas_threads():
 def test_cli_keeps_a_preset_blas_thread_count():
     code = "import os, traceprof.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _in_child(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(run_dir, tmp_path, capsys):
+    manifest, _ = run_dir
+    before = gc.get_freeze_count()
+    assert main(["validate", str(manifest)]) == 0
+    assert main(["synth", "--seed", "2", "--out", str(tmp_path / "synth")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_point_freezes_the_startup_heap_and_exits_with_main():
+    # python -m traceprof, with main replaced by a probe of the collector.
+    code = ("import gc, runpy, traceprof.cli as cli; print(gc.get_freeze_count()); "
+            "cli.main = lambda: print(gc.get_freeze_count()) or 3; "
+            "runpy.run_module('traceprof', run_name='__main__')")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 3, result.stderr
+    unfrozen, frozen = map(int, result.stdout.split())
+    # numpy and the package modules alone leave tens of thousands of tracked objects.
+    assert unfrozen == 0 and frozen > 10_000
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "sweep"])
+def test_only_synth_imports_the_synth_module(tmp_path, command):
+    if command == "sweep":
+        target = _write_sweep(tmp_path, [(_throughput_spec(4, 100_000, 10_000), None),
+                                         (_throughput_spec(8, 200_000, 10_000), None)])
+    else:
+        target = write_run(random_spec(1), tmp_path / "run")
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "traceprof", command,
+                             str(target)], capture_output=True)
+    imported = {line.rpartition("|")[2].strip() for line in result.stderr.decode().splitlines()
+                if line.startswith("import time:")}
+    assert result.returncode == 0, result.stderr
+    assert {"traceprof.cli", "traceprof.ingest"} <= imported
+    assert "traceprof.synth" not in imported
 
 
 def test_package_import_loads_nothing_until_an_export_is_used():

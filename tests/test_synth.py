@@ -1,11 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from conftest import tables
 from oracles import generate_oracle
+from traceprof import ingest
+from traceprof.cli import main
 from traceprof.errors import InvalidSpec
 from traceprof.ingest import to_doc, write_op_trace, write_telemetry
 from traceprof.metrics import build_report
@@ -75,6 +78,20 @@ def test_same_seed_gives_identical_bytes(tmp_path):
     write_run(spec, b)
     for name in ("ops.jsonl", "telemetry.csv", "run.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 65536])
+@pytest.mark.parametrize("strip", [False, True])
+def test_synth_writes_the_writers_bytes(tmp_path, capsys, rows, strip):
+    # synth streams the files piece by piece; they must be what the
+    # whole-file writers return, for any piece size.
+    spec = replace(random_spec(5, noise_amplitude=0.05), strip_step_ids=strip)
+    _, ops, samples, _ = generate(spec)
+    argv = ["synth", "--seed", "5", "--noise", "0.05", "--out", str(tmp_path)]
+    with mock.patch.object(ingest, "_ROWS", rows):
+        assert main(argv + ["--strip-step-ids"] * strip) == 0, capsys.readouterr().err
+    assert (tmp_path / "ops.jsonl").read_bytes() == write_op_trace(ops)
+    assert (tmp_path / "telemetry.csv").read_bytes() == write_telemetry(samples)
 
 
 def test_generated_traces_always_validate():
