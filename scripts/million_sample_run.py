@@ -7,7 +7,8 @@ reads it, each in a fresh process started by the benchmark's ``spawn``, which
 kills a child that outlives its timeout. The script prints each child's wall
 time and peak RSS (from ``os.wait4``). It fails unless both children exit 0
 and peak at no more than MAX_RSS_MB, and analyze prints strict JSON (no NaN
-or Infinity) with one score per pair of the 49 997 non-warmup steps. Like the
+or Infinity) with one score per pair of the 49 997 non-warmup steps, and one
+``per_step`` row and one ``steps`` entry per step (50 000 each). Like the
 benchmark it imports neither numpy nor traceprof, because a child's peak RSS
 starts at its parent's.
 
@@ -61,9 +62,14 @@ def main() -> int:
             if child.peak_rss_mb > MAX_RSS_MB:
                 print(f"{name} peaked at {child.peak_rss_mb:.0f} MB, above {MAX_RSS_MB} MB")
                 return 1
-    pairs = strict_loads(child.stdout)["predictability"]["per_step_pairs"]
+    report = strict_loads(child.stdout)
+    pairs = report["predictability"]["per_step_pairs"]
     if pairs != math.comb(STEPS - WARMUP, 2):
         print(f"per_step_pairs {pairs}, expected C({STEPS - WARMUP}, 2)")
+        return 1
+    rows = (len(report["per_step"]), len(report["steps"]))
+    if rows != (STEPS, STEPS):
+        print(f"{rows[0]} per_step rows and {rows[1]} steps, expected {STEPS} of each")
         return 1
     return 0
 

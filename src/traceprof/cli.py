@@ -26,7 +26,6 @@ from .ingest import load_run, load_sweep_manifest, write_report
 from .metrics import build_report
 from .model import Run
 from .steps import SIGNALS
-from .sweep import SweepPoint, build_sweep_result
 
 USAGE_ERROR = 2
 
@@ -72,6 +71,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # Imported here, as synth is below: no other command compiles the sweep module.
+    from .sweep import SweepPoint, build_sweep_result
+
     model, run_paths = load_sweep_manifest(Path(args.manifest))
     if len(run_paths) < 2:
         print(f"error: sweep needs at least 2 runs, manifest lists {len(run_paths)}",

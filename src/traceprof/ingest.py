@@ -41,10 +41,14 @@ as expected, ``np.loadtxt`` tokenizes its rows; it accepts a subset of what
 and converted on its own. The chunks' columns are joined at the end.
 
 Manifests, reports, sweep results and synth specs go through one codec
-(``to_doc``/``from_doc``) whose JSON keys are the dataclass field names.
-Decoding type-checks every field, so a malformed manifest is one error
-naming the field. JSON output is strict (no NaN/Infinity) and
-stable-key-ordered, so identical inputs produce byte-identical files.
+whose JSON keys are the dataclass field names. Decoding (``from_doc``)
+type-checks every field, so a malformed manifest is one error naming the
+field. Writing (``_dump``) walks the objects itself and writes the bytes of
+``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``: strict (no
+NaN/Infinity) and stable-key-ordered, so identical inputs produce
+byte-identical files. A list of same-class rows, such as a report's
+``per_step``, is written a field column at a time into one template, with
+floats by ``float.__repr__`` as ``json`` writes them.
 """
 
 from __future__ import annotations
@@ -60,11 +64,13 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache, partial
 from itertools import chain, compress, islice, repeat
+from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Any, BinaryIO, Iterator, Union, get_args, get_origin, get_type_hints
+from typing import (TYPE_CHECKING, Any, BinaryIO, Iterator, Sequence, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -81,7 +87,9 @@ from .model import (
     SampleTable,
     validate_run,
 )
-from .sweep import SweepResult
+
+if TYPE_CHECKING:
+    from .sweep import SweepResult
 
 SCHEMA_VERSION = 1
 
@@ -456,55 +464,135 @@ class SchemaError(ValueError):
     """A JSON document does not match the dataclass it is decoded into."""
 
 
-# Written into every encoded document of these types, nested ones included.
-_HEADERS: dict[type, dict[str, Any]] = {
-    MetricReport: {"schema_version": SCHEMA_VERSION, "kind": "metric_report"},
-    SweepResult: {"schema_version": SCHEMA_VERSION, "kind": "sweep_result"},
-    RunManifest: {"schema_version": SCHEMA_VERSION},
+# Written into every document of these classes, nested ones included. Keyed by
+# class name, so that neither writing nor parsing a report imports traceprof.sweep.
+_HEADERS: dict[str, dict[str, Any]] = {
+    "MetricReport": {"schema_version": SCHEMA_VERSION, "kind": "metric_report"},
+    "SweepResult": {"schema_version": SCHEMA_VERSION, "kind": "sweep_result"},
+    "RunManifest": {"schema_version": SCHEMA_VERSION},
 }
-_KINDS = {h["kind"]: cls for cls, h in _HEADERS.items() if "kind" in h}
 
 _SCALARS = frozenset({str, int, float, bool})
-_PLAIN = _SCALARS | {type(None)}
+# The JSON text of each scalar type, as json.dumps writes it.
+_TEXT = {float: float.__repr__, int: int.__repr__, str: _json_str,
+         bool: {True: "true", False: "false"}.get, NoneType: {None: "null"}.get}
+_BATCH = 4096  # rows written together; one batch's field columns are held at once
 
 
-def to_doc(obj: Any) -> Any:
-    """JSON-ready values: a dataclass becomes its fields, an Enum its value."""
-    cls = type(obj)
-    if cls in _PLAIN:
-        return obj
-    # Containers of plain values, most of a report, are copied without recursion.
-    if cls is tuple or cls is list:
-        return list(obj) if _PLAIN.issuperset(map(type, obj)) else [to_doc(x) for x in obj]
-    if cls is dict:
-        return {k: to_doc(v) for k, v in obj.items()}
-    if isinstance(obj, Enum):
-        return obj.value
-    doc = dict(vars(obj))  # a dataclass
-    for k, v in doc.items():
-        if type(v) not in _PLAIN:
-            doc[k] = to_doc(v)
-    doc.update(_HEADERS.get(cls, ()))
-    return doc
+def _scalar(x: Any) -> str:
+    """The JSON text of a str, int, float, bool or None; a non-finite float is an error."""
+    if type(x) is float and not isfinite(x):
+        raise TraceProfError("cannot write strict JSON: "
+                             f"Out of range float values are not JSON compliant: {x!r}")
+    return _TEXT[type(x)](x)
 
 
-# json.dumps with these settings joins one list of every piece of the text
-# (millions for a long run). _dump writes the same pieces to one buffer, joined
-# _PIECES at a time: fewer write calls than one per piece, and no long list.
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
-_PIECES = 8192
+def _texts(values: list) -> list[str]:
+    """The JSON text of each scalar, by one list repr where all are finite ints and floats."""
+    if set(map(type, values)) <= {int, float} and "n" not in (text := repr(values)[1:-1]):
+        return text.split(", ") if text else []  # only "inf" and "nan" hold an n
+    return list(map(_scalar, values))
+
+
+def _layout(items: list[str], ends: str, indent: str) -> str:
+    """``items`` one per line between the two ``ends``, the last line at ``indent``."""
+    if not items:
+        return ends
+    inner = indent + "  "
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
+
+
+def _row_texts(rows: Sequence, indent: str) -> list[str] | None:
+    """The JSON text of each row, all of one dataclass, at ``indent``, from one template.
+
+    Each field's values are formatted as one column, then filled into the rows'
+    template. None, for the row-by-row path, unless the class has no header and
+    each field holds scalars, equal-length tuples of them or same-key dicts of
+    them; or if a float is not finite, so that its error comes in text order.
+    """
+    cls, inner = type(rows[0]), indent + "  "
+    if cls.__name__ in _HEADERS:
+        return None
+    lines, slots = [], []
+    for name in sorted(f.name for f in fields(cls)):
+        col = list(map(attrgetter(name), rows))
+        kinds, first = set(map(type, col)), col[0]
+        if kinds <= _TEXT.keys():
+            values, shape = col, "%s"
+        elif kinds == {tuple} and len(set(map(len, col))) == 1:
+            values = list(chain.from_iterable(col))
+            shape = _layout(["%s"] * len(first), "[]", inner)
+        elif kinds == {dict} and all(d.keys() == first.keys() for d in col):
+            keys = sorted(first)
+            values = [d[k] for d in col for k in keys]
+            shape = _layout([_json_str(k).replace("%", "%%") + ": %s" for k in keys], "{}", inner)
+        else:
+            return None
+        if not set(map(type, values)) <= _TEXT.keys():
+            return None
+        try:
+            texts = _texts(values)
+        except TraceProfError:
+            return None
+        width = len(values) // len(rows)
+        slots += [texts[k::width] for k in range(width)]
+        lines.append(f'"{name}": {shape}')  # a field name is an identifier: no escapes
+    return list(map(_layout(lines, "{}", indent).__mod__, zip(*slots))) if slots else None
+
+
+def _pieces(obj: Any, indent: str) -> Iterator[str]:
+    """The JSON text of ``obj``, its last line at ``indent``, in pieces.
+
+    A dataclass is its fields plus its header, an Enum its value. Keys are
+    sorted and nesting is indented by 2, as ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes them. A list of dataclass rows goes ``_BATCH`` rows a piece.
+    """
+    cls, inner = type(obj), indent + "  "
+    if cls in _TEXT:
+        yield _scalar(obj)
+    elif isinstance(obj, Enum):
+        yield from _pieces(obj.value, indent)
+    elif cls is tuple or cls is list:
+        kinds = set(map(type, obj))
+        if kinds <= _TEXT.keys():
+            yield _layout(_texts(list(obj)), "[]", indent)
+            return
+        rows = len(kinds) == 1 and is_dataclass(obj[0])
+        sep = "[\n" + inner
+        for lo in range(0, len(obj), _BATCH):
+            batch = obj[lo:lo + _BATCH]
+            texts = _row_texts(batch, inner) if rows else None
+            if texts is None:
+                for item in batch:
+                    yield sep
+                    yield from _pieces(item, inner)
+                    sep = ",\n" + inner
+            else:
+                yield sep + (",\n" + inner).join(texts)
+                sep = ",\n" + inner
+        yield "\n" + indent + "]"
+    else:  # a dict or a dataclass
+        items = obj.items() if cls is dict else [*vars(obj).items(),
+                                                 *_HEADERS.get(cls.__name__, {}).items()]
+        sep = "{\n" + inner
+        for key, value in sorted(items):
+            yield sep + _json_str(key) + ": "
+            yield from _pieces(value, inner)
+            sep = ",\n" + inner
+        yield "{}" if sep[0] == "{" else "\n" + indent + "}"  # "{}": no key was written
 
 
 def _dump(obj: Any) -> bytes:
-    pieces = _ENCODER.iterencode(to_doc(obj))
-    out = io.StringIO()
-    try:
-        while batch := list(islice(pieces, _PIECES)):
-            out.write("".join(batch))
-    except ValueError as exc:  # a metric overflowed to inf or nan
-        raise TraceProfError(f"cannot write strict JSON: {exc}") from None
-    out.write("\n")
-    return out.getvalue().encode("utf-8")
+    """``obj`` as strict JSON with sorted keys at indent 2, and a final newline.
+
+    The pieces go to one buffer as they come, so no second copy of the whole
+    text, and no more than one batch of rows as text, is held.
+    """
+    out = io.BytesIO()
+    for piece in _pieces(obj, ""):
+        out.write(piece.encode("utf-8"))
+    out.write(b"\n")
+    return out.getvalue()
 
 
 @cache
@@ -783,6 +871,10 @@ def parse_report(data: bytes) -> MetricReport | SweepResult:
     """Parse a JSON report produced by :func:`write_report`."""
     doc = json.loads(data.decode("utf-8"))
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in _KINDS:
-        raise ValueError(f"unknown report kind {kind!r}")
-    return from_doc(_KINDS[kind], doc, "report")
+    if kind == "metric_report":
+        return from_doc(MetricReport, doc, "report")
+    if kind == "sweep_result":
+        from .sweep import SweepResult  # imported here: only sweep results need it
+
+        return from_doc(SweepResult, doc, "report")
+    raise ValueError(f"unknown report kind {kind!r}")

@@ -22,13 +22,17 @@ validated timestamps and t + interval stay in [0, 2**63). Each value column
 is multiplied by the weights once, and a window's weighted sum is
 ``math.fsum`` of its slice of the products. fsum is correctly rounded, so a
 result never depends on summation order or blocking. Float prefix sums would
-round, and one inf product would make every later difference NaN.
+round, and one inf product would make every later difference NaN. The pass
+returns columns, one row per window, and each per-step row of the report is
+made straight from them, with no object per window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import fsum
+from operator import truediv
 
 import numpy as np
 
@@ -97,19 +101,17 @@ class MetricReport:
 
 
 @dataclass(frozen=True)
-class _WindowSums:
-    """Every time-weighted quantity of one window, each from an exact sum."""
+class _Windows:
+    """Exact sums over the samples of each window, as columns: row k is the k-th window's."""
 
-    per_core: tuple[float, ...]
-    cpu_avg: float
-    gpu: float
-    idle: tuple[float, ...]
-    energy_j: dict[str, float]
-    rail_mean_mw: dict[str, float]
+    nonempty: np.ndarray  # bool: the window holds a sample
+    total_us: np.ndarray  # int64: the sum of the sample weights
+    idle_us: np.ndarray  # int64, a column per core: the weights of its idle samples
+    sums: np.ndarray  # float64, a column per value column: fsum of value x weight
 
 
-def _windows(run: Run, bounds: list[Window], idle: float) -> list[_WindowSums | None]:
-    """Metrics of the samples with t in each [lo, hi), or None where there are none.
+def _windows(run: Run, bounds: list[Window], idle: float) -> _Windows:
+    """The sums over the samples with t in each [lo, hi), one row per window.
 
     A core is idle in a sample where its utilization is <= ``idle``.
     """
@@ -117,40 +119,48 @@ def _windows(run: Run, bounds: list[Window], idle: float) -> list[_WindowSums | 
     # Rectangle width per sample: gap to the next sample; the last uses the nominal.
     dt = np.append(np.diff(samples.t), np.int64(run.meta.sample_interval_us))
     a, b = np.searchsorted(samples.t, np.array(bounds, np.int64).reshape(-1, 2).T)
-    spans = list(zip(a.tolist(), b.tolist()))
+    spans = list(map(slice, a.tolist(), b.tolist()))
 
-    def window_us(weights: np.ndarray) -> list[int]:
+    def window_us(weights: np.ndarray) -> np.ndarray:
         # Exact: validate_run keeps every t, and t[-1] + interval, in [0, 2**63).
         prefix = np.concatenate(([0], np.cumsum(weights)))
-        return (prefix[b] - prefix[a]).tolist()
+        return prefix[b] - prefix[a]
 
     sums = []
     for col in samples.values.T:
         # Products that overflow to inf surface as a strict-JSON error, not a warning.
         with np.errstate(over="ignore"):
             products = (col * dt).tolist()  # one column's Python floats at a time
-        sums.append([fsum(products[i:j]) for i, j in spans])
-
-    def window(total: int, idle_us: tuple[int, ...], s: tuple[float, ...]) -> _WindowSums:
-        per_core = tuple(x / total for x in s[:c])
-        rail_nj = dict(zip(RAILS, s[c + 1:]))  # mW * us, i.e. nanojoules
-        return _WindowSums(
-            per_core=per_core,
-            cpu_avg=fsum(per_core) / c,
-            gpu=s[c] / total,
-            idle=tuple(u / total for u in idle_us),
-            energy_j={rail: nj / 1e9 for rail, nj in rail_nj.items()},
-            rail_mean_mw={rail: nj / total for rail, nj in rail_nj.items()},
-        )
-
-    idle_cols = [window_us(np.where(samples.values[:, k] <= idle, dt, 0)) for k in range(c)]
-    rows = zip(spans, window_us(dt), zip(*idle_cols), zip(*sums))  # c >= 1: validate_run
-    return [window(*row) if i < j else None for (i, j), *row in rows]
+        sums.append(list(map(fsum, map(products.__getitem__, spans))))
+    # validate_run keeps c >= 1, so there is a column to stack.
+    idle_us = [window_us(np.where(samples.values[:, k] <= idle, dt, 0)) for k in range(c)]
+    return _Windows(a < b, window_us(dt), np.column_stack(idle_us), np.array(sums).T)
 
 
-def _rail_ranking(sums: _WindowSums) -> tuple[RailShare, ...]:
-    """The cpu, gpu and mem rails by descending mean power, each with its share of sys's."""
-    means = dict(sums.rail_mean_mw)
+def _window_metrics(w: _Windows, c: int) -> list[tuple]:
+    """(per_core, cpu_avg, gpu, idle, energy_j) of each non-empty window, in window order.
+
+    The sums over the total and nJ / 1e9 are numpy divides, correctly rounded
+    as Python's float / int is. An idle ratio stays Python's int / int, rounded
+    once from the exact quotient: numpy would round both ints to float64 first,
+    which differs once a total passes 2**53 us.
+    """
+    keep = w.nonempty
+    totals = w.total_us[keep].tolist()
+    ratios = w.sums[keep, :c + 1] / w.total_us[keep, None]
+    per_core = list(map(tuple, ratios[:, :c].tolist()))
+    cpu_avg = map(truediv, map(fsum, per_core), repeat(c))
+    idle = zip(*(map(truediv, col, totals) for col in w.idle_us[keep].T.tolist()))
+    energy = map(dict, map(zip, repeat(RAILS), (w.sums[keep, c + 1:] / 1e9).tolist()))
+    return list(zip(per_core, cpu_avg, ratios[:, c].tolist(), idle, energy))
+
+
+def _rail_ranking(rail_nj: np.ndarray, total_us: int) -> tuple[RailShare, ...]:
+    """The cpu, gpu and mem rails by descending mean power, each with its share of sys's.
+
+    ``rail_nj`` is one window's energy per rail in nJ (mW x us), in RAILS order.
+    """
+    means = dict(zip(RAILS, (rail_nj / total_us).tolist()))
     sys_mean = means.pop("sys")
     ranked = sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(
@@ -201,10 +211,12 @@ def build_report(
     if not non_warmup:
         raise NoSamplesInWindow("all step windows are warmup; nothing to analyze")
     analysis = (non_warmup[0].start_us, step_windows[-1].end_us)
-    whole, *step_sums = _windows(
+    sums = _windows(
         run, [analysis, *((w.start_us, w.end_us) for w in step_windows)], idle_threshold)
-    if whole is None:
+    if not sums.nonempty[0]:
         raise NoSamplesInWindow(f"no samples with t in [{analysis[0]}, {analysis[1]}) us")
+    c = run.meta.core_count
+    (per_core, cpu_avg, gpu, idle, energy), *step_metrics = _window_metrics(sums, c)
 
     predictability: PredictabilityScore | None
     try:
@@ -225,11 +237,11 @@ def build_report(
             "concurrent ops exist: per-op attributed-sample counts may double-count samples"
         )
 
+    # A step shorter than the sampling resolution can hold no sample, and gets no row.
     per_step = tuple(
-        StepMetrics(w.step_id, w.is_warmup, w.start_us, w.end_us, s.per_core, s.cpu_avg, s.gpu,
-                    s.idle, s.energy_j, (run.meta.batch_size * 1_000_000) / w.duration_us)
-        for w, s in zip(step_windows, step_sums)
-        if s is not None  # None: the step is shorter than the sampling resolution
+        StepMetrics(w.step_id, w.is_warmup, w.start_us, w.end_us, *m,
+                    (run.meta.batch_size * 1_000_000) / w.duration_us)
+        for w, m in zip(compress(step_windows, sums.nonempty[1:].tolist()), step_metrics)
     )
     return MetricReport(
         run_id=run.meta.run_id,
@@ -237,18 +249,18 @@ def build_report(
         core_count=run.meta.core_count,
         sample_interval_us=run.meta.sample_interval_us,
         warmup_steps=warmup,
-        per_core_util=whole.per_core,
-        cpu_avg_util=whole.cpu_avg,
-        gpu_util=whole.gpu,
-        idle_ratio_per_core=whole.idle,
-        energy_by_rail_joules=whole.energy_j,
+        per_core_util=per_core,
+        cpu_avg_util=cpu_avg,
+        gpu_util=gpu,
+        idle_ratio_per_core=idle,
+        energy_by_rail_joules=energy,
         peak_mem_bytes=int(run.samples.mem.max()),
         throughput_samples_per_sec=(run.meta.batch_size * len(non_warmup) * 1_000_000)
         / sum(w.duration_us for w in non_warmup),
         steps=step_windows,
         per_step=per_step,
         per_op=_per_op_aggregates(run),
-        power_rail_ranking=_rail_ranking(whole),
+        power_rail_ranking=_rail_ranking(sums.sums[0, c + 1:], sums.total_us[0]),
         period=period,
         predictability=predictability,
         memory_breakdown=run.memory_breakdown,

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import settings
@@ -55,10 +57,15 @@ def tables(ops, samples):
 
 
 def window_sums(run, window=None, threshold=0.0):
-    """Every time-weighted metric of the run's samples with t in ``window``, or of all."""
-    t = run.samples.t
-    (sums,) = metrics._windows(run, [window or (int(t[0]), int(t[-1]) + 1)], threshold)
-    return sums
+    """Every time-weighted metric of the run's samples with t in ``window``, or of all.
+
+    Fields: per_core, cpu_avg, gpu, idle, energy_j and the rail ranking.
+    """
+    t, c = run.samples.t, run.samples.core_count
+    w = metrics._windows(run, [window or (int(t[0]), int(t[-1]) + 1)], threshold)
+    (row,) = metrics._window_metrics(w, c)
+    return SimpleNamespace(**dict(zip(("per_core", "cpu_avg", "gpu", "idle", "energy_j"), row)),
+                           ranking=metrics._rail_ranking(w.sums[0, c + 1:], w.total_us[0]))
 
 
 def mk_run(samples, ops=None, *, batch=1, interval=10_000, warmup=0,

@@ -7,13 +7,42 @@ implementations under test.
 
 import codecs
 import json
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
+from enum import Enum
 from math import isfinite
 
 import numpy as np
 
+from traceprof.ingest import RunManifest
+from traceprof.metrics import MetricReport
 from traceprof.model import Device, Issue, OpEvent, RunMeta, SampleTable
+from traceprof.sweep import SweepResult
 from traceprof.synth import _RAIL_FIELDS, _ground_truth, _phase_sample_counts
+
+
+_HEADERS = {
+    MetricReport: {"schema_version": 1, "kind": "metric_report"},
+    SweepResult: {"schema_version": 1, "kind": "sweep_result"},
+    RunManifest: {"schema_version": 1},
+}
+
+
+def to_doc(obj):
+    """JSON-ready values: a dataclass becomes its fields plus its header, an Enum its value."""
+    if isinstance(obj, (tuple, list)):
+        return [to_doc(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: to_doc(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    if is_dataclass(obj):
+        return {**{k: to_doc(v) for k, v in vars(obj).items()}, **_HEADERS.get(type(obj), {})}
+    return obj
+
+
+def dump_oracle(obj):
+    """The report, sweep result or manifest bytes that the stdlib encoder writes."""
+    return (json.dumps(to_doc(obj), sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 def weighted_mean_oracle(values, weights):

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tables
+from oracles import to_doc
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
 from traceprof.ingest import (
     RunManifest,
-    to_doc,
     write_manifest,
     write_op_trace,
     write_telemetry,
@@ -293,6 +293,8 @@ def test_only_synth_imports_the_synth_module(tmp_path, command):
     assert result.returncode == 0, result.stderr
     assert {"traceprof.cli", "traceprof.ingest"} <= imported
     assert "traceprof.synth" not in imported
+    # Only sweep imports the sweep module.
+    assert ("traceprof.sweep" in imported) == (command == "sweep")
 
 
 def test_package_import_loads_nothing_until_an_export_is_used():

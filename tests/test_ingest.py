@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mk_run, mk_sample, tables
-from oracles import parse_op_trace_oracle, parse_telemetry_oracle
+from oracles import dump_oracle, parse_op_trace_oracle, parse_telemetry_oracle, to_doc
 from traceprof import ingest
-from traceprof.errors import InvalidSpec, ManifestError, TraceValidationError
+from traceprof.errors import (InvalidSpec, ManifestError, TraceProfError,
+                              TraceValidationError)
 from traceprof.ingest import (
     RunManifest,
     load_manifest,
@@ -24,7 +26,6 @@ from traceprof.ingest import (
     parse_op_trace,
     parse_report,
     parse_telemetry,
-    to_doc,
     write_manifest,
     write_op_trace,
     write_report,
@@ -32,6 +33,7 @@ from traceprof.ingest import (
 )
 from traceprof.metrics import build_report
 from traceprof.model import (
+    RAILS,
     Device,
     Issue,
     MemoryBreakdown,
@@ -268,6 +270,89 @@ def test_write_parse_write_fixed_point():
         first = write_report(build(), "json")
         second = write_report(parse_report(first), "json")
         assert first == second, case
+
+
+# Floats whose shortest repr is hard to get right: signed zero, the least
+# subnormal, the least normal, the largest magnitudes and 17-digit values.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                0.1 + 0.2, 1 / 3, 2.0**53 + 2.0, 123456789.01234567]
+_json_floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+_BASE_REPORT = _synth_report(0.05)
+
+
+@st.composite
+def _reports(draw):
+    """The base report with drawn per-step and run-level floats, run id and op names.
+
+    Each per-step energy dict gets its keys in a drawn order: the writer sorts them.
+    """
+    base = _BASE_REPORT
+
+    def floats(n):
+        return tuple(draw(_json_floats) for _ in range(n))
+
+    per_step = tuple(
+        replace(m, per_core_util=floats(len(m.per_core_util)), cpu_avg_util=draw(_json_floats),
+                gpu_util=draw(_json_floats), idle_ratio_per_core=floats(len(m.per_core_util)),
+                energy_by_rail_joules=dict(zip(draw(st.permutations(RAILS)), floats(4))),
+                throughput_samples_per_sec=draw(_json_floats))
+        for m in base.per_step
+    )
+    names = draw(st.lists(st.text(), min_size=len(base.per_op), max_size=len(base.per_op),
+                          unique=True))
+    return replace(base, run_id=draw(st.text()), gpu_util=draw(_json_floats),
+                   per_step=per_step, per_op=dict(zip(names, base.per_op.values())))
+
+
+@settings(max_examples=40)
+@given(_reports())
+def test_report_writer_bytes_equal_the_stdlib_encoder(report):
+    assert write_report(report, "json") == dump_oracle(report)
+
+
+@settings(max_examples=20)
+@given(_reports(), _reports(), st.text())
+def test_sweep_writer_bytes_equal_the_stdlib_encoder(lo, hi, model):
+    result = replace(_sweep_result(), model=model, points=(SweepPoint(4, lo), SweepPoint(16, hi)))
+    assert write_report(result, "json") == dump_oracle(result)
+
+
+_maybe_bytes = st.none() | st.integers(0, 2**63 - 1)
+
+
+@given(st.builds(RunManifest, st.builds(RunMeta, st.text(), st.integers(1, 2**63 - 1),
+                                        st.integers(1, 64), st.integers(0, 2**63 - 1),
+                                        st.integers(1, 10**9), st.integers(0, 100)),
+                 st.text(), st.text(),
+                 st.none() | st.builds(MemoryBreakdown, _maybe_bytes, _maybe_bytes,
+                                       _maybe_bytes, _maybe_bytes)))
+def test_manifest_writer_bytes_equal_the_stdlib_encoder(manifest):
+    assert write_manifest(manifest) == dump_oracle(manifest)
+
+
+@settings(max_examples=20)
+@given(_reports(), st.sampled_from([math.inf, -math.inf, math.nan]), st.data())
+def test_non_finite_per_step_value_is_a_strict_json_error(report, bad, data):
+    k = data.draw(st.integers(0, len(report.per_step) - 1))
+    field = data.draw(st.sampled_from(["per_core_util", "cpu_avg_util", "gpu_util",
+                                       "idle_ratio_per_core", "energy_by_rail_joules",
+                                       "throughput_samples_per_sec"]))
+    row = report.per_step[k]
+    value = getattr(row, field)
+    if isinstance(value, tuple):
+        value = (*value[:-1], bad)
+    elif isinstance(value, dict):
+        value = {**value, "mem": bad}
+    else:
+        value = bad
+    broken = replace(report, per_step=(*report.per_step[:k], replace(row, **{field: value}),
+                                       *report.per_step[k + 1:]))
+    with pytest.raises(ValueError) as stdlib:
+        dump_oracle(broken)
+    message = f"cannot write strict JSON: {stdlib.value}"
+    with pytest.raises(TraceProfError, match=f"^{re.escape(message)}$"):
+        write_report(broken, "json")
 
 
 def test_report_with_empty_per_op_map_valid_json():

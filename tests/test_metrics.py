@@ -286,14 +286,14 @@ def test_throughput_invariant_under_time_translation():
 
 def test_power_dominance_constant_ordering():
     run = _uniform_run([(0.0,)] * 5, powers=[(1_000.0, 4_000.0, 2_000.0, 7_000.0)] * 5)
-    ranking = _rail_ranking(window_sums(run))
+    ranking = window_sums(run).ranking
     assert [r.rail for r in ranking] == ["gpu", "mem", "cpu"]
     assert ranking[0].share_of_sys == pytest.approx(4_000 / 7_000, rel=1e-12)
 
 
 def test_power_dominance_memory_first_lstm_signature():
     run = _uniform_run([(0.0,)] * 5, powers=[(1_000.0, 2_000.0, 3_000.0, 7_000.0)] * 5)
-    assert _rail_ranking(window_sums(run))[0].rail == "mem"
+    assert window_sums(run).ranking[0].rail == "mem"
 
 
 def test_power_dominance_matches_weighted_mean_oracle():
@@ -305,7 +305,7 @@ def test_power_dominance_matches_weighted_mean_oracle():
                            ("mem", "power_mem_mw"))
     }
     expected = sorted(means, key=lambda r: -means[r])
-    assert [r.rail for r in _rail_ranking(window_sums(run))] == expected
+    assert [r.rail for r in window_sums(run).ranking] == expected
 
 
 # --- report assembly -------------------------------------------------------------
@@ -389,27 +389,88 @@ def test_power_overflowing_outside_every_step_leaves_the_report_unchanged():
 def test_window_metrics_equal_loop_reference_bit_for_bit(seed):
     # All windows go through one call, as build_report's do, the empty ones too.
     run = _jittered_run(seed=100 + seed, n=300)
+    c = run.meta.core_count
     rng = random.Random(seed)
     ts = [s.t for s in run.samples]
     threshold = rng.choice([0.0, 0.25])
     windows = [(ts[0], ts[-1] + 1)] + [
         tuple(sorted(rng.sample(range(ts[0] - 5_000, ts[-1] + 5_000), 2))) for _ in range(20)
     ] + [(ts[0] - 5_000, ts[0]), (ts[-1] + 1, ts[-1] + 9_000), (ts[5] + 1, ts[6])]
-    results = metrics._windows(run, windows, threshold)
-    assert len(results) == len(windows)
-    for window, sums in zip(windows, results):
+    sums = metrics._windows(run, windows, threshold)
+    assert len(sums.nonempty) == len(windows)
+    rows = iter(metrics._window_metrics(sums, c))
+    for k, window in enumerate(windows):
         if not any(window[0] <= t < window[1] for t in ts):
-            assert sums is None
+            assert not sums.nonempty[k]
             continue
+        per_core, cpu_avg, gpu, idle, energy = next(rows)
         ref = window_metrics_loop_oracle(run, window, threshold)
-        assert list(sums.per_core) == ref["per_core"]
-        assert sums.gpu == ref["gpu"]
-        assert list(sums.idle) == ref["idle"]
-        assert sums.energy_j == ref["energy"]
-        ranking = _rail_ranking(sums)
+        assert list(per_core) == ref["per_core"]
+        assert cpu_avg == fsum(ref["per_core"]) / c
+        assert gpu == ref["gpu"]
+        assert list(idle) == ref["idle"]
+        assert energy == ref["energy"]
+        ranking = _rail_ranking(sums.sums[k, c + 1:], sums.total_us[k])
         assert {r.rail: r.mean_mw for r in ranking} == {
             r: m for r, m in ref["mean_mw"].items() if r != "sys"
         }
+    assert next(rows, None) is None
+
+
+def test_idle_ratios_stay_exact_int_division_past_2_53_us():
+    # Gaps near 2**52 us put the window totals past 2**53, where an int64 total
+    # no longer converts to float64 exactly. An idle ratio must still be Python's
+    # correctly rounded int / int, not float(idle) / float(total).
+    rng = random.Random(7)
+    t, samples = 0, []
+    for _ in range(12):
+        samples.append(mk_sample(t, cores=(rng.choice([0.0, 0.5]), rng.choice([0.0, 0.75])),
+                                 gpu=rng.random(), p_sys=rng.uniform(0, 9_000)))
+        t += 2**52 + 2 * rng.randrange(2**40) + 1
+    run = mk_run(samples, interval=2**52 + 3)
+    assert int(run.samples.t[-1]) + run.meta.sample_interval_us < 2**63
+    ts = [s.t for s in run.samples]
+    dts = [b - a for a, b in zip(ts, ts[1:])] + [run.meta.sample_interval_us]
+    windows = [(ts[i], ts[j]) for i in range(4) for j in range(i + 3, len(ts))]
+    sums = metrics._windows(run, windows, 0.0)
+    rounded_twice = 0
+    for (lo, hi), (per_core, _, gpu, idle, energy) in zip(
+            windows, metrics._window_metrics(sums, 2)):
+        inside = [i for i, t in enumerate(ts) if lo <= t < hi]
+        total = sum(dts[i] for i in inside)
+        assert total > 2**53
+        idle_us = [sum(dts[i] for i in inside if samples[i].cpu_core_util[k] <= 0.0)
+                   for k in range(2)]
+        assert list(idle) == [u / total for u in idle_us]
+        rounded_twice += sum(float(u) / float(total) != u / total for u in idle_us)
+        ref = window_metrics_loop_oracle(run, (lo, hi))
+        assert (list(per_core), gpu, energy) == (ref["per_core"], ref["gpu"], ref["energy"])
+    assert rounded_twice
+
+
+def test_a_dropped_step_window_mid_run_leaves_the_other_rows_aligned():
+    # Step 2 spans [61 000, 62 000) us, shorter than the 10 ms interval and
+    # between two samples. It gets no per_step row, and every other row holds
+    # its own step's metrics: the values differ per sample, so a row shifted
+    # onto its neighbour's step would show.
+    rng = random.Random(3)
+    n = 10
+    bounds = [0, 30_000, 61_000, 62_000, 100_000]
+    ops = [OpEvent("op", Device.GPU, lo, hi, step_id=s)
+           for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    run = _uniform_run([(rng.random(), rng.random()) for _ in range(n)],
+                       gpu_row=[rng.random() for _ in range(n)],
+                       powers=[tuple(rng.uniform(0, 9_000) for _ in range(4)) for _ in range(n)],
+                       ops=ops, warmup=0)
+    sums = metrics._windows(run, list(zip(bounds, bounds[1:])), 0.0)
+    assert sums.nonempty.tolist() == [True, True, False, True]
+    report = build_report(run)
+    assert [m.step_id for m in report.per_step] == [0, 1, 3]
+    for m in report.per_step:
+        own = window_sums(run, (m.start_us, m.end_us))
+        assert (m.per_core_util, m.cpu_avg_util, m.gpu_util, m.idle_ratio_per_core,
+                m.energy_by_rail_joules) == (own.per_core, own.cpu_avg, own.gpu, own.idle,
+                                             own.energy_j)
 
 
 def test_report_per_op_busy_time_stays_exact_past_int64():

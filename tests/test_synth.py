@@ -6,11 +6,11 @@ from unittest import mock
 import pytest
 
 from conftest import tables
-from oracles import generate_oracle
+from oracles import generate_oracle, to_doc
 from traceprof import ingest
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
-from traceprof.ingest import to_doc, write_op_trace, write_telemetry
+from traceprof.ingest import write_op_trace, write_telemetry
 from traceprof.metrics import build_report
 from traceprof.model import Device, OpTable, SampleTable, validate_run
 from traceprof.synth import (
