@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from dataclasses import replace
@@ -21,8 +20,8 @@ from pathlib import Path
 # A value the user sets wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import DuplicateBatchSize, InvalidSpec, TraceProfError, TraceValidationError
-from .ingest import load_run, load_sweep_manifest, write_report
+from .errors import DuplicateBatchSize, TraceProfError, TraceValidationError
+from .ingest import load_run, load_sweep_manifest, read_json, write_report
 from .metrics import build_report
 from .model import Run
 from .steps import SIGNALS
@@ -102,13 +101,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import random_spec, spec_from_dict, write_run
 
     if args.spec is not None:
-        try:
-            spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InvalidSpec(f"synth spec {args.spec} cannot be read: {exc.strerror}") from None
-        except ValueError as exc:  # bad JSON or UTF-8, or an integer past the int digit limit
-            raise InvalidSpec(str(exc)) from None
-        spec = spec_from_dict(spec_doc)
+        spec = spec_from_dict(read_json(Path(args.spec), "synth spec"))
     else:
         spec = random_spec(args.seed, noise_amplitude=args.noise)
     if args.strip_step_ids:

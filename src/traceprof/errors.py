@@ -19,7 +19,7 @@ class TraceValidationError(TraceProfError):
 
 
 class ManifestError(TraceProfError):
-    """Run or sweep manifest is missing, unreadable, or structurally wrong."""
+    """A run or sweep manifest or a synth spec is missing, unreadable, or structurally wrong."""
 
 
 class NoSamplesInWindow(TraceProfError):

@@ -11,6 +11,10 @@ Formats:
     optional memory breakdown. Paths resolve relative to the manifest's
     directory.
 
+One reader per input file: ``_open`` opens every file, and ``read_json`` reads
+the run and sweep manifests and the synth spec. A file that cannot be opened, or
+a document that is not UTF-8 JSON, is one diagnostic naming the file's role.
+
 Parsers never lose records: every non-blank record line becomes either a
 parsed item or a line-numbered diagnostic. Unknown extra columns/keys are
 ignored with a warning for forward compatibility. The op trace and the
@@ -222,13 +226,12 @@ def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], 
     return cols, found
 
 
-def _line_chunks(data: bytes | BinaryIO, size: int) -> Iterator[tuple[int, list[str]]]:
+def _line_chunks(stream: BinaryIO, size: int) -> Iterator[tuple[int, list[str]]]:
     """(text lines before the chunk, the chunk's text lines) per ``size`` binary lines.
 
     Concatenated, the chunks are the lines of the whole file decoded at once
-    (see the module doc). Bytes are read through ``io.BytesIO``.
+    (see the module doc).
     """
-    stream = io.BytesIO(data) if isinstance(data, bytes) else data
     first = 0
     while lines := b"".join(islice(stream, size)).decode("utf-8", errors="replace").splitlines():
         yield first, lines
@@ -365,34 +368,34 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
 
     Utilization percent columns become fractions. Each valid line becomes one
     row of the sample columns, in file order; no per-sample object is built.
+    A ``core_count`` above the header line's length is one CoreCountMismatch.
     """
-    chunks = _line_chunks(data, _ROWS)
+    chunks = _line_chunks(io.BytesIO(data) if isinstance(data, bytes) else data, _ROWS)
     for first, lines in chunks:
         h = next((k for k, line in enumerate(lines) if line.strip()), None)
         if h is not None:  # the header
             break
     else:
         return _NO_SAMPLES, [Issue("EmptyTrace", "telemetry file is empty", line_no=0)]
-    expected = _telemetry_columns(core_count)
     header_no = first + h + 1
+    if core_count > len(lines[h]):  # naming n cores takes at least n characters
+        return _NO_SAMPLES, [Issue("CoreCountMismatch", f"run declares {core_count} cores, more "
+                                   f"than its {len(lines[h])}-character header can name",
+                                   line_no=header_no)]
+    expected = _telemetry_columns(core_count)
+    known = set(expected)  # a set, so checking a long header is linear in its length
     header = [cell.strip() for cell in lines[h].split(",")]
     issues: list[Issue] = []
     col_index: dict[str, int] = {}
     for pos, name in enumerate(header):
-        if name in expected and name not in col_index:
+        if name in known and name not in col_index:
             col_index[name] = pos
         elif name.startswith("c") and name[1:].isdigit():
-            issues.append(
-                Issue(
-                    "CoreCountMismatch",
-                    f"telemetry column {name!r} exceeds declared core count {core_count}",
-                    line_no=header_no,
-                )
-            )
+            issues.append(Issue("CoreCountMismatch", f"telemetry column {name!r} exceeds "
+                                f"declared core count {core_count}", line_no=header_no))
         else:
-            issues.append(
-                Issue("UnknownColumn", f"ignoring unknown column {name!r}", "warning", header_no)
-            )
+            issues.append(Issue("UnknownColumn", f"ignoring unknown column {name!r}", "warning",
+                                header_no))
     missing = [name for name in expected if name not in col_index]
     if missing:
         issues.append(
@@ -543,15 +546,13 @@ def _row_texts(rows: Sequence, indent: str) -> list[str] | None:
 def _pieces(obj: Any, indent: str) -> Iterator[str]:
     """The JSON text of ``obj``, its last line at ``indent``, in pieces.
 
-    A dataclass is its fields plus its header, an Enum its value. Keys are
-    sorted and nesting is indented by 2, as ``json.dumps(..., sort_keys=True,
-    indent=2)`` writes them. A list of dataclass rows goes ``_BATCH`` rows a piece.
+    A dataclass is its fields plus its header. Keys are sorted and nesting is
+    indented by 2, as ``json.dumps(..., sort_keys=True, indent=2)`` writes
+    them. A list of dataclass rows goes ``_BATCH`` rows a piece.
     """
     cls, inner = type(obj), indent + "  "
     if cls in _TEXT:
         yield _scalar(obj)
-    elif isinstance(obj, Enum):
-        yield from _pieces(obj.value, indent)
     elif cls is tuple or cls is list:
         kinds = set(map(type, obj))
         if kinds <= _TEXT.keys():
@@ -672,17 +673,24 @@ def write_manifest(manifest: RunManifest) -> bytes:
     return _dump(manifest)
 
 
-def _read_json(path: Path, what: str) -> Any:
+def _open(path: Path, what: str) -> BinaryIO:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return open(path, "rb")
     except FileNotFoundError:
         raise ManifestError(f"{what} not found: {path}")
     except OSError as exc:
         raise ManifestError(f"{what} {path} cannot be read: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}")
-    except ValueError as exc:  # also an integer past Python's int-to-str digit limit
-        raise ManifestError(f"{what} {path} is not valid JSON: {getattr(exc, 'msg', exc)}")
+
+
+def read_json(path: Path, what: str) -> Any:
+    """The JSON document in ``path``, or a ManifestError naming ``what`` if it cannot be read."""
+    with _open(path, what) as stream:
+        try:
+            return json.loads(stream.read().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}")
+        except ValueError as exc:  # also an integer past Python's int-to-str digit limit
+            raise ManifestError(f"{what} {path} is not valid JSON: {getattr(exc, 'msg', exc)}")
 
 
 def _check_paths(paths: list[str], where: str) -> None:
@@ -698,26 +706,14 @@ def _check_paths(paths: list[str], where: str) -> None:
 
 def load_manifest(path: Path | str) -> RunManifest:
     path = Path(path)
-    doc = _read_json(path, "manifest")
-    if not isinstance(doc, dict):
-        raise ManifestError(f"manifest {path} must be a JSON object")
     try:
-        manifest = from_doc(RunManifest, doc, "manifest")
+        manifest = from_doc(RunManifest, read_json(path, "manifest"), "manifest")
     except SchemaError as exc:
         raise ManifestError(f"{exc} in {path}")
     if not manifest.op_trace_path or not manifest.telemetry_path:
         raise ManifestError(f"manifest {path} needs op_trace_path and telemetry_path")
     _check_paths([manifest.op_trace_path, manifest.telemetry_path], f"manifest {path}")
     return manifest
-
-
-def _open(path: Path, what: str) -> BinaryIO:
-    try:
-        return open(path, "rb")
-    except FileNotFoundError:
-        raise ManifestError(f"{what} not found: {path}")
-    except OSError as exc:
-        raise ManifestError(f"{what} {path} cannot be read: {exc.strerror}")
 
 
 def load_run(manifest_path: Path | str) -> Run:
@@ -729,32 +725,25 @@ def load_run(manifest_path: Path | str) -> Run:
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     base = manifest_path.parent
-    op_file = base / manifest.op_trace_path
-    telemetry_file = base / manifest.telemetry_path
-    with (_open(op_file, "op trace") as op_stream,
-          _open(telemetry_file, "telemetry") as telemetry_stream):
-        core_count = manifest.meta.core_count
-        size = os.fstat(telemetry_stream.fileno()).st_size
-        if core_count > size:  # no header this short names that many cores
-            raise TraceValidationError([Issue(
-                "CoreCountMismatch", f"run declares {core_count} cores, more than the "
-                f"{size} bytes of {telemetry_file} can name")])
+    with (_open(base / manifest.op_trace_path, "op trace") as op_stream,
+          _open(base / manifest.telemetry_path, "telemetry") as telemetry_stream):
         ops, op_issues = parse_op_trace(op_stream)
-        samples, telemetry_issues = parse_telemetry(telemetry_stream, core_count)
+        samples, telemetry_issues = parse_telemetry(telemetry_stream, manifest.meta.core_count)
     issues = op_issues + telemetry_issues
     if any(i.severity == "error" for i in issues):
         raise TraceValidationError(issues)
     warnings = tuple(i for i in issues if i.severity == "warning")
-    run = validate_run(manifest.meta, ops, samples, manifest.memory_breakdown)
-    if warnings:
-        run = replace(run, warnings=warnings + run.warnings)
-    return run
+    try:
+        run = validate_run(manifest.meta, ops, samples, manifest.memory_breakdown)
+    except TraceValidationError as exc:  # the parse warnings still come first
+        raise TraceValidationError(warnings + exc.issues) from None
+    return replace(run, warnings=warnings + run.warnings)
 
 
 def load_sweep_manifest(path: Path | str) -> tuple[str, list[Path]]:
     """Read a sweep manifest: {"model": name, "runs": [run-manifest paths]}."""
     path = Path(path)
-    doc = _read_json(path, "sweep manifest")
+    doc = read_json(path, "sweep manifest")
     if not isinstance(doc, dict) or not isinstance(doc.get("model"), str) or "runs" not in doc:
         raise ManifestError(f"sweep manifest {path} needs a string 'model' and 'runs'")
     runs = doc["runs"]

@@ -20,18 +20,19 @@ window. It computes the int64 weights once and bounds all windows with one
 idle microseconds are differences of int64 prefix sums, exact because
 validated timestamps and t + interval stay in [0, 2**63). Each value column
 is multiplied by the weights once, and a window's weighted sum is
-``math.fsum`` of its slice of the products. fsum is correctly rounded, so a
-result never depends on summation order or blocking. Float prefix sums would
-round, and one inf product would make every later difference NaN. The pass
-returns columns, one row per window, and each per-step row of the report is
-made straight from them, with no object per window.
+``math.fsum`` of its slice of the products (inf if they add past the float
+range). fsum is correctly rounded, so a result never depends on summation
+order or blocking. Float prefix sums would round, and one inf product would
+make every later difference NaN. The pass returns columns, one row per
+window, and each per-step row of the report is made straight from them,
+with no object per window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from math import fsum
+from math import fsum, inf
 from operator import truediv
 
 import numpy as np
@@ -110,6 +111,14 @@ class _Windows:
     sums: np.ndarray  # float64, a column per value column: fsum of value x weight
 
 
+def _fsum_or_inf(values: list[float]) -> float:
+    """fsum of non-negative floats, or inf where the sum passes the float range."""
+    try:
+        return fsum(values)
+    except OverflowError:
+        return inf
+
+
 def _windows(run: Run, bounds: list[Window], idle: float) -> _Windows:
     """The sums over the samples with t in each [lo, hi), one row per window.
 
@@ -131,7 +140,7 @@ def _windows(run: Run, bounds: list[Window], idle: float) -> _Windows:
         # Products that overflow to inf surface as a strict-JSON error, not a warning.
         with np.errstate(over="ignore"):
             products = (col * dt).tolist()  # one column's Python floats at a time
-        sums.append(list(map(fsum, map(products.__getitem__, spans))))
+        sums.append(list(map(_fsum_or_inf, map(products.__getitem__, spans))))
     # validate_run keeps c >= 1, so there is a column to stack.
     idle_us = [window_us(np.where(samples.values[:, k] <= idle, dt, 0)) for k in range(c)]
     return _Windows(a < b, window_us(dt), np.column_stack(idle_us), np.array(sums).T)

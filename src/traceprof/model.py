@@ -49,10 +49,6 @@ class OpEvent:
     layer: str | None = None
     step_id: int | None = None
 
-    @property
-    def duration_us(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class TelemetrySample:

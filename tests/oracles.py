@@ -297,13 +297,19 @@ def parse_telemetry_oracle(data: bytes, core_count: int):
     int64 = 2**63
     t_col, values, mem_col = [], [], []
     issues: list[Issue] = []
-    lines = enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1)
-    numbered = [(i, line.strip()) for i, line in lines if line.strip()]
+    raw_lines = data.decode("utf-8", errors="replace").splitlines()
+    numbered = [(i, line.strip()) for i, line in enumerate(raw_lines, start=1) if line.strip()]
     if not numbered:
         issues.append(Issue("EmptyTrace", "telemetry file is empty", line_no=0))
         return _NO_SAMPLES, issues
 
     header_no, header_line = numbered[0]
+    # Naming n cores takes at least n characters ("c0,c1,..."), so a shorter header cannot.
+    width = len(raw_lines[header_no - 1])
+    if core_count > width:
+        message = (f"run declares {core_count} cores, more than its {width}-character header "
+                   "can name")
+        return _NO_SAMPLES, [Issue("CoreCountMismatch", message, line_no=header_no)]
     header = [cell.strip() for cell in header_line.split(",")]
     rails = ("cpu", "gpu", "mem", "sys")
     value_names = [*(f"c{i}" for i in range(core_count)), "gpu", *(f"p_{r}_mw" for r in rails)]

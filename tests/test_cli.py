@@ -377,6 +377,18 @@ def test_analyze_and_sweep_print_load_warnings(tmp_path, capsysbinary):
     assert b"warning[UnknownColumn]" in capsysbinary.readouterr().err
 
 
+def test_parse_warnings_come_before_validation_errors(tmp_path):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    _add_extra_column(tmp_path / "run" / "telemetry.csv")
+    _edit_first_sample(manifest, "t_us", "-5")
+    result = _run_cli("validate", manifest)
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.decode().splitlines() == [
+        "warning[UnknownColumn] line 1: ignoring unknown column 'extra'",
+        "error[InvariantViolation]: sample #0 has negative timestamp -5",
+    ]
+
+
 def _run_cli(*args):
     return subprocess.run([sys.executable, "-m", "traceprof", *map(str, args)],
                           capture_output=True)
@@ -476,6 +488,12 @@ def test_non_finite_telemetry_is_a_diagnostic(tmp_path):
     # Finite cells whose energy overflows to inf: no report rather than invalid JSON.
     last = analyze_with_sys_power(dict.fromkeys(range(1, len(rows)), "1e308"))[-1]
     assert last.startswith(b"error: cannot write strict JSON: ")
+    # Finite products (1e304 mW x 5000 us) whose window sums pass the float range: inf too.
+    assert analyze_with_sys_power(dict.fromkeys(range(1, len(rows)), "1e304")) == [
+        b"error: cannot write strict JSON: Out of range float values are not JSON compliant: inf"]
+    table = _run_cli("analyze", manifest, "--format", "table")
+    assert (table.returncode, table.stderr) == (0, b"")
+    assert b" inf\n" in table.stdout
 
 
 def test_sweep_duplicate_batch_size_is_usage_error(tmp_path):
@@ -555,20 +573,20 @@ def _set_meta(manifest, **fields):
      "9223372036854775807 reaches 2**63 us"),
     ({"batch_size": 10**400}, "error[InvalidMeta]: batch_size must be < 2**63"),
     ({"core_count": 10**6},
-     "error[CoreCountMismatch]: run declares 1000000 cores, more than the {size} bytes of "
-     "{telemetry} can name"),
+     "error[CoreCountMismatch] line 1: run declares 1000000 cores, more than its "
+     "{width}-character header can name"),
 ], ids=["interval_2pow63", "interval_2pow63_minus_1", "batch_10pow400", "cores_10pow6"])
 def test_meta_values_past_int64_are_diagnostics(tmp_path, fields, diagnostic):
     spec = random_spec(1)
     manifest = write_run(spec, tmp_path / "run")
     _set_meta(manifest, **fields)
-    telemetry = tmp_path / "run" / "telemetry.csv"
+    header = (tmp_path / "run" / "telemetry.csv").read_text().splitlines()[0]
     last_t = generate(spec)[2].t[-1]
     result = _run_cli("analyze", manifest, "--format", "json")
     assert result.returncode == 1
     assert result.stdout == b""
     assert b"Traceback" not in result.stderr
-    expected = diagnostic.format(last_t=last_t, size=telemetry.stat().st_size, telemetry=telemetry)
+    expected = diagnostic.format(last_t=last_t, width=len(header))
     assert result.stderr.decode().splitlines() == [expected]
 
 
@@ -823,7 +841,8 @@ def _op_trace_is_a_directory(tmp):
     (lambda tmp: ["synth", "--spec", tmp, "--out", tmp / "run"],
      lambda tmp: f"error: synth spec {tmp} cannot be read: Is a directory"),
     (lambda tmp: ["synth", "--spec", _write(tmp / "spec.json", b"\xff"), "--out", tmp / "run"],
-     "can't decode byte 0xff"),
+     lambda tmp: f"error: synth spec {tmp / 'spec.json'} is not UTF-8: invalid start byte "
+                 "at byte 0"),
     (lambda tmp: ["synth", "--out", _write(tmp / "run", b"")],
      lambda tmp: f"error: synth out {tmp / 'run'} cannot be written: File exists"),
 ], ids=["non_utf8_manifest", "analyze_dir", "op_trace_dir", "spec_dir", "non_utf8_spec",
@@ -876,7 +895,8 @@ def _long_int_sweep(tmp):
 @pytest.mark.parametrize("args, message", [
     (_long_int_batch, "error: manifest {tmp}/run/run.json is not valid JSON: Exceeds the limit"),
     (_long_int_step, "error[MalformedLine] line 1: invalid JSON: Exceeds the limit"),
-    (_long_int_seed, "error: Exceeds the limit"),
+    (_long_int_seed, "error: synth spec {tmp}/spec.json is not valid JSON: Exceeds the "
+                     "limit"),
     (_long_int_sweep, "error: sweep manifest {tmp}/sweep.json is not valid JSON: Exceeds the limit"),
 ], ids=["manifest_batch_size", "op_step", "spec_seed", "sweep_manifest"])
 def test_integers_past_the_digit_limit_are_diagnostics(tmp_path, args, message):

@@ -148,6 +148,20 @@ def test_parse_telemetry_extra_core_column_is_mismatch():
     assert any(i.code == "CoreCountMismatch" for i in issues)
 
 
+def test_core_count_past_the_header_length_is_one_diagnostic():
+    header = "t_us,c0,gpu,p_cpu_mw,p_gpu_mw,p_mem_mw,p_sys_mw,mem_bytes"
+    data = f"\n{header}\n0,50,10,1,1,1,1,5\n".encode()
+    # No list of 2**62 column names is built: one issue, at the header's line.
+    samples, issues = parse_telemetry(data, core_count=2**62)
+    assert len(samples) == 0
+    assert issues == [Issue("CoreCountMismatch", f"run declares {2**62} cores, more than its "
+                            f"{len(header)}-character header can name", line_no=2)]
+    # A header as long as the core count is checked column by column, as before.
+    _, issues = parse_telemetry(data, core_count=len(header))
+    assert [i.code for i in issues] == ["MalformedLine"]
+    assert issues[0].message.startswith("header missing columns ['c1', 'c2', ")
+
+
 _ABSENT = object()
 _OP_FIELD_VALUES = {
     "op": ["a", "b", "", 1, None],
@@ -428,6 +442,13 @@ def test_spec_document_type_errors_name_the_field(edit, message):
     with pytest.raises(InvalidSpec) as exc:
         spec_from_dict(doc)
     assert message in str(exc.value)
+
+
+def test_manifest_that_is_not_an_object_is_a_diagnostic(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ManifestError, match=rf"^manifest must be an object, got \[1, 2\] in "):
+        load_manifest(path)
 
 
 def test_sweep_manifest_model_must_be_a_string(tmp_path):
