@@ -100,10 +100,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # Imported here: no other command runs synth, and each process compiles what it imports.
     from .synth import random_spec, spec_from_dict, write_run
 
-    if args.spec is not None:
+    if args.spec is None:
+        spec = random_spec(args.seed or 0, noise_amplitude=args.noise or 0.0)
+    elif args.seed is None and args.noise is None:
         spec = spec_from_dict(read_json(Path(args.spec), "synth spec"))
     else:
-        spec = random_spec(args.seed, noise_amplitude=args.noise)
+        print("--seed and --noise do not apply to a --spec run", file=sys.stderr)
+        return USAGE_ERROR
     if args.strip_step_ids:
         spec = replace(spec, strip_step_ids=True)
     try:
@@ -149,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="emit a synthetic run with a complete manifest")
     p_synth.add_argument("--out", required=True, help="output directory for the run files")
     p_synth.add_argument("--spec", default=None, help="JSON file describing the synth spec")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--noise", type=float, default=0.0)
+    p_synth.add_argument("--seed", type=int, default=None, help="random spec seed (default 0)")
+    p_synth.add_argument("--noise", type=float, default=None,
+                         help="random spec noise amplitude (default 0.0)")
     p_synth.add_argument("--strip-step-ids", action="store_true",
                          help="drop step labels to exercise period inference")
     p_synth.set_defaults(func=cmd_synth)

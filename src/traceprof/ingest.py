@@ -433,11 +433,6 @@ def op_trace_chunks(ops: OpTable) -> Iterator[bytes]:
             for s, e, d, n, x, step_key in zip(start, end, device, name, layer, steps)).encode()
 
 
-def write_op_trace(ops: OpTable) -> bytes:
-    """The whole op trace as one ``bytes``: the pieces of ``op_trace_chunks`` joined."""
-    return b"".join(op_trace_chunks(ops))
-
-
 def telemetry_chunks(samples: SampleTable) -> Iterator[bytes]:
     """The telemetry in pieces, to write one at a time: the header, then up to ``_ROWS`` rows each.
 
@@ -451,11 +446,6 @@ def telemetry_chunks(samples: SampleTable) -> Iterator[bytes]:
         rows = zip(samples.t[lo:lo + _ROWS].tolist(), values.tolist(),
                    samples.mem[lo:lo + _ROWS].tolist())
         yield "".join(f"{t},{','.join(map(repr, row))},{mem}\n" for t, row, mem in rows).encode()
-
-
-def write_telemetry(samples: SampleTable) -> bytes:
-    """The whole telemetry file as one ``bytes``: the pieces of ``telemetry_chunks`` joined."""
-    return b"".join(telemetry_chunks(samples))
 
 
 # ---------------------------------------------------------------------------

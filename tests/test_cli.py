@@ -18,12 +18,7 @@ from conftest import tables
 from oracles import to_doc
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
-from traceprof.ingest import (
-    RunManifest,
-    write_manifest,
-    write_op_trace,
-    write_telemetry,
-)
+from traceprof.ingest import RunManifest, op_trace_chunks, telemetry_chunks, write_manifest
 from traceprof.model import Device, MemoryBreakdown, OpEvent, RunMeta, TelemetrySample
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
 
@@ -228,6 +223,41 @@ def test_synth_spec_file(tmp_path, capsys):
     assert main(["analyze", manifest, "--format", "json"]) == 0
 
 
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--noise", "0.2"],
+                                   ["--seed", "0", "--noise", "0"]])
+def test_synth_spec_with_seed_or_noise_is_a_usage_error(tmp_path, capsys, flags):
+    # A spec carries its own seed and noise; the flags would be silently ignored.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(to_doc(random_spec(1))))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s"), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "--seed and --noise do not apply to a --spec run\n"
+    assert not (tmp_path / "s").exists()
+
+
+def test_synth_spec_keeps_strip_step_ids(tmp_path, capsys):
+    spec = random_spec(2, noise_amplitude=0.05)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(to_doc(spec)))
+    argv = ["synth", "--spec", str(spec_path), "--strip-step-ids", "--out", str(tmp_path / "a")]
+    assert main(argv) == 0, capsys.readouterr().err
+    write_run(replace(spec, strip_step_ids=True), tmp_path / "b")
+    for name in ("run.json", "ops.jsonl", "telemetry.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert b'"step"' not in (tmp_path / "a" / "ops.jsonl").read_bytes()
+
+
+def test_synth_without_spec_defaults_to_seed_0_and_no_noise(tmp_path, capsys):
+    runs = {"default": [], "explicit": ["--seed", "0", "--noise", "0.0"]}
+    for name, flags in runs.items():
+        assert main(["synth", "--out", str(tmp_path / name), *flags]) == 0
+    write_run(random_spec(0), tmp_path / "want")
+    for name in ("run.json", "ops.jsonl", "telemetry.csv"):
+        want = (tmp_path / "want" / name).read_bytes()
+        assert all((tmp_path / run / name).read_bytes() == want for run in runs)
+
+
 def test_console_entry_point_subprocess(tmp_path):
     spec = random_spec(4)
     manifest = write_run(spec, tmp_path / "run")
@@ -297,11 +327,11 @@ def test_only_synth_imports_the_synth_module(tmp_path, command):
     assert ("traceprof.sweep" in imported) == (command == "sweep")
 
 
-def test_package_import_loads_nothing_until_an_export_is_used():
-    code = ("import os, sys, traceprof; print('OPENBLAS_NUM_THREADS' in os.environ, "
-            "'numpy' in sys.modules, traceprof.load_run is traceprof.ingest.load_run, "
-            "all(hasattr(traceprof, name) for name in traceprof.__all__))")
-    assert _in_child(code) == ["False", "False", "True", "True"]
+def test_package_import_loads_nothing_and_leaves_the_environment_alone():
+    code = ("import os, sys; env = dict(os.environ); import traceprof; "
+            "print(os.environ == env, 'OPENBLAS_NUM_THREADS' in os.environ, "
+            "'numpy' in sys.modules, any(m.startswith('traceprof.') for m in sys.modules))")
+    assert _in_child(code) == ["True", "False", "False", "False"]
 
 
 def test_unlabeled_run_analysis_via_inference(tmp_path, capsysbinary):
@@ -336,8 +366,8 @@ def test_analyze_overlapping_labelled_steps_is_a_diagnostic(tmp_path):
         if op is first5 else op
         for op in ops
     ]
-    (tmp_path / "ops.jsonl").write_bytes(write_op_trace(tables(ops, [])[0]))
-    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(samples))
+    (tmp_path / "ops.jsonl").write_bytes(b"".join(op_trace_chunks(tables(ops, [])[0])))
+    (tmp_path / "telemetry.csv").write_bytes(b"".join(telemetry_chunks(samples)))
     manifest = tmp_path / "run.json"
     manifest.write_bytes(write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
     result = subprocess.run(
@@ -984,8 +1014,8 @@ def test_samples_on_under_half_the_period_grid_are_a_diagnostic(tmp_path):
     samples = [TelemetrySample(i * 10**12, (0.5,), float(i % 2), 1.0, 1.0, 1.0, 4.0, 100)
                for i in range(10)]
     op_table, sample_table = tables([OpEvent("a", Device.GPU, 0, 9 * 10**12 + 1)], samples)
-    (tmp_path / "ops.jsonl").write_bytes(write_op_trace(op_table))
-    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(sample_table))
+    (tmp_path / "ops.jsonl").write_bytes(b"".join(op_trace_chunks(op_table)))
+    (tmp_path / "telemetry.csv").write_bytes(b"".join(telemetry_chunks(sample_table)))
     manifest = tmp_path / "run.json"
     manifest.write_bytes(write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
     result = _run_cli("analyze", manifest)

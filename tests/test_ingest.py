@@ -23,13 +23,13 @@ from traceprof.ingest import (
     load_manifest,
     load_run,
     load_sweep_manifest,
+    op_trace_chunks,
     parse_op_trace,
     parse_report,
     parse_telemetry,
+    telemetry_chunks,
     write_manifest,
-    write_op_trace,
     write_report,
-    write_telemetry,
 )
 from traceprof.metrics import build_report
 from traceprof.model import (
@@ -469,8 +469,8 @@ def test_load_run_resolves_paths_relative_to_manifest(tmp_path):
     run = _sample_run()
     sub = tmp_path / "nested"
     sub.mkdir()
-    (sub / "ops.jsonl").write_bytes(write_op_trace(run.ops))
-    (sub / "telemetry.csv").write_bytes(write_telemetry(run.samples))
+    (sub / "ops.jsonl").write_bytes(b"".join(op_trace_chunks(run.ops)))
+    (sub / "telemetry.csv").write_bytes(b"".join(telemetry_chunks(run.samples)))
     manifest = RunManifest(run.meta, "ops.jsonl", "telemetry.csv")
     (sub / "run.json").write_bytes(write_manifest(manifest))
     loaded = load_run(sub / "run.json")
@@ -480,7 +480,7 @@ def test_load_run_resolves_paths_relative_to_manifest(tmp_path):
 
 def test_load_run_missing_telemetry_names_path(tmp_path):
     run = _sample_run()
-    (tmp_path / "ops.jsonl").write_bytes(write_op_trace(run.ops))
+    (tmp_path / "ops.jsonl").write_bytes(b"".join(op_trace_chunks(run.ops)))
     manifest = RunManifest(run.meta, "ops.jsonl", "missing.csv")
     (tmp_path / "run.json").write_bytes(write_manifest(manifest))
     with pytest.raises(ManifestError, match="missing.csv"):
@@ -489,9 +489,9 @@ def test_load_run_missing_telemetry_names_path(tmp_path):
 
 def test_load_run_collects_parse_errors(tmp_path):
     run = _sample_run()
-    bad_ops = write_op_trace(run.ops) + b"garbage line\n"
+    bad_ops = b"".join(op_trace_chunks(run.ops)) + b"garbage line\n"
     (tmp_path / "ops.jsonl").write_bytes(bad_ops)
-    (tmp_path / "telemetry.csv").write_bytes(write_telemetry(run.samples))
+    (tmp_path / "telemetry.csv").write_bytes(b"".join(telemetry_chunks(run.samples)))
     (tmp_path / "run.json").write_bytes(
         write_manifest(RunManifest(run.meta, "ops.jsonl", "telemetry.csv"))
     )

@@ -2,8 +2,9 @@
 
 A noisy run has no closed-form report, but a transform of its trace files can
 have a known effect on it. Each test writes a noisy labelled run with
-``traceprof synth``, rewrites its files, and compares the two ``traceprof
-analyze --format json`` reports, all through ``cli.main``.
+``traceprof synth``, rewrites its files (or its spec, or how they are read), and
+compares the two ``traceprof analyze --format json`` reports, all through
+``cli.main``.
 """
 
 import copy
@@ -11,12 +12,17 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import to_doc
+from traceprof import ingest
 from traceprof.cli import main
+from traceprof.synth import random_spec
 
 _SEEDS = st.integers(0, 10**6)
 _POWER = ("p_cpu_mw", "p_gpu_mw", "p_mem_mw", "p_sys_mw")
@@ -121,3 +127,51 @@ def test_stripping_the_step_labels_keeps_the_windows_within_one_interval(seed):
     assert len(_windows(unlabelled)) == len(_windows(labelled))
     for (lo, hi), (want_lo, want_hi) in zip(_windows(unlabelled), _windows(labelled)):
         assert abs(lo - want_lo) <= interval and abs(hi - want_hi) <= interval
+
+
+@settings(max_examples=15)
+@given(_SEEDS, st.randoms(use_true_random=False), st.booleans(),
+       st.sampled_from([(1, 1), (3, 7), (2, 5), (ingest._CHUNK, ingest._ROWS)]))
+def test_op_line_order_and_read_chunk_sizes_leave_the_report_bytes_unchanged(
+        seed, rng, shuffle, sizes):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = _synth(Path(tmp, "run"), seed)
+        before = _cli("analyze", manifest, "--format", "json")
+        if shuffle:
+            ops = manifest.parent / "ops.jsonl"
+            lines = ops.read_text().splitlines(keepends=True)
+            rng.shuffle(lines)
+            ops.write_text("".join(lines))
+        chunk, rows = sizes
+        with mock.patch.object(ingest, "_CHUNK", chunk), mock.patch.object(ingest, "_ROWS", rows):
+            after = _cli("analyze", manifest, "--format", "json")
+    assert after == before
+
+
+def _synth_spec(out: Path, spec) -> dict:
+    out.mkdir()
+    spec_path = out / "spec.json"
+    spec_path.write_text(json.dumps(to_doc(spec)))
+    return _report(Path(_cli("synth", "--spec", spec_path, "--out", out / "run").strip()))
+
+
+@settings(max_examples=15)
+@given(_SEEDS, st.sampled_from([0.0, 0.01, 0.05, 0.1]), st.integers(1, 6))
+def test_appending_steps_extends_per_step_and_keeps_the_utilizations(seed, noise, k):
+    spec = random_spec(seed, noise_amplitude=noise)
+    with tempfile.TemporaryDirectory() as tmp:
+        short = _synth_spec(Path(tmp, "short"), spec)
+        long = _synth_spec(Path(tmp, "long"), replace(spec, steps=spec.steps + k))
+    # The noise is drawn row by row from one seeded stream, so the first steps
+    # are the same samples in both runs.
+    for key in ("steps", "per_step"):
+        assert len(long[key]) == len(short[key]) + k
+        assert long[key][:len(short[key])] == short[key]
+    # Every sample lies within noise plus half a quantum of its phase's value,
+    # and both runs repeat the same steady-state step.
+    bound = 2 * noise + 1 / 1024
+    for key in ("cpu_avg_util", "gpu_util"):
+        assert abs(long[key] - short[key]) <= bound
+    assert len(long["per_core_util"]) == len(short["per_core_util"])
+    for a, b in zip(long["per_core_util"], short["per_core_util"]):
+        assert abs(a - b) <= bound

@@ -14,12 +14,7 @@ from oracles import (
 )
 from traceprof import ingest, model
 from traceprof.errors import TraceValidationError
-from traceprof.ingest import (
-    parse_op_trace,
-    parse_telemetry,
-    write_op_trace,
-    write_telemetry,
-)
+from traceprof.ingest import op_trace_chunks, parse_op_trace, parse_telemetry, telemetry_chunks
 from traceprof.model import (
     Device,
     Issue,
@@ -121,7 +116,7 @@ def test_non_integer_op_fields_are_rejected(field):
 ], ids=["t_half", "t_str", "mem_float", "mem_str"])
 def test_non_integer_sample_fields_are_rejected(column, cell):
     # The same for a sample's t or memory cell in the telemetry reader.
-    header, row = write_telemetry(tables([], [mk_sample(0)])[1]).decode().splitlines()
+    header, row = b"".join(telemetry_chunks(tables([], [mk_sample(0)])[1])).decode().splitlines()
     cells = row.split(",")
     cells[column] = cell
     samples, issues = parse_telemetry(f"{header}\n{','.join(cells)}\n".encode(), 2)
@@ -220,8 +215,8 @@ def runs(draw):
 
 @given(runs())
 def test_serialize_parse_round_trip(run):
-    op_bytes = write_op_trace(run.ops)
-    telemetry_bytes = write_telemetry(run.samples)
+    op_bytes = b"".join(op_trace_chunks(run.ops))
+    telemetry_bytes = b"".join(telemetry_chunks(run.samples))
     ops, op_issues = parse_op_trace(op_bytes)
     samples, telemetry_issues = parse_telemetry(telemetry_bytes, run.meta.core_count)
     assert not [i for i in op_issues if i.severity == "error"]
@@ -382,5 +377,6 @@ def test_writers_format_the_columns_as_the_per_row_oracles(ops, case, rows):
     core_count, samples = case
     op_table, sample_table = tables(ops, samples)
     with mock.patch.object(ingest, "_ROWS", rows):
-        assert write_op_trace(op_table) == write_op_trace_oracle(ops)
-        assert write_telemetry(sample_table) == write_telemetry_oracle(samples, core_count)
+        assert b"".join(op_trace_chunks(op_table)) == write_op_trace_oracle(ops)
+        assert (b"".join(telemetry_chunks(sample_table))
+                == write_telemetry_oracle(samples, core_count))

@@ -10,7 +10,7 @@ from oracles import generate_oracle, to_doc
 from traceprof import ingest
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
-from traceprof.ingest import write_op_trace, write_telemetry
+from traceprof.ingest import op_trace_chunks, telemetry_chunks
 from traceprof.metrics import build_report
 from traceprof.model import Device, OpTable, SampleTable, validate_run
 from traceprof.synth import (
@@ -83,15 +83,15 @@ def test_same_seed_gives_identical_bytes(tmp_path):
 @pytest.mark.parametrize("rows", [1, 7, 65536])
 @pytest.mark.parametrize("strip", [False, True])
 def test_synth_writes_the_writers_bytes(tmp_path, capsys, rows, strip):
-    # synth streams the files piece by piece; they must be what the
-    # whole-file writers return, for any piece size.
+    # synth streams the files piece by piece; they must be the joined pieces
+    # at the default piece size, for any piece size.
     spec = replace(random_spec(5, noise_amplitude=0.05), strip_step_ids=strip)
     _, ops, samples, _ = generate(spec)
     argv = ["synth", "--seed", "5", "--noise", "0.05", "--out", str(tmp_path)]
     with mock.patch.object(ingest, "_ROWS", rows):
         assert main(argv + ["--strip-step-ids"] * strip) == 0, capsys.readouterr().err
-    assert (tmp_path / "ops.jsonl").read_bytes() == write_op_trace(ops)
-    assert (tmp_path / "telemetry.csv").read_bytes() == write_telemetry(samples)
+    assert (tmp_path / "ops.jsonl").read_bytes() == b"".join(op_trace_chunks(ops))
+    assert (tmp_path / "telemetry.csv").read_bytes() == b"".join(telemetry_chunks(samples))
 
 
 def test_generated_traces_always_validate():
@@ -226,5 +226,5 @@ def test_generate_matches_the_per_sample_oracle():
         assert isinstance(ops, OpTable) and isinstance(samples, SampleTable)
         assert (meta, truth) == (want_meta, want_truth)
         # Bytes, not values: -0.0 == 0.0.
-        assert write_op_trace(ops) == write_op_trace(tables(want_ops, [])[0])
-        assert write_telemetry(samples) == write_telemetry(want_samples)
+        assert b"".join(op_trace_chunks(ops)) == b"".join(op_trace_chunks(tables(want_ops, [])[0]))
+        assert b"".join(telemetry_chunks(samples)) == b"".join(telemetry_chunks(want_samples))
