@@ -11,7 +11,6 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import replace
 from math import isfinite
 from pathlib import Path
 
@@ -49,7 +48,7 @@ def _load(path: str, warmup: int | None) -> Run:
     run = load_run(Path(path))
     _print_issues(run.warnings)
     if warmup is not None:
-        run = replace(run, meta=replace(run.meta, warmup_steps=warmup))
+        run = run._replace(meta=run.meta._replace(warmup_steps=warmup))
     return run
 
 
@@ -108,7 +107,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print("--seed and --noise do not apply to a --spec run", file=sys.stderr)
         return USAGE_ERROR
     if args.strip_step_ids:
-        spec = replace(spec, strip_step_ids=True)
+        spec = spec._replace(strip_step_ids=True)
     try:
         manifest_path = write_run(spec, Path(args.out))
     except OSError as exc:

@@ -13,16 +13,14 @@ op or sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .model import DEVICES, Device, Run, StepWindow
 
 
-@dataclass(frozen=True)
-class Attribution:
+class Attribution(NamedTuple):
     """Ops and step window covering one sample's timestamp."""
 
     sample_index: int

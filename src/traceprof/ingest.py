@@ -45,7 +45,8 @@ as expected, ``np.loadtxt`` tokenizes its rows; it accepts a subset of what
 and converted on its own. The chunks' columns are joined at the end.
 
 Manifests, reports, sweep results and synth specs go through one codec
-whose JSON keys are the dataclass field names. Decoding (``from_doc``)
+whose JSON keys are the field names of their records (``typing.NamedTuple``
+classes, recognised by their ``_fields``). Decoding (``from_doc``)
 type-checks every field, so a malformed manifest is one error naming the
 field. Writing (``_dump``) walks the objects itself and writes the bytes of
 ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``: strict (no
@@ -64,17 +65,16 @@ import os
 import reprlib
 import warnings
 from array import array
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import (TYPE_CHECKING, Any, BinaryIO, Iterator, Sequence, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (TYPE_CHECKING, Any, BinaryIO, Iterator, NamedTuple, Sequence, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -107,8 +107,7 @@ _WIDE_BOMS = (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE, codecs.BOM_UTF32_BE)
 _NO_SAMPLES = SampleTable(np.empty(0, np.int64), np.empty((0, 5)), np.empty(0, np.int64))
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     meta: RunMeta
     op_trace_path: str
     telemetry_path: str
@@ -288,15 +287,17 @@ def _loadtxt_rows(rows: list[str], width: int) -> tuple[np.ndarray, ...] | None:
     # as 131024) and can crash on others, so it sees ASCII only.
     if not all(map(str.isascii, rows)):
         return None
-    read = partial(np.loadtxt, rows, delimiter=",", comments=None, ndmin=2)
+    # One 8-byte field per cell, so the int and the float cells are views of one array.
+    dtype = np.dtype([("t", np.int64), *((f"v{k}", np.float64) for k in range(width - 2)),
+                      ("mem", np.int64)])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.23-1.24 only warn on "1.0" as an int
-            t, mem = read(np.int64, usecols=(0, width - 1)).T.copy()
-            values = read(np.float64, usecols=range(1, width - 1))
+            cells = np.loadtxt(rows, dtype, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    return t, values, mem
+    ints = cells.view(np.int64).reshape(-1, width)
+    return ints[:, 0], cells.view(np.float64).reshape(-1, width)[:, 1:-1], ints[:, -1]
 
 
 def _parse_rows(rows: list[str], header: list[str], col_index: dict[str, int],
@@ -449,12 +450,12 @@ def telemetry_chunks(samples: SampleTable) -> Iterator[bytes]:
 
 
 # ---------------------------------------------------------------------------
-# JSON codec: dataclass field names are the wire names
+# JSON codec: record field names are the wire names
 # ---------------------------------------------------------------------------
 
 
 class SchemaError(ValueError):
-    """A JSON document does not match the dataclass it is decoded into."""
+    """A JSON document does not match the record it is decoded into."""
 
 
 # Written into every document of these classes, nested ones included. Keyed by
@@ -496,7 +497,7 @@ def _layout(items: list[str], ends: str, indent: str) -> str:
 
 
 def _row_texts(rows: Sequence, indent: str) -> list[str] | None:
-    """The JSON text of each row, all of one dataclass, at ``indent``, from one template.
+    """The JSON text of each row, all of one record class, at ``indent``, from one template.
 
     Each field's values are formatted as one column, then filled into the rows'
     template. None, for the row-by-row path, unless the class has no header and
@@ -507,7 +508,7 @@ def _row_texts(rows: Sequence, indent: str) -> list[str] | None:
     if cls.__name__ in _HEADERS:
         return None
     lines, slots = [], []
-    for name in sorted(f.name for f in fields(cls)):
+    for name in sorted(cls._fields):
         col = list(map(attrgetter(name), rows))
         kinds, first = set(map(type, col)), col[0]
         if kinds <= _TEXT.keys():
@@ -536,9 +537,9 @@ def _row_texts(rows: Sequence, indent: str) -> list[str] | None:
 def _pieces(obj: Any, indent: str) -> Iterator[str]:
     """The JSON text of ``obj``, its last line at ``indent``, in pieces.
 
-    A dataclass is its fields plus its header. Keys are sorted and nesting is
+    A record is its fields plus its header. Keys are sorted and nesting is
     indented by 2, as ``json.dumps(..., sort_keys=True, indent=2)`` writes
-    them. A list of dataclass rows goes ``_BATCH`` rows a piece.
+    them. A list of record rows goes ``_BATCH`` rows a piece.
     """
     cls, inner = type(obj), indent + "  "
     if cls in _TEXT:
@@ -548,7 +549,7 @@ def _pieces(obj: Any, indent: str) -> Iterator[str]:
         if kinds <= _TEXT.keys():
             yield _layout(_texts(list(obj)), "[]", indent)
             return
-        rows = len(kinds) == 1 and is_dataclass(obj[0])
+        rows = len(kinds) == 1 and hasattr(obj[0], "_fields")
         sep = "[\n" + inner
         for lo in range(0, len(obj), _BATCH):
             batch = obj[lo:lo + _BATCH]
@@ -562,8 +563,8 @@ def _pieces(obj: Any, indent: str) -> Iterator[str]:
                 yield sep + (",\n" + inner).join(texts)
                 sep = ",\n" + inner
         yield "\n" + indent + "]"
-    else:  # a dict or a dataclass
-        items = obj.items() if cls is dict else [*vars(obj).items(),
+    else:  # a dict or a record
+        items = obj.items() if cls is dict else [*zip(cls._fields, obj),
                                                  *_HEADERS.get(cls.__name__, {}).items()]
         sep = "{\n" + inner
         for key, value in sorted(items):
@@ -590,10 +591,7 @@ def _dump(obj: Any) -> bytes:
 def _field_types(cls: type) -> tuple[tuple[str, Any, bool], ...]:
     """(name, resolved type, has a default) per field, resolved once per class."""
     hints = get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name], f.default is not MISSING or f.default_factory is not MISSING)
-        for f in fields(cls)
-    )
+    return tuple((name, hints[name], name in cls._field_defaults) for name in cls._fields)
 
 
 def _mismatch(path: str, expected: str, value: Any) -> SchemaError:
@@ -603,10 +601,10 @@ def _mismatch(path: str, expected: str, value: Any) -> SchemaError:
 def from_doc(tp: Any, value: Any, path: str) -> Any:
     """Decode a JSON value into type ``tp``, checking every field's type.
 
-    Handles dataclasses, ``X | None``, ``tuple[T, ...]``, fixed tuples,
+    Handles records, ``X | None``, ``tuple[T, ...]``, fixed tuples,
     ``dict[str, T]``, Enums and int/float/str/bool. A bool is never a number
     and an int is accepted as a float. Unknown keys are ignored; a key may
-    be absent only where the dataclass gives a default. Raises SchemaError
+    be absent only where the record gives a default. Raises SchemaError
     naming the path of the first mismatch.
     """
     if tp in _SCALARS:
@@ -636,7 +634,7 @@ def from_doc(tp: Any, value: Any, path: str) -> Any:
             raise _mismatch(path, "an object", value)
         item_tp = get_args(tp)[1]
         return {k: from_doc(item_tp, v, f"{path}[{k!r}]") for k, v in value.items()}
-    if is_dataclass(tp):
+    if hasattr(tp, "_fields"):  # a record
         if not isinstance(value, dict):
             raise _mismatch(path, "an object", value)
         kwargs = {}
@@ -727,7 +725,7 @@ def load_run(manifest_path: Path | str) -> Run:
         run = validate_run(manifest.meta, ops, samples, manifest.memory_breakdown)
     except TraceValidationError as exc:  # the parse warnings still come first
         raise TraceValidationError(warnings + exc.issues) from None
-    return replace(run, warnings=warnings + run.warnings)
+    return run._replace(warnings=warnings + run.warnings)
 
 
 def load_sweep_manifest(path: Path | str) -> tuple[str, list[Path]]:

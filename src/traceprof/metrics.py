@@ -30,10 +30,10 @@ with no object per window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from math import fsum, inf
 from operator import truediv
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,23 +46,20 @@ from .steps import PeriodEstimate, PredictabilityScore
 Window = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RailShare:
+class RailShare(NamedTuple):
     rail: str
     mean_mw: float
     share_of_sys: float
 
 
-@dataclass(frozen=True)
-class OpAggregate:
+class OpAggregate(NamedTuple):
     count: int
     busy_time_us: int
     attributed_samples: int
     below_sampling_resolution: bool
 
 
-@dataclass(frozen=True)
-class StepMetrics:
+class StepMetrics(NamedTuple):
     step_id: int
     is_warmup: bool
     start_us: int
@@ -75,8 +72,7 @@ class StepMetrics:
     throughput_samples_per_sec: float
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     run_id: str
     batch_size: int
     core_count: int
@@ -101,8 +97,7 @@ class MetricReport:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _Windows:
+class _Windows(NamedTuple):
     """Exact sums over the samples of each window, as columns: row k is the k-th window's."""
 
     nonempty: np.ndarray  # bool: the window holds a sample

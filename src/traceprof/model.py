@@ -22,9 +22,9 @@ row views only; ``validate_run`` takes the tables, not lists of them.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class Device(Enum):
     GPU = "GPU"
 
 
-@dataclass(frozen=True)
-class OpEvent:
+class OpEvent(NamedTuple):
     """One recorded operation instance with its start/end timestamps."""
 
     op_name: str
@@ -50,8 +49,7 @@ class OpEvent:
     step_id: int | None = None
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
+class TelemetrySample(NamedTuple):
     """One periodic snapshot of utilization, power rails and memory footprint."""
 
     t: Micros
@@ -67,19 +65,33 @@ class TelemetrySample:
 class _Table(Sequence):
     """Read-only numpy columns, one row per item.
 
-    A subclass is a frozen dataclass that names its array fields in
-    ``_columns`` and builds its items in ``__iter__``. ``self[i]`` is the
-    one item of ``self.take([i])``; a slice is a table. Tables are equal
-    when their items are.
+    A subclass names its fields in ``_fields``, the array columns
+    (``_columns``) first, and builds its items in ``__iter__``. A table is
+    built from its fields by position or keyword; its columns are then
+    read-only, and no attribute can be assigned. It is not a tuple, because
+    ``len`` counts its rows. ``self[i]`` is the one item of
+    ``self.take([i])``; a slice is a table. Tables are equal when their
+    items are.
     """
 
-    def __post_init__(self) -> None:
+    _fields: tuple[str, ...]
+    _columns: tuple[str, ...]
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(values)
         for col in self._columns:
-            getattr(self, col).flags.writeable = False
+            values[col].flags.writeable = False
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only table")
 
     def take(self, rows):
         """The table of the given rows, in that order."""
-        return replace(self, **{col: getattr(self, col)[rows] for col in self._columns})
+        return type(self)(**{**vars(self), **{col: getattr(self, col)[rows]
+                                               for col in self._columns}})
 
     def __len__(self) -> int:
         return len(getattr(self, self._columns[0]))
@@ -103,7 +115,6 @@ RAILS = ("cpu", "gpu", "mem", "sys")
 DEVICES = (Device.CPU, Device.GPU)
 
 
-@dataclass(frozen=True, eq=False)
 class OpTable(_Table):
     """Ops as columns; a ``Sequence[OpEvent]`` whose ``self[i]`` is row i.
 
@@ -122,6 +133,7 @@ class OpTable(_Table):
     names: tuple[str, ...]
     layers: tuple[str | None, ...]
     _columns = ("start", "end", "device", "step", "has_step", "name", "layer")
+    _fields = (*_columns, "names", "layers")
 
     def __iter__(self) -> Iterator[OpEvent]:
         names, layers = self.names, self.layers
@@ -133,7 +145,6 @@ class OpTable(_Table):
                           step if has_step else None)
 
 
-@dataclass(frozen=True, eq=False)
 class SampleTable(_Table):
     """Samples as columns; a ``Sequence[TelemetrySample]`` whose ``self[i]`` is row i.
 
@@ -144,7 +155,7 @@ class SampleTable(_Table):
     t: np.ndarray  # int64 us
     values: np.ndarray  # float64, one row of core_count + 5 values per sample
     mem: np.ndarray  # int64 bytes
-    _columns = ("t", "values", "mem")
+    _columns = _fields = ("t", "values", "mem")
 
     @property
     def core_count(self) -> int:
@@ -156,8 +167,7 @@ class SampleTable(_Table):
             yield TelemetrySample(t, tuple(row[:c]), *row[c:], mem)
 
 
-@dataclass(frozen=True)
-class RunMeta:
+class RunMeta(NamedTuple):
     run_id: str
     batch_size: int
     core_count: int
@@ -166,8 +176,7 @@ class RunMeta:
     warmup_steps: int = 3
 
 
-@dataclass(frozen=True)
-class StepWindow:
+class StepWindow(NamedTuple):
     """A training-step interval; treated half-open [start_us, end_us)."""
 
     step_id: int
@@ -180,8 +189,7 @@ class StepWindow:
         return self.end_us - self.start_us
 
 
-@dataclass(frozen=True)
-class MemoryBreakdown:
+class MemoryBreakdown(NamedTuple):
     """Reported byte split of training memory; absent fields mean unreported."""
 
     parameters_bytes: int | None = None
@@ -190,19 +198,10 @@ class MemoryBreakdown:
     intermediate_bytes: int | None = None
 
     def total_bytes(self) -> int | None:
-        parts = (
-            self.parameters_bytes,
-            self.gradients_bytes,
-            self.input_bytes,
-            self.intermediate_bytes,
-        )
-        if any(p is None for p in parts):
-            return None
-        return sum(parts)  # type: ignore[arg-type]
+        return None if None in self else sum(self)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     """One diagnostic produced while parsing or validating a trace."""
 
     code: str
@@ -211,8 +210,7 @@ class Issue:
     line_no: int | None = None
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """A validated, immutable run: sorted ops and samples plus metadata."""
 
     meta: RunMeta
@@ -351,7 +349,8 @@ def validate_run(
     issues: list[Issue] = []
     _check_meta(meta, issues)
     breakdown = memory_breakdown or MemoryBreakdown()
-    bad_bytes = {f: v for f, v in vars(breakdown).items() if v is not None and not 0 <= v < 2**63}
+    bad_bytes = {f: v for f, v in zip(breakdown._fields, breakdown)
+                 if v is not None and not 0 <= v < 2**63}
     for field, value in bad_bytes.items():
         bound = f">= 0, got {value}" if value < 0 else "< 2**63"
         issues.append(Issue("InvalidMeta", f"memory_breakdown.{field} must be {bound}"))

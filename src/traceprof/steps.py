@@ -17,9 +17,8 @@ rows, which groups the equal ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,15 +34,13 @@ PERIOD_CONFIDENCE_THRESHOLD = 0.5
 _MIN_SAMPLES = 8
 
 
-@dataclass(frozen=True)
-class PeriodEstimate:
+class PeriodEstimate(NamedTuple):
     period_us: int
     confidence: float
     method: str  # "explicit" | "autocorrelation"
 
 
-@dataclass(frozen=True)
-class PredictabilityScore:
+class PredictabilityScore(NamedTuple):
     signal: str
     mean_pairwise_correlation: float
     per_step_pairs: int

@@ -10,9 +10,8 @@ capacity fails in practice due to system reservations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DuplicateBatchSize, MissingEnergy
 from .metrics import MetricReport
@@ -25,14 +24,12 @@ PROPORTIONAL = "proportional"
 SUPER_PROPORTIONAL = "super_proportional"
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     batch_size: int
     report: MetricReport
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     batch_size: int
     verdict: str  # "fits" | "out_of_memory"
     peak_mem_bytes: int
@@ -40,8 +37,7 @@ class FeasibilityVerdict:
     memory_breakdown: MemoryBreakdown | None
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     model: str
     points: tuple[SweepPoint, ...]
     batch_ratio: float

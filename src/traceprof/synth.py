@@ -21,10 +21,9 @@ fraction -> percent -> fraction round trip bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from math import fsum, inf, isfinite
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -51,8 +50,7 @@ def quantize_util(value: np.ndarray | float) -> np.ndarray | float:
     return np.minimum(np.maximum(np.round(value * _UTIL_GRID) / _UTIL_GRID, 0.0), 1.0) + 0.0
 
 
-@dataclass(frozen=True)
-class PhaseSpec:
+class PhaseSpec(NamedTuple):
     """One phase of a step: constant utilization, power and memory profile."""
 
     duration_fraction: float
@@ -67,8 +65,7 @@ class PhaseSpec:
     op_device: Device = Device.GPU
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(NamedTuple):
     steps: int
     step_duration_us: int
     batch_size: int
@@ -84,8 +81,7 @@ class SynthSpec:
     run_id: str = "synth"
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     """Closed-form expected metrics for a spec's noiseless profile."""
 
     per_core_util: tuple[float, ...]
@@ -150,8 +146,7 @@ def _phase_sample_counts(spec: SynthSpec) -> list[int]:
 
 def _quantized_phases(spec: SynthSpec) -> tuple[PhaseSpec, ...]:
     return tuple(
-        replace(
-            p,
+        p._replace(
             cpu_core_util=tuple(quantize_util(np.array(p.cpu_core_util)).tolist()),
             gpu_util=float(quantize_util(p.gpu_util)),
         )
@@ -212,7 +207,7 @@ def generate(spec: SynthSpec) -> tuple[RunMeta, OpTable, SampleTable, GroundTrut
     with explicit step ids unless ``strip_step_ids`` is set (which exercises
     period inference downstream).
     """
-    meta = RunMeta(**{f.name: getattr(spec, f.name) for f in fields(RunMeta)})
+    meta = RunMeta(**{name: getattr(spec, name) for name in RunMeta._fields})
     issues = []
     _check_meta(meta, issues)
     if issues:

@@ -56,6 +56,24 @@ def tables(ops, samples):
     return op_table, sample_table
 
 
+def assert_same_types(got, want, path="doc"):
+    """``got`` has ``want``'s type at every node of its tree.
+
+    A record is a NamedTuple, and tuple ``==`` ignores the class, so a decoder
+    that built plain tuples or the wrong record would still compare equal.
+    """
+    assert type(got) is type(want), f"{path}: {type(got).__name__}, not {type(want).__name__}"
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_same_types(got[key], want[key], f"{path}[{key!r}]")
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), path
+        names = getattr(want, "_fields", range(len(want)))
+        for name, g, w in zip(names, got, want):
+            assert_same_types(g, w, f"{path}.{name}")
+
+
 def window_sums(run, window=None, threshold=0.0):
     """Every time-weighted metric of the run's samples with t in ``window``, or of all.
 

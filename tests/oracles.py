@@ -7,7 +7,6 @@ implementations under test.
 
 import codecs
 import json
-from dataclasses import is_dataclass, replace
 from enum import Enum
 from math import isfinite
 
@@ -28,15 +27,18 @@ _HEADERS = {
 
 
 def to_doc(obj):
-    """JSON-ready values: a dataclass becomes its fields plus its header, an Enum its value."""
+    """JSON-ready values: a record becomes its fields plus its header, an Enum its value.
+
+    A record (a NamedTuple, which has ``_fields``) is a tuple too, so it is tested for first.
+    """
+    if hasattr(obj, "_fields"):
+        return {**{k: to_doc(v) for k, v in obj._asdict().items()}, **_HEADERS.get(type(obj), {})}
     if isinstance(obj, (tuple, list)):
         return [to_doc(x) for x in obj]
     if isinstance(obj, dict):
         return {k: to_doc(v) for k, v in obj.items()}
     if isinstance(obj, Enum):
         return obj.value
-    if is_dataclass(obj):
-        return {**{k: to_doc(v) for k, v in vars(obj).items()}, **_HEADERS.get(type(obj), {})}
     return obj
 
 
@@ -491,8 +493,8 @@ def generate_oracle(spec):
     """
     counts = _phase_sample_counts(spec)
     phases = tuple(
-        replace(p, cpu_core_util=tuple(_quantize_util_oracle(u) for u in p.cpu_core_util),
-                gpu_util=_quantize_util_oracle(p.gpu_util))
+        p._replace(cpu_core_util=tuple(_quantize_util_oracle(u) for u in p.cpu_core_util),
+                   gpu_util=_quantize_util_oracle(p.gpu_util))
         for p in spec.phases
     )
     truth = _ground_truth(spec, phases, counts)

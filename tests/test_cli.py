@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -113,7 +112,7 @@ def test_analyze_table_output(run_dir, capsys):
 
 def test_analyze_propagates_failures(tmp_path, capsys):
     spec = random_spec(3)
-    spec = replace(spec, warmup_steps=spec.steps)  # every step is warmup
+    spec = spec._replace(warmup_steps=spec.steps)  # every step is warmup
     manifest = write_run(spec, tmp_path / "run")
     assert main(["analyze", str(manifest), "--format", "json"]) == 1
     assert "error" in capsys.readouterr().err
@@ -189,8 +188,8 @@ def test_sweep_table_rows_follow_the_json_result(tmp_path, capsys):
     specs = [_throughput_spec(16, 300_000, 10_000), _throughput_spec(4, 100_000, 10_000),
              _throughput_spec(8, 160_000, 10_000)]
     # Batch 16 peaks at 9 GB, above the default capacity of 8 GiB.
-    specs[0] = replace(specs[0], phases=(replace(specs[0].phases[0], mem_bytes=9 * GB),
-                                         *specs[0].phases[1:]))
+    specs[0] = specs[0]._replace(phases=(specs[0].phases[0]._replace(mem_bytes=9 * GB),
+                                          *specs[0].phases[1:]))
     path = _write_sweep(tmp_path, [(spec, None) for spec in specs])
     assert main(["sweep", str(path), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -242,7 +241,7 @@ def test_synth_spec_keeps_strip_step_ids(tmp_path, capsys):
     spec_path.write_text(json.dumps(to_doc(spec)))
     argv = ["synth", "--spec", str(spec_path), "--strip-step-ids", "--out", str(tmp_path / "a")]
     assert main(argv) == 0, capsys.readouterr().err
-    write_run(replace(spec, strip_step_ids=True), tmp_path / "b")
+    write_run(spec._replace(strip_step_ids=True), tmp_path / "b")
     for name in ("run.json", "ops.jsonl", "telemetry.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert b'"step"' not in (tmp_path / "a" / "ops.jsonl").read_bytes()
@@ -323,6 +322,7 @@ def test_only_synth_imports_the_synth_module(tmp_path, command):
     assert result.returncode == 0, result.stderr
     assert {"traceprof.cli", "traceprof.ingest"} <= imported
     assert "traceprof.synth" not in imported
+    assert "dataclasses" not in imported  # records are NamedTuples
     # Only sweep imports the sweep module.
     assert ("traceprof.sweep" in imported) == (command == "sweep")
 
@@ -357,7 +357,7 @@ def test_unlabeled_run_analysis_via_inference(tmp_path, capsysbinary):
 
 
 def test_analyze_overlapping_labelled_steps_is_a_diagnostic(tmp_path):
-    meta, ops, samples, _ = generate(replace(_throughput_spec(4, 100_000, 10_000), steps=7))
+    meta, ops, samples, _ = generate(_throughput_spec(4, 100_000, 10_000)._replace(steps=7))
     ops = list(ops)
     step4_end = max(op.end for op in ops if op.step_id == 4)
     first5 = min((op for op in ops if op.step_id == 5), key=lambda op: op.start)
@@ -637,14 +637,14 @@ def test_invalid_synth_spec_leaves_no_directory(tmp_path, capsys):
     assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "cli")]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error: seed must be >= 0"
     with pytest.raises(InvalidSpec):
-        write_run(replace(random_spec(1), warmup_steps=20), tmp_path / "lib")
+        write_run(random_spec(1)._replace(warmup_steps=20), tmp_path / "lib")
     assert list(tmp_path.iterdir()) == []
 
 
 @cache
 def _fuzz_base(strip_step_ids):
     """(manifest, op lines, telemetry lines) of a small noisy synth run."""
-    spec = replace(random_spec(2, noise_amplitude=0.05), strip_step_ids=strip_step_ids)
+    spec = random_spec(2, noise_amplitude=0.05)._replace(strip_step_ids=strip_step_ids)
     breakdown = MemoryBreakdown(10**6, 10**6, 10**4, 10**5)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = write_run(spec, tmp, memory_breakdown=breakdown)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
@@ -162,7 +161,7 @@ def test_report_attribution_counts_match_attribute_samples():
 def test_report_attribution_counts_match_attribute_samples_on_random_runs():
     for seed in range(20):
         labelled = _random_case(seed, n_ops=40, n_samples=60, span=1_000)
-        run = mk_run(list(labelled.samples), [replace(op, step_id=0) for op in labelled.ops],
+        run = mk_run(list(labelled.samples), [op._replace(step_id=0) for op in labelled.ops],
                      interval=1)
         expected = {op.op_name: 0 for op in run.ops}
         for attribution in attribute_samples(run):

@@ -11,7 +11,6 @@ Regenerate the expected files, after a deliberate output change only, with
 
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -43,8 +42,7 @@ _LONG = SynthSpec(
 
 
 def _sweep_spec(batch: int, samples_per_step: int, seed: int) -> SynthSpec:
-    return replace(
-        _LONG,
+    return _LONG._replace(
         steps=12,
         step_duration_us=samples_per_step * 1_000,
         batch_size=batch,
@@ -71,7 +69,7 @@ def _sweep_case(root: Path) -> list[str]:
     return ["sweep", str(manifest), "--format", "json"]
 
 
-_NOISY = replace(_LONG, noise_amplitude=0.05)
+_NOISY = _LONG._replace(noise_amplitude=0.05)
 
 CASES = {
     "analyze_noiseless": _analyze_case(_LONG),

@@ -12,7 +12,6 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -161,7 +160,7 @@ def test_appending_steps_extends_per_step_and_keeps_the_utilizations(seed, noise
     spec = random_spec(seed, noise_amplitude=noise)
     with tempfile.TemporaryDirectory() as tmp:
         short = _synth_spec(Path(tmp, "short"), spec)
-        long = _synth_spec(Path(tmp, "long"), replace(spec, steps=spec.steps + k))
+        long = _synth_spec(Path(tmp, "long"), spec._replace(steps=spec.steps + k))
     # The noise is drawn row by row from one seeded stream, so the first steps
     # are the same samples in both runs.
     for key in ("steps", "per_step"):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from math import fsum
 
 import pytest
@@ -327,7 +326,7 @@ def test_build_report_rejects_given_windows_without_an_analysis_window():
     # A warmup override at or past the step count leaves every resolved window warmup.
     run = _stepped_run(n_steps=4, step_us=100_000, batch=4, warmup=1)
     for warmup in (4, 5):
-        overridden = replace(run, meta=replace(run.meta, warmup_steps=warmup))
+        overridden = run._replace(meta=run.meta._replace(warmup_steps=warmup))
         with pytest.raises(NoSamplesInWindow, match="^all step windows are warmup; nothing"):
             build_report(overridden)
 

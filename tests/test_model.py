@@ -21,6 +21,7 @@ from traceprof.model import (
     MemoryBreakdown,
     OpEvent,
     RunMeta,
+    SampleTable,
     TelemetrySample,
     validate_run,
 )
@@ -336,6 +337,16 @@ def test_sample_table_row_views(case):
     assert list(table[1:-1]) == samples[1:-1] and list(table[::-2]) == samples[::-2]
     with pytest.raises(IndexError):
         table[len(samples)]
+    # Fields bind by position or keyword; every table's columns are read-only.
+    assert SampleTable(mem=table.mem, t=table.t, values=table.values) == table
+    for view in (table, table[::2]):
+        assert not any(getattr(view, col).flags.writeable for col in view._columns)
+    with pytest.raises(AttributeError):
+        table.t = table.t
+    for args, kwargs in [((table.t, table.values), {}), ((table.t,), {"t": table.t}),
+                         ((table.t, table.values, table.mem), {"names": ()})]:
+        with pytest.raises(TypeError):
+            SampleTable(*args, **kwargs)
 
 
 def _validated(meta, samples):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import fsum
 
 import pytest
@@ -269,9 +268,9 @@ def _sweep_point(batch, d):
     report = mk_report(batch, tput=d["tput"], gpu=d["gpu"], cpu=d["cpu"], peak=d["peak"],
                        breakdown=d["breakdown"], n_steps=steps, warmup=d["warmup"])
     energies = [d["warmup_j"]] * d["warmup"] + d["energies"]
-    per_step = tuple(replace(m, energy_by_rail_joules={**m.energy_by_rail_joules, "sys": j})
+    per_step = tuple(m._replace(energy_by_rail_joules={**m.energy_by_rail_joules, "sys": j})
                      for m, j in zip(report.per_step, energies))
-    return SweepPoint(batch, replace(report, per_step=per_step))
+    return SweepPoint(batch, report._replace(per_step=per_step))
 
 
 @st.composite
@@ -328,7 +327,7 @@ def test_every_field_is_its_closed_form_from_the_endpoints(points):
 @given(sweep_points(), st.data())
 def test_duplicate_batch_is_reported_before_missing_energy(points, data):
     # Every run lacks step energy, so any check of energy would fail first.
-    starved = [SweepPoint(p.batch_size, replace(p.report, per_step=())) for p in points]
+    starved = [SweepPoint(p.batch_size, p.report._replace(per_step=())) for p in points]
     twin = data.draw(st.sampled_from(starved))
     shuffled = data.draw(st.permutations(starved + [twin]))
     with pytest.raises(DuplicateBatchSize, match=f"^duplicate batch size {twin.batch_size} "):

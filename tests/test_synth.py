@@ -1,11 +1,10 @@
 import json
 import math
-from dataclasses import replace
 from unittest import mock
 
 import pytest
 
-from conftest import tables
+from conftest import assert_same_types, tables
 from oracles import generate_oracle, to_doc
 from traceprof import ingest
 from traceprof.cli import main
@@ -85,7 +84,7 @@ def test_same_seed_gives_identical_bytes(tmp_path):
 def test_synth_writes_the_writers_bytes(tmp_path, capsys, rows, strip):
     # synth streams the files piece by piece; they must be the joined pieces
     # at the default piece size, for any piece size.
-    spec = replace(random_spec(5, noise_amplitude=0.05), strip_step_ids=strip)
+    spec = random_spec(5, noise_amplitude=0.05)._replace(strip_step_ids=strip)
     _, ops, samples, _ = generate(spec)
     argv = ["synth", "--seed", "5", "--noise", "0.05", "--out", str(tmp_path)]
     with mock.patch.object(ingest, "_ROWS", rows):
@@ -193,10 +192,12 @@ def _kw(spec):
 
 def test_spec_dict_round_trip():
     spec = _two_phase_spec()
-    assert spec_from_dict(to_doc(spec)) == spec
+    assert spec_from_dict(to_doc(spec)) == spec  # its int powers decode as floats
     for seed in range(6):
         spec = random_spec(seed, noise_amplitude=0.05 * (seed % 2))
-        assert spec_from_dict(json.loads(json.dumps(to_doc(spec)))) == spec
+        decoded = spec_from_dict(json.loads(json.dumps(to_doc(spec))))
+        assert decoded == spec
+        assert_same_types(decoded, spec)
 
 
 def test_strip_step_ids_removes_labels():
@@ -207,7 +208,7 @@ def test_strip_step_ids_removes_labels():
 
 def test_generate_matches_the_per_sample_oracle():
     specs = [
-        replace(random_spec(seed, noise_amplitude=noise), strip_step_ids=strip)
+        random_spec(seed, noise_amplitude=noise)._replace(strip_step_ids=strip)
         for seed in range(30) for noise in (0.0, 0.05, 0.2, 0.45) for strip in (False, True)
     ]
     # Zero utilizations, a zero and a -0.0 power rail under full-scale noise: the
