@@ -19,9 +19,10 @@ Parsers never lose records: every non-blank record line becomes either a
 parsed item or a line-numbered diagnostic. Unknown extra columns/keys are
 ignored with a warning for forward compatibility. The op trace and the
 telemetry are parsed straight into the columns of a ``model.OpTable`` and a
-``model.SampleTable`` (one row per valid line, in file order), without an
-object per op or sample. A timestamp, step or ``mem_bytes`` value outside
-the int64 range is a diagnostic on its line.
+``model.SampleTable`` (one row per valid line, samples in file order and ops
+in run order, each column sorted in turn), without an object per op or
+sample. Diagnostics keep their line numbers. A timestamp, step or
+``mem_bytes`` value outside the int64 range is a diagnostic on its line.
 
 Each parser reads its input, bytes or an open binary file, once and in line
 chunks, so no reader holds the whole file's bytes, text or line list. A chunk
@@ -89,6 +90,7 @@ from .model import (
     Run,
     RunMeta,
     SampleTable,
+    _op_order,
     validate_run,
 )
 
@@ -240,9 +242,10 @@ def _line_chunks(stream: BinaryIO, size: int) -> Iterator[tuple[int, list[str]]]
 def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
     """Parse a line-delimited op trace, given as bytes or a binary file.
 
-    Returns (ops in file order, diagnostics). Each valid line becomes one row
-    of the op columns; no per-op object is built. A file that starts with a
-    UTF-16 or UTF-32 byte-order mark has no rows and one diagnostic.
+    Returns (ops in ``model.validate_run``'s run order, diagnostics). Each
+    valid line becomes one row of the op columns; no per-op object is built.
+    A file that starts with a UTF-16 or UTF-32 byte-order mark has no rows
+    and one diagnostic.
     """
     columns = [array(code) for code in "qqbqbii"]  # growable, in OpTable field order
     start, end, device, step, has_step, name_code, layer_code = columns
@@ -272,8 +275,14 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
     if not start and not issues:  # every non-blank line is a row or has an error
         issues.append(Issue("EmptyTrace", "op trace has no records", line_no=0))
     dtypes = (np.int64, np.int64, np.int8, np.int64, np.bool_, np.int32, np.int32)
-    arrays = (np.frombuffer(col, dtype) for col, dtype in zip(columns, dtypes))
-    return OpTable(*arrays, names=tuple(names), layers=tuple(layers)), issues
+    arrays = [np.frombuffer(col, dtype) for col, dtype in zip(columns, dtypes)]
+    del columns, start, end, device, step, has_step, name_code, layer_code
+    names, layers = tuple(names), tuple(layers)
+    order = _op_order(OpTable(*arrays, names=names, layers=layers))
+    if (order[1:] < order[:-1]).any():  # else the sorted order is the identity
+        for i, col in enumerate(arrays):  # a buffer goes when its permuted copy replaces it
+            arrays[i] = col[order]
+    return OpTable(*arrays, names=names, layers=layers), issues
 
 
 def _telemetry_columns(core_count: int) -> list[str]:

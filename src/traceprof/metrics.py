@@ -180,12 +180,14 @@ def _per_op_aggregates(run: Run) -> dict[str, OpAggregate]:
     # int64 (object ints if busy time could pass 2**63).
     ops, t = run.ops, run.samples.t
     n = len(ops.names)
-    inside = np.searchsorted(t, ops.end) - np.searchsorted(t, ops.start)
     busy_us = ops.end - ops.start
     if busy_us.sum(dtype=np.float64) >= 2.0**62:
         busy_us = busy_us.astype(object)
     busy = np.zeros(n, busy_us.dtype)
     np.add.at(busy, ops.name, busy_us)
+    del busy_us  # each n-length temporary goes before the next comes
+    inside = np.searchsorted(t, ops.end)
+    inside -= np.searchsorted(t, ops.start)
     attributed = np.zeros(n, np.int64)
     np.add.at(attributed, ops.name, inside)
     count = np.bincount(ops.name, minlength=n)

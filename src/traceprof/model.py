@@ -235,12 +235,24 @@ def _op_order(ops: OpTable) -> np.ndarray:
     """Stable row order by start, end, name, device, step, layer.
 
     A missing step sorts as -1 and a missing layer as "", so rows that tie
-    on every key keep their input order.
+    on every key keep their input order. One sort by start and end orders
+    the rows; only the rows that tie on both are then sorted by every key.
     """
-    layer_rank = _ranks([layer or "" for layer in ops.layers])[ops.layer]
-    step = np.where(ops.has_step, ops.step, -1)
-    name_rank = _ranks(ops.names)[ops.name]
-    return np.lexsort((layer_rank, step, ops.device, name_rank, ops.end, ops.start))
+    order = np.lexsort((ops.end, ops.start))
+    key = ops.start[order]
+    tied = key[1:] == key[:-1]
+    np.take(ops.end, order, out=key, mode="clip")  # "raise" would buffer a copy
+    tied &= key[1:] == key[:-1]
+    del key
+    if tied.any():
+        at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+        rows = order[at]
+        layer_rank = _ranks([layer or "" for layer in ops.layers])[ops.layer[rows]]
+        step = np.where(ops.has_step[rows], ops.step[rows], -1)
+        name_rank = _ranks(ops.names)[ops.name[rows]]
+        order[at] = rows[np.lexsort((layer_rank, step, ops.device[rows], name_rank,
+                                     ops.end[rows], ops.start[rows]))]
+    return order
 
 
 def _sample_order(samples: SampleTable) -> np.ndarray:
@@ -344,7 +356,7 @@ def validate_run(
     breakdown/peak mismatch) become warnings attached to the returned Run.
     Validating the pieces of an already-validated Run returns an equal Run.
     Ops and samples are tables, as ``ingest.load_run`` and ``synth.generate``
-    build them; each issue names its row in sorted order.
+    build them; each issue names its row in sorted order. A sorted table is kept, not copied.
     """
     issues: list[Issue] = []
     _check_meta(meta, issues)
@@ -357,7 +369,8 @@ def validate_run(
     if not samples or not ops:
         issues.append(Issue("EmptyTrace", "run needs at least one op and one sample"))
 
-    ops = ops.take(_op_order(ops))
+    order = _op_order(ops)
+    ops = ops.take(order) if (order[1:] < order[:-1]).any() else ops  # no copy if sorted
     _check_ops(ops, issues)
 
     if not (samples.t[1:] > samples.t[:-1]).all():  # else the sorted order is the identity

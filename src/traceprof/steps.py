@@ -220,8 +220,10 @@ def resolve_steps_and_period(
         windows = tuple(StepWindow(i, start + i * period, start + (i + 1) * period, i < warmup)
                         for i in range(count))
         return windows, estimate
-    labelled = np.flatnonzero(ops.has_step)
-    labelled = labelled[np.argsort(ops.step[labelled], kind="stable")]
+    labelled = slice(None)  # every op, already in step order: columns as views, no gather
+    if not (ops.has_step.all() and (ops.step[1:] >= ops.step[:-1]).all()):
+        labelled = np.flatnonzero(ops.has_step)
+        labelled = labelled[np.argsort(ops.step[labelled], kind="stable")]
     step_ids = ops.step[labelled]
     heads = np.flatnonzero(np.r_[True, step_ids[1:] != step_ids[:-1]])
     ids = step_ids[heads].tolist()

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -54,6 +55,31 @@ def tables(ops, samples):
                                np.array(rows, np.float64).reshape(-1, width),
                                np.array([s.mem_used_bytes for s in samples], np.int64))
     return op_table, sample_table
+
+
+def two_stream_ops(n):
+    """n labelled ops in run order on two streams: a GPU op every 10 us, a CPU op 3 us
+    after each, 30 of each per step."""
+    k = np.arange(n, dtype=np.int64)
+    start = k // 2 * 10 + k % 2 * 3
+    return OpTable(start, start + 8, (k % 2 == 0).astype(np.int8), k // 60, np.ones(n, bool),
+                   (k % 7).astype(np.int32), np.zeros(n, np.int32),
+                   tuple(f"op{i}" for i in range(7)), ("l0",))
+
+
+def table_bytes(table):
+    return sum(getattr(table, col).nbytes for col in table._columns)
+
+
+def traced_peak(call, *args):
+    """The result of ``call(*args)`` and the most memory tracemalloc saw it hold at once."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def assert_same_types(got, want, path="doc"):

@@ -403,6 +403,13 @@ def sort_ops_oracle(ops):
     return sorted(ops, key=_op_sort_key)
 
 
+def op_order_oracle(ops):
+    """The row indices of an OpTable in run order: a stable sort of its rows on the tuple
+    key start, end, name, device, step (-1 if missing), layer ("" if missing)."""
+    rows = list(ops)
+    return sorted(range(len(rows)), key=lambda i: _op_sort_key(rows[i]))
+
+
 def validate_ops_oracle(ops):
     """(sorted ops, op errors, duplicate-op warnings) as validation reports them, by loops."""
     ordered = sort_ops_oracle(ops)

@@ -9,11 +9,14 @@ import tempfile
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_same_types, mk_run, mk_sample, tables
-from oracles import dump_oracle, parse_op_trace_oracle, parse_telemetry_oracle, to_doc
+from conftest import (assert_same_types, mk_run, mk_sample, table_bytes, tables, traced_peak,
+                      two_stream_ops)
+from oracles import (dump_oracle, op_order_oracle, parse_op_trace_oracle,
+                     parse_telemetry_oracle, sort_ops_oracle, to_doc)
 from traceprof import ingest
 from traceprof.errors import (InvalidSpec, ManifestError, TraceProfError,
                               TraceValidationError)
@@ -225,7 +228,7 @@ def test_parse_op_trace_matches_oracle(lines):
     data = ("\n".join(lines) + "\n").encode()
     events, issues = parse_op_trace(data)
     want_events, want_issues = parse_op_trace_oracle(data)
-    assert list(events) == want_events
+    assert list(events) == sort_ops_oracle(want_events)  # ops leave the reader in run order
     assert issues == want_issues
 
 
@@ -500,6 +503,22 @@ def test_load_run_collects_parse_errors(tmp_path):
     assert any(i.code == "MalformedLine" for i in exc.value.issues)
 
 
+def test_load_run_of_an_out_of_order_trace_holds_one_op_table(tmp_path):
+    # Two streams written one after the other: the reader sorts the ops into run
+    # order itself, one column at a time, and validation then copies nothing.
+    ops = two_stream_ops(100_000)
+    file_order = ops.take(np.r_[0:len(ops):2, 1:len(ops):2])
+    _, samples = tables([], [mk_sample(t) for t in range(0, 500_000, 10_000)])
+    (tmp_path / "ops.jsonl").write_bytes(b"".join(op_trace_chunks(file_order)))
+    (tmp_path / "telemetry.csv").write_bytes(b"".join(telemetry_chunks(samples)))
+    meta = RunMeta("r", batch_size=1, core_count=2)
+    (tmp_path / "run.json").write_bytes(
+        write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
+    run, peak = traced_peak(load_run, tmp_path / "run.json")
+    assert run.ops == ops
+    assert peak < 2 * table_bytes(run.ops)  # the file-order table and a sorted copy are 2x
+
+
 # ---------------------------------------------------------------------------
 # Column readers: whatever path a file takes, the result is the oracle's
 # ---------------------------------------------------------------------------
@@ -512,11 +531,15 @@ def _assert_same_columns(got, want):
 
 
 def _assert_ops_match_oracle(data, source=None):
-    """parse_op_trace of ``source`` (default: the bytes ``data``) equals the oracle's of ``data``."""
+    """parse_op_trace of ``source`` (default: the bytes ``data``) equals the oracle's of ``data``.
+
+    The oracle's table is in file order, and the reader's rows are in run order;
+    names, layers and issues stay in line order.
+    """
     ops, issues = parse_op_trace(data if source is None else source)
     want_events, want_issues = parse_op_trace_oracle(data)
     want, _ = tables(want_events, [])
-    _assert_same_columns(ops, want)
+    _assert_same_columns(ops, want.take(op_order_oracle(want)))
     assert (ops.names, ops.layers) == (want.names, want.layers)
     assert issues == want_issues
 

@@ -2,10 +2,12 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import mk_run, mk_sample, tables, util_fractions
+from conftest import (mk_run, mk_sample, table_bytes, tables, traced_peak, two_stream_ops,
+                      util_fractions)
 from oracles import (
+    op_order_oracle,
     sort_samples_oracle,
     validate_ops_oracle,
     validate_samples_oracle,
@@ -277,6 +279,41 @@ def test_op_table_row_views(ops):
     table, _ = tables(ops, [])
     assert list(table) == ops
     assert [table[i] for i in range(-len(ops), len(ops))] == ops + ops
+
+
+@st.composite
+def tie_heavy_ops(draw):
+    """Ops whose run-order keys tie often: each op keeps some fields of one base op and
+    redraws the others. Start and end come from the same 3-5 values, "" is among the
+    names, None and "" among the layers, steps are missing or -1, and some rows are
+    exact duplicates."""
+    times = st.sampled_from(draw(st.lists(st.integers(-2, 9), min_size=3, max_size=5,
+                                          unique=True)))
+    fields = [st.sampled_from(["", "a", "B", "ab"]), st.sampled_from(list(Device)), times, times,
+              st.sampled_from([None, "", "l1", "L"]), st.sampled_from([None, -1, 0, 1])]
+    base = draw(st.tuples(*fields))
+    op = st.tuples(*(st.just(value) | field for value, field in zip(base, fields)))
+    ops = [OpEvent(*row) for row in draw(st.lists(op, max_size=40))]
+    duplicates = draw(st.lists(st.sampled_from(ops), max_size=8)) if ops else []
+    return draw(st.permutations(ops + duplicates))
+
+
+@example([])
+@example([OpEvent("a", Device.GPU, 3, 1, step_id=2)])
+@given(tie_heavy_ops())
+def test_op_order_matches_oracle(ops):
+    table, _ = tables(ops, [])
+    assert model._op_order(table).tolist() == op_order_oracle(table)
+
+
+def test_validate_run_keeps_a_run_ordered_table_without_a_copy():
+    # At least 50k ops, so the fixed cost of the other checks is small beside the table.
+    ops = two_stream_ops(60_000)
+    _, samples = tables([], [mk_sample(t) for t in range(0, 300_000, 10_000)])
+    meta = RunMeta("r", batch_size=1, core_count=2)
+    run, peak = traced_peak(validate_run, meta, ops, samples)
+    assert run.ops is ops
+    assert peak < 0.75 * table_bytes(ops)  # a sorted copy alone would be 1x
 
 
 def _samples(core_count, invalid):
