@@ -77,5 +77,5 @@ def busy_time(run: Run, device: Device) -> int:
 
 def concurrent_ops_exist(run: Run) -> bool:
     """True when any two op intervals overlap (on any device)."""
-    ops = run.ops  # sorted by start
-    return bool((ops.start[1:] < np.maximum.accumulate(ops.end)[:-1]).any())
+    ops = run.ops  # sorted by start, so if ops i < j overlap, ops i and i + 1 do too
+    return bool((ops.start[1:] < ops.end[:-1]).any())

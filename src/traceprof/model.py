@@ -14,9 +14,7 @@ mask, so "no step" is distinct from every integer), an int8 device code and
 int32 codes into interned ``names`` and ``layers`` tuples (a ``None`` layer
 is distinct from ``""``). :class:`SampleTable` has int64 ``t`` and ``mem``
 and one float64 ``values`` row per sample. Both share one read-only table
-protocol and are still sequences of ``OpEvent``/``TelemetrySample``:
-indexing or iterating them builds those objects on demand. Those objects are
-row views only; ``validate_run`` takes the tables, not lists of them.
+base; ``validate_run`` and every command read their columns.
 """
 
 from __future__ import annotations
@@ -38,40 +36,13 @@ class Device(Enum):
     GPU = "GPU"
 
 
-class OpEvent(NamedTuple):
-    """One recorded operation instance with its start/end timestamps."""
-
-    op_name: str
-    device: Device
-    start: Micros
-    end: Micros
-    layer: str | None = None
-    step_id: int | None = None
-
-
-class TelemetrySample(NamedTuple):
-    """One periodic snapshot of utilization, power rails and memory footprint."""
-
-    t: Micros
-    cpu_core_util: tuple[float, ...]
-    gpu_util: float
-    power_cpu_mw: float
-    power_gpu_mw: float
-    power_mem_mw: float
-    power_sys_mw: float
-    mem_used_bytes: int
-
-
-class _Table(Sequence):
+class _Table:
     """Read-only numpy columns, one row per item.
 
     A subclass names its fields in ``_fields``, the array columns
-    (``_columns``) first, and builds its items in ``__iter__``. A table is
-    built from its fields by position or keyword; its columns are then
-    read-only, and no attribute can be assigned. It is not a tuple, because
-    ``len`` counts its rows. ``self[i]`` is the one item of
-    ``self.take([i])``; a slice is a table. Tables are equal when their
-    items are.
+    (``_columns``) first. A table is built from its fields by position or
+    keyword; its columns are then read-only, and no attribute can be
+    assigned. It is not a tuple, because ``len`` counts its rows.
     """
 
     _fields: tuple[str, ...]
@@ -96,27 +67,15 @@ class _Table(Sequence):
     def __len__(self) -> int:
         return len(getattr(self, self._columns[0]))
 
-    def __getitem__(self, i):
-        rows = range(len(self))[i]  # any integer type; negative and out-of-range as a tuple
-        if isinstance(i, slice):
-            return self.take(rows)
-        (item,) = self.take([rows])
-        return item
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return list(self) == list(other)
-
-
-# Power rails in the order of TelemetrySample's fields and SampleTable.values.
+# Power rails in the order of SampleTable.values' last four columns.
 RAILS = ("cpu", "gpu", "mem", "sys")
 # Device codes of OpTable.device; the codes sort as the Device values do.
 DEVICES = (Device.CPU, Device.GPU)
 
 
 class OpTable(_Table):
-    """Ops as columns; a ``Sequence[OpEvent]`` whose ``self[i]`` is row i.
+    """Ops as columns, one row per op.
 
     ``names`` and ``layers`` hold each distinct value once and ``name`` and
     ``layer`` index them, so equal codes mean equal values. ``step`` is 0
@@ -135,18 +94,9 @@ class OpTable(_Table):
     _columns = ("start", "end", "device", "step", "has_step", "name", "layer")
     _fields = (*_columns, "names", "layers")
 
-    def __iter__(self) -> Iterator[OpEvent]:
-        names, layers = self.names, self.layers
-        rows = zip(self.name.tolist(), self.device.tolist(), self.start.tolist(),
-                   self.end.tolist(), self.layer.tolist(), self.has_step.tolist(),
-                   self.step.tolist())
-        for name, device, start, end, layer, has_step, step in rows:
-            yield OpEvent(names[name], DEVICES[device], start, end, layers[layer],
-                          step if has_step else None)
-
 
 class SampleTable(_Table):
-    """Samples as columns; a ``Sequence[TelemetrySample]`` whose ``self[i]`` is row i.
+    """Samples as columns, one row per sample.
 
     ``values`` has one row per sample: the core utilizations, then the GPU
     utilization, then the cpu, gpu, mem and sys power rails.
@@ -160,11 +110,6 @@ class SampleTable(_Table):
     @property
     def core_count(self) -> int:
         return self.values.shape[1] - 5
-
-    def __iter__(self) -> Iterator[TelemetrySample]:
-        c = self.core_count
-        for t, row, mem in zip(self.t.tolist(), self.values.tolist(), self.mem.tolist()):
-            yield TelemetrySample(t, tuple(row[:c]), *row[c:], mem)
 
 
 class RunMeta(NamedTuple):
@@ -354,9 +299,10 @@ def validate_run(
     :class:`TraceValidationError` carrying the full issue list when any
     error-severity issue exists. Non-fatal findings (duplicate timestamps,
     breakdown/peak mismatch) become warnings attached to the returned Run.
-    Validating the pieces of an already-validated Run returns an equal Run.
-    Ops and samples are tables, as ``ingest.load_run`` and ``synth.generate``
-    build them; each issue names its row in sorted order. A sorted table is kept, not copied.
+    Validating the pieces of an already-validated Run returns a Run of the
+    same rows. Ops and samples are tables, as ``ingest.load_run`` and
+    ``synth.generate`` build them; each issue names its row in sorted order.
+    A sorted table is kept, not copied.
     """
     issues: list[Issue] = []
     _check_meta(meta, issues)

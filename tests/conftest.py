@@ -5,17 +5,9 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import settings
 
+from oracles import OpEvent, TelemetrySample
 from traceprof import metrics
-from traceprof.model import (
-    DEVICES,
-    Device,
-    OpEvent,
-    OpTable,
-    RunMeta,
-    SampleTable,
-    TelemetrySample,
-    validate_run,
-)
+from traceprof.model import DEVICES, Device, OpTable, RunMeta, SampleTable, validate_run
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -37,7 +29,7 @@ def mk_sample(t, cores=(0.0, 0.0), gpu=0.0, p_cpu=0.0, p_gpu=0.0, p_mem=0.0, p_s
 def tables(ops, samples):
     """The OpTable and SampleTable of OpEvent and TelemetrySample lists, rows in order.
 
-    Every sample has as many cores as the first.
+    Every sample has as many cores as the first; ``oracles.rows`` is the inverse.
     """
     names, layers = {}, {}
     op_rows = [(op.start, op.end, DEVICES.index(op.device), op.step_id or 0,

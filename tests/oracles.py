@@ -9,14 +9,57 @@ import codecs
 import json
 from enum import Enum
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
 from traceprof.ingest import RunManifest
 from traceprof.metrics import MetricReport
-from traceprof.model import Device, Issue, OpEvent, RunMeta, SampleTable
+from traceprof.model import DEVICES, Device, Issue, OpTable, RunMeta, SampleTable
 from traceprof.sweep import SweepResult
 from traceprof.synth import _RAIL_FIELDS, _ground_truth, _phase_sample_counts
+
+
+class OpEvent(NamedTuple):
+    """One op as a row: the tests' model of an OpTable row, decoded."""
+
+    op_name: str
+    device: Device
+    start: int
+    end: int
+    layer: str | None = None
+    step_id: int | None = None
+
+
+class TelemetrySample(NamedTuple):
+    """One telemetry sample as a row: the tests' model of a SampleTable row."""
+
+    t: int
+    cpu_core_util: tuple[float, ...]
+    gpu_util: float
+    power_cpu_mw: float
+    power_gpu_mw: float
+    power_mem_mw: float
+    power_sys_mw: float
+    mem_used_bytes: int
+
+
+def rows(table):
+    """The OpEvent or TelemetrySample list of an OpTable or SampleTable, one per row in order.
+
+    The inverse of ``conftest.tables``: names, devices and layers are decoded,
+    so equal rows mean equal values, whatever the interning codes.
+    """
+    if isinstance(table, OpTable):
+        cols = zip(table.name.tolist(), table.device.tolist(), table.start.tolist(),
+                   table.end.tolist(), table.layer.tolist(), table.has_step.tolist(),
+                   table.step.tolist())
+        return [OpEvent(table.names[name], DEVICES[device], start, end, table.layers[layer],
+                        step if has_step else None)
+                for name, device, start, end, layer, has_step, step in cols]
+    c = table.core_count
+    return [TelemetrySample(t, tuple(values[:c]), *values[c:], mem)
+            for t, values, mem in zip(table.t.tolist(), table.values.tolist(), table.mem.tolist())]
 
 
 _HEADERS = {
@@ -58,7 +101,7 @@ def weighted_mean_oracle(values, weights):
 
 def sample_weights_oracle(run):
     """Rectangle width per sample: the gap to the next sample; the last uses the nominal."""
-    ts = [s.t for s in run.samples]
+    ts = [s.t for s in rows(run.samples)]
     return [b - a for a, b in zip(ts, ts[1:])] + [run.meta.sample_interval_us]
 
 
@@ -77,6 +120,15 @@ def brute_force_attribution(ops, samples):
     # Broadcasting evaluates every (sample, op) pair.
     inside = (starts[None, :] <= ts[:, None]) & (ts[:, None] < ends[None, :])
     return [tuple(np.flatnonzero(row)) for row in inside]
+
+
+def concurrent_ops_oracle(intervals):
+    """Whether some op starts before an op listed earlier has ended, over every pair.
+
+    ``intervals`` are (start, end) pairs sorted by start; an op may have length 0.
+    """
+    return any(intervals[j][0] < intervals[i][1]
+               for i in range(len(intervals)) for j in range(i + 1, len(intervals)))
 
 
 def discretized_busy_oracle(intervals, resolution_us=1):
@@ -186,13 +238,14 @@ def window_metrics_loop_oracle(run, window, threshold=0.0):
     from bisect import bisect_left
     from math import fsum
 
-    ts = [s.t for s in run.samples]
+    samples = rows(run.samples)
+    ts = [s.t for s in samples]
     dts = sample_weights_oracle(run)
     idx = range(bisect_left(ts, window[0]), bisect_left(ts, window[1]))
     total = fsum(dts[i] for i in idx)
 
     def weighted(value):
-        return fsum(value(run.samples[i]) * dts[i] for i in idx)
+        return fsum(value(samples[i]) * dts[i] for i in idx)
 
     cores = range(run.meta.core_count)
     rails = {"cpu": "power_cpu_mw", "gpu": "power_gpu_mw", "mem": "power_mem_mw",
@@ -201,7 +254,7 @@ def window_metrics_loop_oracle(run, window, threshold=0.0):
         "per_core": [weighted(lambda s, c=c: s.cpu_core_util[c]) / total for c in cores],
         "gpu": weighted(lambda s: s.gpu_util) / total,
         "idle": [
-            fsum(dts[i] for i in idx if run.samples[i].cpu_core_util[c] <= threshold) / total
+            fsum(dts[i] for i in idx if samples[i].cpu_core_util[c] <= threshold) / total
             for c in cores
         ],
         "energy": {r: weighted(lambda s, a=a: getattr(s, a)) / 1e9 for r, a in rails.items()},
@@ -406,8 +459,8 @@ def sort_ops_oracle(ops):
 def op_order_oracle(ops):
     """The row indices of an OpTable in run order: a stable sort of its rows on the tuple
     key start, end, name, device, step (-1 if missing), layer ("" if missing)."""
-    rows = list(ops)
-    return sorted(range(len(rows)), key=lambda i: _op_sort_key(rows[i]))
+    events = rows(ops)
+    return sorted(range(len(events)), key=lambda i: _op_sort_key(events[i]))
 
 
 def validate_ops_oracle(ops):

@@ -14,16 +14,18 @@ import pytest
 
 from conftest import mk_run, mk_sample, window_sums
 from oracles import (
+    OpEvent,
     brute_force_attribution,
     discretized_busy_oracle,
     rectangle_energy_oracle,
+    rows,
     sample_weights_oracle,
 )
 from traceprof.cli import main
 from traceprof.correlate import attribute_samples, busy_time
 from traceprof.ingest import parse_report, write_report
 from traceprof.metrics import build_report
-from traceprof.model import Device, MemoryBreakdown, OpEvent, validate_run
+from traceprof.model import Device, MemoryBreakdown, validate_run
 from traceprof.steps import detect_period, predictability, resolve_steps
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
 
@@ -130,10 +132,10 @@ def test_criterion_3_energy_rectangle_oracle():
         dts = sample_weights_oracle(run)
         rail = ("cpu", "gpu", "mem", "sys")[case % 4]
         attr = f"power_{rail}_mw"
-        expected = rectangle_energy_oracle([getattr(s, attr) for s in run.samples], dts)
+        expected = rectangle_energy_oracle([getattr(s, attr) for s in rows(run.samples)], dts)
         assert abs(window_sums(run).energy_j[rail] - expected) <= 1e-9
         if n >= 4:
-            ts = [s.t for s in run.samples]
+            ts = [s.t for s in rows(run.samples)]
             a, b, c = ts[0], ts[n // 2], ts[-1] + run.meta.sample_interval_us
             whole = window_sums(run, (a, c)).energy_j[rail]
             split = (window_sums(run, (a, b)).energy_j[rail]
@@ -399,10 +401,10 @@ def test_criterion_8_correlation_oracles():
         run = mk_run(samples, ops, interval=1)
 
         got = [a.op_indices for a in attribute_samples(run)]
-        assert got == brute_force_attribution(run.ops, run.samples)
+        assert got == brute_force_attribution(rows(run.ops), rows(run.samples))
 
         for device in (Device.CPU, Device.GPU):
-            intervals = [(op.start, op.end) for op in run.ops if op.device is device]
+            intervals = [(op.start, op.end) for op in rows(run.ops) if op.device is device]
             assert busy_time(run, device) == discretized_busy_oracle(intervals)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"100 oracle comparisons took {elapsed:.1f}s"

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tables
-from oracles import to_doc
+from oracles import OpEvent, TelemetrySample, rows, to_doc
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
 from traceprof.ingest import RunManifest, op_trace_chunks, telemetry_chunks, write_manifest
-from traceprof.model import Device, MemoryBreakdown, OpEvent, RunMeta, TelemetrySample
+from traceprof.model import Device, MemoryBreakdown, RunMeta
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
 
 GB = 1_000_000_000
@@ -358,7 +358,7 @@ def test_unlabeled_run_analysis_via_inference(tmp_path, capsysbinary):
 
 def test_analyze_overlapping_labelled_steps_is_a_diagnostic(tmp_path):
     meta, ops, samples, _ = generate(_throughput_spec(4, 100_000, 10_000)._replace(steps=7))
-    ops = list(ops)
+    ops = rows(ops)
     step4_end = max(op.end for op in ops if op.step_id == 4)
     first5 = min((op for op in ops if op.step_id == 5), key=lambda op: op.start)
     ops = [

@@ -2,11 +2,12 @@ import random
 
 from hypothesis import given, strategies as st
 
-from conftest import mk_run, mk_sample
-from oracles import brute_force_attribution, discretized_busy_oracle
+from conftest import mk_run, mk_sample, tables
+from oracles import (OpEvent, brute_force_attribution, concurrent_ops_oracle,
+                     discretized_busy_oracle, rows)
 from traceprof.correlate import attribute_samples, busy_time, concurrent_ops_exist
 from traceprof.metrics import build_report
-from traceprof.model import Device, OpEvent, StepWindow
+from traceprof.model import Device, Run, RunMeta, StepWindow
 
 
 def _run_with(ops, sample_ts, interval=10_000):
@@ -18,7 +19,7 @@ def test_sample_inside_two_ops_attributed_to_both():
     ops = [OpEvent("A", Device.GPU, 0, 100), OpEvent("B", Device.GPU, 50, 150)]
     run = _run_with(ops, [75])
     (attr,) = attribute_samples(run)
-    names = {run.ops[i].op_name for i in attr.op_indices}
+    names = {rows(run.ops)[i].op_name for i in attr.op_indices}
     assert names == {"A", "B"}
 
 
@@ -33,8 +34,9 @@ def test_half_open_boundaries():
     ops = [OpEvent("A", Device.GPU, 0, 100), OpEvent("B", Device.GPU, 100, 200)]
     run = _run_with(ops, [0, 100, 200])
     at0, at100, at200 = attribute_samples(run)
-    assert {run.ops[i].op_name for i in at0.op_indices} == {"A"}
-    assert {run.ops[i].op_name for i in at100.op_indices} == {"B"}
+    ops = rows(run.ops)
+    assert {ops[i].op_name for i in at0.op_indices} == {"A"}
+    assert {ops[i].op_name for i in at100.op_indices} == {"B"}
     assert at200.op_indices == ()
 
 
@@ -67,15 +69,15 @@ def test_attribution_matches_brute_force_on_random_runs():
     for seed in range(10):
         run = _random_case(seed, n_ops=60, n_samples=80, span=2_000)
         got = attribute_samples(run)
-        expected = brute_force_attribution(run.ops, run.samples)
+        expected = brute_force_attribution(rows(run.ops), rows(run.samples))
         assert [a.op_indices for a in got] == expected
 
 
 def test_attribution_insensitive_to_input_order():
     run = _random_case(3, n_ops=40, n_samples=50, span=1_000)
     rng = random.Random(0)
-    ops = list(run.ops)
-    samples = list(run.samples)
+    ops = rows(run.ops)
+    samples = rows(run.samples)
     rng.shuffle(ops)
     rng.shuffle(samples)
     shuffled = mk_run(samples, ops, interval=1)
@@ -85,14 +87,16 @@ def test_attribution_insensitive_to_input_order():
 def test_removing_an_op_never_grows_attribution():
     run = _random_case(5, n_ops=30, n_samples=40, span=1_000)
     base = attribute_samples(run)
+    ops = rows(run.ops)
     base_pairs = {
-        (a.sample_index, run.ops[i]) for a in base for i in a.op_indices
+        (a.sample_index, ops[i]) for a in base for i in a.op_indices
     }
-    for drop in range(len(run.ops)):
-        kept = [op for i, op in enumerate(run.ops) if i != drop]
-        smaller = mk_run(list(run.samples), kept, interval=1)
+    for drop in range(len(ops)):
+        kept = [op for i, op in enumerate(ops) if i != drop]
+        smaller = mk_run(rows(run.samples), kept, interval=1)
+        smaller_ops = rows(smaller.ops)
         pairs = {
-            (a.sample_index, smaller.ops[i])
+            (a.sample_index, smaller_ops[i])
             for a in attribute_samples(smaller)
             for i in a.op_indices
         }
@@ -115,7 +119,7 @@ def test_busy_time_matches_discretized_oracle():
     for seed in range(8):
         run = _random_case(seed + 100, n_ops=80, n_samples=5, span=5_000)
         for device in (Device.CPU, Device.GPU):
-            intervals = [(op.start, op.end) for op in run.ops if op.device is device]
+            intervals = [(op.start, op.end) for op in rows(run.ops) if op.device is device]
             assert busy_time(run, device) == discretized_busy_oracle(intervals)
 
 
@@ -134,6 +138,16 @@ def test_concurrent_ops_detection():
     assert not concurrent_ops_exist(_run_with(disjoint, [0]))
 
 
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=12))
+def test_concurrent_ops_match_all_pairs_oracle(spans):
+    # Starts from a few values, so many tie, and lengths that include 0. The
+    # rows are sorted by start only, as a run's are, so tied ends stay unordered.
+    intervals = sorted(((start, start + length) for start, length in spans), key=lambda i: i[0])
+    ops, samples = tables([OpEvent("a", Device.GPU, a, b) for a, b in intervals], [])
+    run = Run(RunMeta("r", batch_size=1, core_count=1), ops, samples)
+    assert concurrent_ops_exist(run) == concurrent_ops_oracle(intervals)
+
+
 def test_report_attribution_counts_match_attribute_samples():
     # Concurrent ops on both devices, and samples exactly on op starts and
     # ends, where half-open intervals decide the attribution. The labels give
@@ -148,10 +162,11 @@ def test_report_attribution_counts_match_attribute_samples():
         OpEvent("E", Device.CPU, 310, 320, step_id=1),
     ]
     run = _run_with(ops, [0, 25, 50, 100, 120, 125, 150, 200, 250, 300], interval=50)
-    expected = {op.op_name: 0 for op in run.ops}
+    ops = rows(run.ops)
+    expected = {op.op_name: 0 for op in ops}
     for attribution in attribute_samples(run):
         for i in attribution.op_indices:
-            expected[run.ops[i].op_name] += 1
+            expected[ops[i].op_name] += 1
     per_op = build_report(run).per_op
     assert {name: agg.attributed_samples for name, agg in per_op.items()} == expected
     assert expected["C"] == 1 and expected["E"] == 0
@@ -161,11 +176,12 @@ def test_report_attribution_counts_match_attribute_samples():
 def test_report_attribution_counts_match_attribute_samples_on_random_runs():
     for seed in range(20):
         labelled = _random_case(seed, n_ops=40, n_samples=60, span=1_000)
-        run = mk_run(list(labelled.samples), [op._replace(step_id=0) for op in labelled.ops],
+        run = mk_run(rows(labelled.samples), [op._replace(step_id=0) for op in rows(labelled.ops)],
                      interval=1)
-        expected = {op.op_name: 0 for op in run.ops}
+        ops = rows(run.ops)
+        expected = {op.op_name: 0 for op in ops}
         for attribution in attribute_samples(run):
             for i in attribution.op_indices:
-                expected[run.ops[i].op_name] += 1
+                expected[ops[i].op_name] += 1
         per_op = build_report(run).per_op
         assert {name: agg.attributed_samples for name, agg in per_op.items()} == expected

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_same_types, mk_run, mk_sample, table_bytes, tables, traced_peak,
                       two_stream_ops)
-from oracles import (dump_oracle, op_order_oracle, parse_op_trace_oracle,
-                     parse_telemetry_oracle, sort_ops_oracle, to_doc)
+from oracles import (OpEvent, dump_oracle, op_order_oracle, parse_op_trace_oracle,
+                     parse_telemetry_oracle, rows, sort_ops_oracle, to_doc)
 from traceprof import ingest
 from traceprof.errors import (InvalidSpec, ManifestError, TraceProfError,
                               TraceValidationError)
@@ -39,7 +39,6 @@ from traceprof.model import (
     Device,
     Issue,
     MemoryBreakdown,
-    OpEvent,
     RunMeta,
     validate_run,
 )
@@ -53,12 +52,12 @@ def test_parse_op_trace_direct_mapping():
     line = b'{"op":"MatMul","device":"GPU","step":0,"start_us":100,"end_us":350}\n'
     events, issues = parse_op_trace(line)
     assert issues == []
-    assert list(events) == [OpEvent("MatMul", Device.GPU, 100, 350, layer=None, step_id=0)]
+    assert rows(events) == [OpEvent("MatMul", Device.GPU, 100, 350, layer=None, step_id=0)]
 
 
 def test_parse_op_trace_empty_file():
     events, issues = parse_op_trace(b"")
-    assert list(events) == []
+    assert rows(events) == []
     assert any(i.code == "EmptyTrace" for i in issues)
 
 
@@ -104,7 +103,7 @@ def test_parse_telemetry_percent_to_fraction():
     row = "0,50,0,0,0,0,0,100,500,4000,2000,7000,1000000"
     samples, issues = parse_telemetry(_telemetry_file([row]), core_count=6)
     assert issues == []
-    (s,) = samples
+    (s,) = rows(samples)
     assert s.gpu_util == 1.0
     assert s.cpu_core_util[0] == 0.5
     assert s.power_sys_mw == 7000.0
@@ -114,7 +113,7 @@ def test_parse_telemetry_percent_to_fraction():
 def test_parse_telemetry_out_of_range():
     row = "0,50,0,0,0,0,0,101,500,4000,2000,7000,1000000"
     samples, issues = parse_telemetry(_telemetry_file([row]), core_count=6)
-    assert list(samples) == []
+    assert rows(samples) == []
     assert any(i.code == "UtilizationOutOfRange" for i in issues)
 
 
@@ -125,14 +124,14 @@ def test_parse_telemetry_negative_power():
 
 
 def test_parse_telemetry_three_rows_in_order():
-    rows = [
+    lines = [
         "0,10,0,0,0,0,0,10,1,1,1,1,5",
         "10000,20,0,0,0,0,0,20,1,1,1,1,5",
         "20000,30,0,0,0,0,0,30,1,1,1,1,5",
     ]
-    samples, issues = parse_telemetry(_telemetry_file(rows), core_count=6)
+    samples, issues = parse_telemetry(_telemetry_file(lines), core_count=6)
     assert issues == []
-    assert [s.t for s in samples] == [0, 10_000, 20_000]
+    assert [s.t for s in rows(samples)] == [0, 10_000, 20_000]
 
 
 def test_parse_telemetry_unknown_column_warns():
@@ -228,7 +227,7 @@ def test_parse_op_trace_matches_oracle(lines):
     data = ("\n".join(lines) + "\n").encode()
     events, issues = parse_op_trace(data)
     want_events, want_issues = parse_op_trace_oracle(data)
-    assert list(events) == sort_ops_oracle(want_events)  # ops leave the reader in run order
+    assert rows(events) == sort_ops_oracle(want_events)  # ops leave the reader in run order
     assert issues == want_issues
 
 
@@ -477,8 +476,8 @@ def test_load_run_resolves_paths_relative_to_manifest(tmp_path):
     manifest = RunManifest(run.meta, "ops.jsonl", "telemetry.csv")
     (sub / "run.json").write_bytes(write_manifest(manifest))
     loaded = load_run(sub / "run.json")
-    assert loaded.ops == run.ops
-    assert loaded.samples == run.samples
+    assert rows(loaded.ops) == rows(run.ops)
+    assert rows(loaded.samples) == rows(run.samples)
 
 
 def test_load_run_missing_telemetry_names_path(tmp_path):
@@ -515,7 +514,7 @@ def test_load_run_of_an_out_of_order_trace_holds_one_op_table(tmp_path):
     (tmp_path / "run.json").write_bytes(
         write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
     run, peak = traced_peak(load_run, tmp_path / "run.json")
-    assert run.ops == ops
+    assert rows(run.ops) == rows(ops)
     assert peak < 2 * table_bytes(run.ops)  # the file-order table and a sorted copy are 2x
 
 

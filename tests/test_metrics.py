@@ -5,7 +5,9 @@ import pytest
 
 from conftest import mk_run, mk_sample, window_sums
 from oracles import (
+    OpEvent,
     rectangle_energy_oracle,
+    rows,
     sample_weights_oracle,
     weighted_mean_oracle,
     window_metrics_loop_oracle,
@@ -14,7 +16,7 @@ from traceprof import metrics
 from traceprof.errors import NoSamplesInWindow
 from traceprof.ingest import write_report
 from traceprof.metrics import _rail_ranking, build_report
-from traceprof.model import Device, OpEvent
+from traceprof.model import Device
 
 
 def _uniform_run(core_rows, gpu_row=None, powers=None, interval=10_000, mems=None, ops=None,
@@ -72,7 +74,7 @@ def test_core_utilization_matches_direct_sum_oracle():
     run = _jittered_run(seed=1)
     dts = sample_weights_oracle(run)
     for core in (0, 1):
-        values = [s.cpu_core_util[core] for s in run.samples]
+        values = [s.cpu_core_util[core] for s in rows(run.samples)]
         expected = weighted_mean_oracle(values, dts)
         assert window_sums(run).per_core[core] == pytest.approx(expected, rel=1e-12)
 
@@ -110,7 +112,7 @@ def test_gpu_all_zero():
 def test_gpu_matches_direct_sum_oracle():
     run = _jittered_run(seed=3)
     dts = sample_weights_oracle(run)
-    expected = weighted_mean_oracle([s.gpu_util for s in run.samples], dts)
+    expected = weighted_mean_oracle([s.gpu_util for s in rows(run.samples)], dts)
     assert window_sums(run).gpu == pytest.approx(expected, rel=1e-12)
 
 
@@ -172,13 +174,13 @@ def test_energy_matches_rectangle_oracle():
     dts = sample_weights_oracle(run)
     for rail, attr in (("cpu", "power_cpu_mw"), ("gpu", "power_gpu_mw"),
                        ("mem", "power_mem_mw"), ("sys", "power_sys_mw")):
-        expected = rectangle_energy_oracle([getattr(s, attr) for s in run.samples], dts)
+        expected = rectangle_energy_oracle([getattr(s, attr) for s in rows(run.samples)], dts)
         assert window_sums(run).energy_j[rail] == pytest.approx(expected, abs=1e-9)
 
 
 def test_energy_additive_at_sample_boundaries():
     run = _jittered_run(seed=5)
-    ts = [s.t for s in run.samples]
+    ts = [s.t for s in rows(run.samples)]
     a, b, c = ts[0], ts[len(ts) // 2], ts[-1] + run.meta.sample_interval_us
     total = window_sums(run, (a, c)).energy_j["sys"]
     split = window_sums(run, (a, b)).energy_j["sys"] + window_sums(run, (b, c)).energy_j["sys"]
@@ -193,7 +195,7 @@ def test_energy_scales_exactly_with_power():
                       p_cpu=2 * s.power_cpu_mw, p_gpu=2 * s.power_gpu_mw,
                       p_mem=2 * s.power_mem_mw, p_sys=2 * s.power_sys_mw,
                       mem=s.mem_used_bytes)
-            for s in run.samples
+            for s in rows(run.samples)
         ]
     )
     for rail in ("cpu", "gpu", "mem", "sys"):
@@ -226,11 +228,11 @@ def test_peak_memory_matches_running_max_oracle():
     run = _jittered_run(seed=8)
     peak = build_report(run).peak_mem_bytes
     running = 0
-    for s in run.samples:
+    for s in rows(run.samples):
         if s.mem_used_bytes > running:
             running = s.mem_used_bytes
     assert peak == running
-    assert all(peak >= s.mem_used_bytes for s in run.samples)
+    assert all(peak >= s.mem_used_bytes for s in rows(run.samples))
 
 
 # --- throughput -------------------------------------------------------------------
@@ -273,9 +275,9 @@ def test_throughput_invariant_under_time_translation():
     run = _stepped_run(n_steps=4, step_us=150_000, batch=8)
     shift = 123_456_789
     shifted = mk_run(
-        [mk_sample(s.t + shift) for s in run.samples],
+        [mk_sample(s.t + shift) for s in rows(run.samples)],
         [OpEvent(o.op_name, o.device, o.start + shift, o.end + shift, o.layer, o.step_id)
-         for o in run.ops],
+         for o in rows(run.ops)],
         batch=8,
     )
     assert _throughput(run) == _throughput(shifted)
@@ -299,7 +301,7 @@ def test_power_dominance_matches_weighted_mean_oracle():
     run = _jittered_run(seed=12)
     dts = sample_weights_oracle(run)
     means = {
-        rail: weighted_mean_oracle([getattr(s, attr) for s in run.samples], dts)
+        rail: weighted_mean_oracle([getattr(s, attr) for s in rows(run.samples)], dts)
         for rail, attr in (("cpu", "power_cpu_mw"), ("gpu", "power_gpu_mw"),
                            ("mem", "power_mem_mw"))
     }
@@ -390,19 +392,19 @@ def test_window_metrics_equal_loop_reference_bit_for_bit(seed):
     run = _jittered_run(seed=100 + seed, n=300)
     c = run.meta.core_count
     rng = random.Random(seed)
-    ts = [s.t for s in run.samples]
+    ts = [s.t for s in rows(run.samples)]
     threshold = rng.choice([0.0, 0.25])
     windows = [(ts[0], ts[-1] + 1)] + [
         tuple(sorted(rng.sample(range(ts[0] - 5_000, ts[-1] + 5_000), 2))) for _ in range(20)
     ] + [(ts[0] - 5_000, ts[0]), (ts[-1] + 1, ts[-1] + 9_000), (ts[5] + 1, ts[6])]
     sums = metrics._windows(run, windows, threshold)
     assert len(sums.nonempty) == len(windows)
-    rows = iter(metrics._window_metrics(sums, c))
+    metric_rows = iter(metrics._window_metrics(sums, c))
     for k, window in enumerate(windows):
         if not any(window[0] <= t < window[1] for t in ts):
             assert not sums.nonempty[k]
             continue
-        per_core, cpu_avg, gpu, idle, energy = next(rows)
+        per_core, cpu_avg, gpu, idle, energy = next(metric_rows)
         ref = window_metrics_loop_oracle(run, window, threshold)
         assert list(per_core) == ref["per_core"]
         assert cpu_avg == fsum(ref["per_core"]) / c
@@ -413,7 +415,7 @@ def test_window_metrics_equal_loop_reference_bit_for_bit(seed):
         assert {r.rail: r.mean_mw for r in ranking} == {
             r: m for r, m in ref["mean_mw"].items() if r != "sys"
         }
-    assert next(rows, None) is None
+    assert next(metric_rows, None) is None
 
 
 def test_idle_ratios_stay_exact_int_division_past_2_53_us():
@@ -428,7 +430,7 @@ def test_idle_ratios_stay_exact_int_division_past_2_53_us():
         t += 2**52 + 2 * rng.randrange(2**40) + 1
     run = mk_run(samples, interval=2**52 + 3)
     assert int(run.samples.t[-1]) + run.meta.sample_interval_us < 2**63
-    ts = [s.t for s in run.samples]
+    ts = [s.t for s in rows(run.samples)]
     dts = [b - a for a, b in zip(ts, ts[1:])] + [run.meta.sample_interval_us]
     windows = [(ts[i], ts[j]) for i in range(4) for j in range(i + 3, len(ts))]
     sums = metrics._windows(run, windows, 0.0)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample, tables, util_fractions
-from oracles import pair_scores_oracle, pairwise_pearson_oracle, pearson_pair_oracle
+from oracles import OpEvent, pair_scores_oracle, pairwise_pearson_oracle, pearson_pair_oracle, rows
 from traceprof import steps
 from traceprof.errors import NoCompleteSteps, NoSteps, SignalTooShort
 from traceprof.metrics import build_report
-from traceprof.model import Device, OpEvent, RunMeta, SampleTable
+from traceprof.model import Device, RunMeta, SampleTable
 from traceprof.steps import (
     PeriodEstimate,
     detect_period,
@@ -197,8 +197,8 @@ def test_predictability_matches_pairwise_oracle():
     run, _ = _square_run(noise_amplitude=0.1, seed=9)
     windows = resolve_steps(run)
     score = predictability(run, windows)
-    ts = np.array([s.t for s in run.samples])
-    vals = np.array([s.gpu_util for s in run.samples])
+    ts = np.array([s.t for s in rows(run.samples)])
+    vals = np.array([s.gpu_util for s in rows(run.samples)])
     segments = [vals[(ts >= w.start_us) & (ts < w.end_us)] for w in windows]
     assert score.mean_pairwise_correlation == pytest.approx(
         pairwise_pearson_oracle(segments), rel=1e-9
@@ -207,7 +207,7 @@ def test_predictability_matches_pairwise_oracle():
 
 def test_predictability_needs_two_non_warmup_steps():
     run, _ = _square_run(steps=3)
-    windows = resolve_steps(mk_run(list(run.samples), list(run.ops), warmup=2))
+    windows = resolve_steps(mk_run(rows(run.samples), rows(run.ops), warmup=2))
     with pytest.raises(NoCompleteSteps):
         predictability(run, windows)
 

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from conftest import assert_same_types, tables
-from oracles import generate_oracle, to_doc
+from oracles import generate_oracle, rows, to_doc
 from traceprof import ingest
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
@@ -202,6 +202,7 @@ def test_spec_dict_round_trip():
 
 def test_strip_step_ids_removes_labels():
     meta, ops, _, _ = generate(_two_phase_spec(strip_step_ids=True))
+    ops = rows(ops)
     assert all(op.step_id is None for op in ops)
     assert ops[0].device is Device.GPU
 
