@@ -16,7 +16,6 @@ import tempfile
 from pathlib import Path
 
 from traceprof.cli import main as cli_main
-from traceprof.model import Device
 from traceprof.synth import PhaseSpec, SynthSpec, write_run
 
 GB = 1_000_000_000
@@ -37,11 +36,11 @@ def sweep_spec(batch: int, base_batch: int, interval: int = 10_000) -> SynthSpec
             PhaseSpec(0.5, (0.5, 0.3, 0.1, 0.0), busy,
                       900.0, 4200.0, 2100.0, 7600.0,
                       int((1.5 + 0.08 * batch) * GB), op_name="fwd_bwd",
-                      op_device=Device.GPU),
+                      op_device="GPU"),
             PhaseSpec(0.5, (0.6, 0.4, 0.2, 0.0), 0.1,
                       1200.0, 900.0, 1800.0, 4200.0,
                       int((1.2 + 0.08 * batch) * GB), op_name="data_prep",
-                      op_device=Device.CPU),
+                      op_device="CPU"),
         ),
         warmup_steps=2,
         run_id=f"demo-b{batch}",

@@ -47,9 +47,10 @@ and converted on its own. The chunks' columns are joined at the end.
 
 Manifests, reports, sweep results and synth specs go through one codec
 whose JSON keys are the field names of their records (``typing.NamedTuple``
-classes, recognised by their ``_fields``). Decoding (``from_doc``)
-type-checks every field, so a malformed manifest is one error naming the
-field. Writing (``_dump``) walks the objects itself and writes the bytes of
+classes, recognised by their ``_fields``). It reads run manifests and synth
+specs, and writes manifests and reports. Decoding (``from_doc``) type-checks
+every field, so a malformed manifest is one error naming the field. Writing
+(``_dump``) walks the objects itself and writes the bytes of
 ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``: strict (no
 NaN/Infinity) and stable-key-ordered, so identical inputs produce
 byte-identical files. A list of same-class rows, such as a report's
@@ -66,7 +67,6 @@ import os
 import reprlib
 import warnings
 from array import array
-from enum import Enum
 from functools import cache
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -74,8 +74,8 @@ from math import isfinite
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import (TYPE_CHECKING, Any, BinaryIO, Iterator, NamedTuple, Sequence, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import (TYPE_CHECKING, Any, BinaryIO, Iterator, Literal, NamedTuple, Sequence,
+                    Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -100,7 +100,7 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
-_CODE_OF_DEVICE = {d.value: code for code, d in enumerate(DEVICES)}
+_CODE_OF_DEVICE = {d: code for code, d in enumerate(DEVICES)}
 _INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
 _CHUNK = 1024  # op-trace lines per bulk decode
 _ROWS = 65536  # telemetry lines per np.loadtxt call
@@ -430,7 +430,7 @@ def op_trace_chunks(ops: OpTable) -> Iterator[bytes]:
 
     One JSON line per op, keys sorted, as ``json.dumps(record, sort_keys=True)`` writes it.
     """
-    devices = [json.dumps(d.value) for d in DEVICES]
+    devices = [json.dumps(d) for d in DEVICES]
     names = [json.dumps(n) for n in ops.names]
     layers = ["" if x is None else f'"layer": {json.dumps(x)}, ' for x in ops.layers]
     for lo in range(0, len(ops), _ROWS):
@@ -468,7 +468,7 @@ class SchemaError(ValueError):
 
 
 # Written into every document of these classes, nested ones included. Keyed by
-# class name, so that neither writing nor parsing a report imports traceprof.sweep.
+# class name, so that writing a report does not import traceprof.sweep.
 _HEADERS: dict[str, dict[str, Any]] = {
     "MetricReport": {"schema_version": SCHEMA_VERSION, "kind": "metric_report"},
     "SweepResult": {"schema_version": SCHEMA_VERSION, "kind": "sweep_result"},
@@ -610,11 +610,11 @@ def _mismatch(path: str, expected: str, value: Any) -> SchemaError:
 def from_doc(tp: Any, value: Any, path: str) -> Any:
     """Decode a JSON value into type ``tp``, checking every field's type.
 
-    Handles records, ``X | None``, ``tuple[T, ...]``, fixed tuples,
-    ``dict[str, T]``, Enums and int/float/str/bool. A bool is never a number
-    and an int is accepted as a float. Unknown keys are ignored; a key may
-    be absent only where the record gives a default. Raises SchemaError
-    naming the path of the first mismatch.
+    Handles what run manifests and synth specs hold: records, ``X | None``,
+    ``tuple[T, ...]``, string ``Literal``s and int/float/str/bool. A bool is
+    never a number and an int is accepted as a float. Unknown keys are
+    ignored; a key may be absent only where the record gives a default.
+    Raises SchemaError naming the path of the first mismatch.
     """
     if tp in _SCALARS:
         # Exact types: json.loads makes no subclasses, and bool is not an int here.
@@ -627,22 +627,15 @@ def from_doc(tp: Any, value: Any, path: str) -> Any:
     if origin is Union or origin is UnionType:
         (inner,) = (a for a in get_args(tp) if a is not type(None))  # only X | None
         return None if value is None else from_doc(inner, value, path)
-    if origin is tuple:
+    if origin is tuple:  # only tuple[T, ...]
         if not isinstance(value, list):
             raise _mismatch(path, "a list", value)
-        args = get_args(tp)
-        if len(args) == 2 and args[1] is Ellipsis:
-            if {args[0]}.issuperset(map(type, value)):
-                return tuple(value)  # scalars already of the item type
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
-            raise _mismatch(path, f"a list of {len(args)} items", value)
-        return tuple(from_doc(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise _mismatch(path, "an object", value)
-        item_tp = get_args(tp)[1]
-        return {k: from_doc(item_tp, v, f"{path}[{k!r}]") for k, v in value.items()}
+        item_tp = get_args(tp)[0]
+        return tuple(from_doc(item_tp, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is Literal:  # only of strings, so no bool can equal an allowed value
+        if value in get_args(tp):
+            return value
+        raise _mismatch(path, f"one of {list(get_args(tp))}", value)
     if hasattr(tp, "_fields"):  # a record
         if not isinstance(value, dict):
             raise _mismatch(path, "an object", value)
@@ -653,11 +646,6 @@ def from_doc(tp: Any, value: Any, path: str) -> Any:
             elif not has_default:
                 raise SchemaError(f"{path}.{name} is missing")
         return tp(**kwargs)
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        try:
-            return tp(value)
-        except ValueError:
-            raise _mismatch(path, f"one of {[m.value for m in tp]}", value) from None
     raise TypeError(f"no JSON decoding for {tp!r} at {path}")
 
 
@@ -851,16 +839,3 @@ def write_report(report: MetricReport | SweepResult, fmt: str = "json") -> bytes
             return _render_report_table(report).encode("utf-8")
         return _render_sweep_table(report).encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'table'")
-
-
-def parse_report(data: bytes) -> MetricReport | SweepResult:
-    """Parse a JSON report produced by :func:`write_report`."""
-    doc = json.loads(data.decode("utf-8"))
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind == "metric_report":
-        return from_doc(MetricReport, doc, "report")
-    if kind == "sweep_result":
-        from .sweep import SweepResult  # imported here: only sweep results need it
-
-        return from_doc(SweepResult, doc, "report")
-    raise ValueError(f"unknown report kind {kind!r}")

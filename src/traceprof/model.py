@@ -20,20 +20,15 @@ base; ``validate_run`` and every command read their columns.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from enum import Enum
 from math import isfinite
-from typing import NamedTuple
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
 from .errors import TraceValidationError
 
 Micros = int
-
-
-class Device(Enum):
-    CPU = "CPU"
-    GPU = "GPU"
+Device = Literal["CPU", "GPU"]  # a device name, as written in the op trace
 
 
 class _Table:
@@ -70,8 +65,8 @@ class _Table:
 
 # Power rails in the order of SampleTable.values' last four columns.
 RAILS = ("cpu", "gpu", "mem", "sys")
-# Device codes of OpTable.device; the codes sort as the Device values do.
-DEVICES = (Device.CPU, Device.GPU)
+# Device codes of OpTable.device; the codes sort as the names do.
+DEVICES = get_args(Device)
 
 
 class OpTable(_Table):

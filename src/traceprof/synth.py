@@ -62,7 +62,7 @@ class PhaseSpec(NamedTuple):
     power_sys_mw: float
     mem_bytes: int
     op_name: str = ""
-    op_device: Device = Device.GPU
+    op_device: Device = "GPU"
 
 
 class SynthSpec(NamedTuple):
@@ -120,6 +120,9 @@ def _phase_sample_counts(spec: SynthSpec) -> list[int]:
     warmup_extra = spec.warmup_mem_extra_bytes if spec.warmup_steps > 0 else 0
     counts = []
     for i, phase in enumerate(spec.phases):
+        if phase.op_device not in DEVICES:
+            raise InvalidSpec(f"phase {i} op_device must be one of {list(DEVICES)}, "
+                              f"got {phase.op_device!r}")
         if len(phase.cpu_core_util) != spec.core_count:
             raise InvalidSpec(f"phase {i} declares {len(phase.cpu_core_util)} cores, "
                               f"spec has {spec.core_count}")
@@ -301,7 +304,7 @@ def random_spec(seed: int, *, noise_amplitude: float = 0.0) -> SynthSpec:
                 power_mem_mw=float(rng.integers(200, 5_000)),
                 power_sys_mw=float(rng.integers(1_000, 15_000)),
                 mem_bytes=int(rng.integers(500_000_000, 7_000_000_000)),
-                op_device=Device.GPU if k % 2 == 0 else Device.CPU,
+                op_device="GPU" if k % 2 == 0 else "CPU",
             )
         )
     return SynthSpec(

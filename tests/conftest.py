@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from oracles import OpEvent, TelemetrySample
 from traceprof import metrics
-from traceprof.model import DEVICES, Device, OpTable, RunMeta, SampleTable, validate_run
+from traceprof.model import DEVICES, OpTable, RunMeta, SampleTable, validate_run
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -108,7 +108,7 @@ def mk_run(samples, ops=None, *, batch=1, interval=10_000, warmup=0,
            capacity=8_000_000_000, breakdown=None, run_id="test"):
     core_count = len(samples[0].cpu_core_util)
     if ops is None:
-        ops = [OpEvent("op", Device.GPU, samples[0].t, samples[-1].t + interval)]
+        ops = [OpEvent("op", "GPU", samples[0].t, samples[-1].t + interval)]
     meta = RunMeta(
         run_id=run_id,
         batch_size=batch,

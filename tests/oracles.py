@@ -7,7 +7,6 @@ implementations under test.
 
 import codecs
 import json
-from enum import Enum
 from math import isfinite
 from typing import NamedTuple
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from traceprof.ingest import RunManifest
 from traceprof.metrics import MetricReport
-from traceprof.model import DEVICES, Device, Issue, OpTable, RunMeta, SampleTable
+from traceprof.model import DEVICES, Device, Issue, OpTable, RunMeta, SampleTable, StepWindow
 from traceprof.sweep import SweepResult
 from traceprof.synth import _RAIL_FIELDS, _ground_truth, _phase_sample_counts
 
@@ -70,7 +69,7 @@ _HEADERS = {
 
 
 def to_doc(obj):
-    """JSON-ready values: a record becomes its fields plus its header, an Enum its value.
+    """JSON-ready values: a record becomes its fields plus its header.
 
     A record (a NamedTuple, which has ``_fields``) is a tuple too, so it is tested for first.
     """
@@ -80,8 +79,6 @@ def to_doc(obj):
         return [to_doc(x) for x in obj]
     if isinstance(obj, dict):
         return {k: to_doc(v) for k, v in obj.items()}
-    if isinstance(obj, Enum):
-        return obj.value
     return obj
 
 
@@ -129,6 +126,20 @@ def concurrent_ops_oracle(intervals):
     """
     return any(intervals[j][0] < intervals[i][1]
                for i in range(len(intervals)) for j in range(i + 1, len(intervals)))
+
+
+def step_windows_oracle(ops, warmup_steps):
+    """One StepWindow per step id, in id order: [min start, max end] of its labelled ops.
+
+    Ops without a step id belong to no window.
+    """
+    bounds = {}
+    for op in ops:
+        if op.step_id is not None:
+            lo, hi = bounds.get(op.step_id, (op.start, op.end))
+            bounds[op.step_id] = (min(lo, op.start), max(hi, op.end))
+    return [StepWindow(step, lo, hi, i < warmup_steps)
+            for i, (step, (lo, hi)) in enumerate(sorted(bounds.items()))]
 
 
 def discretized_busy_oracle(intervals, resolution_us=1):
@@ -206,7 +217,7 @@ def write_op_trace_oracle(ops):
     """The op-trace bytes, one ``json.dumps(record, sort_keys=True)`` line per OpEvent."""
     lines = []
     for op in ops:
-        record = {"op": op.op_name, "device": op.device.value, "start_us": op.start,
+        record = {"op": op.op_name, "device": op.device, "start_us": op.start,
                   "end_us": op.end}
         if op.layer is not None:
             record["layer"] = op.layer
@@ -308,13 +319,9 @@ def parse_op_trace_oracle(data: bytes):
         if not isinstance(name, str) or not name:
             issues.append(Issue("MalformedLine", "missing or empty 'op'", line_no=line_no))
             continue
-        device_raw = record.get("device")
-        try:
-            device = Device(device_raw)
-        except ValueError:
-            issues.append(
-                Issue("UnknownDevice", f"unknown device {device_raw!r}", line_no=line_no)
-            )
+        device = record.get("device")
+        if device not in DEVICES:
+            issues.append(Issue("UnknownDevice", f"unknown device {device!r}", line_no=line_no))
             continue
         start = _as_int(record.get("start_us"))
         end = _as_int(record.get("end_us"))
@@ -445,7 +452,7 @@ def _op_sort_key(op):
         op.start,
         op.end,
         op.op_name,
-        op.device.value,
+        op.device,
         -1 if op.step_id is None else op.step_id,
         op.layer or "",
     )

@@ -17,16 +17,18 @@ from oracles import (
     OpEvent,
     brute_force_attribution,
     discretized_busy_oracle,
+    dump_oracle,
     rectangle_energy_oracle,
     rows,
     sample_weights_oracle,
 )
 from traceprof.cli import main
 from traceprof.correlate import attribute_samples, busy_time
-from traceprof.ingest import parse_report, write_report
+from traceprof.ingest import load_run
 from traceprof.metrics import build_report
-from traceprof.model import Device, MemoryBreakdown, validate_run
+from traceprof.model import MemoryBreakdown, validate_run
 from traceprof.steps import detect_period, predictability, resolve_steps
+from traceprof.sweep import SweepPoint, build_sweep_result
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
 
 GB = 1_000_000_000
@@ -365,7 +367,7 @@ def test_criterion_7_predictability():
             for t, g in enumerate(rng.uniform(0, 1, n_steps * per_step))
         ]
         noise_ops = [
-            OpEvent("op", Device.GPU, s * 1_000_000, (s + 1) * 1_000_000, step_id=s)
+            OpEvent("op", "GPU", s * 1_000_000, (s + 1) * 1_000_000, step_id=s)
             for s in range(n_steps)
         ]
         noise_run = mk_run(noise_samples, noise_ops)
@@ -391,7 +393,7 @@ def test_criterion_8_correlation_oracles():
             ops.append(
                 OpEvent(
                     f"op{i % 11}",
-                    rng.choice([Device.CPU, Device.GPU]),
+                    rng.choice(["CPU", "GPU"]),
                     start,
                     start + rng.randrange(1, 2_000),
                 )
@@ -403,8 +405,8 @@ def test_criterion_8_correlation_oracles():
         got = [a.op_indices for a in attribute_samples(run)]
         assert got == brute_force_attribution(rows(run.ops), rows(run.samples))
 
-        for device in (Device.CPU, Device.GPU):
-            intervals = [(op.start, op.end) for op in rows(run.ops) if op.device is device]
+        for device in ("CPU", "GPU"):
+            intervals = [(op.start, op.end) for op in rows(run.ops) if op.device == device]
             assert busy_time(run, device) == discretized_busy_oracle(intervals)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"100 oracle comparisons took {elapsed:.1f}s"
@@ -424,9 +426,7 @@ def test_criterion_9_format_stability(tmp_path, capsysbinary):
         first = _analyze_json(manifest, capsysbinary)
         second = _analyze_json(manifest, capsysbinary)
         assert first == second  # byte-identical across invocations
-        report = parse_report(first)
-        assert write_report(report, "json") == first  # fixed point
-        assert parse_report(write_report(report, "json")) == report
+        assert first == dump_oracle(build_report(load_run(manifest)))  # the stdlib encoder's
 
     # Same stability for a sweep result document.
     rel = []
@@ -443,10 +443,12 @@ def test_criterion_9_format_stability(tmp_path, capsysbinary):
     second = capsysbinary.readouterr().out
     assert rc == 0
     assert first == second
-    result = parse_report(first)
-    assert write_report(result, "json") == first
+    runs = [load_run(manifest) for manifest in manifests[:2]]
+    points = [SweepPoint(run.meta.batch_size, build_report(run)) for run in runs]
+    result = build_sweep_result("m", points, runs[0].meta.device_mem_capacity_bytes)
+    assert first == dump_oracle(result)
     print("\nPASS criterion 9: JSON reports are byte-identical across invocations and "
-          "round-trip through parse/write unchanged")
+          "equal the stdlib encoder's bytes")
 
 
 # -- 10. long noisy run ---------------------------------------------------------------------------

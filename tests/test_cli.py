@@ -18,7 +18,7 @@ from oracles import OpEvent, TelemetrySample, rows, to_doc
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
 from traceprof.ingest import RunManifest, op_trace_chunks, telemetry_chunks, write_manifest
-from traceprof.model import Device, MemoryBreakdown, RunMeta
+from traceprof.model import MemoryBreakdown, RunMeta
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
 
 GB = 1_000_000_000
@@ -563,8 +563,10 @@ def _edit_first_sample(manifest, column, value):
      b"error[MalformedLine] line 2: t_us must fit in int64"),
     (lambda m: _edit_first_sample(m, "mem_bytes", str(2**63)),
      b"error[MalformedLine] line 2: mem_bytes must fit in int64"),
+    (lambda m: (m.parent / "telemetry.csv").write_text("\n  \n\t\r\n"),
+     b"error[EmptyTrace]: telemetry file is empty"),
 ], ids=["end_2pow70", "end_2e300", "start_below_int64", "step_2pow63", "t_us_2pow70",
-        "mem_bytes_2pow63"])
+        "mem_bytes_2pow63", "blank_telemetry"])
 def test_out_of_range_integers_are_diagnostics(tmp_path, edit, diagnostic):
     manifest = write_run(random_spec(1), tmp_path / "run")
     edit(manifest)
@@ -605,7 +607,12 @@ def _set_meta(manifest, **fields):
     ({"core_count": 10**6},
      "error[CoreCountMismatch] line 1: run declares 1000000 cores, more than its "
      "{width}-character header can name"),
-], ids=["interval_2pow63", "interval_2pow63_minus_1", "batch_10pow400", "cores_10pow6"])
+    ({"sample_interval_us": 0}, "error[InvalidMeta]: sample_interval_us must be > 0, got 0"),
+    ({"sample_interval_us": -10_000},
+     "error[InvalidMeta]: sample_interval_us must be > 0, got -10000"),
+    ({"warmup_steps": -1}, "error[InvalidMeta]: warmup_steps must be >= 0, got -1"),
+], ids=["interval_2pow63", "interval_2pow63_minus_1", "batch_10pow400", "cores_10pow6",
+        "interval_0", "interval_negative", "warmup_negative"])
 def test_meta_values_past_int64_are_diagnostics(tmp_path, fields, diagnostic):
     spec = random_spec(1)
     manifest = write_run(spec, tmp_path / "run")
@@ -629,6 +636,53 @@ def test_non_finite_idle_threshold_is_a_usage_error(tmp_path, capsys, value):
                  ["sweep", sweep, "--format", "json"], ["sweep", sweep]):
         assert main([*map(str, args), f"--idle-threshold={value}"]) == 2
         assert capsys.readouterr() == ("", "--idle-threshold must be finite\n")
+
+
+def test_negative_warmup_is_a_usage_error(tmp_path, capsys):
+    manifest = write_run(random_spec(1), tmp_path / "run")
+    sweep = _write_sweep(tmp_path, [(_throughput_spec(4, 100_000, 10_000), None),
+                                    (_throughput_spec(8, 200_000, 10_000), None)])
+    for args in (["analyze", manifest, "--format", "json"], ["sweep", sweep]):
+        assert main([*map(str, args), "--warmup", "-1"]) == 2
+        assert capsys.readouterr() == ("", "--warmup must be >= 0\n")
+
+
+def test_breakdown_above_the_peak_is_a_warning(tmp_path, capsys):
+    spec = random_spec(1)
+    peak = generate(spec)[3].peak_mem_bytes
+    manifest = write_run(spec, tmp_path / "run", MemoryBreakdown(peak - 10, 5, 5, 1))
+    assert main(["analyze", str(manifest), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["peak_mem_bytes"] == peak
+    assert err == (f"warning[MemoryBreakdownMismatch]: breakdown sums to {peak + 1} bytes, "
+                   f"above observed peak {peak}\n")
+
+
+def test_sweep_with_different_capacities_uses_the_first(tmp_path, capsysbinary):
+    # The first run listed has the larger batch, so "first" is not "lowest batch".
+    path = _write_sweep(tmp_path, [
+        (_throughput_spec(8, 200_000, 10_000)._replace(device_mem_capacity_bytes=10 * GB), None),
+        (_throughput_spec(4, 100_000, 10_000)._replace(device_mem_capacity_bytes=2 * GB), None),
+    ])
+    assert main(["sweep", str(path), "--format", "json"]) == 0
+    out, err = capsysbinary.readouterr()
+    assert err.decode() == (f"warning: runs declare different memory capacities "
+                            f"{[2 * GB, 10 * GB]}; using the first\n")
+    assert [(v["batch_size"], v["capacity_bytes"], v["verdict"])
+            for v in json.loads(out)["feasibility"]] == [(4, 10 * GB, "fits"), (8, 10 * GB, "fits")]
+
+
+def test_sweep_table_prints_intermediate_memory_growth(tmp_path, capsys):
+    specs = [_throughput_spec(4, 100_000, 10_000), _throughput_spec(8, 200_000, 10_000)]
+    breakdowns = [MemoryBreakdown(10**6, 10**6, 10**5, 40_000),
+                  MemoryBreakdown(10**6, 10**6, 2 * 10**5, 80_000)]
+    path = _write_sweep(tmp_path, list(zip(specs, breakdowns)))
+    assert main(["sweep", str(path), "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4] == "intermediate memory growth: 40000 -> 80000 bytes"
+    path = _write_sweep(tmp_path / "none", [(spec, None) for spec in specs])
+    assert main(["sweep", str(path), "--format", "table"]) == 0
+    assert "intermediate memory growth" not in capsys.readouterr().out
 
 
 def test_invalid_synth_spec_leaves_no_directory(tmp_path, capsys):
@@ -1013,7 +1067,7 @@ def test_samples_on_under_half_the_period_grid_are_a_diagnostic(tmp_path):
     meta = RunMeta(run_id="sparse", batch_size=1, core_count=1, sample_interval_us=1)
     samples = [TelemetrySample(i * 10**12, (0.5,), float(i % 2), 1.0, 1.0, 1.0, 4.0, 100)
                for i in range(10)]
-    op_table, sample_table = tables([OpEvent("a", Device.GPU, 0, 9 * 10**12 + 1)], samples)
+    op_table, sample_table = tables([OpEvent("a", "GPU", 0, 9 * 10**12 + 1)], samples)
     (tmp_path / "ops.jsonl").write_bytes(b"".join(op_trace_chunks(op_table)))
     (tmp_path / "telemetry.csv").write_bytes(b"".join(telemetry_chunks(sample_table)))
     manifest = tmp_path / "run.json"

@@ -7,7 +7,7 @@ from oracles import (OpEvent, brute_force_attribution, concurrent_ops_oracle,
                      discretized_busy_oracle, rows)
 from traceprof.correlate import attribute_samples, busy_time, concurrent_ops_exist
 from traceprof.metrics import build_report
-from traceprof.model import Device, Run, RunMeta, StepWindow
+from traceprof.model import Run, RunMeta, StepWindow
 
 
 def _run_with(ops, sample_ts, interval=10_000):
@@ -16,7 +16,7 @@ def _run_with(ops, sample_ts, interval=10_000):
 
 
 def test_sample_inside_two_ops_attributed_to_both():
-    ops = [OpEvent("A", Device.GPU, 0, 100), OpEvent("B", Device.GPU, 50, 150)]
+    ops = [OpEvent("A", "GPU", 0, 100), OpEvent("B", "GPU", 50, 150)]
     run = _run_with(ops, [75])
     (attr,) = attribute_samples(run)
     names = {rows(run.ops)[i].op_name for i in attr.op_indices}
@@ -24,14 +24,14 @@ def test_sample_inside_two_ops_attributed_to_both():
 
 
 def test_sample_outside_all_ops_gets_empty_list():
-    ops = [OpEvent("A", Device.GPU, 0, 100)]
+    ops = [OpEvent("A", "GPU", 0, 100)]
     run = _run_with(ops, [200])
     (attr,) = attribute_samples(run)
     assert attr.op_indices == ()
 
 
 def test_half_open_boundaries():
-    ops = [OpEvent("A", Device.GPU, 0, 100), OpEvent("B", Device.GPU, 100, 200)]
+    ops = [OpEvent("A", "GPU", 0, 100), OpEvent("B", "GPU", 100, 200)]
     run = _run_with(ops, [0, 100, 200])
     at0, at100, at200 = attribute_samples(run)
     ops = rows(run.ops)
@@ -41,7 +41,7 @@ def test_half_open_boundaries():
 
 
 def test_step_id_assigned_from_windows():
-    ops = [OpEvent("A", Device.GPU, 0, 300)]
+    ops = [OpEvent("A", "GPU", 0, 300)]
     run = _run_with(ops, [50, 150, 250])
     windows = [StepWindow(0, 0, 100), StepWindow(1, 100, 200)]
     attrs = attribute_samples(run, windows)
@@ -56,7 +56,7 @@ def _random_case(seed, n_ops, n_samples, span):
         ops.append(
             OpEvent(
                 f"op{i % 7}",
-                rng.choice([Device.CPU, Device.GPU]),
+                rng.choice(["CPU", "GPU"]),
                 start,
                 start + rng.randrange(1, span // 4),
             )
@@ -104,21 +104,21 @@ def test_removing_an_op_never_grows_attribution():
 
 
 def test_busy_time_union_of_overlapping_intervals():
-    ops = [OpEvent("A", Device.GPU, 0, 100), OpEvent("B", Device.GPU, 50, 150)]
+    ops = [OpEvent("A", "GPU", 0, 100), OpEvent("B", "GPU", 50, 150)]
     run = _run_with(ops, [0])
-    assert busy_time(run, Device.GPU) == 150
+    assert busy_time(run, "GPU") == 150
 
 
 def test_busy_time_no_ops_on_device():
-    ops = [OpEvent("A", Device.GPU, 0, 100)]
+    ops = [OpEvent("A", "GPU", 0, 100)]
     run = _run_with(ops, [0])
-    assert busy_time(run, Device.CPU) == 0
+    assert busy_time(run, "CPU") == 0
 
 
 def test_busy_time_matches_discretized_oracle():
     for seed in range(8):
         run = _random_case(seed + 100, n_ops=80, n_samples=5, span=5_000)
-        for device in (Device.CPU, Device.GPU):
+        for device in ("CPU", "GPU"):
             intervals = [(op.start, op.end) for op in rows(run.ops) if op.device is device]
             assert busy_time(run, device) == discretized_busy_oracle(intervals)
 
@@ -127,13 +127,13 @@ def test_busy_time_matches_discretized_oracle():
 def test_busy_time_bounded_by_run_duration(seed):
     run = _random_case(seed, n_ops=20, n_samples=10, span=3_000)
     start = min(int(run.ops.start[0]), int(run.samples.t[0]))
-    for device in (Device.CPU, Device.GPU):
+    for device in ("CPU", "GPU"):
         assert busy_time(run, device) <= run.end_us - start
 
 
 def test_concurrent_ops_detection():
-    overlapping = [OpEvent("A", Device.GPU, 0, 100), OpEvent("B", Device.CPU, 50, 150)]
-    disjoint = [OpEvent("A", Device.GPU, 0, 100), OpEvent("B", Device.CPU, 100, 150)]
+    overlapping = [OpEvent("A", "GPU", 0, 100), OpEvent("B", "CPU", 50, 150)]
+    disjoint = [OpEvent("A", "GPU", 0, 100), OpEvent("B", "CPU", 100, 150)]
     assert concurrent_ops_exist(_run_with(overlapping, [0]))
     assert not concurrent_ops_exist(_run_with(disjoint, [0]))
 
@@ -143,7 +143,7 @@ def test_concurrent_ops_match_all_pairs_oracle(spans):
     # Starts from a few values, so many tie, and lengths that include 0. The
     # rows are sorted by start only, as a run's are, so tied ends stay unordered.
     intervals = sorted(((start, start + length) for start, length in spans), key=lambda i: i[0])
-    ops, samples = tables([OpEvent("a", Device.GPU, a, b) for a, b in intervals], [])
+    ops, samples = tables([OpEvent("a", "GPU", a, b) for a, b in intervals], [])
     run = Run(RunMeta("r", batch_size=1, core_count=1), ops, samples)
     assert concurrent_ops_exist(run) == concurrent_ops_oracle(intervals)
 
@@ -153,13 +153,13 @@ def test_report_attribution_counts_match_attribute_samples():
     # ends, where half-open intervals decide the attribution. The labels give
     # the disjoint steps [0, 300) and [310, 320).
     ops = [
-        OpEvent("A", Device.GPU, 0, 100, step_id=0),
-        OpEvent("B", Device.GPU, 50, 150, step_id=0),
-        OpEvent("A", Device.CPU, 100, 200, step_id=0),
-        OpEvent("C", Device.CPU, 120, 125, step_id=0),
-        OpEvent("D", Device.GPU, 150, 300, step_id=0),
-        OpEvent("D", Device.GPU, 150, 300, step_id=0),
-        OpEvent("E", Device.CPU, 310, 320, step_id=1),
+        OpEvent("A", "GPU", 0, 100, step_id=0),
+        OpEvent("B", "GPU", 50, 150, step_id=0),
+        OpEvent("A", "CPU", 100, 200, step_id=0),
+        OpEvent("C", "CPU", 120, 125, step_id=0),
+        OpEvent("D", "GPU", 150, 300, step_id=0),
+        OpEvent("D", "GPU", 150, 300, step_id=0),
+        OpEvent("E", "CPU", 310, 320, step_id=1),
     ]
     run = _run_with(ops, [0, 25, 50, 100, 120, 125, 150, 200, 250, 300], interval=50)
     ops = rows(run.ops)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (assert_same_types, mk_run, mk_sample, table_bytes, tables, traced_peak,
-                      two_stream_ops)
+from conftest import mk_run, mk_sample, table_bytes, tables, traced_peak, two_stream_ops
 from oracles import (OpEvent, dump_oracle, op_order_oracle, parse_op_trace_oracle,
                      parse_telemetry_oracle, rows, sort_ops_oracle, to_doc)
 from traceprof import ingest
@@ -27,7 +26,6 @@ from traceprof.ingest import (
     load_sweep_manifest,
     op_trace_chunks,
     parse_op_trace,
-    parse_report,
     parse_telemetry,
     telemetry_chunks,
     write_manifest,
@@ -36,7 +34,6 @@ from traceprof.ingest import (
 from traceprof.metrics import build_report
 from traceprof.model import (
     RAILS,
-    Device,
     Issue,
     MemoryBreakdown,
     RunMeta,
@@ -52,7 +49,7 @@ def test_parse_op_trace_direct_mapping():
     line = b'{"op":"MatMul","device":"GPU","step":0,"start_us":100,"end_us":350}\n'
     events, issues = parse_op_trace(line)
     assert issues == []
-    assert rows(events) == [OpEvent("MatMul", Device.GPU, 100, 350, layer=None, step_id=0)]
+    assert rows(events) == [OpEvent("MatMul", "GPU", 100, 350, layer=None, step_id=0)]
 
 
 def test_parse_op_trace_empty_file():
@@ -238,7 +235,7 @@ def _sample_run():
         for t in range(12)
     ]
     ops = [
-        OpEvent("conv", Device.GPU, s * 40_000, (s + 1) * 40_000, step_id=s)
+        OpEvent("conv", "GPU", s * 40_000, (s + 1) * 40_000, step_id=s)
         for s in range(3)
     ]
     return mk_run(samples, ops, batch=4, warmup=1)
@@ -276,16 +273,7 @@ REPORTS = {
 def test_report_json_round_trip_equality():
     for case, build in REPORTS.items():
         report = build()
-        data = write_report(report, "json")
-        assert parse_report(data) == report, case
-        assert_same_types(parse_report(data), report, case)
-
-
-def test_write_parse_write_fixed_point():
-    for case, build in REPORTS.items():
-        first = write_report(build(), "json")
-        second = write_report(parse_report(first), "json")
-        assert first == second, case
+        assert write_report(report, "json") == dump_oracle(report), case
 
 
 # Floats whose shortest repr is hard to get right: signed zero, the least
@@ -458,13 +446,6 @@ def test_sweep_manifest_model_must_be_a_string(tmp_path):
     path.write_text(json.dumps({"model": 5, "runs": ["a/run.json", "b/run.json"]}))
     with pytest.raises(ManifestError, match="needs a string 'model' and 'runs'"):
         load_sweep_manifest(path)
-
-
-def test_report_fixed_tuple_length_is_checked():
-    doc = json.loads(write_report(_sweep_result(), "json"))
-    doc["mem_intermediate_growth"] = [1, 2, 3]
-    with pytest.raises(ValueError, match=r"report.mem_intermediate_growth must be a list of 2 "):
-        parse_report(json.dumps(doc).encode())
 
 
 def test_load_run_resolves_paths_relative_to_manifest(tmp_path):

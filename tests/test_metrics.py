@@ -16,14 +16,13 @@ from traceprof import metrics
 from traceprof.errors import NoSamplesInWindow
 from traceprof.ingest import write_report
 from traceprof.metrics import _rail_ranking, build_report
-from traceprof.model import Device
 
 
 def _uniform_run(core_rows, gpu_row=None, powers=None, interval=10_000, mems=None, ops=None,
                  **kw):
     """One sample per interval; by default one op labelled step 0 spans the run."""
     n = len(core_rows)
-    ops = ops or [OpEvent("op", Device.GPU, 0, n * interval, step_id=0)]
+    ops = ops or [OpEvent("op", "GPU", 0, n * interval, step_id=0)]
     gpu_row = gpu_row or [0.0] * n
     powers = powers or [(0.0, 0.0, 0.0, 0.0)] * n
     mems = mems or [0] * n
@@ -54,7 +53,7 @@ def _jittered_run(seed, n=60):
             )
         )
         t += rng.randrange(8_000, 13_000)
-    return mk_run(samples, [OpEvent("op", Device.GPU, 0, t, step_id=0)])
+    return mk_run(samples, [OpEvent("op", "GPU", 0, t, step_id=0)])
 
 
 # --- Eq. 1: individual core utilization -------------------------------------
@@ -219,7 +218,7 @@ def test_peak_memory_includes_warmup_window():
     # Peak lands in the warmup step; the metric must still see it.
     rows = [(0.0,)] * 8
     mems = [9, 9, 1, 1, 1, 1, 1, 1]
-    ops = [OpEvent("op", Device.GPU, s * 40_000, (s + 1) * 40_000, step_id=s) for s in range(2)]
+    ops = [OpEvent("op", "GPU", s * 40_000, (s + 1) * 40_000, step_id=s) for s in range(2)]
     run = _uniform_run(rows, mems=mems, ops=ops, warmup=1)
     assert build_report(run).peak_mem_bytes == 9
 
@@ -240,7 +239,7 @@ def test_peak_memory_matches_running_max_oracle():
 def _steps_run(durations, batch, warmup=0, interval=10_000):
     """Back-to-back labelled steps of the given durations, one sample per interval."""
     bounds = [sum(durations[:s]) for s in range(len(durations) + 1)]
-    ops = [OpEvent("op", Device.GPU, a, b, step_id=s)
+    ops = [OpEvent("op", "GPU", a, b, step_id=s)
            for s, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     return _uniform_run([(0.0,)] * (bounds[-1] // interval), ops=ops, batch=batch,
                         warmup=warmup, interval=interval)
@@ -342,8 +341,8 @@ def test_report_marks_sub_resolution_ops():
     # 1 us op can never catch a 10 ms sample.
     rows = [(0.0,)] * 10
     ops = [
-        OpEvent("big", Device.GPU, 0, 100_000, step_id=0),
-        OpEvent("tiny", Device.CPU, 55_001, 55_002, step_id=0),
+        OpEvent("big", "GPU", 0, 100_000, step_id=0),
+        OpEvent("tiny", "CPU", 55_001, 55_002, step_id=0),
     ]
     run = _uniform_run(rows, ops=ops, warmup=0)
     report = build_report(run)
@@ -355,7 +354,7 @@ def test_report_marks_sub_resolution_ops():
 def test_report_keeps_a_step_with_no_sample_but_drops_its_metrics():
     # Step 2 spans [61 000, 62 000) us, between two 10 ms samples.
     bounds = [0, 30_000, 61_000, 62_000, 100_000]
-    ops = [OpEvent("op", Device.GPU, lo, hi, step_id=s)
+    ops = [OpEvent("op", "GPU", lo, hi, step_id=s)
            for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     report = build_report(_uniform_run([(0.0,)] * 10, ops=ops, warmup=0))
     assert [(w.step_id, w.start_us, w.end_us) for w in report.steps] == [
@@ -365,8 +364,8 @@ def test_report_keeps_a_step_with_no_sample_but_drops_its_metrics():
 
 def test_analysis_window_without_samples_is_no_samples_in_window():
     # Warmup step 0 holds every sample; step 1, the only other, falls between two.
-    ops = [OpEvent("op", Device.GPU, 0, 61_000, step_id=0),
-           OpEvent("op", Device.GPU, 61_000, 62_000, step_id=1)]
+    ops = [OpEvent("op", "GPU", 0, 61_000, step_id=0),
+           OpEvent("op", "GPU", 61_000, 62_000, step_id=1)]
     run = _uniform_run([(0.0,)] * 10, ops=ops, warmup=1)
     with pytest.raises(NoSamplesInWindow, match=r"^no samples with t in \[61000, 62000\) us$"):
         build_report(run)
@@ -376,7 +375,7 @@ def test_power_overflowing_outside_every_step_leaves_the_report_unchanged():
     # Samples 0 and 7 lie before the first and after the last step; there a
     # 1e308 mW rail times the 10 ms weight overflows to inf. A float prefix
     # sum would carry that inf into every window (inf - inf is NaN).
-    ops = [OpEvent("op", Device.GPU, s * 10_000, (s + 1) * 10_000, step_id=s)
+    ops = [OpEvent("op", "GPU", s * 10_000, (s + 1) * 10_000, step_id=s)
            for s in range(1, 7)]
     powers = [(100.0, 200.0, 300.0, 400.0)] * 8
     spiked = [(1e308,) * 4] + powers[1:7] + [(1e308,) * 4]
@@ -457,7 +456,7 @@ def test_a_dropped_step_window_mid_run_leaves_the_other_rows_aligned():
     rng = random.Random(3)
     n = 10
     bounds = [0, 30_000, 61_000, 62_000, 100_000]
-    ops = [OpEvent("op", Device.GPU, lo, hi, step_id=s)
+    ops = [OpEvent("op", "GPU", lo, hi, step_id=s)
            for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     run = _uniform_run([(rng.random(), rng.random()) for _ in range(n)],
                        gpu_row=[rng.random() for _ in range(n)],
@@ -476,8 +475,8 @@ def test_a_dropped_step_window_mid_run_leaves_the_other_rows_aligned():
 
 def test_report_per_op_busy_time_stays_exact_past_int64():
     big = 2**62 + 5
-    ops = [OpEvent("a", Device.GPU, 0, big, step_id=0), OpEvent("a", Device.CPU, 0, big, step_id=0),
-           OpEvent("b", Device.CPU, 0, 3, step_id=0)]
+    ops = [OpEvent("a", "GPU", 0, big, step_id=0), OpEvent("a", "CPU", 0, big, step_id=0),
+           OpEvent("b", "CPU", 0, 3, step_id=0)]
     report = build_report(_uniform_run([(0.0,)] * 3, ops=ops, warmup=0))
     assert report.per_op["a"].busy_time_us == 2 * big
     assert (report.per_op["a"].count, report.per_op["a"].attributed_samples) == (2, 6)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample, tables, util_fractions
-from oracles import OpEvent, pair_scores_oracle, pairwise_pearson_oracle, pearson_pair_oracle, rows
+from oracles import (OpEvent, pair_scores_oracle, pairwise_pearson_oracle, pearson_pair_oracle,
+                     rows, step_windows_oracle)
 from traceprof import steps
-from traceprof.errors import NoCompleteSteps, NoSteps, SignalTooShort
+from traceprof.errors import NoCompleteSteps, NoSteps, OverlappingSteps, SignalTooShort
 from traceprof.metrics import build_report
-from traceprof.model import Device, RunMeta, SampleTable
+from traceprof.model import DEVICES, RunMeta, SampleTable
 from traceprof.steps import (
     PeriodEstimate,
     detect_period,
@@ -50,7 +51,7 @@ def _square_run(period_samples=100, steps=6, interval=10_000, duty=0.6, **spec_k
 
 def test_resolve_steps_from_explicit_labels():
     samples = [mk_sample(t * 10_000) for t in range(50)]
-    ops = [OpEvent("op", Device.GPU, s * 100_000, (s + 1) * 100_000, step_id=s)
+    ops = [OpEvent("op", "GPU", s * 100_000, (s + 1) * 100_000, step_id=s)
            for s in range(5)]
     run = mk_run(samples, ops, warmup=3)
     windows = resolve_steps(run)
@@ -76,7 +77,7 @@ def test_resolve_steps_tiles_one_second_windows():
 
 def test_resolve_steps_flat_signal_raises():
     samples = [mk_sample(t * 10_000, gpu=0.5) for t in range(100)]
-    ops = [OpEvent("op", Device.GPU, 0, 1_000_000)]
+    ops = [OpEvent("op", "GPU", 0, 1_000_000)]
     run = mk_run(samples, ops)
     with pytest.raises(NoSteps):
         resolve_steps(run)
@@ -84,7 +85,7 @@ def test_resolve_steps_flat_signal_raises():
 
 def test_resolve_steps_and_period_labelled_gives_the_mean_duration():
     samples = [mk_sample(t * 10_000) for t in range(50)]
-    ops = [OpEvent("op", Device.GPU, s * 100_000, s * 100_000 + 90_000 + s, step_id=s)
+    ops = [OpEvent("op", "GPU", s * 100_000, s * 100_000 + 90_000 + s, step_id=s)
            for s in range(5)]
     run = mk_run(samples, ops, warmup=1)
     windows, period = resolve_steps_and_period(run)
@@ -100,6 +101,60 @@ def test_resolve_steps_and_period_unlabelled_keeps_one_estimate():
     assert period.method == "autocorrelation" and period.period_us == truth.period_us
 
 
+@st.composite
+def partly_labelled_runs(draw):
+    """A run whose ops are labelled with a step id or unlabelled, in a drawn order.
+
+    Time slot k's labelled ops lie in [1000 k, 1000 k + 900) us, so no two slots
+    overlap; unlabelled ops lie anywhere, across slots too. Slot k's step id is
+    3 k, or the slots' ids are drawn in any order, so that ids need not grow with
+    time. A sample every 50 us covers the run, and each op spans at least 100 us.
+    """
+    n_slots = draw(st.integers(1, 6))
+    ids = [3 * k for k in range(n_slots)]
+    if draw(st.booleans()):
+        ids = draw(st.permutations(ids))
+
+    def op(lo, hi, step):
+        start = draw(st.integers(lo, hi - 100))
+        return OpEvent(draw(st.sampled_from(["a", "b", "c"])), draw(st.sampled_from(DEVICES)),
+                       start, draw(st.integers(start + 100, hi)), step_id=step)
+
+    slots = draw(st.lists(st.integers(0, n_slots - 1), min_size=1))
+    labelled = [op(1000 * k, 1000 * k + 900, ids[k]) for k in slots]
+    unlabelled = [op(0, 1000 * n_slots, None) for _ in range(draw(st.integers(1, 8)))]
+    ops = draw(st.permutations(labelled + unlabelled))
+    samples = [mk_sample(t, gpu=draw(util_fractions)) for t in range(0, 1000 * n_slots, 50)]
+    warmup = draw(st.integers(0, len(set(slots)) - 1))
+    return mk_run(samples, ops, interval=50, warmup=warmup)
+
+
+@given(partly_labelled_runs())
+def test_partly_labelled_runs_window_the_labelled_ops(run):
+    ops = rows(run.ops)
+    want = step_windows_oracle(ops, run.meta.warmup_steps)
+    overlaps = [(a, b) for a, b in zip(want, want[1:]) if b.start_us < a.end_us]
+    if overlaps:  # windows in step-id order must also be in time order
+        (a, b), *_ = overlaps
+        with pytest.raises(OverlappingSteps, match=f"^step windows {a.step_id} and {b.step_id} "):
+            resolve_steps_and_period(run)
+        return
+    windows, period = resolve_steps_and_period(run)
+    assert list(windows) == want
+    mean_us = fsum(w.end_us - w.start_us for w in want) / len(want)
+    assert period == PeriodEstimate(int(round(mean_us)), confidence=1.0, method="explicit")
+    # Unlabelled ops belong to no window, but every op counts in per_op.
+    per_op = build_report(run).per_op
+    ts = run.samples.t.tolist()
+    assert sorted(per_op) == sorted({op.op_name for op in ops})
+    for name in per_op:
+        mine = [op for op in ops if op.op_name == name]
+        assert per_op[name].count == len(mine)
+        assert per_op[name].busy_time_us == sum(op.end - op.start for op in mine)
+        assert per_op[name].attributed_samples == sum(op.start <= t < op.end
+                                                      for op in mine for t in ts)
+
+
 def test_build_report_detects_the_period_once(monkeypatch):
     run, truth = _square_run(period_samples=100, strip_step_ids=True)
     calls = []
@@ -113,7 +168,7 @@ def test_build_report_detects_the_period_once(monkeypatch):
 def test_detect_period_rejects_samples_on_under_half_the_grid():
     # 10 samples 10**12 us apart at a declared 1 us interval: a 9e12-point grid.
     samples = [mk_sample(i * 10**12, gpu=float(i % 2)) for i in range(10)]
-    run = mk_run(samples, [OpEvent("op", Device.GPU, 0, 9 * 10**12 + 1)], interval=1)
+    run = mk_run(samples, [OpEvent("op", "GPU", 0, 9 * 10**12 + 1)], interval=1)
     with pytest.raises(SignalTooShort, match="cover under half of the 9000000000001-point"):
         detect_period(run)
     # Every other interval sampled is exactly half the grid, which is enough.
@@ -178,7 +233,7 @@ def test_predictability_independent_noise_near_zero():
         mk_sample(t * 10_000, gpu=float(g))
         for t, g in enumerate(rng.uniform(0, 1, n_steps * per_step))
     ]
-    ops = [OpEvent("op", Device.GPU, s * 1_000_000, (s + 1) * 1_000_000, step_id=s)
+    ops = [OpEvent("op", "GPU", s * 1_000_000, (s + 1) * 1_000_000, step_id=s)
            for s in range(n_steps)]
     run = mk_run(samples, ops)
     windows = resolve_steps(run)
@@ -293,7 +348,7 @@ def _sys_power_run(rows):
     values = np.zeros((rows.size, 6))  # one core, the GPU, then the cpu, gpu, mem and sys rails
     values[:, 5] = rows.ravel()
     samples = SampleTable(np.arange(rows.size) * 1_000, values, np.zeros(rows.size, np.int64))
-    ops = [OpEvent("op", Device.GPU, i * length * 1_000, (i + 1) * length * 1_000, step_id=i)
+    ops = [OpEvent("op", "GPU", i * length * 1_000, (i + 1) * length * 1_000, step_id=i)
            for i in range(steps_)]
     meta = RunMeta("rows", batch_size=1, core_count=1, sample_interval_us=1_000, warmup_steps=0)
     return validate_run(meta, tables(ops, [])[0], samples)

@@ -11,7 +11,7 @@ from traceprof.cli import main
 from traceprof.errors import InvalidSpec
 from traceprof.ingest import op_trace_chunks, telemetry_chunks
 from traceprof.metrics import build_report
-from traceprof.model import Device, OpTable, SampleTable, validate_run
+from traceprof.model import OpTable, SampleTable, validate_run
 from traceprof.synth import (
     PhaseSpec,
     SynthSpec,
@@ -176,6 +176,17 @@ def test_invalid_specs_rejected():
         generate(SynthSpec(**{**_kw(good), "phases": bad}))
 
 
+def test_python_built_spec_devices_are_names():
+    good = _two_phase_spec()
+    cpu_only = good._replace(phases=tuple(p._replace(op_device="CPU") for p in good.phases))
+    _, ops, _, _ = generate(cpu_only)
+    assert {op.device for op in rows(ops)} == {"CPU"}
+    tpu = good._replace(phases=(good.phases[0]._replace(op_device="TPU"), *good.phases[1:]))
+    with pytest.raises(InvalidSpec, match=r"^phase 0 op_device must be one of \['CPU', 'GPU'\], "
+                                          r"got 'TPU'$"):
+        generate(tpu)
+
+
 def _kw(spec):
     return {
         "steps": spec.steps,
@@ -204,7 +215,7 @@ def test_strip_step_ids_removes_labels():
     meta, ops, _, _ = generate(_two_phase_spec(strip_step_ids=True))
     ops = rows(ops)
     assert all(op.step_id is None for op in ops)
-    assert ops[0].device is Device.GPU
+    assert ops[0].device == "GPU"
 
 
 def test_generate_matches_the_per_sample_oracle():
