@@ -31,7 +31,8 @@ class NoCompleteSteps(TraceProfError):
 
 
 class OverlappingSteps(TraceProfError, ValueError):
-    """Labelled ops put two step windows over the same time."""
+    """Labelled ops put two step windows over the same time, or give step ids that run
+    backwards in time."""
 
 
 class NoSteps(TraceProfError):

@@ -24,26 +24,38 @@ in run order, each column sorted in turn), without an object per op or
 sample. Diagnostics keep their line numbers. A timestamp, step or
 ``mem_bytes`` value outside the int64 range is a diagnostic on its line.
 
-Each parser reads its input, bytes or an open binary file, once and in line
-chunks, so no reader holds the whole file's bytes, text or line list. A chunk
-is a fixed number of binary lines (``_CHUNK`` for the op trace, ``_ROWS`` for
-telemetry), decoded with ``errors="replace"`` and split by
-``str.splitlines``; line numbers run on across chunks. This gives the lines
-of decoding the whole file at once: every chunk but the last ends just after
-a ``\n`` byte, so no ``\r\n`` pair straddles two chunks, and byte 0x0A never
-occurs inside a UTF-8 sequence, so decoding per chunk gives the same
-characters. Only decoding falls back to one line at a time; each value rule
-is then one check over a chunk's column, and a failing line gets the
-diagnostic of its first failing rule. Op trace: if a chunk holds no
-``[``/``]`` and each stripped non-blank line is ``{...}``, the chunk decodes
-as one JSON array. No record can then span lines (a string cannot hold the
-raw newline, an object would need a key where the next line has ``{``), so as
-many records as lines is one per line. Else each line goes through
-``json.loads`` on its own. Telemetry: the first non-blank line is the header,
-and the lines after it are rows. If a chunk is ASCII and the header exactly
-as expected, ``np.loadtxt`` tokenizes its rows; it accepts a subset of what
-``int``/``float`` do, with equal values. Else each row of that chunk is split
-and converted on its own. The chunks' columns are joined at the end.
+Each parser reads its input, bytes or an open binary file, once and in
+pieces, so no reader holds the whole file's bytes, text or line list. The op
+trace is read in chunks of ``_CHUNK`` binary lines, decoded with
+``errors="replace"`` and split by ``str.splitlines``; line numbers run on
+across chunks. This gives the lines of decoding the whole file at once: every
+chunk but the last ends just after a ``\n`` byte, so no ``\r\n`` pair
+straddles two chunks, and byte 0x0A never occurs inside a UTF-8 sequence, so
+decoding per chunk gives the same characters. Only decoding falls back to one
+line at a time; each value rule is then one check over a chunk's column, and
+a failing line gets the diagnostic of its first failing rule. Op trace: if a
+chunk holds no ``[``/``]`` and each stripped non-blank line is ``{...}``, the
+chunk decodes as one JSON array. No record can then span lines (a string
+cannot hold the raw newline, an object would need a key where the next line
+has ``{``), so as many records as lines is one per line. Else each line goes
+through ``json.loads`` on its own.
+
+Telemetry: the first non-blank line is the header, read a binary line at a
+time, and the lines after it are rows. They are read in blocks of
+``_BLOCK`` bytes, each extended to end just after a ``\n`` byte, so the
+blocks split the text lines as the chunks above do. A block goes to
+``np.loadtxt`` as bytes, with no object per line held, if the header is
+exactly as expected, the block is ASCII with ``\n`` as its only line break
+(``str.splitlines`` also breaks at ``\r``, ``\x0b``, ``\x0c`` and
+``\x1c``-``\x1e``) and ends with one, and loadtxt reads one row per line
+(it skips an empty line). loadtxt accepts a subset of what ``int``/``float``
+do, with equal values, and strips the same whitespace around a cell as
+``str.strip``. Any other block is decoded, split and stripped like a chunk,
+and its rows go to loadtxt as text, or one at a time if it refuses them.
+Line numbers run on across blocks, and a loadtxt block is split into text
+lines only to number a row that a range check flags. Each block's valid rows
+are appended to growable columns, which become the table's arrays without a
+copy, so no block outlives its turn.
 
 Manifests, reports, sweep results and synth specs go through one codec
 whose JSON keys are the field names of their records (``typing.NamedTuple``
@@ -74,8 +86,8 @@ from math import isfinite
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import (TYPE_CHECKING, Any, BinaryIO, Iterator, Literal, NamedTuple, Sequence,
-                    Union, get_args, get_origin, get_type_hints)
+from typing import (TYPE_CHECKING, Any, BinaryIO, Iterable, Iterator, Literal, NamedTuple,
+                    Sequence, Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -103,7 +115,10 @@ _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
 _CODE_OF_DEVICE = {d: code for code, d in enumerate(DEVICES)}
 _INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
 _CHUNK = 1024  # op-trace lines per bulk decode
-_ROWS = 65536  # telemetry lines per np.loadtxt call
+_ROWS = 65536  # trace lines per written piece
+_BLOCK = 65536  # telemetry bytes per np.loadtxt call, extended to the end of a line
+# The ASCII characters str.splitlines breaks a line at, besides "\n".
+_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # An op trace that starts with one of these is UTF-16 or UTF-32, not UTF-8.
 _WIDE_BOMS = (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE, codecs.BOM_UTF32_BE)
 _NO_SAMPLES = SampleTable(np.empty(0, np.int64), np.empty((0, 5)), np.empty(0, np.int64))
@@ -290,34 +305,48 @@ def _telemetry_columns(core_count: int) -> list[str]:
     return ["t_us", *cores, "gpu", *(f"p_{rail}_mw" for rail in RAILS), "mem_bytes"]
 
 
-def _loadtxt_rows(rows: list[str], width: int) -> tuple[np.ndarray, ...] | None:
-    """(t, values, mem) of rows of ``width`` cells in the expected order, or None."""
-    # numpy's int reader takes some non-ASCII letters for digits (U+20000 reads
-    # as 131024) and can crash on others, so it sees ASCII only.
-    if not all(map(str.isascii, rows)):
-        return None
-    # One 8-byte field per cell, so the int and the float cells are views of one array.
-    dtype = np.dtype([("t", np.int64), *((f"v{k}", np.float64) for k in range(width - 2)),
-                      ("mem", np.int64)])
+@cache
+def _row_dtype(width: int) -> np.dtype:
+    """One 8-byte field per cell, so the int and the float cells are views of one array."""
+    return np.dtype([("t", np.int64), *((f"v{k}", np.float64) for k in range(width - 2)),
+                     ("mem", np.int64)])
+
+
+def _loadtxt(lines: Iterable, width: int) -> tuple[np.ndarray, ...] | None:
+    """(t, values, mem) of ASCII lines of ``width`` cells in the expected order, or None."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.23-1.24 only warn on "1.0" as an int
-            cells = np.loadtxt(rows, dtype, delimiter=",", comments=None, ndmin=1)
+            cells = np.loadtxt(lines, _row_dtype(width), delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     ints = cells.view(np.int64).reshape(-1, width)
     return ints[:, 0], cells.view(np.float64).reshape(-1, width)[:, 1:-1], ints[:, -1]
 
 
-def _parse_rows(rows: list[str], header: list[str], col_index: dict[str, int],
-                expected: list[str]) -> tuple[tuple[np.ndarray, ...], list[tuple]]:
-    """The (t, values, mem) columns of one chunk's valid rows, utilization as fractions,
-    and (row, code, message, severity) per invalid row of ``rows``."""
+def _loadtxt_block(block: bytes, width: int) -> tuple[np.ndarray, ...] | None:
+    """The tokens of ``_loadtxt`` for a block of lines, or None unless each text line
+    of the block is one row that it reads."""
+    # numpy's int reader takes some non-ASCII letters for digits (U+20000 reads
+    # as 131024) and can crash on others, so it sees ASCII only. With no other
+    # line break, the block's text lines are its lines ending in \n.
+    if not (block.endswith(b"\n") and block.isascii()) or any(map(block.__contains__, _BREAKS)):
+        return None
+    tokens = _loadtxt(io.BytesIO(block), width)
+    # loadtxt skips an empty line, which is a text line but no row.
+    return tokens if tokens is not None and len(tokens[0]) == block.count(b"\n") else None
+
+
+def _parse_lines(lines: list[str], first: int, header: list[str], col_index: dict[str, int],
+                 expected: list[str]) -> tuple[tuple[np.ndarray, ...], list[Issue]]:
+    """The (t, values, mem) columns of the valid rows among text lines numbered from
+    ``first`` + 1, utilization as fractions, and a diagnostic per invalid row."""
+    rows = [line for line in map(str.strip, lines) if line]
     value_names = expected[1:-1]  # the cores, gpu and rails: one row of SampleTable.values
-    n_util = len(value_names) - len(RAILS)  # the cores and gpu, in percent
     found: list[tuple[int, str, str, str]] = []
     at: Any = range(len(rows))  # the row of each tokenized sample
-    tokens = _loadtxt_rows(rows, len(header)) if header == expected else None
+    tokens = (_loadtxt(rows, len(header))
+              if header == expected and all(map(str.isascii, rows)) else None)
     if tokens is None:  # one row at a time
         at, t_col, values, mem_col = array("q"), array("q"), array("d"), []
         value_at = [col_index[name] for name in value_names]
@@ -344,6 +373,15 @@ def _parse_rows(rows: list[str], header: list[str], col_index: dict[str, int],
         tokens = (np.frombuffer(t_col, np.int64),
                   np.frombuffer(values, np.float64).reshape(-1, len(value_names)),
                   np.array(mem_col, dtype=object))  # its range is checked after the values'
+    columns, found = _check_rows(tokens, at, value_names, found)
+    return columns, _numbered(found, lines, first)
+
+
+def _check_rows(tokens: tuple[np.ndarray, ...], at: Sequence[int], value_names: list[str],
+                found: list[tuple]) -> tuple[tuple[np.ndarray, ...], list[tuple]]:
+    """The (t, values, mem) tokens of the rows ``at`` that pass the range checks,
+    utilization as fractions, and ``found`` plus (row, code, message, severity) per other."""
+    n_util = len(value_names) - len(RAILS)  # the cores and gpu, in percent
     t, values, mem = tokens
     # Percent, before scaling: -5e-324 is out of range, its fraction -0.0 is not.
     util, power = values[:, :n_util], values[:, n_util:]
@@ -373,6 +411,13 @@ def _parse_rows(rows: list[str], header: list[str], col_index: dict[str, int],
     return (t, values, np.asarray(mem, np.int64)), found
 
 
+def _blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """The rest of ``stream`` in blocks of ``_BLOCK`` bytes, each but the last extended
+    with ``readline`` to end just after a newline byte."""
+    while block := stream.read(_BLOCK):
+        yield block if block.endswith(b"\n") else block + stream.readline()
+
+
 def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTable, list[Issue]]:
     """Parse the telemetry CSV, given as bytes or a binary file.
 
@@ -380,8 +425,8 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
     row of the sample columns, in file order; no per-sample object is built.
     A ``core_count`` above the header line's length is one CoreCountMismatch.
     """
-    chunks = _line_chunks(io.BytesIO(data) if isinstance(data, bytes) else data, _ROWS)
-    for first, lines in chunks:
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    for first, lines in _line_chunks(stream, 1):
         h = next((k for k, line in enumerate(lines) if line.strip()), None)
         if h is not None:  # the header
             break
@@ -413,13 +458,24 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
         )
         return _NO_SAMPLES, issues
 
-    pieces = []
-    for first, lines in chain([(header_no, lines[h + 1 :])], chunks):
-        rows = [line for line in map(str.strip, lines) if line]
-        columns, found = _parse_rows(rows, header, col_index, expected)
-        issues += _numbered(found, lines, first)
-        pieces.append(columns)
-    t, values, mem = (np.concatenate(col) for col in zip(*pieces))
+    columns = array("q"), array("d"), array("q")  # t, values and mem, grown a block at a time
+    first, lines = header_no, lines[h + 1:]  # the header's binary line may hold more text lines
+    for block in chain([None] if lines else [], _blocks(stream)):
+        tokens = _loadtxt_block(block, len(header)) if block and header == expected else None
+        if tokens is None:  # decoded, split and stripped
+            lines = lines if block is None else block.decode("utf-8", errors="replace").splitlines()
+            piece, found = _parse_lines(lines, first, header, col_index, expected)
+            first += len(lines)
+        else:  # a row per line: text lines only to number a row that a check flags
+            piece, found = _check_rows(tokens, range(len(tokens[0])), expected[1:-1], [])
+            found = _numbered(found, block.decode("ascii").splitlines() if found else [], first)
+            first += block.count(b"\n")
+        issues += found
+        for column, cells in zip(columns, piece):
+            column.frombytes(cells.tobytes())
+    t, values, mem = (np.frombuffer(col, dtype)
+                      for col, dtype in zip(columns, (np.int64, np.float64, np.int64)))
+    values = values.reshape(-1, len(expected) - 2)
     if not len(t) and not any(i.severity == "error" for i in issues):
         issues.append(Issue("EmptyTrace", "telemetry has a header but no rows", line_no=0))
     return SampleTable(t, values, mem), issues

@@ -186,10 +186,9 @@ def _per_op_aggregates(run: Run) -> dict[str, OpAggregate]:
     busy = np.zeros(n, busy_us.dtype)
     np.add.at(busy, ops.name, busy_us)
     del busy_us  # each n-length temporary goes before the next comes
-    inside = np.searchsorted(t, ops.end)
-    inside -= np.searchsorted(t, ops.start)
     attributed = np.zeros(n, np.int64)
-    np.add.at(attributed, ops.name, inside)
+    np.add.at(attributed, ops.name, np.searchsorted(t, ops.end))
+    np.subtract.at(attributed, ops.name, np.searchsorted(t, ops.start))
     count = np.bincount(ops.name, minlength=n)
     return {
         name: OpAggregate(c, b, k, below_sampling_resolution=k == 0)

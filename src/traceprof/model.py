@@ -171,12 +171,22 @@ def _ranks(keys: Sequence[str]) -> np.ndarray:
     return np.array([position[key] for key in keys], dtype=np.int64)
 
 
+def _tie_keys(ops: OpTable, rows: np.ndarray) -> list[np.ndarray]:
+    """The name, device, step and layer sort keys of ``rows``, the most significant first.
+
+    A missing step sorts as -1 and a missing layer as "".
+    """
+    return [_ranks(ops.names)[ops.name[rows]], ops.device[rows],
+            np.where(ops.has_step[rows], ops.step[rows], -1),
+            _ranks([layer or "" for layer in ops.layers])[ops.layer[rows]]]
+
+
 def _op_order(ops: OpTable) -> np.ndarray:
     """Stable row order by start, end, name, device, step, layer.
 
-    A missing step sorts as -1 and a missing layer as "", so rows that tie
-    on every key keep their input order. One sort by start and end orders
-    the rows; only the rows that tie on both are then sorted by every key.
+    Rows that tie on every key keep their input order. One sort by start and
+    end orders the rows; only the rows that tie on both are then sorted by
+    every key.
     """
     order = np.lexsort((ops.end, ops.start))
     key = ops.start[order]
@@ -187,12 +197,34 @@ def _op_order(ops: OpTable) -> np.ndarray:
     if tied.any():
         at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
         rows = order[at]
-        layer_rank = _ranks([layer or "" for layer in ops.layers])[ops.layer[rows]]
-        step = np.where(ops.has_step[rows], ops.step[rows], -1)
-        name_rank = _ranks(ops.names)[ops.name[rows]]
-        order[at] = rows[np.lexsort((layer_rank, step, ops.device[rows], name_rank,
-                                     ops.end[rows], ops.start[rows]))]
+        order[at] = rows[np.lexsort((*_tie_keys(ops, rows)[::-1], ops.end[rows],
+                                     ops.start[rows]))]
     return order
+
+
+def _in_op_order(ops: OpTable) -> bool:
+    """Whether ``_op_order(ops)`` is the identity: no row's key is below the one before.
+
+    O(n), with no sort: start and end are compared first, and the other keys
+    only at rows tied on both.
+    """
+    start, end = ops.start, ops.end
+    if not (start[1:] >= start[:-1]).all():
+        return False
+    tied = start[1:] == start[:-1]
+    if (tied & (end[1:] < end[:-1])).any():
+        return False
+    tied &= end[1:] == end[:-1]
+    if not tied.any():
+        return True
+    at = np.flatnonzero(tied)
+    undecided = np.ones(len(at), dtype=bool)  # the pairs (at, at + 1) tied on every key so far
+    for key in _tie_keys(ops, np.concatenate((at, at + 1))):
+        before, after = key[:len(at)], key[len(at):]
+        if (undecided & (before > after)).any():
+            return False
+        undecided &= before == after
+    return True
 
 
 def _sample_order(samples: SampleTable) -> np.ndarray:
@@ -310,8 +342,8 @@ def validate_run(
     if not samples or not ops:
         issues.append(Issue("EmptyTrace", "run needs at least one op and one sample"))
 
-    order = _op_order(ops)
-    ops = ops.take(order) if (order[1:] < order[:-1]).any() else ops  # no copy if sorted
+    if not _in_op_order(ops):  # else the run order is the identity, and no copy is made
+        ops = ops.take(_op_order(ops))
     _check_ops(ops, issues)
 
     if not (samples.t[1:] > samples.t[:-1]).all():  # else the sorted order is the identity

@@ -198,9 +198,12 @@ def resolve_steps_and_period(
 
     With labeled ops, each step window spans [min start, max end] of its ops,
     and the period is the windows' mean duration ("explicit"); labeled ops
-    always give at least one window. Without labels, ``detect_period`` runs
-    once; its estimate is the period, and it tiles complete windows from the
-    first op's start unless its confidence is below the threshold (NoSteps).
+    always give at least one window. The windows must be disjoint and in
+    step-id order (else OverlappingSteps, naming two windows that overlap, or
+    else two steps whose ids run backwards in time). Without labels,
+    ``detect_period`` runs once; its estimate is the period, and it tiles
+    complete windows from the first op's start unless its confidence is below
+    the threshold (NoSteps).
     The first ``meta.warmup_steps`` resolved windows are flagged as warmup.
     """
     ops = run.ops
@@ -229,13 +232,18 @@ def resolve_steps_and_period(
     ids = step_ids[heads].tolist()
     lo = np.minimum.reduceat(ops.start[labelled], heads)
     hi = np.maximum.reduceat(ops.end[labelled], heads)
-    overlaps = np.flatnonzero(lo[1:] < hi[:-1]).tolist()
-    if overlaps:
-        k = overlaps[0]
-        raise OverlappingSteps(
-            f"step windows {ids[k]} and {ids[k + 1]} overlap; "
-            "labeled op intervals are inconsistent"
-        )
+    out_of_order = np.flatnonzero(lo[1:] < hi[:-1])  # else disjoint windows in id order
+    if out_of_order.size:  # name the first overlap in time order, else the first pair out of it
+        by_start = np.argsort(lo, kind="stable")
+        overlaps = np.flatnonzero(lo[by_start[1:]] < hi[by_start[:-1]])
+        if overlaps.size:
+            a, b = by_start[overlaps[0]], by_start[overlaps[0] + 1]
+            raise OverlappingSteps(f"step windows {ids[a]} and {ids[b]} overlap; "
+                                   "labeled op intervals are inconsistent")
+        a, b = out_of_order[0], out_of_order[0] + 1
+        raise OverlappingSteps(f"step {ids[b]} in [{lo[b]}, {hi[b]}) us comes before step "
+                               f"{ids[a]} in [{lo[a]}, {hi[a]}) us; labeled step ids must "
+                               "increase in time")
     bounds = enumerate(zip(ids, lo.tolist(), hi.tolist()))
     windows = tuple(StepWindow(step_id, a, b, i < warmup) for i, (step_id, a, b) in bounds)
     mean_us = fsum(w.duration_us for w in windows) / len(windows)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -640,10 +641,10 @@ def telemetry_files(draw):
 
 
 @settings(max_examples=300)
-@given(noisy(telemetry_files()), st.sampled_from([1, 2, 3, 7, 65536]))
-def test_telemetry_reader_matches_oracle_on_mutated_files(data, rows):
+@given(noisy(telemetry_files()), st.sampled_from([1, 2, 3, 7, 64, 65536]))
+def test_telemetry_reader_matches_oracle_on_mutated_files(data, block):
     want, want_issues = parse_telemetry_oracle(data, core_count=2)
-    with mock.patch.object(ingest, "_ROWS", rows), _open_copy(data) as f:
+    with mock.patch.object(ingest, "_BLOCK", block), _open_copy(data) as f:
         for source in (data, f):
             samples, issues = parse_telemetry(source, core_count=2)
             _assert_same_columns(samples, want)
@@ -688,6 +689,12 @@ def _counted(monkeypatch, owner, name):
     return calls
 
 
+def _loadtxt_inputs(calls):
+    """(the byte blocks, the text-row lists) that the counted np.loadtxt calls read."""
+    blocks = [args[0].getvalue() for args in calls if isinstance(args[0], io.BytesIO)]
+    return blocks, [args[0] for args in calls if isinstance(args[0], list)]
+
+
 def test_column_readers_take_clean_input(monkeypatch):
     lines = _long_op_trace(3000)
     data = ("\n".join(lines) + "\n").encode()
@@ -698,17 +705,28 @@ def test_column_readers_take_clean_input(monkeypatch):
     _assert_ops_match_oracle(data)
     lines = _long_telemetry(3000)
     data = ("\n".join(lines) + "\n").encode()
+    body = data[data.index(b"\n") + 1:]
     loadtxt = _counted(monkeypatch, ingest.np, "loadtxt")
     samples, issues = parse_telemetry(data, core_count=2)
-    assert len(loadtxt) == 1 and len(samples) == 3000 and issues == []  # one per chunk
+    assert len(samples) == 3000 and issues == []
+    # One call per block of ingest._BLOCK bytes, each ending at a line's end, on the bytes.
+    blocks, text_rows = _loadtxt_inputs(loadtxt)
+    assert len(body) > ingest._BLOCK and len(blocks) == len(loadtxt) == 2 and not text_rows
+    assert b"".join(blocks) == body and len(blocks[0]) - ingest._BLOCK < len(lines[1])
+    assert all(block.endswith(b"\n") for block in blocks)
     want, _ = parse_telemetry_oracle(data, core_count=2)
     _assert_same_columns(samples, want)
-    # np.loadtxt refuses "1.0" as an int64 cell, so that chunk is read row by row.
-    lines[1500] = lines[1500].rsplit(",", 1)[0] + ",1.0"
+    # np.loadtxt refuses "1.0" as an int64 cell, as bytes and as text, so that block's
+    # text lines are read row by row.
+    lines[2500] = lines[2500].rsplit(",", 1)[0] + ",1.0"
     data = ("\n".join(lines) + "\n").encode()
-    per_line_columns = _counted(monkeypatch, ingest, "array")
+    loadtxt.clear()
+    text_blocks = _counted(monkeypatch, ingest, "_parse_lines")
     samples, issues = parse_telemetry(data, core_count=2)
-    assert len(loadtxt) == 2 and len(per_line_columns) > 0 and len(samples) == 2999
+    blocks, text_rows = _loadtxt_inputs(loadtxt)
+    assert len(blocks) == 2 and len(samples) == 2999
+    assert [len(args[0]) for args in text_blocks] == [len(rows) for rows in text_rows]
+    assert [len(rows) for rows in text_rows] == [blocks[1].count(b"\n")]  # the second block
     want, want_issues = parse_telemetry_oracle(data, core_count=2)
     _assert_same_columns(samples, want)
     assert issues == want_issues != []
@@ -732,13 +750,53 @@ def test_a_flagged_telemetry_row_is_read_by_loadtxt_alone(monkeypatch):
     lines[2001] = lines[2001].replace(",12.5,", ",100.5,", 1)
     data = ("\n".join(lines) + "\n").encode()
     loadtxt = _counted(monkeypatch, ingest.np, "loadtxt")
-    per_line_columns = _counted(monkeypatch, ingest, "array")
+    text_blocks = _counted(monkeypatch, ingest, "_parse_lines")
     samples, issues = parse_telemetry(data, core_count=2)
-    # The flagged row leaves loadtxt's columns; no row is tokenized again.
-    assert (len(loadtxt), len(per_line_columns)) == (1, 0)
+    # The flagged row leaves its block's loadtxt columns; no row is tokenized again.
+    blocks, text_rows = _loadtxt_inputs(loadtxt)
+    assert (len(blocks), len(loadtxt), len(text_rows), len(text_blocks)) == (2, 2, 0, 0)
     assert len(samples) == 2999
     assert issues == [Issue("UtilizationOutOfRange", "utilization 100.5% outside [0, 100]",
                             line_no=2002)]
+    want, want_issues = parse_telemetry_oracle(data, core_count=2)
+    _assert_same_columns(samples, want)
+    assert issues == want_issues
+
+
+_ROW = "7,12.5,0,100,1.5,2,3,4,9"
+# Rows after a clean one that np.loadtxt cannot read from bytes as one row per text
+# line: the block that holds them is read as text lines, and must match the oracle.
+_OFF_THE_BYTE_PATH = {
+    "crlf": f"{_ROW}\r\n{_ROW}\r\n",
+    "form_feed_in_a_line": f"{_ROW}\n7,12.5\x0c,0,100,1.5,2,3,4,9\n",
+    "vertical_tab_in_a_line": f"{_ROW}\n7,12.5,0,100,1.5,2,3\x0b,4,9\n",
+    "file_separator_in_a_line": f"{_ROW}\n7,12.5,0,100\x1c,1.5,2,3,4,9\n",
+    "form_feed_ends_a_line": f"{_ROW}\x0c\n{_ROW}\n",
+    "blank_line": f"{_ROW}\n\n{_ROW}\n",
+    "whitespace_only_line": f"{_ROW}\n \t\n{_ROW}\n",
+    "last_line_without_newline": f"{_ROW}\n{_ROW}",
+    "non_ascii_cell": f"{_ROW}\n7,12.5,0,100,1.5,2,3,4,\uff19\n",
+    "int_cell_1.0": f"{_ROW}\n1.0,12.5,0,100,1.5,2,3,4,9\n",
+}
+
+
+@pytest.mark.parametrize("body", _OFF_THE_BYTE_PATH.values(), ids=_OFF_THE_BYTE_PATH.keys())
+@pytest.mark.parametrize("block", [1, 7, 65536])
+def test_blocks_np_loadtxt_cannot_read_row_per_line_are_read_as_text(monkeypatch, body, block):
+    data = ("\n".join([",".join(_TEL_HEADER), f"{_ROW}\n"]) + body).encode()
+    read = []  # what the byte path returned for each block
+    by_bytes = ingest._loadtxt_block
+
+    def spy(*args):
+        read.append(by_bytes(*args))
+        return read[-1]
+
+    monkeypatch.setattr(ingest, "_loadtxt_block", spy)
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    samples, issues = parse_telemetry(data, core_count=2)
+    assert None in read  # the clean first row may still be read from bytes
+    if block == 65536:
+        assert read == [None]
     want, want_issues = parse_telemetry_oracle(data, core_count=2)
     _assert_same_columns(samples, want)
     assert issues == want_issues

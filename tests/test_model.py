@@ -310,6 +310,31 @@ def test_op_order_matches_oracle(ops):
     assert model._op_order(table).tolist() == op_order_oracle(table)
 
 
+@example([], "sorted")
+@given(tie_heavy_ops(), st.sampled_from(["shuffled", "sorted", "sorted, one pair swapped"]))
+def test_in_op_order_matches_oracle(ops, arrangement):
+    table, _ = tables(ops, [])
+    if arrangement != "shuffled":
+        order = op_order_oracle(table)
+        if arrangement != "sorted" and len(order) > 1:
+            k = len(order) // 2
+            order[k - 1], order[k] = order[k], order[k - 1]
+        table = table.take(order)
+    assert model._in_op_order(table) == (op_order_oracle(table) == list(range(len(ops))))
+
+
+def test_validate_run_sorts_ops_only_when_they_are_out_of_run_order(monkeypatch):
+    ops, samples = tables([OpEvent("b", "GPU", 0, 5), OpEvent("a", "GPU", 0, 5)],
+                          [mk_sample(0, cores=(0.0,))])
+    meta = RunMeta("r", batch_size=1, core_count=1)
+    sorts = []
+    op_order = model._op_order
+    monkeypatch.setattr(model, "_op_order", lambda table: sorts.append(1) or op_order(table))
+    run = validate_run(meta, ops, samples)
+    assert len(sorts) == 1 and run.ops.names[run.ops.name[0]] == "a"
+    assert validate_run(meta, run.ops, samples).ops is run.ops and len(sorts) == 1
+
+
 def test_validate_run_keeps_a_run_ordered_table_without_a_copy():
     # At least 50k ops, so the fixed cost of the other checks is small beside the table.
     ops = two_stream_ops(60_000)

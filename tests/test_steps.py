@@ -1,3 +1,4 @@
+import re
 from math import comb, fsum
 
 import numpy as np
@@ -106,8 +107,9 @@ def partly_labelled_runs(draw):
     """A run whose ops are labelled with a step id or unlabelled, in a drawn order.
 
     Time slot k's labelled ops lie in [1000 k, 1000 k + 900) us, so no two slots
-    overlap; unlabelled ops lie anywhere, across slots too. Slot k's step id is
-    3 k, or the slots' ids are drawn in any order, so that ids need not grow with
+    overlap, unless a drawn labelled op is stretched up to 400 us past its slot's
+    end; unlabelled ops lie anywhere, across slots too. Slot k's step id is 3 k,
+    or the slots' ids are drawn in any order, so that ids need not grow with
     time. A sample every 50 us covers the run, and each op spans at least 100 us.
     """
     n_slots = draw(st.integers(1, 6))
@@ -122,6 +124,9 @@ def partly_labelled_runs(draw):
 
     slots = draw(st.lists(st.integers(0, n_slots - 1), min_size=1))
     labelled = [op(1000 * k, 1000 * k + 900, ids[k]) for k in slots]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(labelled) - 1))
+        labelled[i] = labelled[i]._replace(end=labelled[i].end + draw(st.integers(1, 400)))
     unlabelled = [op(0, 1000 * n_slots, None) for _ in range(draw(st.integers(1, 8)))]
     ops = draw(st.permutations(labelled + unlabelled))
     samples = [mk_sample(t, gpu=draw(util_fractions)) for t in range(0, 1000 * n_slots, 50)]
@@ -133,10 +138,21 @@ def partly_labelled_runs(draw):
 def test_partly_labelled_runs_window_the_labelled_ops(run):
     ops = rows(run.ops)
     want = step_windows_oracle(ops, run.meta.warmup_steps)
-    overlaps = [(a, b) for a, b in zip(want, want[1:]) if b.start_us < a.end_us]
-    if overlaps:  # windows in step-id order must also be in time order
+    by_start = sorted(want, key=lambda w: w.start_us)  # stable: tied starts stay in id order
+    overlaps = [(a, b) for a, b in zip(by_start, by_start[1:]) if b.start_us < a.end_us]
+    backwards = [(a, b) for a, b in zip(want, want[1:]) if b.start_us < a.end_us]
+    if overlaps:  # two windows share time
         (a, b), *_ = overlaps
-        with pytest.raises(OverlappingSteps, match=f"^step windows {a.step_id} and {b.step_id} "):
+        with pytest.raises(OverlappingSteps,
+                           match=f"^step windows {a.step_id} and {b.step_id} overlap; "):
+            resolve_steps_and_period(run)
+        return
+    if backwards:  # disjoint windows whose ids do not follow time
+        (a, b), *_ = backwards
+        message = (f"step {b.step_id} in [{b.start_us}, {b.end_us}) us comes before step "
+                   f"{a.step_id} in [{a.start_us}, {a.end_us}) us; labeled step ids must "
+                   "increase in time")
+        with pytest.raises(OverlappingSteps, match=f"^{re.escape(message)}$"):
             resolve_steps_and_period(run)
         return
     windows, period = resolve_steps_and_period(run)
@@ -153,6 +169,21 @@ def test_partly_labelled_runs_window_the_labelled_ops(run):
         assert per_op[name].busy_time_us == sum(op.end - op.start for op in mine)
         assert per_op[name].attributed_samples == sum(op.start <= t < op.end
                                                       for op in mine for t in ts)
+
+
+def test_step_ids_that_run_backwards_in_time_are_not_called_an_overlap():
+    samples = [mk_sample(t) for t in range(0, 2000, 50)]
+    backwards = mk_run(samples, [OpEvent("a", "GPU", 0, 900, step_id=3),
+                                 OpEvent("a", "GPU", 1000, 1900, step_id=0)], interval=50)
+    with pytest.raises(OverlappingSteps, match=re.escape(
+            "step 3 in [0, 900) us comes before step 0 in [1000, 1900) us; labeled step ids "
+            "must increase in time")):
+        resolve_steps_and_period(backwards)
+    # A real overlap is named as one, whatever the id order.
+    overlapping = mk_run(samples, [OpEvent("a", "GPU", 0, 1100, step_id=3),
+                                   OpEvent("a", "GPU", 1000, 1900, step_id=0)], interval=50)
+    with pytest.raises(OverlappingSteps, match="^step windows 3 and 0 overlap; "):
+        resolve_steps_and_period(overlapping)
 
 
 def test_build_report_detects_the_period_once(monkeypatch):
