@@ -24,37 +24,36 @@ in run order, each column sorted in turn), without an object per op or
 sample. Diagnostics keep their line numbers. A timestamp, step or
 ``mem_bytes`` value outside the int64 range is a diagnostic on its line.
 
-Each parser reads its input, bytes or an open binary file, once and in
-pieces, so no reader holds the whole file's bytes, text or line list. The op
-trace is read in chunks of ``_CHUNK`` binary lines, decoded with
-``errors="replace"`` and split by ``str.splitlines``; line numbers run on
-across chunks. This gives the lines of decoding the whole file at once: every
-chunk but the last ends just after a ``\n`` byte, so no ``\r\n`` pair
-straddles two chunks, and byte 0x0A never occurs inside a UTF-8 sequence, so
-decoding per chunk gives the same characters. Only decoding falls back to one
-line at a time; each value rule is then one check over a chunk's column, and
-a failing line gets the diagnostic of its first failing rule. Op trace: if a
-chunk holds no ``[``/``]`` and each stripped non-blank line is ``{...}``, the
-chunk decodes as one JSON array. No record can then span lines (a string
-cannot hold the raw newline, an object would need a key where the next line
-has ``{``), so as many records as lines is one per line. Else each line goes
-through ``json.loads`` on its own.
+Each parser reads its input, bytes or an open binary file, once, in blocks
+(``_blocks``), so no reader holds the whole file's bytes, text or line list.
+A block is a read of ``_BLOCK`` bytes that ends at a line break: a read with
+no ``\n`` is cut after its last ``\r`` but the final byte, so no ``\r\n`` pair
+is split and a file of ``\r`` lines streams too; any other read runs on to
+the next ``\n``. Each block is decoded with ``errors="replace"`` and split by
+``str.splitlines``, and line numbers run on across blocks. As a block ends at
+a line break, and bytes 0x0A and 0x0D never occur inside a UTF-8 sequence,
+these are the lines of the whole file decoded at once. Only decoding falls
+back to one line at a time; each value rule is then one check over a block's
+column, and a failing line gets the diagnostic of its first failing rule. Op
+trace: if a block holds no ``[``/``]`` and each stripped non-blank line is
+``{...}``, the block decodes as one JSON array. No record can then span lines
+(a string cannot hold the raw newline, an object would need a key where the
+next line has ``{``), so as many records as lines is one per line. Else each
+line goes through ``json.loads`` on its own.
 
-Telemetry: the first non-blank line is the header, read a binary line at a
-time, and the lines after it are rows. They are read in blocks of
-``_BLOCK`` bytes, each extended to end just after a ``\n`` byte, so the
-blocks split the text lines as the chunks above do. A block goes to
-``np.loadtxt`` as bytes, with no object per line held, if the header is
-exactly as expected, the block is ASCII with ``\n`` as its only line break
-(``str.splitlines`` also breaks at ``\r``, ``\x0b``, ``\x0c`` and
-``\x1c``-``\x1e``) and ends with one, and loadtxt reads one row per line
-(it skips an empty line). loadtxt accepts a subset of what ``int``/``float``
-do, with equal values, and strips the same whitespace around a cell as
-``str.strip``. Any other block is decoded, split and stripped like a chunk,
-and its rows go to loadtxt as text, or one at a time if it refuses them.
-Line numbers run on across blocks, and a loadtxt block is split into text
-lines only to number a row that a range check flags. Each block's valid rows
-are appended to growable columns, which become the table's arrays without a
+Telemetry: the first non-blank line is the header, and the rest of its block
+is the first block of rows. A block goes to one ``np.loadtxt`` call as bytes,
+with no object per line held, if the header is exactly as expected and the
+block is ASCII with no line break but ``\n`` and ``\r`` (``str.splitlines``
+also breaks at ``\x0b``, ``\x0c`` and ``\x1c``-``\x1e``). loadtxt ends a line
+at ``\n``, ``\r\n`` or a final ``\r``, refuses any other ``\r`` and skips only
+empty lines, so its rows are the block's non-blank text lines (a block of
+``\r`` lines has them made ``\n`` first). It accepts a subset of what
+``int``/``float`` do, with equal values, and strips the same whitespace
+around a cell as ``str.strip``. Any other block, or one it refuses, is read
+row by row from its text lines. A loadtxt block is split into text lines only
+to number a row that a range check flags. Each block's valid rows are
+appended to growable columns, which become the table's arrays without a
 copy, so no block outlives its turn.
 
 Manifests, reports, sweep results and synth specs go through one codec
@@ -80,14 +79,14 @@ import reprlib
 import warnings
 from array import array
 from functools import cache
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import (TYPE_CHECKING, Any, BinaryIO, Iterable, Iterator, Literal, NamedTuple,
-                    Sequence, Union, get_args, get_origin, get_type_hints)
+from typing import (TYPE_CHECKING, Any, BinaryIO, Iterator, Literal, NamedTuple, Sequence, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -114,11 +113,10 @@ SCHEMA_VERSION = 1
 _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
 _CODE_OF_DEVICE = {d: code for code, d in enumerate(DEVICES)}
 _INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
-_CHUNK = 1024  # op-trace lines per bulk decode
 _ROWS = 65536  # trace lines per written piece
-_BLOCK = 65536  # telemetry bytes per np.loadtxt call, extended to the end of a line
-# The ASCII characters str.splitlines breaks a line at, besides "\n".
-_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_BLOCK = 65536  # bytes per read of a trace file, cut at a line break
+# The ASCII characters str.splitlines breaks a line at, besides "\n" and "\r".
+_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # An op trace that starts with one of these is UTF-16 or UTF-32, not UTF-8.
 _WIDE_BOMS = (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE, codecs.BOM_UTF32_BE)
 _NO_SAMPLES = SampleTable(np.empty(0, np.int64), np.empty((0, 5)), np.empty(0, np.int64))
@@ -178,7 +176,7 @@ def _in_int64(x: int) -> bool:
 
 
 def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], list[tuple]]:
-    """Apply the op rules, in order, to one chunk's decoded records.
+    """Apply the op rules, in order, to one block's decoded records.
 
     Returns the columns of the records that pass (by key, plus ``has_step``)
     and (record index, code, message, severity) per new unknown key, which
@@ -242,16 +240,19 @@ def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], 
     return cols, found
 
 
-def _line_chunks(stream: BinaryIO, size: int) -> Iterator[tuple[int, list[str]]]:
-    """(text lines before the chunk, the chunk's text lines) per ``size`` binary lines.
-
-    Concatenated, the chunks are the lines of the whole file decoded at once
-    (see the module doc).
-    """
-    first = 0
-    while lines := b"".join(islice(stream, size)).decode("utf-8", errors="replace").splitlines():
-        yield first, lines
-        first += len(lines)
+def _blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """The rest of ``stream`` in reads of ``_BLOCK`` bytes, each ending just after a line
+    break as the module doc says. What a cut at a ``\r`` leaves of a read starts the
+    next block, so nothing seeks and a pipe can be read too."""
+    rest = b""
+    while block := rest + stream.read(_BLOCK):
+        rest = b""
+        cut = 0 if b"\n" in block else block.rfind(b"\r", 0, -1) + 1
+        if cut:
+            block, rest = block[:cut], block[cut:]
+        elif not block.endswith(b"\n"):
+            block += stream.readline()
+        yield block
 
 
 def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
@@ -274,19 +275,21 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
     if wide:
         issues.append(Issue("MalformedLine", "op trace is not UTF-8: it starts with a "
                             "UTF-16 or UTF-32 byte-order mark", line_no=1))
-    for first, chunk in () if wide else _line_chunks(stream, _CHUNK):
-        records = [line for line in map(str.strip, chunk) if line]
-        if not records:
-            continue
-        cols, found = _check_op_records(_decode_op_lines(records), warned)
-        issues.extend(_numbered(found, chunk, first))
-        start.extend(cols["start_us"])
-        end.extend(cols["end_us"])
-        device.extend(map(_CODE_OF_DEVICE.__getitem__, cols["device"]))
-        step.extend(cols["step"])
-        has_step.extend(cols["has_step"])
-        name_code.extend(map(names.__getitem__, cols["op"]))
-        layer_code.extend(map(layers.__getitem__, cols["layer"]))
+    first = 0  # text lines before the block
+    for block in () if wide else _blocks(stream):
+        lines = block.decode("utf-8", errors="replace").splitlines()
+        records = [line for line in map(str.strip, lines) if line]
+        if records:
+            cols, found = _check_op_records(_decode_op_lines(records), warned)
+            issues.extend(_numbered(found, lines, first))
+            start.extend(cols["start_us"])
+            end.extend(cols["end_us"])
+            device.extend(map(_CODE_OF_DEVICE.__getitem__, cols["device"]))
+            step.extend(cols["step"])
+            has_step.extend(cols["has_step"])
+            name_code.extend(map(names.__getitem__, cols["op"]))
+            layer_code.extend(map(layers.__getitem__, cols["layer"]))
+        first += len(lines)
     if not start and not issues:  # every non-blank line is a row or has an error
         issues.append(Issue("EmptyTrace", "op trace has no records", line_no=0))
     dtypes = (np.int64, np.int64, np.int8, np.int64, np.bool_, np.int32, np.int32)
@@ -312,67 +315,56 @@ def _row_dtype(width: int) -> np.dtype:
                      ("mem", np.int64)])
 
 
-def _loadtxt(lines: Iterable, width: int) -> tuple[np.ndarray, ...] | None:
-    """(t, values, mem) of ASCII lines of ``width`` cells in the expected order, or None."""
+def _loadtxt(block: bytes, width: int) -> tuple[np.ndarray, ...] | None:
+    """(t, values, mem) of a block's non-blank text lines, as rows of ``width`` cells
+    in the expected order, or None if np.loadtxt cannot read them so."""
+    # numpy's int reader takes some non-ASCII letters for digits (U+20000 reads
+    # as 131024) and can crash on others, so it sees ASCII only.
+    if not block.isascii() or any(map(block.__contains__, _BREAKS)):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.23-1.24 only warn on "1.0" as an int
-            cells = np.loadtxt(lines, _row_dtype(width), delimiter=",", comments=None, ndmin=1)
+            cells = np.loadtxt(io.BytesIO(block), _row_dtype(width), delimiter=",",
+                               comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     ints = cells.view(np.int64).reshape(-1, width)
     return ints[:, 0], cells.view(np.float64).reshape(-1, width)[:, 1:-1], ints[:, -1]
 
 
-def _loadtxt_block(block: bytes, width: int) -> tuple[np.ndarray, ...] | None:
-    """The tokens of ``_loadtxt`` for a block of lines, or None unless each text line
-    of the block is one row that it reads."""
-    # numpy's int reader takes some non-ASCII letters for digits (U+20000 reads
-    # as 131024) and can crash on others, so it sees ASCII only. With no other
-    # line break, the block's text lines are its lines ending in \n.
-    if not (block.endswith(b"\n") and block.isascii()) or any(map(block.__contains__, _BREAKS)):
-        return None
-    tokens = _loadtxt(io.BytesIO(block), width)
-    # loadtxt skips an empty line, which is a text line but no row.
-    return tokens if tokens is not None and len(tokens[0]) == block.count(b"\n") else None
-
-
 def _parse_lines(lines: list[str], first: int, header: list[str], col_index: dict[str, int],
                  expected: list[str]) -> tuple[tuple[np.ndarray, ...], list[Issue]]:
-    """The (t, values, mem) columns of the valid rows among text lines numbered from
-    ``first`` + 1, utilization as fractions, and a diagnostic per invalid row."""
+    """The (t, values, mem) columns of the valid rows, read one at a time, among text lines
+    numbered from ``first`` + 1, utilization as fractions, and a diagnostic per invalid row."""
     rows = [line for line in map(str.strip, lines) if line]
     value_names = expected[1:-1]  # the cores, gpu and rails: one row of SampleTable.values
     found: list[tuple[int, str, str, str]] = []
-    at: Any = range(len(rows))  # the row of each tokenized sample
-    tokens = (_loadtxt(rows, len(header))
-              if header == expected and all(map(str.isascii, rows)) else None)
-    if tokens is None:  # one row at a time
-        at, t_col, values, mem_col = array("q"), array("q"), array("d"), []
-        value_at = [col_index[name] for name in value_names]
-        t_at, mem_at = col_index["t_us"], col_index["mem_bytes"]
-        for r, line in enumerate(rows):
-            cells = [cell.strip() for cell in line.split(",")]
-            if len(cells) < len(header):
-                found.append((r, "MalformedLine",
-                              f"expected {len(header)} cells, got {len(cells)}", "error"))
-                continue
-            try:
-                t, mem = int(cells[t_at]), int(cells[mem_at])
-                row = [float(cells[k]) for k in value_at]
-            except ValueError as exc:
-                found.append((r, "MalformedLine", f"bad numeric cell: {exc}", "error"))
-                continue
-            if not _in_int64(t):
-                found.append((r, "MalformedLine", "t_us must fit in int64", "error"))
-                continue
-            at.append(r)
-            t_col.append(t)
-            values.extend(row)
-            mem_col.append(mem)
-        tokens = (np.frombuffer(t_col, np.int64),
-                  np.frombuffer(values, np.float64).reshape(-1, len(value_names)),
-                  np.array(mem_col, dtype=object))  # its range is checked after the values'
+    at, t_col, values, mem_col = array("q"), array("q"), array("d"), []
+    value_at = [col_index[name] for name in value_names]
+    t_at, mem_at = col_index["t_us"], col_index["mem_bytes"]
+    for r, line in enumerate(rows):
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) < len(header):
+            found.append((r, "MalformedLine",
+                          f"expected {len(header)} cells, got {len(cells)}", "error"))
+            continue
+        try:
+            t, mem = int(cells[t_at]), int(cells[mem_at])
+            row = [float(cells[k]) for k in value_at]
+        except ValueError as exc:
+            found.append((r, "MalformedLine", f"bad numeric cell: {exc}", "error"))
+            continue
+        if not _in_int64(t):
+            found.append((r, "MalformedLine", "t_us must fit in int64", "error"))
+            continue
+        at.append(r)
+        t_col.append(t)
+        values.extend(row)
+        mem_col.append(mem)
+    tokens = (np.frombuffer(t_col, np.int64),
+              np.frombuffer(values, np.float64).reshape(-1, len(value_names)),
+              np.array(mem_col, dtype=object))  # its range is checked after the values'
     columns, found = _check_rows(tokens, at, value_names, found)
     return columns, _numbered(found, lines, first)
 
@@ -411,13 +403,6 @@ def _check_rows(tokens: tuple[np.ndarray, ...], at: Sequence[int], value_names: 
     return (t, values, np.asarray(mem, np.int64)), found
 
 
-def _blocks(stream: BinaryIO) -> Iterator[bytes]:
-    """The rest of ``stream`` in blocks of ``_BLOCK`` bytes, each but the last extended
-    with ``readline`` to end just after a newline byte."""
-    while block := stream.read(_BLOCK):
-        yield block if block.endswith(b"\n") else block + stream.readline()
-
-
 def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTable, list[Issue]]:
     """Parse the telemetry CSV, given as bytes or a binary file.
 
@@ -425,21 +410,25 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
     row of the sample columns, in file order; no per-sample object is built.
     A ``core_count`` above the header line's length is one CoreCountMismatch.
     """
-    stream = io.BytesIO(data) if isinstance(data, bytes) else data
-    for first, lines in _line_chunks(stream, 1):
+    blocks = _blocks(io.BytesIO(data) if isinstance(data, bytes) else data)
+    first = 0  # text lines before the block
+    for block in blocks:
+        lines = block.decode("utf-8", errors="replace").splitlines(keepends=True)
         h = next((k for k, line in enumerate(lines) if line.strip()), None)
         if h is not None:  # the header
             break
+        first += len(lines)
     else:
         return _NO_SAMPLES, [Issue("EmptyTrace", "telemetry file is empty", line_no=0)]
     header_no = first + h + 1
-    if core_count > len(lines[h]):  # naming n cores takes at least n characters
+    line = lines[h].splitlines()[0]
+    if core_count > len(line):  # naming n cores takes at least n characters
         return _NO_SAMPLES, [Issue("CoreCountMismatch", f"run declares {core_count} cores, more "
-                                   f"than its {len(lines[h])}-character header can name",
+                                   f"than its {len(line)}-character header can name",
                                    line_no=header_no)]
     expected = _telemetry_columns(core_count)
     known = set(expected)  # a set, so checking a long header is linear in its length
-    header = [cell.strip() for cell in lines[h].split(",")]
+    header = [cell.strip() for cell in line.split(",")]
     issues: list[Issue] = []
     col_index: dict[str, int] = {}
     for pos, name in enumerate(header):
@@ -459,20 +448,27 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
         return _NO_SAMPLES, issues
 
     columns = array("q"), array("d"), array("q")  # t, values and mem, grown a block at a time
-    first, lines = header_no, lines[h + 1:]  # the header's binary line may hold more text lines
-    for block in chain([None] if lines else [], _blocks(stream)):
-        tokens = _loadtxt_block(block, len(header)) if block and header == expected else None
-        if tokens is None:  # decoded, split and stripped
-            lines = lines if block is None else block.decode("utf-8", errors="replace").splitlines()
+    # The rows after the header in its block, as bytes: decoding them again gives
+    # the same text lines, and they are ASCII only if those bytes were.
+    block = "".join(lines[h + 1:]).encode()
+    first, by_bytes = header_no, header == expected
+    del lines
+    while block is not None:
+        if b"\n" not in block:  # lines ending in \r, which loadtxt reads only as \n
+            block = block.replace(b"\r", b"\n")
+        tokens = _loadtxt(block, len(header)) if by_bytes else None
+        if tokens is None:  # one row at a time
+            lines = block.decode("utf-8", errors="replace").splitlines()
             piece, found = _parse_lines(lines, first, header, col_index, expected)
             first += len(lines)
-        else:  # a row per line: text lines only to number a row that a check flags
+        else:  # text lines only to number a row that a check flags
             piece, found = _check_rows(tokens, range(len(tokens[0])), expected[1:-1], [])
             found = _numbered(found, block.decode("ascii").splitlines() if found else [], first)
-            first += block.count(b"\n")
+            first += block.count(b"\n")  # only the last block can end without one
         issues += found
         for column, cells in zip(columns, piece):
             column.frombytes(cells.tobytes())
+        block = next(blocks, None)
     t, values, mem = (np.frombuffer(col, dtype)
                       for col, dtype in zip(columns, (np.int64, np.float64, np.int64)))
     values = values.reshape(-1, len(expected) - 2)

@@ -565,7 +565,7 @@ def op_trace_files(draw):
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(lines) - 1))
         lines[i] = draw(st.sampled_from(_OP_MUTATIONS))(lines[i])
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return (newline.join(lines) + newline).encode()
 
 
@@ -596,9 +596,9 @@ def _open_copy(data):
 
 
 @settings(max_examples=300)
-@given(noisy(op_trace_files()), st.sampled_from([1, 2, 3, 7, 1024]))
-def test_op_trace_reader_matches_oracle_on_mutated_files(data, chunk):
-    with mock.patch.object(ingest, "_CHUNK", chunk), _open_copy(data) as f:
+@given(noisy(op_trace_files()), st.sampled_from([1, 2, 3, 7, 64, 65536]))
+def test_op_trace_reader_matches_oracle_on_mutated_files(data, block):
+    with mock.patch.object(ingest, "_BLOCK", block), _open_copy(data) as f:
         _assert_ops_match_oracle(data)
         _assert_ops_match_oracle(data, f)
 
@@ -635,7 +635,7 @@ def telemetry_files(draw):
     for _ in range(draw(st.integers(0, 2))):
         extra = draw(st.sampled_from(["", "   ", "\t", "# note", "1,2\u20283", "1\x852"]))
         lines.insert(draw(st.integers(0, len(lines))), extra)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = draw(st.sampled_from(["", "", "\ufeff"]))
     return (bom + newline.join(lines) + newline).encode()
 
@@ -689,10 +689,10 @@ def _counted(monkeypatch, owner, name):
     return calls
 
 
-def _loadtxt_inputs(calls):
-    """(the byte blocks, the text-row lists) that the counted np.loadtxt calls read."""
-    blocks = [args[0].getvalue() for args in calls if isinstance(args[0], io.BytesIO)]
-    return blocks, [args[0] for args in calls if isinstance(args[0], list)]
+def _read_blocks(calls):
+    """The bytes that the counted np.loadtxt calls read: each reads one block as bytes."""
+    assert all(isinstance(args[0], io.BytesIO) for args in calls)
+    return [args[0].getvalue() for args in calls]
 
 
 def test_column_readers_take_clean_input(monkeypatch):
@@ -700,47 +700,55 @@ def test_column_readers_take_clean_input(monkeypatch):
     data = ("\n".join(lines) + "\n").encode()
     loads = _counted(monkeypatch, json, "loads")
     ops, issues = parse_op_trace(data)
-    assert len(loads) == 3  # one JSON array per chunk of ingest._CHUNK lines
+    # One JSON array per block: a read of ingest._BLOCK bytes, extended to a line's end.
+    blocks = list(ingest._blocks(io.BytesIO(data)))
+    longest = max(map(len, lines)) + 1
+    assert b"".join(blocks) == data and all(block.endswith(b"\n") for block in blocks)
+    assert all(ingest._BLOCK <= len(block) < ingest._BLOCK + longest for block in blocks[:-1])
+    assert len(loads) == len(blocks) > 3 and all(args[0][0] == "[" for args in loads)
     assert len(ops) == 3000 and issues == []
     _assert_ops_match_oracle(data)
     lines = _long_telemetry(3000)
     data = ("\n".join(lines) + "\n").encode()
-    body = data[data.index(b"\n") + 1:]
     loadtxt = _counted(monkeypatch, ingest.np, "loadtxt")
+    row_blocks = _counted(monkeypatch, ingest, "_parse_lines")
     samples, issues = parse_telemetry(data, core_count=2)
     assert len(samples) == 3000 and issues == []
-    # One call per block of ingest._BLOCK bytes, each ending at a line's end, on the bytes.
-    blocks, text_rows = _loadtxt_inputs(loadtxt)
-    assert len(body) > ingest._BLOCK and len(blocks) == len(loadtxt) == 2 and not text_rows
-    assert b"".join(blocks) == body and len(blocks[0]) - ingest._BLOCK < len(lines[1])
+    # One call per block, on its bytes; the first block of rows is the rest of the
+    # header's block.
+    blocks = _read_blocks(loadtxt)
+    assert len(data) > ingest._BLOCK and len(blocks) == 2 and not row_blocks
+    assert (lines[0] + "\n").encode() + b"".join(blocks) == data
+    assert ingest._BLOCK <= len(lines[0]) + 1 + len(blocks[0]) < ingest._BLOCK + len(lines[1]) + 1
     assert all(block.endswith(b"\n") for block in blocks)
     want, _ = parse_telemetry_oracle(data, core_count=2)
     _assert_same_columns(samples, want)
-    # np.loadtxt refuses "1.0" as an int64 cell, as bytes and as text, so that block's
-    # text lines are read row by row.
+    # np.loadtxt refuses "1.0" as an int64 cell. That block makes one call on its
+    # bytes, and then its text lines are read row by row.
     lines[2500] = lines[2500].rsplit(",", 1)[0] + ",1.0"
     data = ("\n".join(lines) + "\n").encode()
     loadtxt.clear()
-    text_blocks = _counted(monkeypatch, ingest, "_parse_lines")
     samples, issues = parse_telemetry(data, core_count=2)
-    blocks, text_rows = _loadtxt_inputs(loadtxt)
+    blocks = _read_blocks(loadtxt)
     assert len(blocks) == 2 and len(samples) == 2999
-    assert [len(args[0]) for args in text_blocks] == [len(rows) for rows in text_rows]
-    assert [len(rows) for rows in text_rows] == [blocks[1].count(b"\n")]  # the second block
+    assert [args[0] for args in row_blocks] == [blocks[1].decode().splitlines()]
     want, want_issues = parse_telemetry_oracle(data, core_count=2)
     _assert_same_columns(samples, want)
     assert issues == want_issues != []
 
 
-def test_a_bad_line_is_decoded_again_only_within_its_chunk(monkeypatch):
+def test_a_bad_line_is_decoded_again_only_within_its_block(monkeypatch):
     lines = _long_op_trace(3000)
     lines[2900] = "not json"
     data = ("\n".join(lines) + "\n").encode()
+    blocks = [block.decode().splitlines() for block in ingest._blocks(io.BytesIO(data))]
+    assert "not json" in blocks[-1] and len(blocks) > 3
     loads = _counted(monkeypatch, json, "loads")
     ops, issues = parse_op_trace(data)
-    # Two whole chunks, then the last chunk's 952 lines one at a time.
-    assert [len(args[0].splitlines()) for args in loads[:2]] == [1024, 1024]
-    assert len(loads) == 2 + 952
+    # Whole blocks, then the last block's lines one at a time.
+    assert [len(args[0].splitlines()) for args in loads[:len(blocks) - 1]] == [
+        len(block) for block in blocks[:-1]]
+    assert len(loads) == len(blocks) - 1 + len(blocks[-1])
     assert len(ops) == 2999
     assert issues == [Issue("MalformedLine", "invalid JSON: Expecting value", line_no=2901)]
 
@@ -750,11 +758,10 @@ def test_a_flagged_telemetry_row_is_read_by_loadtxt_alone(monkeypatch):
     lines[2001] = lines[2001].replace(",12.5,", ",100.5,", 1)
     data = ("\n".join(lines) + "\n").encode()
     loadtxt = _counted(monkeypatch, ingest.np, "loadtxt")
-    text_blocks = _counted(monkeypatch, ingest, "_parse_lines")
+    row_blocks = _counted(monkeypatch, ingest, "_parse_lines")
     samples, issues = parse_telemetry(data, core_count=2)
     # The flagged row leaves its block's loadtxt columns; no row is tokenized again.
-    blocks, text_rows = _loadtxt_inputs(loadtxt)
-    assert (len(blocks), len(loadtxt), len(text_rows), len(text_blocks)) == (2, 2, 0, 0)
+    assert len(_read_blocks(loadtxt)) == 2 and not row_blocks
     assert len(samples) == 2999
     assert issues == [Issue("UtilizationOutOfRange", "utilization 100.5% outside [0, 100]",
                             line_no=2002)]
@@ -764,42 +771,89 @@ def test_a_flagged_telemetry_row_is_read_by_loadtxt_alone(monkeypatch):
 
 
 _ROW = "7,12.5,0,100,1.5,2,3,4,9"
-# Rows after a clean one that np.loadtxt cannot read from bytes as one row per text
-# line: the block that holds them is read as text lines, and must match the oracle.
-_OFF_THE_BYTE_PATH = {
+# Rows after a clean one. np.loadtxt reads a block of these from its bytes, one row
+# per non-blank text line ...
+_ON_THE_BYTE_PATH = {
     "crlf": f"{_ROW}\r\n{_ROW}\r\n",
+    "cr_only": f"{_ROW}\r{_ROW}\r",
+    "blank_line": f"{_ROW}\n\n{_ROW}\n",
+    "last_line_without_newline": f"{_ROW}\n{_ROW}",
+}
+# ... and cannot read a block that holds one of these so, which is then read row by row.
+_OFF_THE_BYTE_PATH = {
     "form_feed_in_a_line": f"{_ROW}\n7,12.5\x0c,0,100,1.5,2,3,4,9\n",
     "vertical_tab_in_a_line": f"{_ROW}\n7,12.5,0,100,1.5,2,3\x0b,4,9\n",
     "file_separator_in_a_line": f"{_ROW}\n7,12.5,0,100\x1c,1.5,2,3,4,9\n",
     "form_feed_ends_a_line": f"{_ROW}\x0c\n{_ROW}\n",
-    "blank_line": f"{_ROW}\n\n{_ROW}\n",
     "whitespace_only_line": f"{_ROW}\n \t\n{_ROW}\n",
-    "last_line_without_newline": f"{_ROW}\n{_ROW}",
     "non_ascii_cell": f"{_ROW}\n7,12.5,0,100,1.5,2,3,4,\uff19\n",
     "int_cell_1.0": f"{_ROW}\n1.0,12.5,0,100,1.5,2,3,4,9\n",
 }
 
 
-@pytest.mark.parametrize("body", _OFF_THE_BYTE_PATH.values(), ids=_OFF_THE_BYTE_PATH.keys())
+@pytest.mark.parametrize("body", [*_ON_THE_BYTE_PATH.values(), *_OFF_THE_BYTE_PATH.values()],
+                         ids=[*_ON_THE_BYTE_PATH, *_OFF_THE_BYTE_PATH])
 @pytest.mark.parametrize("block", [1, 7, 65536])
 def test_blocks_np_loadtxt_cannot_read_row_per_line_are_read_as_text(monkeypatch, body, block):
     data = ("\n".join([",".join(_TEL_HEADER), f"{_ROW}\n"]) + body).encode()
+    if "\n" not in body:  # a file whose lines all end in \r
+        data = data.replace(b"\n", b"\r")
     read = []  # what the byte path returned for each block
-    by_bytes = ingest._loadtxt_block
+    by_bytes = ingest._loadtxt
 
     def spy(*args):
         read.append(by_bytes(*args))
         return read[-1]
 
-    monkeypatch.setattr(ingest, "_loadtxt_block", spy)
+    monkeypatch.setattr(ingest, "_loadtxt", spy)
     monkeypatch.setattr(ingest, "_BLOCK", block)
+    row_blocks = _counted(monkeypatch, ingest, "_parse_lines")
     samples, issues = parse_telemetry(data, core_count=2)
-    assert None in read  # the clean first row may still be read from bytes
-    if block == 65536:
-        assert read == [None]
+    # An empty line, or an empty rest of the header's block, has no row for loadtxt.
+    by_row = [line for args in row_blocks for line in args[0] if line]
+    if body in _ON_THE_BYTE_PATH.values():
+        assert by_row == [] and any(tokens is not None for tokens in read)
+    else:
+        assert by_row != [] and None in read
+        if block == 65536:  # one block, the header's
+            assert read == [None] and len(row_blocks) == 1
     want, want_issues = parse_telemetry_oracle(data, core_count=2)
     _assert_same_columns(samples, want)
     assert issues == want_issues
+
+
+def test_telemetry_with_cr_line_ends_is_read_in_blocks():
+    data = ("\n".join(_long_telemetry(5000)) + "\n").encode()
+    peaks = []
+    for newline in (b"\n", b"\r"):
+        with _open_copy(data.replace(b"\n", newline)) as f:
+            (samples, issues), peak = traced_peak(parse_telemetry, f, 2)
+        assert len(samples) == 5000 and issues == []
+        peaks.append(peak)
+    # A reader that held the whole file, or its text, would need about twice as much.
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_a_long_line_is_read_whole_by_small_blocks(monkeypatch):
+    monkeypatch.setattr(ingest, "_BLOCK", 16)
+    long_op = {"op": "x" * 2**20, "device": "GPU", "step": 1, "start_us": 5, "end_us": 9}
+    lines = [*_long_op_trace(3), json.dumps(long_op), *_long_op_trace(3)]
+    assert len(lines[3]) > 2**20
+    data = ("\n".join(lines) + "\n").encode()
+    with _open_copy(data) as f:
+        _assert_ops_match_oracle(data)
+        _assert_ops_match_oracle(data, f)
+    lines = _long_telemetry(6)
+    lines[3] = lines[3].replace(",", "," + " " * 2**20, 1)
+    assert len(lines[3]) > 2**20
+    data = ("\n".join(lines) + "\n").encode()
+    want, want_issues = parse_telemetry_oracle(data, core_count=2)
+    assert len(want) == 6
+    with _open_copy(data) as f:
+        for source in (data, f):
+            samples, issues = parse_telemetry(source, core_count=2)
+            _assert_same_columns(samples, want)
+            assert issues == want_issues
 
 
 def test_bad_line_in_a_late_chunk_keeps_its_line_number():
