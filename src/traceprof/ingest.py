@@ -24,12 +24,15 @@ in run order, each column sorted in turn), without an object per op or
 sample. Diagnostics keep their line numbers. A timestamp, step or
 ``mem_bytes`` value outside the int64 range is a diagnostic on its line.
 
-Each parser reads its input, bytes or an open binary file, once, in blocks
-(``_blocks``), so no reader holds the whole file's bytes, text or line list.
-A block is a read of ``_BLOCK`` bytes that ends at a line break: a read with
-no ``\n`` is cut after its last ``\r`` but the final byte, so no ``\r\n`` pair
-is split and a file of ``\r`` lines streams too; any other read runs on to
-the next ``\n``. Each block is decoded with ``errors="replace"`` and split by
+Each parser reads its input, bytes or an open binary file (a pipe too: nothing
+seeks), once, in blocks (``_blocks``), so no reader holds the whole file's
+bytes, text or line list. A block is a read of ``_BLOCK`` bytes cut after a
+line break: after its last ``\r`` but the final byte if no ``\n`` follows it,
+else after its last ``\n`` if a final ``\r`` does; the rest starts the next
+block. So no ``\r\n`` pair is split, and ``\r`` lines stream, after ``\n``
+lines too. A read with no cut runs on by ``readline`` calls of at most its
+last two lines' length (O(log) calls for a long line) until it ends in ``\n``
+or can be cut. Each block is decoded with ``errors="replace"`` and split by
 ``str.splitlines``, and line numbers run on across blocks. As a block ends at
 a line break, and bytes 0x0A and 0x0D never occur inside a UTF-8 sequence,
 these are the lines of the whole file decoded at once. Only decoding falls
@@ -47,13 +50,13 @@ with no object per line held, if the header is exactly as expected and the
 block is ASCII with no line break but ``\n`` and ``\r`` (``str.splitlines``
 also breaks at ``\x0b``, ``\x0c`` and ``\x1c``-``\x1e``). loadtxt ends a line
 at ``\n``, ``\r\n`` or a final ``\r``, refuses any other ``\r`` and skips only
-empty lines, so its rows are the block's non-blank text lines (a block of
-``\r`` lines has them made ``\n`` first). It accepts a subset of what
-``int``/``float`` do, with equal values, and strips the same whitespace
-around a cell as ``str.strip``. Any other block, or one it refuses, is read
-row by row from its text lines. A loadtxt block is split into text lines only
-to number a row that a range check flags. Each block's valid rows are
-appended to growable columns, which become the table's arrays without a
+empty lines, so its rows are the block's non-blank text lines (a block with
+``\r`` line ends but no ``\r\n`` has them made ``\n`` first). It accepts a
+subset of what ``int``/``float`` do, with equal values, and strips the same
+whitespace around a cell as ``str.strip``. Any other block, or one it refuses,
+is read row by row from its text lines. A loadtxt block is split into text
+lines only to number a row that a range check flags. Each block's valid rows
+are appended to growable columns, which become the table's arrays without a
 copy, so no block outlives its turn.
 
 Manifests, reports, sweep results and synth specs go through one codec
@@ -117,7 +120,7 @@ _ROWS = 65536  # trace lines per written piece
 _BLOCK = 65536  # bytes per read of a trace file, cut at a line break
 # The ASCII characters str.splitlines breaks a line at, besides "\n" and "\r".
 _BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-# An op trace that starts with one of these is UTF-16 or UTF-32, not UTF-8.
+# An op trace that starts with one of these is UTF-16 or UTF-32 (UTF-32 LE's starts as UTF-16 LE's).
 _WIDE_BOMS = (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE, codecs.BOM_UTF32_BE)
 _NO_SAMPLES = SampleTable(np.empty(0, np.int64), np.empty((0, 5)), np.empty(0, np.int64))
 
@@ -242,16 +245,20 @@ def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], 
 
 def _blocks(stream: BinaryIO) -> Iterator[bytes]:
     """The rest of ``stream`` in reads of ``_BLOCK`` bytes, each ending just after a line
-    break as the module doc says. What a cut at a ``\r`` leaves of a read starts the
-    next block, so nothing seeks and a pipe can be read too."""
+    break as the module doc says. What a cut leaves of a read starts the next block,
+    so nothing seeks and a pipe can be read too."""
     rest = b""
     while block := rest + stream.read(_BLOCK):
-        rest = b""
-        cut = 0 if b"\n" in block else block.rfind(b"\r", 0, -1) + 1
-        if cut:
-            block, rest = block[:cut], block[cut:]
-        elif not block.endswith(b"\n"):
-            block += stream.readline()
+        while True:
+            after = block.rfind(b"\n") + 1  # just after the last \n, or 0
+            cut = block.rfind(b"\r", after, -1) + 1  # after a \r that ends a line
+            if not cut and block.find(b"\r", after) >= 0:  # a final \r, maybe half of \r\n
+                cut = after
+            last_two = len(block) - block.rfind(b"\n", 0, after - 1) - 1  # the readline limit
+            if cut or block.endswith(b"\n") or not (more := stream.readline(last_two)):
+                break
+            block += more
+        block, rest = (block[:cut], block[cut:]) if cut else (block, b"")
         yield block
 
 
@@ -268,15 +275,12 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
     names, layers = _Codes(), _Codes()
     issues: list[Issue] = []
     warned: set[str] = set()
-    stream = io.BytesIO(data) if isinstance(data, bytes) else data
-    head = stream.read(4)
-    stream.seek(-len(head), io.SEEK_CUR)
-    wide = head.startswith(_WIDE_BOMS)  # the UTF-32 LE mark starts with the UTF-16 LE one
-    if wide:
-        issues.append(Issue("MalformedLine", "op trace is not UTF-8: it starts with a "
-                            "UTF-16 or UTF-32 byte-order mark", line_no=1))
     first = 0  # text lines before the block
-    for block in () if wide else _blocks(stream):
+    for block in _blocks(io.BytesIO(data) if isinstance(data, bytes) else data):
+        if not first and block.startswith(_WIDE_BOMS):  # a block ends at a line break
+            issues.append(Issue("MalformedLine", "op trace is not UTF-8: it starts with a "
+                                "UTF-16 or UTF-32 byte-order mark", line_no=1))
+            break
         lines = block.decode("utf-8", errors="replace").splitlines()
         records = [line for line in map(str.strip, lines) if line]
         if records:
@@ -297,7 +301,7 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
     del columns, start, end, device, step, has_step, name_code, layer_code
     names, layers = tuple(names), tuple(layers)
     order = _op_order(OpTable(*arrays, names=names, layers=layers))
-    if (order[1:] < order[:-1]).any():  # else the sorted order is the identity
+    if order is not None:  # else the rows are in run order
         for i, col in enumerate(arrays):  # a buffer goes when its permuted copy replaces it
             arrays[i] = col[order]
     return OpTable(*arrays, names=names, layers=layers), issues
@@ -454,7 +458,7 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
     first, by_bytes = header_no, header == expected
     del lines
     while block is not None:
-        if b"\n" not in block:  # lines ending in \r, which loadtxt reads only as \n
+        if b"\n" not in block or b"\r" in block and b"\r\n" not in block:  # slow search last
             block = block.replace(b"\r", b"\n")
         tokens = _loadtxt(block, len(header)) if by_bytes else None
         if tokens is None:  # one row at a time
@@ -464,7 +468,7 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
         else:  # text lines only to number a row that a check flags
             piece, found = _check_rows(tokens, range(len(tokens[0])), expected[1:-1], [])
             found = _numbered(found, block.decode("ascii").splitlines() if found else [], first)
-            first += block.count(b"\n")  # only the last block can end without one
+            first += block.count(b"\n") + block.endswith(b"\r")  # a last \r ends a line
         issues += found
         for column, cells in zip(columns, piece):
             column.frombytes(cells.tobytes())

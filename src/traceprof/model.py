@@ -181,50 +181,41 @@ def _tie_keys(ops: OpTable, rows: np.ndarray) -> list[np.ndarray]:
             _ranks([layer or "" for layer in ops.layers])[ops.layer[rows]]]
 
 
-def _op_order(ops: OpTable) -> np.ndarray:
-    """Stable row order by start, end, name, device, step, layer.
+def _op_order(ops: OpTable) -> np.ndarray | None:
+    """Stable row order by start, end, name, device, step, layer; None if the rows are in it.
 
-    Rows that tie on every key keep their input order. One sort by start and
-    end orders the rows; only the rows that tie on both are then sorted by
-    every key.
+    Rows that tie on every key keep their input order. Whether the rows are in
+    order already is found in O(n), with no sort: each row's start and end are
+    compared with the row before, and the other keys only at rows tied on both.
+    Else one sort by start and end orders the rows, and only the rows that tie
+    on both are then sorted by every key.
     """
-    order = np.lexsort((ops.end, ops.start))
-    key = ops.start[order]
+    start, end = ops.start, ops.end
+    tied = start[1:] == start[:-1]
+    if (start[1:] >= start[:-1]).all() and not (tied & (end[1:] < end[:-1])).any():
+        tied &= end[1:] == end[:-1]
+        at = np.flatnonzero(tied)
+        undecided = np.ones(len(at), dtype=bool)  # the pairs (at, at + 1) tied on every key so far
+        for key in _tie_keys(ops, np.concatenate((at, at + 1))):
+            before, after = key[:len(at)], key[len(at):]
+            if (undecided & (before > after)).any():
+                break
+            undecided &= before == after
+        else:
+            return None
+        del at, undecided, key, before, after
+    del tied  # the check's arrays go before the sort's are made
+    order = np.lexsort((end, start))
+    key = start[order]
     tied = key[1:] == key[:-1]
-    np.take(ops.end, order, out=key, mode="clip")  # "raise" would buffer a copy
+    np.take(end, order, out=key, mode="clip")  # "raise" would buffer a copy
     tied &= key[1:] == key[:-1]
     del key
     if tied.any():
         at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
         rows = order[at]
-        order[at] = rows[np.lexsort((*_tie_keys(ops, rows)[::-1], ops.end[rows],
-                                     ops.start[rows]))]
+        order[at] = rows[np.lexsort((*_tie_keys(ops, rows)[::-1], end[rows], start[rows]))]
     return order
-
-
-def _in_op_order(ops: OpTable) -> bool:
-    """Whether ``_op_order(ops)`` is the identity: no row's key is below the one before.
-
-    O(n), with no sort: start and end are compared first, and the other keys
-    only at rows tied on both.
-    """
-    start, end = ops.start, ops.end
-    if not (start[1:] >= start[:-1]).all():
-        return False
-    tied = start[1:] == start[:-1]
-    if (tied & (end[1:] < end[:-1])).any():
-        return False
-    tied &= end[1:] == end[:-1]
-    if not tied.any():
-        return True
-    at = np.flatnonzero(tied)
-    undecided = np.ones(len(at), dtype=bool)  # the pairs (at, at + 1) tied on every key so far
-    for key in _tie_keys(ops, np.concatenate((at, at + 1))):
-        before, after = key[:len(at)], key[len(at):]
-        if (undecided & (before > after)).any():
-            return False
-        undecided &= before == after
-    return True
 
 
 def _sample_order(samples: SampleTable) -> np.ndarray:
@@ -342,8 +333,9 @@ def validate_run(
     if not samples or not ops:
         issues.append(Issue("EmptyTrace", "run needs at least one op and one sample"))
 
-    if not _in_op_order(ops):  # else the run order is the identity, and no copy is made
-        ops = ops.take(_op_order(ops))
+    order = _op_order(ops)
+    if order is not None:  # else the rows are in run order, and no copy is made
+        ops = ops.take(order)
     _check_ops(ops, issues)
 
     if not (samples.t[1:] > samples.t[:-1]).all():  # else the sorted order is the identity

@@ -611,8 +611,10 @@ def _set_meta(manifest, **fields):
     ({"sample_interval_us": -10_000},
      "error[InvalidMeta]: sample_interval_us must be > 0, got -10000"),
     ({"warmup_steps": -1}, "error[InvalidMeta]: warmup_steps must be >= 0, got -1"),
+    ({"device_mem_capacity_bytes": 0},
+     "error[InvalidMeta]: device_mem_capacity_bytes must be >= 1"),
 ], ids=["interval_2pow63", "interval_2pow63_minus_1", "batch_10pow400", "cores_10pow6",
-        "interval_0", "interval_negative", "warmup_negative"])
+        "interval_0", "interval_negative", "warmup_negative", "capacity_0"])
 def test_meta_values_past_int64_are_diagnostics(tmp_path, fields, diagnostic):
     spec = random_spec(1)
     manifest = write_run(spec, tmp_path / "run")
@@ -862,6 +864,13 @@ def _run_past_int64(doc):
                phases=[{**doc["phases"][0], "duration_fraction": 1.0}])
 
 
+def _uncovered_step(doc):
+    """A 4e9-sample step whose two phases get 2e9 + 1 and 2e9 samples: each fraction
+    aligns with the grid within 1e-6, and the fractions sum to 1 within 1e-9."""
+    doc.update(step_duration_us=4 * 10**9, sample_interval_us=1,
+               phases=[{**doc["phases"][0], "duration_fraction": f} for f in (0.50000000025, 0.5)])
+
+
 def _set_fractions(doc, *fractions):
     for phase, fraction in zip(doc["phases"], fractions):
         phase["duration_fraction"] = fraction
@@ -891,9 +900,12 @@ def _huge_power_with_noise(doc):
     (lambda d: d.update(warmup_steps=20), "warmup_steps must be <= steps (8), got 20"),
     (lambda d: d.update(warmup_steps=d["steps"] + 1), "warmup_steps must be <= steps (8), got 9"),
     (lambda d: d.update(batch_size=2**63), "batch_size must be < 2**63"),
+    (lambda d: d.update(phases=[]), "at least one phase is required"),
+    (_uncovered_step, "phase sample counts do not cover the step exactly"),
 ], ids=["nan_fraction", "inf_fractions", "mem_2pow63", "warmup_mem_2pow63", "run_2pow63_us",
         "negative_seed", "nan_power", "power_overflows_with_noise", "invalid_meta",
-        "warmup_20_of_8_steps", "warmup_one_past_steps", "batch_2pow63"])
+        "warmup_20_of_8_steps", "warmup_one_past_steps", "batch_2pow63", "no_phases",
+        "uncovered_step"])
 def test_invalid_synth_spec_is_a_diagnostic(tmp_path, edit, message):
     doc = to_doc(random_spec(1))
     edit(doc)
@@ -1062,21 +1074,43 @@ def test_malformed_sweep_manifest_is_a_diagnostic(tmp_path, capsys, doc):
         assert err == f"error: manifest {tmp_path / 'b'} cannot be read: Is a directory\n"
 
 
+def _unlabelled_run(directory, interval, times, gpu, op):
+    """The manifest of a run of one unlabelled op and a sample at each of ``times``, with
+    GPU utilization ``gpu``, at the declared sample interval."""
+    meta = RunMeta(run_id="unlabelled", batch_size=1, core_count=1, sample_interval_us=interval)
+    samples = [TelemetrySample(t, (0.5,), g, 1.0, 1.0, 1.0, 4.0, 100) for t, g in zip(times, gpu)]
+    op_table, sample_table = tables([op], samples)
+    (directory / "ops.jsonl").write_bytes(b"".join(op_trace_chunks(op_table)))
+    (directory / "telemetry.csv").write_bytes(b"".join(telemetry_chunks(sample_table)))
+    manifest = directory / "run.json"
+    manifest.write_bytes(write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
+    return manifest
+
+
 def test_samples_on_under_half_the_period_grid_are_a_diagnostic(tmp_path):
     # Unlabelled, 10 samples 10**12 us apart at a declared 1 us interval: a 9e12-point grid.
-    meta = RunMeta(run_id="sparse", batch_size=1, core_count=1, sample_interval_us=1)
-    samples = [TelemetrySample(i * 10**12, (0.5,), float(i % 2), 1.0, 1.0, 1.0, 4.0, 100)
-               for i in range(10)]
-    op_table, sample_table = tables([OpEvent("a", "GPU", 0, 9 * 10**12 + 1)], samples)
-    (tmp_path / "ops.jsonl").write_bytes(b"".join(op_trace_chunks(op_table)))
-    (tmp_path / "telemetry.csv").write_bytes(b"".join(telemetry_chunks(sample_table)))
-    manifest = tmp_path / "run.json"
-    manifest.write_bytes(write_manifest(RunManifest(meta, "ops.jsonl", "telemetry.csv")))
+    manifest = _unlabelled_run(tmp_path, 1, [i * 10**12 for i in range(10)], [0.0, 1.0] * 5,
+                               OpEvent("a", "GPU", 0, 9 * 10**12 + 1))
     result = _run_cli("analyze", manifest)
     assert result.returncode == 1
     assert result.stdout == b""
     assert result.stderr == (b"error: 10 samples cover under half of the 9000000000001-point "
                              b"resampling grid at the 1 us sample interval\n")
+
+
+@pytest.mark.parametrize("times, gpu, op, message", [
+    (range(0, 70, 10), [0.0, 1.0] * 4, OpEvent("a", "GPU", 0, 70),
+     "need at least 8 samples, got 7"),
+    (range(10), [0.0, 1.0] * 5, OpEvent("a", "GPU", 0, 10),
+     "run spans fewer than the minimum number of sample intervals"),
+    # A 40 us period, found with confidence 1, and an op that starts 20 us before the end.
+    (range(0, 400, 10), [1.0, 1.0, 0.0, 0.0] * 10, OpEvent("a", "GPU", 380, 390),
+     "inferred period does not fit a single complete window"),
+], ids=["seven_samples", "samples_within_one_interval", "first_op_starts_late"])
+def test_unlabelled_runs_without_a_step_window_are_diagnostics(tmp_path, times, gpu, op, message):
+    result = _run_cli("analyze", _unlabelled_run(tmp_path, 10, times, gpu, op), "--format", "json")
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr == f"error: {message}\n".encode()
 
 
 def _spec_edits():

@@ -1,3 +1,4 @@
+import codecs
 import io
 import itertools
 import json
@@ -832,6 +833,68 @@ def test_telemetry_with_cr_line_ends_is_read_in_blocks():
         peaks.append(peak)
     # A reader that held the whole file, or its text, would need about twice as much.
     assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("parse, lines", [(parse_op_trace, _long_op_trace(5000)),
+                                          (lambda f: parse_telemetry(f, 2), _long_telemetry(5000))],
+                         ids=["op_trace", "telemetry"])
+def test_a_file_whose_line_ends_change_from_lf_to_cr_is_read_in_blocks(parse, lines):
+    # Line ends change from \n to \r after line 2, and at the line that holds the
+    # first read's last byte, so that read ends before its line's \r.
+    ends = np.cumsum([len(line) + 1 for line in lines])
+    results, peaks = [], []
+    for lf in (len(lines), 2, int(np.searchsorted(ends, ingest._BLOCK, side="right"))):
+        data = "".join(line + ("\n" if k < lf else "\r") for k, line in enumerate(lines)).encode()
+        with _open_copy(data) as f:
+            (table, issues), peak = traced_peak(parse, f)
+        results.append((table, issues))
+        peaks.append(peak)
+    (want, want_issues), *mixed = results
+    for got, issues in mixed:
+        assert len(got) == 5000 and issues == want_issues == []
+        _assert_same_columns(got, want)
+    assert max(peaks[1:]) <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("block", [7, 25, 64, 65536])
+def test_line_numbers_run_on_across_blocks_cut_at_any_line_end(monkeypatch, block):
+    # Lines end in \r and \r\n by turns, so reads that hold a \n are cut after a \r,
+    # and some reads end between a \r and its \n. A late bad line shows the line count.
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    ends = itertools.cycle(["\r", "\r\n"])
+    lines = [*_long_op_trace(300), "not json", *_long_op_trace(3)]
+    _assert_ops_match_oracle("".join(line + next(ends) for line in lines).encode())
+    lines = [*_long_telemetry(300), "1,100.5,0,0,0,0,0,0,0", *_long_telemetry(3)[1:]]
+    data = "".join(line + next(ends) for line in lines).encode()
+    samples, issues = parse_telemetry(data, core_count=2)
+    want, want_issues = parse_telemetry_oracle(data, core_count=2)
+    _assert_same_columns(samples, want)
+    assert issues == want_issues != []
+
+
+class _Pipe(io.BytesIO):
+    """Bytes that can be read only once, in order, as from a pipe."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("File or stream is not seekable.")
+
+
+@pytest.mark.parametrize("data", [
+    ("\n".join(_long_op_trace(3000)) + "\n").encode(),
+    ("\n".join(_long_op_trace(3)) + "\nnot json\n").encode(),
+    ("\n".join(_long_op_trace(3)) + "\n").encode("utf-16"),
+], ids=["clean", "bad_line", "utf16"])
+def test_op_trace_is_read_from_a_stream_that_cannot_seek(data):
+    ops, issues = parse_op_trace(_Pipe(data))
+    want, want_issues = parse_op_trace(data)
+    _assert_same_columns(ops, want)
+    assert issues == want_issues
+    if data.startswith(codecs.BOM_UTF16):
+        assert issues == [Issue("MalformedLine", "op trace is not UTF-8: it starts with a "
+                                "UTF-16 or UTF-32 byte-order mark", line_no=1)]
 
 
 def test_a_long_line_is_read_whole_by_small_blocks(monkeypatch):
