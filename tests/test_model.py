@@ -302,10 +302,19 @@ def tie_heavy_ops(draw):
     return draw(st.permutations(ops + duplicates))
 
 
+@example([])
+@example([OpEvent("a", "GPU", 3, 1, step_id=2)])
+@given(tie_heavy_ops())
+def test_op_order_matches_oracle(ops):
+    table, _ = tables(ops, [])
+    order, want = model._op_order(table), op_order_oracle(table)
+    # None when the rows are in run order already, else that order.
+    assert (list(range(len(ops))) if order is None else order.tolist()) == want
+
+
 @example([], "sorted")
-@example([OpEvent("a", "GPU", 3, 1, step_id=2)], "shuffled")
 @given(tie_heavy_ops(), st.sampled_from(["shuffled", "sorted", "sorted, one pair swapped"]))
-def test_op_order_matches_oracle(ops, arrangement):
+def test_in_op_order_matches_oracle(ops, arrangement):
     table, _ = tables(ops, [])
     if arrangement != "shuffled":
         order = op_order_oracle(table)
