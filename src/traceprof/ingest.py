@@ -25,39 +25,35 @@ sample. Diagnostics keep their line numbers. A timestamp, step or
 ``mem_bytes`` value outside the int64 range is a diagnostic on its line.
 
 Each parser reads its input, bytes or an open binary file (a pipe too: nothing
-seeks), once, in blocks (``_blocks``), so no reader holds the whole file's
-bytes, text or line list. A block is a read of ``_BLOCK`` bytes cut after a
-line break: after its last ``\r`` but the final byte if no ``\n`` follows it,
-else after its last ``\n`` if a final ``\r`` does; the rest starts the next
-block. So no ``\r\n`` pair is split, and ``\r`` lines stream, after ``\n``
-lines too. A read with no cut runs on by ``readline`` calls of at most its
-last two lines' length (O(log) calls for a long line) until it ends in ``\n``
-or can be cut. Each block is decoded with ``errors="replace"`` and split by
-``str.splitlines``, and line numbers run on across blocks. As a block ends at
-a line break, and bytes 0x0A and 0x0D never occur inside a UTF-8 sequence,
-these are the lines of the whole file decoded at once. Only decoding falls
-back to one line at a time; each value rule is then one check over a block's
-column, and a failing line gets the diagnostic of its first failing rule. Op
-trace: if a block holds no ``[``/``]`` and each stripped non-blank line is
-``{...}``, the block decodes as one JSON array. No record can then span lines
-(a string cannot hold the raw newline, an object would need a key where the
-next line has ``{``), so as many records as lines is one per line. Else each
-line goes through ``json.loads`` on its own.
+seeks), once, in blocks (``_text_blocks``): ``io.TextIOWrapper`` decodes it as
+UTF-8 with ``errors="replace"`` and universal newlines (``\r\n`` and ``\r``
+arrive as ``\n``), and a block is a read of ``_BLOCK`` characters that one
+``readline`` runs on to its line's end. So the blocks' lines (``str.splitlines``)
+are those of the whole file decoded at once, numbered across blocks. A reader
+holds one block plus its longest line, so a file with no line break after its
+header is held whole, with what its parser makes of it (a tracemalloc peak of
+7.3 MB for ``long-run``'s 0.73 MB telemetry with its rows' line breaks made
+spaces, 28 MB for 2.9 MB). Only decoding falls back to one line at a time; each
+value rule is then one check over a block's column, and a failing line gets the
+diagnostic of its first failing rule.
 
-Telemetry: the first non-blank line is the header, and the rest of its block
-is the first block of rows. A block goes to one ``np.loadtxt`` call as bytes,
-with no object per line held, if the header is exactly as expected and the
-block is ASCII with no line break but ``\n`` and ``\r`` (``str.splitlines``
-also breaks at ``\x0b``, ``\x0c`` and ``\x1c``-``\x1e``). loadtxt ends a line
-at ``\n``, ``\r\n`` or a final ``\r``, refuses any other ``\r`` and skips only
-empty lines, so its rows are the block's non-blank text lines (a block with
-``\r`` line ends but no ``\r\n`` has them made ``\n`` first). It accepts a
-subset of what ``int``/``float`` do, with equal values, and strips the same
-whitespace around a cell as ``str.strip``. Any other block, or one it refuses,
-is read row by row from its text lines. A loadtxt block is split into text
-lines only to number a row that a range check flags. Each block's valid rows
-are appended to growable columns, which become the table's arrays without a
-copy, so no block outlives its turn.
+Op trace: a block's stripped non-blank lines without ``[`` decode as one JSON
+array if each is ``{...}``. No record can then span lines (a string cannot hold
+the raw newline, an object would need a key where the next line has ``{``, and
+no array opens), so as many records as lines is one per line. Other lines, and
+all of a block whose array fails so, each go through ``json.loads``.
+
+Telemetry: the first non-blank line is the header, and the rest of its block is
+the first block of rows. If the header is exactly as expected, a block that is
+ASCII with no line break but ``\n`` (see ``_BREAKS``) goes to one ``np.loadtxt``
+call as bytes, with no object per line held. loadtxt skips only empty lines, so
+its rows are the block's non-blank lines; it accepts a subset of what
+``int``/``float`` do, with equal values, and strips the same whitespace around a
+cell as ``str.strip``. Any other block, or one it refuses, is read row by row
+from its text lines, and a loadtxt block is split into lines only to number a
+row that a range check flags. Each block's valid rows are appended to growable
+columns, which become the table's arrays without a copy, so no block outlives
+its turn.
 
 Manifests, reports, sweep results and synth specs go through one codec
 whose JSON keys are the field names of their records (``typing.NamedTuple``
@@ -117,9 +113,9 @@ _OP_KEYS = {"op", "layer", "device", "step", "start_us", "end_us"}
 _CODE_OF_DEVICE = {d: code for code, d in enumerate(DEVICES)}
 _INT64 = 2**63  # integers in traces and telemetry must lie in [-_INT64, _INT64)
 _ROWS = 65536  # trace lines per written piece
-_BLOCK = 65536  # bytes per read of a trace file, cut at a line break
+_BLOCK = 65536  # characters per read of a trace file, run on to the end of a line
 # The ASCII characters str.splitlines breaks a line at, besides "\n" and "\r".
-_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 # An op trace that starts with one of these is UTF-16 or UTF-32 (UTF-32 LE's starts as UTF-16 LE's).
 _WIDE_BOMS = (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE, codecs.BOM_UTF32_BE)
 _NO_SAMPLES = SampleTable(np.empty(0, np.int64), np.empty((0, 5)), np.empty(0, np.int64))
@@ -148,17 +144,23 @@ def _json_or_error(line: str) -> Any:
 
 
 def _decode_op_lines(lines: list[str]) -> list:
-    """Each stripped non-blank line's JSON value, or the ValueError of a line that is not JSON."""
-    joined = ",\n".join(lines)
-    objects = all(line[0] == "{" and line[-1] == "}" for line in lines)
-    if objects and "[" not in joined and "]" not in joined:
-        try:
-            records = json.loads("[" + joined + "]")
-            if len(records) == len(lines):  # one record per line (see the module doc)
-                return records
-        except ValueError:
-            pass
-    return list(map(_json_or_error, lines))
+    """Each stripped non-blank line's JSON value, or the ValueError of a line that is not JSON.
+    The lines without ``[`` decode as one JSON array when the module doc says they can."""
+    together, alone = lines, []  # alone: the indexes of the lines that hold a [
+    if "[" in (joined := ",\n".join(lines)):  # only then look for those lines
+        alone = [i for i, line in enumerate(lines) if "[" in line]
+        together = [line for line in lines if "[" not in line]
+        joined = ",\n".join(together)
+    objects = all(line[0] == "{" and line[-1] == "}" for line in together)
+    try:
+        records = json.loads("[" + joined + "]") if objects else []
+    except ValueError:
+        records = []
+    if len(records) != len(together):
+        return list(map(_json_or_error, lines))
+    for i in alone:
+        records.insert(i, _json_or_error(lines[i]))
+    return records
 
 
 def _numbered(found: list[tuple], lines: list[str], first: int = 0) -> list[Issue]:
@@ -243,23 +245,18 @@ def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], 
     return cols, found
 
 
-def _blocks(stream: BinaryIO) -> Iterator[bytes]:
-    """The rest of ``stream`` in reads of ``_BLOCK`` bytes, each ending just after a line
-    break as the module doc says. What a cut leaves of a read starts the next block,
-    so nothing seeks and a pipe can be read too."""
-    rest = b""
-    while block := rest + stream.read(_BLOCK):
-        while True:
-            after = block.rfind(b"\n") + 1  # just after the last \n, or 0
-            cut = block.rfind(b"\r", after, -1) + 1  # after a \r that ends a line
-            if not cut and block.find(b"\r", after) >= 0:  # a final \r, maybe half of \r\n
-                cut = after
-            last_two = len(block) - block.rfind(b"\n", 0, after - 1) - 1  # the readline limit
-            if cut or block.endswith(b"\n") or not (more := stream.readline(last_two)):
-                break
-            block += more
-        block, rest = (block[:cut], block[cut:]) if cut else (block, b"")
-        yield block
+def _text_blocks(stream: BinaryIO) -> Iterator[str]:
+    """The rest of ``stream`` as UTF-8 text with universal newlines, in reads of ``_BLOCK``
+    characters each run on to the end of its line. ``stream`` is left open."""
+    text = io.TextIOWrapper(stream, "utf-8", errors="replace", newline=None)
+    try:
+        while block := text.read(_BLOCK):
+            if block[-1] != "\n":
+                block += text.readline()  # in place: no second copy of the block
+            yield block
+            del block  # so that, if the caller lets go of it too, one block is held at a time
+    finally:
+        text.detach()
 
 
 def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
@@ -267,8 +264,8 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
 
     Returns (ops in ``model.validate_run``'s run order, diagnostics). Each
     valid line becomes one row of the op columns; no per-op object is built.
-    A file that starts with a UTF-16 or UTF-32 byte-order mark has no rows
-    and one diagnostic.
+    A file that starts with a UTF-16 or UTF-32 byte-order mark (peeked for: on
+    a pipe, in the writer's first write) has no rows and one diagnostic.
     """
     columns = [array(code) for code in "qqbqbii"]  # growable, in OpTable field order
     start, end, device, step, has_step, name_code, layer_code = columns
@@ -276,24 +273,31 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
     issues: list[Issue] = []
     warned: set[str] = set()
     first = 0  # text lines before the block
-    for block in _blocks(io.BytesIO(data) if isinstance(data, bytes) else data):
-        if not first and block.startswith(_WIDE_BOMS):  # a block ends at a line break
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    peekable = stream if hasattr(stream, "peek") else io.BufferedReader(stream)
+    try:
+        blocks = _text_blocks(peekable)
+        if peekable.peek(4).startswith(_WIDE_BOMS):
+            blocks = ()
             issues.append(Issue("MalformedLine", "op trace is not UTF-8: it starts with a "
                                 "UTF-16 or UTF-32 byte-order mark", line_no=1))
-            break
-        lines = block.decode("utf-8", errors="replace").splitlines()
-        records = [line for line in map(str.strip, lines) if line]
-        if records:
-            cols, found = _check_op_records(_decode_op_lines(records), warned)
-            issues.extend(_numbered(found, lines, first))
-            start.extend(cols["start_us"])
-            end.extend(cols["end_us"])
-            device.extend(map(_CODE_OF_DEVICE.__getitem__, cols["device"]))
-            step.extend(cols["step"])
-            has_step.extend(cols["has_step"])
-            name_code.extend(map(names.__getitem__, cols["op"]))
-            layer_code.extend(map(layers.__getitem__, cols["layer"]))
-        first += len(lines)
+        for block in blocks:
+            lines = block.splitlines()
+            records = [line for line in map(str.strip, lines) if line]
+            if records:
+                cols, found = _check_op_records(_decode_op_lines(records), warned)
+                issues.extend(_numbered(found, lines, first))
+                start.extend(cols["start_us"])
+                end.extend(cols["end_us"])
+                device.extend(map(_CODE_OF_DEVICE.__getitem__, cols["device"]))
+                step.extend(cols["step"])
+                has_step.extend(cols["has_step"])
+                name_code.extend(map(names.__getitem__, cols["op"]))
+                layer_code.extend(map(layers.__getitem__, cols["layer"]))
+            first += len(lines)
+    finally:
+        if peekable is not stream:
+            peekable.detach()  # else, once collected, it would close the caller's stream
     if not start and not issues:  # every non-blank line is a row or has an error
         issues.append(Issue("EmptyTrace", "op trace has no records", line_no=0))
     dtypes = (np.int64, np.int64, np.int8, np.int64, np.bool_, np.int32, np.int32)
@@ -319,7 +323,7 @@ def _row_dtype(width: int) -> np.dtype:
                      ("mem", np.int64)])
 
 
-def _loadtxt(block: bytes, width: int) -> tuple[np.ndarray, ...] | None:
+def _loadtxt(block: str, width: int) -> tuple[np.ndarray, ...] | None:
     """(t, values, mem) of a block's non-blank text lines, as rows of ``width`` cells
     in the expected order, or None if np.loadtxt cannot read them so."""
     # numpy's int reader takes some non-ASCII letters for digits (U+20000 reads
@@ -329,7 +333,7 @@ def _loadtxt(block: bytes, width: int) -> tuple[np.ndarray, ...] | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.23-1.24 only warn on "1.0" as an int
-            cells = np.loadtxt(io.BytesIO(block), _row_dtype(width), delimiter=",",
+            cells = np.loadtxt(io.BytesIO(block.encode()), _row_dtype(width), delimiter=",",
                                comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
@@ -414,10 +418,10 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
     row of the sample columns, in file order; no per-sample object is built.
     A ``core_count`` above the header line's length is one CoreCountMismatch.
     """
-    blocks = _blocks(io.BytesIO(data) if isinstance(data, bytes) else data)
+    blocks = _text_blocks(io.BytesIO(data) if isinstance(data, bytes) else data)
     first = 0  # text lines before the block
     for block in blocks:
-        lines = block.decode("utf-8", errors="replace").splitlines(keepends=True)
+        lines = block.splitlines(keepends=True)
         h = next((k for k, line in enumerate(lines) if line.strip()), None)
         if h is not None:  # the header
             break
@@ -444,34 +448,28 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
         else:
             issues.append(Issue("UnknownColumn", f"ignoring unknown column {name!r}", "warning",
                                 header_no))
-    missing = [name for name in expected if name not in col_index]
-    if missing:
-        issues.append(
-            Issue("MalformedLine", f"header missing columns {missing}", line_no=header_no)
-        )
-        return _NO_SAMPLES, issues
+    if missing := [name for name in expected if name not in col_index]:
+        message = f"header missing columns {missing}"
+        return _NO_SAMPLES, [*issues, Issue("MalformedLine", message, line_no=header_no)]
 
     columns = array("q"), array("d"), array("q")  # t, values and mem, grown a block at a time
-    # The rows after the header in its block, as bytes: decoding them again gives
-    # the same text lines, and they are ASCII only if those bytes were.
-    block = "".join(lines[h + 1:]).encode()
+    block = "".join(lines[h + 1:])  # the rows after the header in its block
     first, by_bytes = header_no, header == expected
     del lines
     while block is not None:
-        if b"\n" not in block or b"\r" in block and b"\r\n" not in block:  # slow search last
-            block = block.replace(b"\r", b"\n")
         tokens = _loadtxt(block, len(header)) if by_bytes else None
         if tokens is None:  # one row at a time
-            lines = block.decode("utf-8", errors="replace").splitlines()
+            lines = block.splitlines()
             piece, found = _parse_lines(lines, first, header, col_index, expected)
             first += len(lines)
         else:  # text lines only to number a row that a check flags
             piece, found = _check_rows(tokens, range(len(tokens[0])), expected[1:-1], [])
-            found = _numbered(found, block.decode("ascii").splitlines() if found else [], first)
-            first += block.count(b"\n") + block.endswith(b"\r")  # a last \r ends a line
+            found = _numbered(found, block.splitlines() if found else [], first)
+            first += block.count("\n")  # only the last block can end without one
         issues += found
         for column, cells in zip(columns, piece):
             column.frombytes(cells.tobytes())
+        del block  # before the next is read
         block = next(blocks, None)
     t, values, mem = (np.frombuffer(col, dtype)
                       for col, dtype in zip(columns, (np.int64, np.float64, np.int64)))

@@ -1,4 +1,5 @@
 import codecs
+import gc
 import io
 import itertools
 import json
@@ -701,10 +702,10 @@ def test_column_readers_take_clean_input(monkeypatch):
     data = ("\n".join(lines) + "\n").encode()
     loads = _counted(monkeypatch, json, "loads")
     ops, issues = parse_op_trace(data)
-    # One JSON array per block: a read of ingest._BLOCK bytes, extended to a line's end.
-    blocks = list(ingest._blocks(io.BytesIO(data)))
+    # One JSON array per block: a read of ingest._BLOCK characters, run on to a line's end.
+    blocks = list(ingest._text_blocks(io.BytesIO(data)))
     longest = max(map(len, lines)) + 1
-    assert b"".join(blocks) == data and all(block.endswith(b"\n") for block in blocks)
+    assert "".join(blocks).encode() == data and all(block.endswith("\n") for block in blocks)
     assert all(ingest._BLOCK <= len(block) < ingest._BLOCK + longest for block in blocks[:-1])
     assert len(loads) == len(blocks) > 3 and all(args[0][0] == "[" for args in loads)
     assert len(ops) == 3000 and issues == []
@@ -742,7 +743,7 @@ def test_a_bad_line_is_decoded_again_only_within_its_block(monkeypatch):
     lines = _long_op_trace(3000)
     lines[2900] = "not json"
     data = ("\n".join(lines) + "\n").encode()
-    blocks = [block.decode().splitlines() for block in ingest._blocks(io.BytesIO(data))]
+    blocks = [block.splitlines() for block in ingest._text_blocks(io.BytesIO(data))]
     assert "not json" in blocks[-1] and len(blocks) > 3
     loads = _counted(monkeypatch, json, "loads")
     ops, issues = parse_op_trace(data)
@@ -858,8 +859,8 @@ def test_a_file_whose_line_ends_change_from_lf_to_cr_is_read_in_blocks(parse, li
 
 @pytest.mark.parametrize("block", [7, 25, 64, 65536])
 def test_line_numbers_run_on_across_blocks_cut_at_any_line_end(monkeypatch, block):
-    # Lines end in \r and \r\n by turns, so reads that hold a \n are cut after a \r,
-    # and some reads end between a \r and its \n. A late bad line shows the line count.
+    # Lines end in \r and \r\n by turns, so some reads end between a \r and its \n.
+    # A late bad line shows the line count.
     monkeypatch.setattr(ingest, "_BLOCK", block)
     ends = itertools.cycle(["\r", "\r\n"])
     lines = [*_long_op_trace(300), "not json", *_long_op_trace(3)]
@@ -917,6 +918,117 @@ def test_a_long_line_is_read_whole_by_small_blocks(monkeypatch):
             samples, issues = parse_telemetry(source, core_count=2)
             _assert_same_columns(samples, want)
             assert issues == want_issues
+
+
+def _crlf_at(lines, at):
+    """``lines`` ended by \n, but for one line, padded with spaces, whose \r\n pair is
+    characters ``at`` - 1 and ``at``."""
+    text, longest = "", max(map(len, lines))
+    for line in lines:
+        free = at - 1 - len(text) - len(line)
+        text += line + (" " * free + "\r\n" if 0 <= free <= longest else "\n")
+    return text.encode()
+
+
+@pytest.mark.parametrize("at", [8192, ingest._BLOCK], ids=["wrapper_read", "block"])
+def test_a_crlf_pair_across_a_read_boundary_is_one_line_end(at):
+    # The text wrapper reads 8192 bytes at a time, and the reader _BLOCK characters;
+    # a late bad line shows that no line was added or lost at the pair.
+    data = _crlf_at([*_long_op_trace(at // 50), "not json"], at)
+    assert data[at - 1:at + 1] == b"\r\n" and data.count(b"\r") == 1
+    with _open_copy(data) as f:
+        _assert_ops_match_oracle(data)
+        _assert_ops_match_oracle(data, f)
+    data = _crlf_at([*_long_telemetry(at // 20), "1,100.5,0,0,0,0,0,0,0"], at)
+    assert data[at - 1:at + 1] == b"\r\n" and data.count(b"\r") == 1
+    want, want_issues = parse_telemetry_oracle(data, core_count=2)
+    with _open_copy(data) as f:
+        for source in (data, f):
+            samples, issues = parse_telemetry(source, core_count=2)
+            _assert_same_columns(samples, want)
+            assert issues == want_issues != []
+
+
+@pytest.mark.parametrize("block", [1, 7, 65536])
+def test_a_file_ending_in_a_lone_cr_matches_oracle(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    for data in (b"\r", "\n".join([*_long_op_trace(3), "not json"]).encode() + b"\r"):
+        _assert_ops_match_oracle(data)
+        _assert_ops_match_oracle(data, _Pipe(data))
+    for lines in ([_long_telemetry(0)[0]], [*_long_telemetry(3), "1,100.5,0,0,0,0,0,0,0"]):
+        data = "\n".join(lines).encode() + b"\r"
+        want, want_issues = parse_telemetry_oracle(data, core_count=2)
+        for source in (data, _Pipe(data)):
+            samples, issues = parse_telemetry(source, core_count=2)
+            _assert_same_columns(samples, want)
+            assert issues == want_issues != []
+
+
+@pytest.mark.parametrize("parse, data, whole", [
+    (parse_op_trace, ("\n".join(_long_op_trace(3000)) + "\n").encode(), True),
+    (parse_op_trace, ("\n".join(_long_op_trace(3)) + "\n").encode("utf-16"), False),
+    (lambda f: parse_telemetry(f, 2), ("\r\n".join(_long_telemetry(9000)) + "\r").encode(),
+     True),
+    (lambda f: parse_telemetry(f, 2), b"t_us,c0\n" + b"1,2\n" * 9000, False),
+], ids=["op_trace", "op_trace_utf16", "telemetry", "telemetry_bad_header"])
+def test_a_callers_stream_is_left_open(parse, data, whole):
+    # A parser that reads the whole file leaves the stream at its end; one that stops
+    # at a first-line diagnostic may leave some of it.
+    with _open_copy(data) as f:
+        for stream in (f, _Pipe(data)):  # a file can peek, and a _Pipe cannot
+            _, issues = parse(stream)
+            gc.collect()  # a wrapper left to the collector would close the stream here
+            assert not stream.closed
+            assert (issues == []) == whole
+            if whole:
+                assert stream.read() == b""
+
+
+_BRACKETED_OPS = [
+    '{"op": "layers[3]", "device": "GPU", "start_us": 1, "end_us": 2}',
+    '{"op": "mm", "device": "CPU", "start_us": 3, "end_us": 5, "shape": [1, 2, 3]}',
+    '{"op": "mm", "device": "GPU", "start_us": 3, "end_us": 5, "args": [{"k": [1]}, []]}',
+    '{"op": "mm", "device": "GPU", "start_us": 3, "end_us": 5, "shape": "]"}',
+]
+# A record that spans lines inside an array its first line opens, and a line of two
+# records, so that the three lines hold three records when decoded together.
+_SPANNING = ['{"a": [{"x": 1}', '{"y": 2}]}', '{"c": 3}, {"d": 4}']
+
+
+@st.composite
+def bracketed_op_traces(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["clean", "bracketed", "spanning"]))
+        if kind == "clean":
+            lines.append(json.dumps(draw(st.sampled_from(_CLEAN_OPS))))
+        elif kind == "bracketed":
+            lines.append(draw(st.sampled_from(_BRACKETED_OPS)))
+        else:
+            lines += _SPANNING
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=200)
+@given(bracketed_op_traces(), st.sampled_from([64, 512, 65536]))
+def test_op_lines_with_brackets_match_oracle(data, block):
+    with mock.patch.object(ingest, "_BLOCK", block):
+        _assert_ops_match_oracle(data)
+
+
+def test_a_line_with_a_bracket_leaves_the_rest_of_its_block_in_one_array(monkeypatch):
+    lines = _long_op_trace(3000)
+    lines[1500] = lines[1500].replace('"op": "', '"op": "layers[', 1)
+    lines[2900] = lines[2900].replace("}", ', "shape": [1, 2]}')
+    data = ("\n".join(lines) + "\n").encode()
+    blocks = list(ingest._text_blocks(io.BytesIO(data)))
+    loads = _counted(monkeypatch, json, "loads")
+    ops, issues = parse_op_trace(data)
+    # One array per block, and one call for each line with a bracket.
+    assert len(loads) == len(blocks) + 2 and sum(args[0][0] == "[" for args in loads) == len(blocks)
+    assert len(ops) == 3000
+    assert issues == [Issue("UnknownKey", "ignoring unknown key 'shape'", "warning", 2901)]
+    _assert_ops_match_oracle(data)
 
 
 def test_bad_line_in_a_late_chunk_keeps_its_line_number():
