@@ -37,11 +37,11 @@ spaces, 28 MB for 2.9 MB). Only decoding falls back to one line at a time; each
 value rule is then one check over a block's column, and a failing line gets the
 diagnostic of its first failing rule.
 
-Op trace: a block's stripped non-blank lines without ``[`` decode as one JSON
-array if each is ``{...}``. No record can then span lines (a string cannot hold
-the raw newline, an object would need a key where the next line has ``{``, and
-no array opens), so as many records as lines is one per line. Other lines, and
-all of a block whose array fails so, each go through ``json.loads``.
+Op trace: if a block holds no ``[``/``]`` and each stripped non-blank line is
+``{...}``, the block decodes as one JSON array. No record can then span lines
+(a string cannot hold the raw newline, an object would need a key where the
+next line has ``{``), so as many records as lines is one per line. Else each
+line goes through ``json.loads`` on its own.
 
 Telemetry: the first non-blank line is the header, and the rest of its block is
 the first block of rows. If the header is exactly as expected, a block that is
@@ -144,23 +144,17 @@ def _json_or_error(line: str) -> Any:
 
 
 def _decode_op_lines(lines: list[str]) -> list:
-    """Each stripped non-blank line's JSON value, or the ValueError of a line that is not JSON.
-    The lines without ``[`` decode as one JSON array when the module doc says they can."""
-    together, alone = lines, []  # alone: the indexes of the lines that hold a [
-    if "[" in (joined := ",\n".join(lines)):  # only then look for those lines
-        alone = [i for i, line in enumerate(lines) if "[" in line]
-        together = [line for line in lines if "[" not in line]
-        joined = ",\n".join(together)
-    objects = all(line[0] == "{" and line[-1] == "}" for line in together)
-    try:
-        records = json.loads("[" + joined + "]") if objects else []
-    except ValueError:
-        records = []
-    if len(records) != len(together):
-        return list(map(_json_or_error, lines))
-    for i in alone:
-        records.insert(i, _json_or_error(lines[i]))
-    return records
+    """Each stripped non-blank line's JSON value, or the ValueError of a line that is not JSON."""
+    joined = ",\n".join(lines)
+    objects = all(line[0] == "{" and line[-1] == "}" for line in lines)
+    if objects and "[" not in joined and "]" not in joined:
+        try:
+            records = json.loads("[" + joined + "]")
+            if len(records) == len(lines):  # one record per line (see the module doc)
+                return records
+        except ValueError:
+            pass
+    return list(map(_json_or_error, lines))
 
 
 def _numbered(found: list[tuple], lines: list[str], first: int = 0) -> list[Issue]:
@@ -264,8 +258,8 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
 
     Returns (ops in ``model.validate_run``'s run order, diagnostics). Each
     valid line becomes one row of the op columns; no per-op object is built.
-    A file that starts with a UTF-16 or UTF-32 byte-order mark (peeked for: on
-    a pipe, in the writer's first write) has no rows and one diagnostic.
+    A file that starts with a UTF-16 or UTF-32 byte-order mark has no rows
+    and one diagnostic.
     """
     columns = [array(code) for code in "qqbqbii"]  # growable, in OpTable field order
     start, end, device, step, has_step, name_code, layer_code = columns
@@ -274,7 +268,9 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
     warned: set[str] = set()
     first = 0  # text lines before the block
     stream = io.BytesIO(data) if isinstance(data, bytes) else data
-    peekable = stream if hasattr(stream, "peek") else io.BufferedReader(stream)
+    # The peek's one read of a buffered stream (_open's, of a pipe too) waits for
+    # 8 KiB or the end of the file, so it sees a whole mark.
+    peekable = io.BufferedReader(stream)
     try:
         blocks = _text_blocks(peekable)
         if peekable.peek(4).startswith(_WIDE_BOMS):
@@ -296,8 +292,7 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
                 layer_code.extend(map(layers.__getitem__, cols["layer"]))
             first += len(lines)
     finally:
-        if peekable is not stream:
-            peekable.detach()  # else, once collected, it would close the caller's stream
+        peekable.detach()  # else, once collected, it would close the caller's stream
     if not start and not issues:  # every non-blank line is a row or has an error
         issues.append(Issue("EmptyTrace", "op trace has no records", line_no=0))
     dtypes = (np.int64, np.int64, np.int8, np.int64, np.bool_, np.int32, np.int32)
@@ -448,9 +443,12 @@ def parse_telemetry(data: bytes | BinaryIO, core_count: int) -> tuple[SampleTabl
         else:
             issues.append(Issue("UnknownColumn", f"ignoring unknown column {name!r}", "warning",
                                 header_no))
-    if missing := [name for name in expected if name not in col_index]:
-        message = f"header missing columns {missing}"
-        return _NO_SAMPLES, [*issues, Issue("MalformedLine", message, line_no=header_no)]
+    missing = [name for name in expected if name not in col_index]
+    if missing:
+        issues.append(
+            Issue("MalformedLine", f"header missing columns {missing}", line_no=header_no)
+        )
+        return _NO_SAMPLES, issues
 
     columns = array("q"), array("d"), array("q")  # t, values and mem, grown a block at a time
     block = "".join(lines[h + 1:])  # the rows after the header in its block

@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from contextlib import contextmanager
 from unittest import mock
 
@@ -984,6 +986,32 @@ def test_a_callers_stream_is_left_open(parse, data, whole):
                 assert stream.read() == b""
 
 
+@pytest.mark.parametrize("first", [1, 3])
+@pytest.mark.parametrize("mark, encoding", [
+    (codecs.BOM_UTF16_LE, "utf-16-le"), (codecs.BOM_UTF16_BE, "utf-16-be"),
+    (codecs.BOM_UTF32_BE, "utf-32-be"),
+], ids=["utf16_le", "utf16_be", "utf32_be"])
+def test_a_mark_split_across_a_pipes_writes_is_one_diagnostic(mark, encoding, first):
+    data = mark + ("\n".join(_long_op_trace(3)) + "\n").encode(encoding)
+    read_end, write_end = os.pipe()
+
+    def write():
+        os.write(write_end, data[:first])
+        time.sleep(0.2)  # so that the reader gets the first write alone
+        os.write(write_end, data[first:])
+        os.close(write_end)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    with open(read_end, "rb") as f:
+        ops, issues = parse_op_trace(f)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert len(ops) == 0
+    assert issues == [Issue("MalformedLine", "op trace is not UTF-8: it starts with a "
+                            "UTF-16 or UTF-32 byte-order mark", line_no=1)]
+
+
 _BRACKETED_OPS = [
     '{"op": "layers[3]", "device": "GPU", "start_us": 1, "end_us": 2}',
     '{"op": "mm", "device": "CPU", "start_us": 3, "end_us": 5, "shape": [1, 2, 3]}',
@@ -1014,21 +1042,6 @@ def bracketed_op_traces(draw):
 def test_op_lines_with_brackets_match_oracle(data, block):
     with mock.patch.object(ingest, "_BLOCK", block):
         _assert_ops_match_oracle(data)
-
-
-def test_a_line_with_a_bracket_leaves_the_rest_of_its_block_in_one_array(monkeypatch):
-    lines = _long_op_trace(3000)
-    lines[1500] = lines[1500].replace('"op": "', '"op": "layers[', 1)
-    lines[2900] = lines[2900].replace("}", ', "shape": [1, 2]}')
-    data = ("\n".join(lines) + "\n").encode()
-    blocks = list(ingest._text_blocks(io.BytesIO(data)))
-    loads = _counted(monkeypatch, json, "loads")
-    ops, issues = parse_op_trace(data)
-    # One array per block, and one call for each line with a bracket.
-    assert len(loads) == len(blocks) + 2 and sum(args[0][0] == "[" for args in loads) == len(blocks)
-    assert len(ops) == 3000
-    assert issues == [Issue("UnknownKey", "ignoring unknown key 'shape'", "warning", 2901)]
-    _assert_ops_match_oracle(data)
 
 
 def test_bad_line_in_a_late_chunk_keeps_its_line_number():
