@@ -22,7 +22,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import DuplicateBatchSize, TraceProfError, TraceValidationError
 from .ingest import load_run, load_sweep_manifest, read_json, write_report
 from .metrics import build_report
-from .model import Run
+from .model import RAILS, Run
 from .steps import SIGNALS
 
 USAGE_ERROR = 2
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="compare runs of one model across batch sizes")
     p_sweep.add_argument("manifest", help="path to the sweep manifest JSON")
-    p_sweep.add_argument("--rail", choices=("cpu", "gpu", "mem", "sys"), default="sys",
+    p_sweep.add_argument("--rail", choices=RAILS, default="sys",
                          help="power rail used for energy scaling")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -100,6 +100,7 @@ from .model import (
     Run,
     RunMeta,
     SampleTable,
+    _check_meta,
     _op_order,
     validate_run,
 )
@@ -756,11 +757,17 @@ def load_manifest(path: Path | str) -> RunManifest:
 def load_run(manifest_path: Path | str) -> Run:
     """Load, parse and validate a complete run from its manifest.
 
-    Raises TraceValidationError with the combined parse + validation issue
-    list when anything fatal is found; parse warnings survive on the Run.
+    Raises TraceValidationError at the first stage that finds an error: the
+    manifest's meta, checked before either trace is read; then both parses,
+    with all their issues; then ``validate_run``, its issues after the parse
+    warnings. Parse warnings survive on the Run.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
+    meta_issues: list[Issue] = []
+    _check_meta(manifest.meta, meta_issues)
+    if meta_issues:
+        raise TraceValidationError(meta_issues)
     base = manifest_path.parent
     with (_open(base / manifest.op_trace_path, "op trace") as op_stream,
           _open(base / manifest.telemetry_path, "telemetry") as telemetry_stream):

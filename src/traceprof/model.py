@@ -184,27 +184,13 @@ def _tie_keys(ops: OpTable, rows: np.ndarray) -> list[np.ndarray]:
 def _op_order(ops: OpTable) -> np.ndarray | None:
     """Stable row order by start, end, name, device, step, layer; None if the rows are in it.
 
-    Rows that tie on every key keep their input order. Whether the rows are in
-    order already is found in O(n), with no sort: each row's start and end are
-    compared with the row before, and the other keys only at rows tied on both.
-    Else one sort by start and end orders the rows, and only the rows that tie
-    on both are then sorted by every key.
+    Rows that tie on every key keep their input order. One sort by start and
+    end orders the rows, and only the rows that tie on both are then sorted by
+    every key. The sort is numpy's stable one, timsort, so rows in run order
+    already cost one pass; the order and one key copy held beside the table
+    are 0.53x its bytes.
     """
     start, end = ops.start, ops.end
-    tied = start[1:] == start[:-1]
-    if (start[1:] >= start[:-1]).all() and not (tied & (end[1:] < end[:-1])).any():
-        tied &= end[1:] == end[:-1]
-        at = np.flatnonzero(tied)
-        undecided = np.ones(len(at), dtype=bool)  # the pairs (at, at + 1) tied on every key so far
-        for key in _tie_keys(ops, np.concatenate((at, at + 1))):
-            before, after = key[:len(at)], key[len(at):]
-            if (undecided & (before > after)).any():
-                break
-            undecided &= before == after
-        else:
-            return None
-        del at, undecided, key, before, after
-    del tied  # the check's arrays go before the sort's are made
     order = np.lexsort((end, start))
     key = start[order]
     tied = key[1:] == key[:-1]
@@ -215,7 +201,7 @@ def _op_order(ops: OpTable) -> np.ndarray | None:
         at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
         rows = order[at]
         order[at] = rows[np.lexsort((*_tie_keys(ops, rows)[::-1], end[rows], start[rows]))]
-    return order
+    return None if (order[1:] > order[:-1]).all() else order  # a rising permutation is the identity
 
 
 def _sample_order(samples: SampleTable) -> np.ndarray:

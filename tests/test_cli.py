@@ -613,8 +613,12 @@ def _set_meta(manifest, **fields):
     ({"warmup_steps": -1}, "error[InvalidMeta]: warmup_steps must be >= 0, got -1"),
     ({"device_mem_capacity_bytes": 0},
      "error[InvalidMeta]: device_mem_capacity_bytes must be >= 1"),
+    # Checked before the telemetry header, whose core columns it would exceed.
+    ({"core_count": 0}, "error[InvalidMeta]: core_count must be >= 1, got 0"),
+    ({"core_count": -2}, "error[InvalidMeta]: core_count must be >= 1, got -2"),
 ], ids=["interval_2pow63", "interval_2pow63_minus_1", "batch_10pow400", "cores_10pow6",
-        "interval_0", "interval_negative", "warmup_negative", "capacity_0"])
+        "interval_0", "interval_negative", "warmup_negative", "capacity_0", "cores_0",
+        "cores_negative"])
 def test_meta_values_past_int64_are_diagnostics(tmp_path, fields, diagnostic):
     spec = random_spec(1)
     manifest = write_run(spec, tmp_path / "run")

@@ -291,17 +291,18 @@ _BASE_REPORT = _synth_report(0.05)
 
 
 @st.composite
-def _reports(draw):
+def _reports(draw, steps_may_be_empty=True):
     """The base report with drawn per-step and run-level floats, run id and op names.
 
     Each per-step energy dict gets its keys in a drawn order: the writer sorts them.
+    Unless ``steps_may_be_empty`` is false, some reports have no per-step rows.
     """
     base = _BASE_REPORT
 
     def floats(n):
         return tuple(draw(_json_floats) for _ in range(n))
 
-    per_step = tuple(
+    per_step = () if steps_may_be_empty and draw(st.booleans()) else tuple(
         m._replace(per_core_util=floats(len(m.per_core_util)), cpu_avg_util=draw(_json_floats),
                    gpu_util=draw(_json_floats), idle_ratio_per_core=floats(len(m.per_core_util)),
                    energy_by_rail_joules=dict(zip(draw(st.permutations(RAILS)), floats(4))),
@@ -341,7 +342,8 @@ def test_manifest_writer_bytes_equal_the_stdlib_encoder(manifest):
 
 
 @settings(max_examples=20)
-@given(_reports(), st.sampled_from([math.inf, -math.inf, math.nan]), st.data())
+@given(_reports(steps_may_be_empty=False), st.sampled_from([math.inf, -math.inf, math.nan]),
+       st.data())
 def test_non_finite_per_step_value_is_a_strict_json_error(report, bad, data):
     k = data.draw(st.integers(0, len(report.per_step) - 1))
     field = data.draw(st.sampled_from(["per_core_util", "cpu_avg_util", "gpu_util",
@@ -362,6 +364,20 @@ def test_non_finite_per_step_value_is_a_strict_json_error(report, bad, data):
     message = f"cannot write strict JSON: {stdlib.value}"
     with pytest.raises(TraceProfError, match=f"^{re.escape(message)}$"):
         write_report(broken, "json")
+
+
+def test_run_whose_steps_hold_no_sample_reports_no_steps():
+    # 250 us steps every 10 intervals, each between two 1 ms samples: no step window
+    # holds a sample, so every step is dropped and no step pair is left to correlate.
+    samples = [mk_sample(t, gpu=0.5, p_sys=1000.0) for t in range(0, 60_000, 1_000)]
+    ops = [OpEvent("op", "GPU", s * 10_000 + 300, s * 10_000 + 550, step_id=s)
+           for s in range(5)]
+    report = build_report(mk_run(samples, ops, interval=1_000, warmup=0))
+    assert report.per_step == () and report.predictability is None
+    assert write_report(report, "json") == dump_oracle(report)
+    table = write_report(report, "table").decode().splitlines()
+    header = table.index("step  warmup   duration (us)    gpu util       sys J")
+    assert table[header + 1] == ""  # no step rows
 
 
 def test_report_with_empty_per_op_map_valid_json():
