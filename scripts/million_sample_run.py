@@ -2,8 +2,10 @@
 """Analyze a labelled 1M-sample run and a 1M-op run end to end, in child processes.
 
 The sample run is 50 000 steps of 20 samples at 1 ms on 4 cores, at 5% noise.
-``traceprof synth --spec`` writes it and ``traceprof analyze --format json``
-reads it. The op run is 1 000 steps of 500 GPU and 500 CPU ops that alternate
+``traceprof synth --spec`` writes it, and ``traceprof analyze --format json``
+reads it twice: with the default signal and with ``--signal cpu_avg_util``,
+whose per-sample core means are the one signal not read straight from a
+column. The op run is 1 000 steps of 500 GPU and 500 CPU ops that alternate
 in time. A child of this script writes it with numpy, the GPU stream's lines
 before the CPU stream's, so the op-trace reader puts the streams in run order
 itself, and ``traceprof analyze --format json`` reads it. Each child runs in a
@@ -12,9 +14,11 @@ outlives its timeout, and the script prints each traceprof child's wall time
 and peak RSS (from ``os.wait4``).
 
 The script fails unless every child exits 0 and each traceprof child peaks at
-no more than MAX_RSS_MB. The sample run's analyze must print strict JSON (no
-NaN or Infinity) with one score per pair of the 49 997 non-warmup steps, and
-one ``per_step`` row and one ``steps`` entry per step (50 000 each). The op
+no more than MAX_RSS_MB. Each analyze of the sample run must print strict
+JSON (no NaN or Infinity) with one score per pair of the 49 997 non-warmup
+steps, and one ``per_step`` row and one ``steps`` entry per step (50 000
+each), and the ``cpu_avg_util`` one must peak at no more than
+SIGNAL_RSS_RATIO times the default signal's. The op
 run's report must count every op and have one ``steps`` entry per step. The
 script's own process imports neither numpy nor traceprof, like the
 benchmark's, because a child's peak RSS starts at its parent's.
@@ -35,6 +39,7 @@ from oracle import strict_loads  # noqa: E402
 from run import ROOT, spawn  # noqa: E402
 
 MAX_RSS_MB = 512
+SIGNAL_RSS_RATIO = 1.05
 STEPS, PER_STEP, WARMUP = 50_000, 20, 3
 SPEC = {
     "steps": STEPS, "step_duration_us": PER_STEP * 1_000, "batch_size": 8, "core_count": 4,
@@ -86,7 +91,8 @@ def write_op_run(out: Path) -> None:
 
 
 def run_children(children: list[tuple[str, list[str]]], env: dict, tmp: Path):
-    """Run each traceprof command in turn; the last child, or None after a failure."""
+    """Run each traceprof command in turn; the children, in order, or None after a failure."""
+    done = []
     for name, cli in children:
         child = spawn([sys.executable, "-m", "traceprof", *cli], env, tmp)
         print(f"{name}: exit {child.returncode}, wall {child.wall_s:.2f} s, "
@@ -97,7 +103,8 @@ def run_children(children: list[tuple[str, list[str]]], env: dict, tmp: Path):
         if child.peak_rss_mb > MAX_RSS_MB:
             print(f"{name} peaked at {child.peak_rss_mb:.0f} MB, above {MAX_RSS_MB} MB")
             return None
-    return child
+        done.append(child)
+    return done
 
 
 def check_op_run(env: dict) -> int:
@@ -108,14 +115,28 @@ def check_op_run(env: dict) -> int:
         if writer.returncode != 0:
             sys.stdout.write(writer.stderr.decode(errors="replace")[-2000:])
             return 1
-        child = run_children([("analyze ops", ["analyze", str(run_dir / "run.json"),
-                                               "--format", "json"])], env, Path(tmp))
-    if child is None:
+        children = run_children([("analyze ops", ["analyze", str(run_dir / "run.json"),
+                                                  "--format", "json"])], env, Path(tmp))
+    if children is None:
         return 1
-    report = strict_loads(child.stdout)
+    report = strict_loads(children[0].stdout)
     counted = sum(op["count"] for op in report["per_op"].values())
     if (counted, len(report["steps"])) != (OPS, OP_STEPS):
         print(f"{counted} ops in {len(report['steps'])} steps, expected {OPS} in {OP_STEPS}")
+        return 1
+    return 0
+
+
+def check_sample_report(name: str, stdout: bytes) -> int:
+    """0 if one analyze of the sample run scores every step pair and has a row per step."""
+    report = strict_loads(stdout)
+    pairs = report["predictability"]["per_step_pairs"]
+    if pairs != math.comb(STEPS - WARMUP, 2):
+        print(f"{name}: per_step_pairs {pairs}, expected C({STEPS - WARMUP}, 2)")
+        return 1
+    rows = (len(report["per_step"]), len(report["steps"]))
+    if rows != (STEPS, STEPS):
+        print(f"{name}: {rows[0]} per_step rows and {rows[1]} steps, expected {STEPS} of each")
         return 1
     return 0
 
@@ -127,21 +148,23 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         spec, run_dir = Path(tmp, "spec.json"), Path(tmp, "run")
         spec.write_text(json.dumps(SPEC))
-        child = run_children([
+        analyze = ["analyze", str(run_dir / "run.json"), "--format", "json"]
+        # Every child runs before any report is decoded, which would grow this process.
+        children = run_children([
             ("synth", ["synth", "--spec", str(spec), "--out", str(run_dir)]),
-            ("analyze", ["analyze", str(run_dir / "run.json"), "--format", "json"]),
+            ("analyze", analyze),
+            ("analyze cpu_avg_util", [*analyze, "--signal", "cpu_avg_util"]),
         ], env, Path(tmp))
-    if child is None:
+    if children is None:
         return 1
-    report = strict_loads(child.stdout)
-    pairs = report["predictability"]["per_step_pairs"]
-    if pairs != math.comb(STEPS - WARMUP, 2):
-        print(f"per_step_pairs {pairs}, expected C({STEPS - WARMUP}, 2)")
+    _, default, cpu_avg = children
+    if cpu_avg.peak_rss_mb > SIGNAL_RSS_RATIO * default.peak_rss_mb:
+        print(f"analyze cpu_avg_util peaked at {cpu_avg.peak_rss_mb:.1f} MB, above "
+              f"{SIGNAL_RSS_RATIO} x the default signal's {default.peak_rss_mb:.1f} MB")
         return 1
-    rows = (len(report["per_step"]), len(report["steps"]))
-    if rows != (STEPS, STEPS):
-        print(f"{rows[0]} per_step rows and {rows[1]} steps, expected {STEPS} of each")
-        return 1
+    for name, child in (("analyze", default), ("analyze cpu_avg_util", cpu_avg)):
+        if check_sample_report(name, child.stdout):
+            return 1
     return 0
 
 

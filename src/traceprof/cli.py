@@ -20,7 +20,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import DuplicateBatchSize, TraceProfError, TraceValidationError
-from .ingest import load_run, load_sweep_manifest, read_json, write_report
+from .ingest import load_run, load_sweep_manifest, read_json, write_json, write_report
 from .metrics import build_report
 from .model import RAILS, Run
 from .steps import SIGNALS
@@ -28,14 +28,18 @@ from .steps import SIGNALS
 USAGE_ERROR = 2
 
 
-def _emit(data: bytes) -> None:
+def _emit(report, fmt: str) -> None:
+    """Write a report to stdout; JSON goes to its binary buffer as it is formatted."""
     stream = sys.stdout
     buffer = getattr(stream, "buffer", None)
-    if buffer is not None:
-        buffer.write(data)
-        stream.flush()
+    if buffer is None:
+        stream.write(write_report(report, fmt).decode("utf-8"))
+        return
+    if fmt == "json":
+        write_json(report, buffer)
     else:
-        stream.write(data.decode("utf-8"))
+        buffer.write(write_report(report, fmt))
+    stream.flush()
 
 
 def _print_issues(issues) -> None:
@@ -64,7 +68,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     run = _load(args.manifest, args.warmup)
     report = build_report(run, signal=args.signal, idle_threshold=args.idle_threshold)
-    _emit(write_report(report, args.format))
+    del run  # its tables go before the report is written
+    _emit(report, args.format)
     return 0
 
 
@@ -84,6 +89,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         report = build_report(run, signal=args.signal, idle_threshold=args.idle_threshold)
         points.append(SweepPoint(batch_size=run.meta.batch_size, report=report))
         capacities.append(run.meta.device_mem_capacity_bytes)
+        del run  # its tables go before the next run is read
     if len(set(capacities)) > 1:
         print(
             f"warning: runs declare different memory capacities {sorted(set(capacities))}; "
@@ -91,7 +97,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     result = build_sweep_result(model, points, capacities[0], rail=args.rail)
-    _emit(write_report(result, args.format))
+    _emit(result, args.format)
     return 0
 
 

@@ -60,10 +60,12 @@ whose JSON keys are the field names of their records (``typing.NamedTuple``
 classes, recognised by their ``_fields``). It reads run manifests and synth
 specs, and writes manifests and reports. Decoding (``from_doc``) type-checks
 every field, so a malformed manifest is one error naming the field. Writing
-(``_dump``) walks the objects itself and writes the bytes of
+(``write_json``) walks the objects itself and writes the bytes of
 ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``: strict (no
 NaN/Infinity) and stable-key-ordered, so identical inputs produce
-byte-identical files. A list of same-class rows, such as a report's
+byte-identical files. A document goes to a binary stream as it is formatted,
+once a first pass has found each of its floats finite, and ``write_report``
+collects the same bytes. A list of same-class rows, such as a report's
 ``per_step``, is written a field column at a time into one template, with
 floats by ``float.__repr__`` as ``json`` writes them.
 """
@@ -636,16 +638,51 @@ def _pieces(obj: Any, indent: str) -> Iterator[str]:
         yield "{}" if sep[0] == "{" else "\n" + indent + "}"  # "{}": no key was written
 
 
-def _dump(obj: Any) -> bytes:
-    """``obj`` as strict JSON with sorted keys at indent 2, and a final newline.
+def _finite(values: list) -> bool:
+    """Whether every float in ``values``, and in the lists, dicts and records they hold, is finite.
 
-    The pieces go to one buffer as they come, so no second copy of the whole
-    text, and no more than one batch of rows as text, is held.
+    The values of one type are checked together, and those of one record field
+    as one column, so a list of rows costs a few passes per field. A record's
+    header holds no float.
     """
-    out = io.BytesIO()
+    kinds = set(map(type, values))
+    for cls in kinds:
+        col = values if len(kinds) == 1 else [x for x in values if type(x) is cls]
+        if cls is float:
+            finite = all(map(isfinite, col))
+        elif cls in _TEXT:
+            finite = True
+        elif cls is dict:
+            finite = _finite(list(chain.from_iterable(map(dict.values, col))))
+        elif cls is tuple or cls is list:
+            finite = _finite(list(chain.from_iterable(col)))
+        else:
+            finite = all(_finite(list(map(attrgetter(name), col))) for name in cls._fields)
+        if not finite:
+            return False
+    return True
+
+
+def write_json(obj: Any, out: BinaryIO) -> None:
+    """Write ``obj`` to ``out`` as strict JSON with sorted keys at indent 2, and a final newline.
+
+    One pass over its floats comes first: if one is not finite, nothing is
+    written, and the error names the first such float in text order. Then the
+    pieces go to ``out`` as they are formatted, so no more than one batch of
+    rows is held as text.
+    """
+    if not _finite([obj]):
+        for _ in _pieces(obj, ""):  # raises at the first non-finite float
+            pass
     for piece in _pieces(obj, ""):
         out.write(piece.encode("utf-8"))
     out.write(b"\n")
+
+
+def _dump(obj: Any) -> bytes:
+    """The bytes that ``write_json`` writes of ``obj``."""
+    out = io.BytesIO()
+    write_json(obj, out)
     return out.getvalue()
 
 

@@ -19,19 +19,22 @@ window. It computes the int64 weights once and bounds all windows with one
 ``np.searchsorted`` (half-open, like ``bisect_left``). A window's total and
 idle microseconds are differences of int64 prefix sums, exact because
 validated timestamps and t + interval stay in [0, 2**63). Each value column
-is multiplied by the weights once, and a window's weighted sum is
-``math.fsum`` of its slice of the products (inf if they add past the float
-range). fsum is correctly rounded, so a result never depends on summation
-order or blocking. Float prefix sums would round, and one inf product would
-make every later difference NaN. The pass returns columns, one row per
-window, and each per-step row of the report is made straight from them,
-with no object per window.
+is multiplied by the weights once, and a window's weighted sum is the
+correctly rounded sum of its slice of the products, as ``math.fsum`` gives it
+(inf if they add past the float range), so a result never depends on
+summation order or blocking. ``model._exact_sums`` gets every window's sum of
+a column from the prefix sums of at most three parts of it, each exact. A
+column it cannot split so (an inf product, a maximum near the float range, or
+magnitudes too far apart) falls back to one ``fsum`` per window; one inf
+would make every later prefix difference NaN. The pass returns columns,
+one row per window, and each per-step row of the report is made straight
+from them, with no object per window.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress, repeat
-from math import fsum, inf
 from operator import truediv
 from typing import NamedTuple
 
@@ -40,7 +43,8 @@ import numpy as np
 from . import steps as steps_mod
 from .correlate import concurrent_ops_exist
 from .errors import NoCompleteSteps, NoSamplesInWindow, SignalTooShort
-from .model import RAILS, MemoryBreakdown, Run, StepWindow
+from .model import (RAILS, MemoryBreakdown, Run, StepWindow, _exact_sums, _fsum_or_inf,
+                    _row_sums)
 from .steps import PeriodEstimate, PredictabilityScore
 
 Window = tuple[int, int]
@@ -106,12 +110,22 @@ class _Windows(NamedTuple):
     sums: np.ndarray  # float64, a column per value column: fsum of value x weight
 
 
-def _fsum_or_inf(values: list[float]) -> float:
-    """fsum of non-negative floats, or inf where the sum passes the float range."""
-    try:
-        return fsum(values)
-    except OverflowError:
-        return inf
+def _in_windows(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of ``x[a[k]:b[k]]`` for each k, by differences of one prefix sum.
+
+    Exact where every prefix sum is: the int64 weights and ``_exact_sums``' parts.
+    """
+    prefix = np.concatenate(([0], np.cumsum(x)))
+    return prefix[b] - prefix[a]
+
+
+def _window_sums(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``fsum(values[a[k]:b[k]])`` for each k, or inf where it passes the float range."""
+    sums = _exact_sums(values, len(values), partial(_in_windows, a=a, b=b))
+    if sums is None:  # an inf, sums near the float range, or magnitudes too far apart
+        values = values.tolist()
+        sums = np.array([_fsum_or_inf(values[lo:hi]) for lo, hi in zip(a.tolist(), b.tolist())])
+    return sums
 
 
 def _windows(run: Run, bounds: list[Window], idle: float) -> _Windows:
@@ -123,22 +137,17 @@ def _windows(run: Run, bounds: list[Window], idle: float) -> _Windows:
     # Rectangle width per sample: gap to the next sample; the last uses the nominal.
     dt = np.append(np.diff(samples.t), np.int64(run.meta.sample_interval_us))
     a, b = np.searchsorted(samples.t, np.array(bounds, np.int64).reshape(-1, 2).T)
-    spans = list(map(slice, a.tolist(), b.tolist()))
-
-    def window_us(weights: np.ndarray) -> np.ndarray:
-        # Exact: validate_run keeps every t, and t[-1] + interval, in [0, 2**63).
-        prefix = np.concatenate(([0], np.cumsum(weights)))
-        return prefix[b] - prefix[a]
-
     sums = []
     for col in samples.values.T:
         # Products that overflow to inf surface as a strict-JSON error, not a warning.
         with np.errstate(over="ignore"):
-            products = (col * dt).tolist()  # one column's Python floats at a time
-        sums.append(list(map(_fsum_or_inf, map(products.__getitem__, spans))))
+            products = col * dt
+        sums.append(_window_sums(products, a, b))
+    # Exact int64 sums: validate_run keeps every t, and t[-1] + interval, in [0, 2**63).
     # validate_run keeps c >= 1, so there is a column to stack.
-    idle_us = [window_us(np.where(samples.values[:, k] <= idle, dt, 0)) for k in range(c)]
-    return _Windows(a < b, window_us(dt), np.column_stack(idle_us), np.array(sums).T)
+    idle_us = [_in_windows(np.where(samples.values[:, k] <= idle, dt, 0), a, b)
+               for k in range(c)]
+    return _Windows(a < b, _in_windows(dt, a, b), np.column_stack(idle_us), np.array(sums).T)
 
 
 def _window_metrics(w: _Windows, c: int) -> list[tuple]:
@@ -153,7 +162,7 @@ def _window_metrics(w: _Windows, c: int) -> list[tuple]:
     totals = w.total_us[keep].tolist()
     ratios = w.sums[keep, :c + 1] / w.total_us[keep, None]
     per_core = list(map(tuple, ratios[:, :c].tolist()))
-    cpu_avg = map(truediv, map(fsum, per_core), repeat(c))
+    cpu_avg = (_row_sums(ratios[:, :c]) / c).tolist()
     idle = zip(*(map(truediv, col, totals) for col in w.idle_us[keep].T.tolist()))
     energy = map(dict, map(zip, repeat(RAILS), (w.sums[keep, c + 1:] / 1e9).tolist()))
     return list(zip(per_core, cpu_avg, ratios[:, c].tolist(), idle, energy))

@@ -15,12 +15,18 @@ int32 codes into interned ``names`` and ``layers`` tuples (a ``None`` layer
 is distinct from ``""``). :class:`SampleTable` has int64 ``t`` and ``mem``
 and one float64 ``values`` row per sample. Both share one read-only table
 base; ``validate_run`` and every command read their columns.
+
+Sums of float columns are correctly rounded, as ``math.fsum`` rounds them, so a
+metric never depends on summation order or blocking. ``_exact_sums`` gets them
+from numpy sums of at most three exact parts of the values, and ``_row_sums``
+uses it for the sum of each row of a matrix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from math import isfinite
+from collections.abc import Callable, Iterator, Sequence
+from functools import partial
+from math import frexp, fsum, inf, isfinite, ldexp
 from typing import Literal, NamedTuple, get_args
 
 import numpy as np
@@ -163,6 +169,72 @@ class Run(NamedTuple):
     def end_us(self) -> int:
         last_sample_end = int(self.samples.t[-1]) + self.meta.sample_interval_us
         return max(int(self.ops.end.max()), last_sample_end)
+
+
+_ROWS = 65536  # rows per block of _row_sums: each part of a block is a small temporary
+
+
+def _fsum_or_inf(values: list[float]) -> float:
+    """fsum of non-negative floats, or inf where the sum passes the float range."""
+    try:
+        return fsum(values)
+    except OverflowError:
+        return inf
+
+
+def _exact_sums(values: np.ndarray, n: int,
+                total: Callable[[np.ndarray], np.ndarray]) -> np.ndarray | None:
+    """``total(values)`` with each sum correctly rounded, as ``math.fsum`` rounds it.
+
+    ``total`` is linear, and each of its sums adds at most ``n`` >= 1 of the
+    elements, in any order. Error-free extraction (Rump, Ogita & Oishi, "Accurate
+    Floating-Point Summation Part I", SIAM J. Sci. Comput. 31(1), 2008) splits the
+    values into at most three parts. With the residual r (at first the values)
+    below 2**e in magnitude and sigma = 2**(e + ceil(log2(n + 1))), both
+    part = (sigma + r) - sigma and r - part are exact, and each element of the part
+    is a multiple of sigma * 2**-53 no larger than 2**e. Any sum of n of them is
+    then below sigma, so exact. A sum is its first part's sum d1, or d1 + d2 rounded
+    once, or fsum of (d1, d2, d3) where the third part's d3 is not zero.
+
+    None, for a per-sum fsum, if a value is not finite, sigma would pass 2**1023, or
+    a residual is left after three parts. A part holds no -0.0, so a zero sum is
+    0.0, as fsum's is.
+    """
+    bits = n.bit_length()  # ceil(log2(n + 1)), so n < 2**bits
+    sums, rest = [], values
+    for _ in range(3):
+        top = max(rest.max(initial=0.0), -rest.min(initial=0.0))  # below 2**frexp(top)[1]
+        if not isfinite(top) or (k := frexp(top)[1] + bits) > 1023:
+            return None
+        sigma = ldexp(1.0, k)
+        part = rest + sigma
+        part -= sigma
+        rest = rest - part
+        sums.append(total(part))
+        if not rest.any():
+            break
+    else:
+        return None
+    d1, *more = sums
+    if not more:
+        return d1
+    out = d1 + more[0]
+    if len(more) == 2:
+        d2, d3 = more
+        for i in np.flatnonzero(d3).tolist():
+            out[i] = fsum((d1[i], d2[i], d3[i]))
+    return out
+
+
+def _row_sums(matrix: np.ndarray) -> np.ndarray:
+    """``fsum`` of each row of a float matrix, or inf past the float range, by blocks of rows."""
+    out = np.empty(len(matrix))
+    row_total = partial(np.sum, axis=1)
+    for lo in range(0, len(matrix), _ROWS):
+        block = matrix[lo:lo + _ROWS]
+        sums = _exact_sums(block, block.shape[1], row_total)
+        out[lo:lo + _ROWS] = list(map(_fsum_or_inf, block.tolist())) if sums is None else sums
+    return out
 
 
 def _ranks(keys: Sequence[str]) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NoCompleteSteps, NoSteps, OverlappingSteps, SignalTooShort
-from .model import Run, StepWindow
+from .model import Run, StepWindow, _row_sums
 
 SIGNALS = ("gpu_util", "cpu_avg_util", "power_sys")
 
@@ -52,7 +52,7 @@ def signal_values(run: Run, signal: str) -> np.ndarray:
     if signal == "gpu_util":
         return values[:, c]
     if signal == "cpu_avg_util":
-        return np.array([fsum(cores) / c for cores in values[:, :c].tolist()])
+        return _row_sums(values[:, :c]) / c
     if signal == "power_sys":
         return values[:, c + 4]  # the last rail
     raise ValueError(f"unknown signal {signal!r}, expected one of {SIGNALS}")

@@ -6,19 +6,25 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import tables
 from oracles import OpEvent, TelemetrySample, rows, to_doc
+from traceprof import cli, ingest
 from traceprof.cli import main
 from traceprof.errors import InvalidSpec
-from traceprof.ingest import RunManifest, op_trace_chunks, telemetry_chunks, write_manifest
+from traceprof.ingest import (RunManifest, load_run, op_trace_chunks, telemetry_chunks,
+                              write_manifest, write_report)
+from traceprof.metrics import build_report
 from traceprof.model import MemoryBreakdown, RunMeta
+from traceprof.steps import SIGNALS
+from traceprof.sweep import SweepPoint, build_sweep_result
 from traceprof.synth import PhaseSpec, SynthSpec, generate, random_spec, write_run
 
 GB = 1_000_000_000
@@ -1159,3 +1165,71 @@ def test_synth_spec_ends_in_a_valid_run_or_a_diagnostic(edit):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+def test_sweep_releases_each_run_before_it_reads_the_next(tmp_path, capsysbinary, monkeypatch):
+    specs = [(_throughput_spec(b, 100_000, 10_000), None) for b in (4, 8, 16)]
+    path = _write_sweep(tmp_path, specs)
+    samples, alive = [], []
+
+    def spy(manifest):
+        alive.append([ref() is not None for ref in samples])
+        run = load_run(manifest)
+        samples.append(weakref.ref(run.samples))
+        return run
+
+    monkeypatch.setattr(cli, "load_run", spy)
+    assert main(["sweep", str(path), "--format", "json"]) == 0
+    assert alive == [[], [False], [False, False]]
+
+
+def test_analyze_releases_the_run_before_it_writes_the_report(run_dir, capsysbinary,
+                                                              monkeypatch):
+    samples, alive = [], []
+
+    def load(manifest):
+        run = load_run(manifest)
+        samples.append(weakref.ref(run.samples))
+        return run
+
+    def pieces(obj, indent, write=ingest._pieces):
+        alive.append(samples[0]() is not None)
+        return write(obj, indent)
+
+    monkeypatch.setattr(cli, "load_run", load)
+    monkeypatch.setattr(ingest, "_pieces", pieces)
+    assert main(["analyze", str(run_dir[0]), "--format", "json"]) == 0
+    assert alive and not any(alive)
+
+
+_STREAMED = settings(max_examples=8, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_STREAMED
+@given(seed=st.integers(0, 2**16), noise=st.sampled_from([0.0, 0.05]),
+       signal=st.sampled_from(SIGNALS))
+def test_analyze_json_stdout_is_write_reports_bytes(capsysbinary, seed, noise, signal):
+    # The CLI streams the report to stdout's buffer; write_report collects it in memory.
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_run(random_spec(seed, noise_amplitude=noise), Path(tmp, "run"))
+        capsysbinary.readouterr()
+        assert main(["analyze", str(manifest), "--format", "json", "--signal", signal]) == 0
+        out = capsysbinary.readouterr().out
+        assert out == write_report(build_report(load_run(manifest), signal=signal))
+
+
+@_STREAMED
+@given(seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=3),
+       rail=st.sampled_from(["sys", "gpu"]))
+def test_sweep_json_stdout_is_write_reports_bytes(capsysbinary, seeds, rail):
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = [(random_spec(seed, noise_amplitude=0.05)._replace(batch_size=4 << i), None)
+                   for i, seed in enumerate(seeds)]
+        path = _write_sweep(Path(tmp), entries)
+        capsysbinary.readouterr()
+        assert main(["sweep", str(path), "--format", "json", "--rail", rail]) == 0
+        out = capsysbinary.readouterr().out
+        runs = [load_run(Path(tmp, f"b{i}", "run.json")) for i in range(len(seeds))]
+        points = [SweepPoint(run.meta.batch_size, build_report(run)) for run in runs]
+        result = build_sweep_result("m", points, runs[0].meta.device_mem_capacity_bytes, rail=rail)
+        assert out == write_report(result)

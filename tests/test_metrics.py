@@ -1,7 +1,10 @@
+import math
 import random
 from math import fsum
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import mk_run, mk_sample, window_sums
 from oracles import (
@@ -12,7 +15,7 @@ from oracles import (
     weighted_mean_oracle,
     window_metrics_loop_oracle,
 )
-from traceprof import metrics
+from traceprof import metrics, model
 from traceprof.errors import NoSamplesInWindow
 from traceprof.ingest import write_report
 from traceprof.metrics import _rail_ranking, build_report
@@ -481,3 +484,84 @@ def test_report_per_op_busy_time_stays_exact_past_int64():
     assert report.per_op["a"].busy_time_us == 2 * big
     assert (report.per_op["a"].count, report.per_op["a"].attributed_samples) == (2, 6)
     assert report.per_op["b"].busy_time_us == 3
+
+
+def _fsum_or_inf(values):
+    try:
+        return fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+@st.composite
+def _columns_and_windows(draw):
+    """Non-negative products of one scale and spread, and windows [a, b) over them.
+
+    The floats take 1, 2 or 53 significant bits from 2**top down to 2**(top -
+    spread): a spread past 3 x (52 - log2 n) bits needs the per-window fsum, a
+    top near 2**1023 too. Among them are zeros, -0.0, subnormals, inf and values
+    near 1e308 whose sums pass the float range, and, as a window of two, a value
+    and half its ulp: a tie that fsum and d1 + d2 must round alike, to even.
+    """
+    top = draw(st.integers(-1074, 1023))
+    spread = draw(st.sampled_from([0, 1, 30, 80, 160, 2100]))
+    digits = draw(st.sampled_from([1, 2, 53]))
+    scaled = st.builds(lambda k, m: math.ldexp(m, top - k - digits + 1),
+                       st.integers(0, spread), st.integers(2 ** (digits - 1), 2**digits - 1))
+    tiny = st.sampled_from([0.0, -0.0, 5e-324, 3 * 5e-324, 2.0**-1022])
+    values = draw(st.lists(st.one_of(scaled, scaled, scaled, tiny), min_size=1, max_size=40))
+    if draw(st.integers(0, 3)) == 0:
+        huge = draw(st.sampled_from([1e308, 1.7e308, math.inf]))
+        values.insert(draw(st.integers(0, len(values))), huge)
+    n = len(values)
+    windows = [(0, n), (0, 0), (n - 1, n), (n, n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        values.insert(i + 1, math.ulp(values[i]) / 2)
+        n += 1
+        windows.append((i, i + 2))
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.integers(0, n))
+        windows.append((a, draw(st.integers(a, n))))
+    return values, windows
+
+
+@given(_columns_and_windows())
+def test_window_sums_equal_fsum_of_each_slice_bit_for_bit(column):
+    values, windows = column
+    a, b = (np.array(ends, np.int64) for ends in zip(*windows))
+    got = metrics._window_sums(np.array(values), a, b).tolist()
+    assert list(map(float.hex, got)) == [_fsum_or_inf(values[lo:hi]).hex() for lo, hi in windows]
+
+
+@pytest.mark.parametrize("values, parts", [
+    ([0.5, 0.25, 0.0, -0.0], 1),
+    ([5e-324, 3 * 5e-324, -0.0], 1),
+    ([1.0, 2.0**-60], 2),
+    ([1.0, 5e-324], 2),
+    ([1.0, 2.0**-60, 2.0**-130], 3),
+    ([1.0, 2.0**-53, 1 + 2.0**-52, 2.0**-53], 2),  # d1 + d2 ties at half an ulp
+    ([0.5, math.inf], None),  # an inf product
+    ([1.0, 2.0**-60, 2.0**-130, 2.0**-200], None),  # a residual after three parts
+    ([1e308, 0.0], None),  # sigma past 2**1023: each sum is finite
+    ([1.7e308, 1.7e308], None),  # sigma past 2**1023: the sum passes the float range
+], ids=["one", "subnormal", "two", "two_subnormal", "three", "ties", "inf", "residual",
+         "near_max", "overflow"])
+def test_exact_sums_split_into_at_most_three_parts_or_fall_back(values, parts):
+    # Only an inf, a residual after three parts or a sigma past 2**1023 falls back.
+    x, seen = np.array(values), []
+    n = len(values)
+    a, b = np.array([(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]).T
+
+    def total(part):
+        seen.append(part)
+        return metrics._in_windows(part, a, b)
+
+    sums = model._exact_sums(x, n, total)
+    want = [_fsum_or_inf(values[lo:hi]).hex() for lo, hi in zip(a, b)]
+    if parts is None:
+        assert sums is None
+        assert list(map(float.hex, metrics._window_sums(x, a, b).tolist())) == want
+    else:
+        assert len(seen) == parts
+        assert list(map(float.hex, sums.tolist())) == want

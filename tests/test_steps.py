@@ -1,5 +1,6 @@
 import re
 from math import comb, fsum
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import mk_run, mk_sample, tables, util_fractions
 from oracles import (OpEvent, pair_scores_oracle, pairwise_pearson_oracle, pearson_pair_oracle,
                      rows, step_windows_oracle)
-from traceprof import steps
+from traceprof import model, steps
 from traceprof.errors import NoCompleteSteps, NoSteps, OverlappingSteps, SignalTooShort
 from traceprof.metrics import build_report
 from traceprof.model import DEVICES, RunMeta, SampleTable
@@ -422,3 +423,18 @@ def test_resampled_rows_equal_per_segment_interp_bit_for_bit(lengths, data):
     ])
     # tobytes tells -0.0 from 0.0.
     assert steps._resampled_rows(values, bounds, target).tobytes() == expected.tobytes()
+
+
+_core_fractions = st.one_of(
+    util_fractions, st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1022, 2.0**-60, 1.0 - 2.0**-53, 1.0]))
+
+
+@given(c=st.integers(1, 6), block=st.integers(1, 8), data=st.data())
+def test_cpu_avg_signal_is_fsum_of_each_row_over_the_cores(c, block, data):
+    # Rows go block rows at a time, so a block that falls back to fsum sits between others.
+    core_rows = data.draw(st.lists(st.tuples(*[_core_fractions] * c), min_size=1, max_size=30))
+    run = mk_run([mk_sample(i * 10_000, cores=row) for i, row in enumerate(core_rows)])
+    with mock.patch.object(model, "_ROWS", block):
+        got = steps.signal_values(run, "cpu_avg_util").tolist()
+    assert list(map(float.hex, got)) == [(fsum(row) / c).hex() for row in core_rows]
