@@ -37,11 +37,16 @@ spaces, 28 MB for 2.9 MB). Only decoding falls back to one line at a time; each
 value rule is then one check over a block's column, and a failing line gets the
 diagnostic of its first failing rule.
 
-Op trace: if a block holds no ``[``/``]`` and each stripped non-blank line is
-``{...}``, the block decodes as one JSON array. No record can then span lines
-(a string cannot hold the raw newline, an object would need a key where the
-next line has ``{``), so as many records as lines is one per line. Else each
-line goes through ``json.loads`` on its own.
+Op trace: a canonical block starts with ``{``, has each ``\n`` but a final one
+inside ``}\n{``, holds no ``[``/``]``, and is ASCII or holds no U+0085, U+2028
+or U+2029 (where ``str.splitlines`` also breaks). Its text, each ``\n`` made
+``",\n"``, decodes as one JSON array. No record can then span lines (a string
+cannot hold the raw newline, an object would need a key where the next line
+has ``{``), so as many records as lines is one per line. Its lines are split
+only to number a diagnostic. Any other block's stripped non-blank lines, if
+each is ``{...}`` and none holds ``[``/``]``, are tried as one array the same
+way. Else, or if the array is not one record per line, each line goes through
+``json.loads`` on its own.
 
 Telemetry: the first non-blank line is the header, and the rest of its block is
 the first block of rows. If the header is exactly as expected, a block that is
@@ -82,7 +87,7 @@ from array import array
 from functools import cache
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from math import isfinite
+from math import fsum, isfinite
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
@@ -119,6 +124,8 @@ _ROWS = 65536  # trace lines per written piece
 _BLOCK = 65536  # characters per read of a trace file, run on to the end of a line
 # The ASCII characters str.splitlines breaks a line at, besides "\n" and "\r".
 _BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+# The others, which a JSON string may hold raw.
+_WIDE_BREAKS = ("\x85", "\u2028", "\u2029")
 # An op trace that starts with one of these is UTF-16 or UTF-32 (UTF-32 LE's starts as UTF-16 LE's).
 _WIDE_BOMS = (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE, codecs.BOM_UTF32_BE)
 _NO_SAMPLES = SampleTable(np.empty(0, np.int64), np.empty((0, 5)), np.empty(0, np.int64))
@@ -146,18 +153,54 @@ def _json_or_error(line: str) -> Any:
         return exc
 
 
-def _decode_op_lines(lines: list[str]) -> list:
-    """Each stripped non-blank line's JSON value, or the ValueError of a line that is not JSON."""
-    joined = ",\n".join(lines)
-    objects = all(line[0] == "{" and line[-1] == "}" for line in lines)
-    if objects and "[" not in joined and "]" not in joined:
-        try:
-            records = json.loads("[" + joined + "]")
-            if len(records) == len(lines):  # one record per line (see the module doc)
+def _json_array(text: str, n: int) -> list | None:
+    """The values of the JSON array ``text`` of ``n`` lines' ``{...}`` objects, or None unless
+    they are ``n`` values, so one per line (see the module doc)."""
+    try:
+        records = json.loads(text)
+    except ValueError:  # also an integer past Python's int-to-str digit limit
+        return None
+    return records if len(records) == n else None
+
+
+def _decode_op_lines(lines: list[str], bulk: bool = True) -> list:
+    """Each stripped non-blank line's JSON value, or the ValueError of a line that is not JSON.
+    Unless ``bulk`` is false, the lines are first tried as one JSON array."""
+    if bulk:
+        joined = ",\n".join(lines)
+        # The ",\n" separators are the joined text's only line breaks, so this
+        # holds just when every line starts with "{" and ends with "}".
+        objects = joined[0] == "{" and joined[-1] == "}" and joined.count("},\n{") == len(lines) - 1
+        if objects and "[" not in joined and "]" not in joined:
+            records = _json_array("[" + joined + "]", len(lines))
+            if records is not None:
                 return records
-        except ValueError:
-            pass
     return list(map(_json_or_error, lines))
+
+
+def _canonical_array(block: str) -> tuple[str, int] | None:
+    """A canonical block (see the module doc) as one JSON array's text, each line end but a
+    final one made ",\n", and its number of lines; None for any other block."""
+    body = block.removesuffix("\n")
+    # Universal newlines leave no "\r"; the ASCII breaks of _BREAKS fail json.loads.
+    if not (body[:1] == "{" and "[" not in body and "]" not in body
+            and (body.isascii() or not any(map(body.__contains__, _WIDE_BREAKS)))):
+        return None
+    text = "[" + body.replace("\n", ",\n") + "]"
+    breaks = len(text) - len(body) - 2
+    return (text, breaks + 1) if body.count("}\n{") == breaks else None
+
+
+def _decode_op_block(block: str) -> tuple[list, list[str] | None]:
+    """A block's records as ``_decode_op_lines`` decodes its lines, and its lines, which are
+    None for a canonical block: that is decoded from its text, with no line object made."""
+    array = _canonical_array(block)
+    records = None if array is None else _json_array(*array)
+    if records is not None:
+        return records, None
+    lines = block.splitlines()
+    records = [line for line in map(str.strip, lines) if line]
+    return _decode_op_lines(records, bulk=array is None) if records else [], lines
 
 
 def _numbered(found: list[tuple], lines: list[str], first: int = 0) -> list[Issue]:
@@ -180,10 +223,11 @@ def _in_int64(x: int) -> bool:
 def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], list[tuple]]:
     """Apply the op rules, in order, to one block's decoded records.
 
-    Returns the columns of the records that pass (by key, plus ``has_step``)
-    and (record index, code, message, severity) per new unknown key, which
-    joins ``warned``, and per failing record, for its first failing rule. A
-    rule tests a whole column at once, and its values one by one only then.
+    Returns the columns of the records that pass (by key, devices as codes,
+    plus ``has_step``) and (record index, code, message, severity) per new
+    unknown key, which joins ``warned``, and per failing record, for its first
+    failing rule. A rule tests a whole column at once, and its values one by
+    one only then.
     """
     found: list[tuple[int, str, str, str]] = []
     cols: dict[str, Any] = {"at": range(len(records)), "record": records}
@@ -195,10 +239,14 @@ def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], 
         for k, col in cols.items():
             cols[k] = list(compress(col, passed))
 
-    def integers(key: str, kinds: set[type], message: str) -> None:
-        if not _kinds(cols[key]) <= kinds:  # JSON 5.0 is the integer 5
-            cols[key] = [int(x) if type(x) is float and x.is_integer() else x for x in cols[key]]
-            drop(key, lambda x: type(x) in kinds, "MalformedLine", lambda _: message)
+    def integers(key: str, kinds: set[type], message: str) -> set[type]:
+        """Drop the records whose ``key`` is not of ``kinds``; a superset of the types left."""
+        if (have := _kinds(cols[key])) <= kinds:
+            return have
+        # JSON 5.0 is the integer 5.
+        cols[key] = [int(x) if type(x) is float and x.is_integer() else x for x in cols[key]]
+        drop(key, lambda x: type(x) in kinds, "MalformedLine", lambda _: message)
+        return kinds
 
     def int64(key: str, message: str) -> None:
         try:
@@ -225,16 +273,22 @@ def _check_op_records(records: list, warned: set[str]) -> tuple[dict[str, Any], 
     if not (_kinds(cols["op"]) <= {str} and all(cols["op"])):
         drop("op", lambda x: type(x) is str and x != "", "MalformedLine",
              lambda _: "missing or empty 'op'")
-    if not (_kinds(cols["device"]) <= {str} and set(cols["device"]) <= _CODE_OF_DEVICE.keys()):
+    try:  # the device rule, answered by the lookup of the devices' codes
+        codes = list(map(_CODE_OF_DEVICE.__getitem__, cols["device"]))
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         drop("device", lambda x: type(x) is str and x in _CODE_OF_DEVICE, "UnknownDevice",
              lambda x: f"unknown device {x!r}")
+        codes = list(map(_CODE_OF_DEVICE.__getitem__, cols["device"]))
+    cols["device"] = array("b", codes)
     for key in ("start_us", "end_us"):
         integers(key, {int}, "start_us and end_us must be integers")
     for key in ("start_us", "end_us"):
         int64(key, "start_us and end_us must fit in int64")
-    integers("step", {int, NoneType}, "step must be an integer")
-    cols["has_step"] = [x is not None for x in cols["step"]]
-    cols["step"] = [x or 0 for x in cols["step"]]
+    if NoneType in integers("step", {int, NoneType}, "step must be an integer"):
+        cols["has_step"] = [x is not None for x in cols["step"]]
+        cols["step"] = [x or 0 for x in cols["step"]]
+    else:
+        cols["has_step"] = array("b", b"\1") * len(cols["step"])
     int64("step", "step must fit in int64")
     if not _kinds(cols["layer"]) <= {str, NoneType}:
         drop("layer", lambda x: x is None or type(x) is str, "MalformedLine",
@@ -261,8 +315,10 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
 
     Returns (ops in ``model.validate_run``'s run order, diagnostics). Each
     valid line becomes one row of the op columns; no per-op object is built.
-    A file that starts with a UTF-16 or UTF-32 byte-order mark has no rows
-    and one diagnostic.
+    A canonical block (see the module doc) is decoded straight from its text,
+    with no per-line string unless a line has a diagnostic. A file that
+    starts with a UTF-16 or UTF-32 byte-order mark has no rows and one
+    diagnostic.
     """
     columns = [array(code) for code in "qqbqbii"]  # growable, in OpTable field order
     start, end, device, step, has_step, name_code, layer_code = columns
@@ -281,19 +337,19 @@ def parse_op_trace(data: bytes | BinaryIO) -> tuple[OpTable, list[Issue]]:
             issues.append(Issue("MalformedLine", "op trace is not UTF-8: it starts with a "
                                 "UTF-16 or UTF-32 byte-order mark", line_no=1))
         for block in blocks:
-            lines = block.splitlines()
-            records = [line for line in map(str.strip, lines) if line]
+            records, lines = _decode_op_block(block)
             if records:
-                cols, found = _check_op_records(_decode_op_lines(records), warned)
-                issues.extend(_numbered(found, lines, first))
+                cols, found = _check_op_records(records, warned)
+                if found:  # a canonical block's lines are split only now
+                    issues += _numbered(found, lines or block.splitlines(), first)
                 start.extend(cols["start_us"])
                 end.extend(cols["end_us"])
-                device.extend(map(_CODE_OF_DEVICE.__getitem__, cols["device"]))
+                device.extend(cols["device"])
                 step.extend(cols["step"])
                 has_step.extend(cols["has_step"])
                 name_code.extend(map(names.__getitem__, cols["op"]))
                 layer_code.extend(map(layers.__getitem__, cols["layer"]))
-            first += len(lines)
+            first += len(records) if lines is None else len(lines)
     finally:
         peekable.detach()  # else, once collected, it would close the caller's stream
     if not start and not issues:  # every non-blank line is a row or has an error
@@ -917,7 +973,7 @@ def _render_sweep_table(result: SweepResult) -> str:
     for p in result.points:
         r = p.report
         step_e = [m.energy_by_rail_joules["sys"] for m in r.per_step if not m.is_warmup]
-        mean_e = sum(step_e) / len(step_e) if step_e else float("nan")
+        mean_e = fsum(step_e) / len(step_e) if step_e else float("nan")
         lines.append(
             f"{p.batch_size:<7}{r.throughput_samples_per_sec:>12.2f}{_pct(r.gpu_util):>10}"
             f"{_pct(r.cpu_avg_util):>9}"

@@ -380,6 +380,25 @@ def test_run_whose_steps_hold_no_sample_reports_no_steps():
     assert table[header + 1] == ""  # no step rows
 
 
+def test_sweep_table_mean_step_energy_is_correctly_rounded():
+    # A plain sum of these per-step energies rounds each partial sum; fsum rounds once.
+    energies = [2.0**53, 1.0, 1.0]
+    assert f"{math.fsum(energies) / 3:.6f}" != f"{sum(energies) / 3:.6f}"
+    result = _sweep_result()
+    lo, mid, hi = result.points
+    steps = [m for m in lo.report.per_step if not m.is_warmup][:3]
+    steps = tuple(m._replace(energy_by_rail_joules={**m.energy_by_rail_joules, "sys": e})
+                  for m, e in zip(steps, energies))
+    lo = lo._replace(report=lo.report._replace(per_step=steps))
+    warm = tuple(m._replace(is_warmup=True) for m in mid.report.per_step)
+    mid = mid._replace(report=mid.report._replace(per_step=warm))
+    table = write_report(result._replace(points=(lo, mid, hi)), "table").decode().splitlines()
+    rows = {row.split()[0]: row for row in table if row.split()[:1] in (["4"], ["16"])}
+    assert f"{math.fsum(energies) / 3:.6f}" in rows["4"]
+    assert f"{sum(energies) / 3:.6f}" not in rows["4"]
+    assert f"{'nan':>12}" in rows["16"]  # no non-warmup step
+
+
 def test_report_with_empty_per_op_map_valid_json():
     report = build_report(_sample_run())
     doc = json.loads(write_report(report, "json"))
@@ -1058,6 +1077,83 @@ def bracketed_op_traces(draw):
 def test_op_lines_with_brackets_match_oracle(data, block):
     with mock.patch.object(ingest, "_BLOCK", block):
         _assert_ops_match_oracle(data)
+
+
+# Canonical op-trace blocks: a block that starts with "{", has each "\n" but a
+# final one inside "}\n{", and holds no "[" or "]" is decoded from its text.
+
+
+@pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
+@pytest.mark.parametrize("block", [64, 65536])
+def test_a_raw_line_break_in_an_op_name_splits_its_line(mark, block):
+    # The block looks canonical, but str.splitlines breaks the name's line in two,
+    # so each half is a line with its own diagnostic.
+    lines = _long_op_trace(6)
+    lines[3] = lines[3].replace('"op3"', f'"op{mark}3"')
+    data = ("\n".join(lines) + "\n").encode()
+    with mock.patch.object(ingest, "_BLOCK", block):
+        _assert_ops_match_oracle(data)
+        ops, issues = parse_op_trace(data)
+    assert len(ops) == 5
+    assert [(i.code, i.line_no) for i in issues] == [("MalformedLine", 4), ("MalformedLine", 5)]
+
+
+_CANONICAL_LINES = _long_op_trace(40)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines.insert(5, "  " + lines.pop(5) + " \t"),  # a padded line
+    lambda lines: lines.insert(7, ""),  # a blank line inside a block
+    lambda lines: lines.append(""),  # a blank line at the end of the file
+    lambda lines: lines.append("   "),
+    # An object split over two lines, which joined by ",\n" are not JSON, and each half.
+    lambda lines: lines.__setitem__(slice(9, 9), ['{"a": {"x": 1}', '{"y": 2}}']),
+    lambda lines: lines.insert(9, '{"a": {"x": 1}'),
+    lambda lines: lines.insert(10, '{"y": 2}}'),
+    lambda lines: lines.insert(9, lines[3] + ", " + lines[4]),  # two records on one line
+    lambda lines: lines.insert(9, lines[3] + lines[4]),
+    lambda lines: lines.insert(9, lines[3] + " " + lines[4]),
+])
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("block", [64, 700, 65536])
+def test_op_lines_around_canonical_blocks_match_oracle(edit, final_newline, block):
+    lines = list(_CANONICAL_LINES)
+    edit(lines)
+    lines[-2] = lines[-2].replace('"GPU"', '"TPU"')  # a diagnostic in the last block
+    data = ("\n".join(lines) + ("\n" if final_newline else "")).encode()
+    with mock.patch.object(ingest, "_BLOCK", block):
+        _assert_ops_match_oracle(data)
+        _assert_ops_match_oracle(data, _Pipe(data))
+
+
+def test_a_canonical_block_is_one_json_loads(monkeypatch):
+    lines = _long_op_trace(3000)
+    lines[1500] = lines[1500].replace('"GPU"', '"TPU"')
+    data = "\n".join(lines).encode()  # and no final newline
+    blocks = list(ingest._text_blocks(io.BytesIO(data)))
+    loads = _counted(monkeypatch, json, "loads")
+    by_lines = _counted(monkeypatch, ingest, "_decode_op_lines")
+    ops, issues = parse_op_trace(data)
+    assert len(loads) == len(blocks) > 3 and not by_lines
+    assert [args[0] for args in loads] == [
+        "[" + block.removesuffix("\n").replace("\n", ",\n") + "]" for block in blocks]
+    assert len(ops) == 2999
+    assert issues == [Issue("UnknownDevice", "unknown device 'TPU'", line_no=1501)]
+    _assert_ops_match_oracle(data)
+
+
+def test_a_canonical_block_of_more_records_than_lines_is_decoded_once_as_an_array(monkeypatch):
+    # The block looks canonical, but its third line holds two records: after the one
+    # array fails, each line is decoded on its own, with no second array.
+    lines = _long_op_trace(5)
+    lines[2] = lines[2] + ", " + lines[3]
+    data = ("\n".join(lines) + "\n").encode()
+    loads = _counted(monkeypatch, json, "loads")
+    ops, issues = parse_op_trace(data)
+    assert [args[0][:1] for args in loads] == ["["] + ["{"] * 5
+    assert len(ops) == 4 and [(i.code, i.line_no) for i in issues] == [("MalformedLine", 3)]
+    monkeypatch.undo()
+    _assert_ops_match_oracle(data)
 
 
 def test_bad_line_in_a_late_chunk_keeps_its_line_number():
